@@ -139,14 +139,18 @@ fn bench_noise_channel(c: &mut Criterion) {
 }
 
 fn bench_sampling(c: &mut Criterion) {
-    let circuit = ansatz_circuit(8);
-    let mut st = Statevector::zero(8);
-    st.apply_circuit(&circuit);
-    let probs = st.probabilities();
-    c.bench_function("sampling/1024_shots_8q", |b| {
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| std::hint::black_box(qsim::sample_counts(&probs, 1024, &mut rng)))
-    });
+    // 1 and 2 qubits are subset-circuit widths (VarSaw's windows measure
+    // 2), 8 and 10 full-register Globals on H2O-8 and H6-10.
+    for n in [1usize, 2, 8, 10] {
+        let circuit = ansatz_circuit(n);
+        let mut st = Statevector::zero(n);
+        st.apply_circuit(&circuit);
+        let probs = st.probabilities();
+        c.bench_function(format!("sampling/1024_shots_{n}q"), |b| {
+            let mut rng = StdRng::seed_from_u64(3);
+            b.iter(|| std::hint::black_box(qsim::sample_counts(&probs, 1024, &mut rng)))
+        });
+    }
 }
 
 fn bench_lanczos(c: &mut Criterion) {

@@ -56,7 +56,7 @@ use crate::exec::{self, QuadKernel};
 use crate::plan::PlanOp;
 use crate::state::words;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -80,6 +80,36 @@ const POLL: Duration = Duration::from_millis(5);
 /// most three payloads per step, so four slots keep every send
 /// non-blocking in a healthy session and bounded in a failing one.
 const CHANNEL_CAPACITY: usize = 4;
+
+/// Rank threads alive in this process; see [`live_rank_threads`].
+static LIVE_RANK_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// The number of [`ChannelRanks`] rank threads alive in this process.
+///
+/// It rises as a session spawns a rank and falls as that rank's thread
+/// exits, so a session whose ranks were all joined leaves it where it
+/// found it, whatever else the process is running.
+pub fn live_rank_threads() -> usize {
+    LIVE_RANK_THREADS.load(Ordering::SeqCst)
+}
+
+/// Holds one count of [`LIVE_RANK_THREADS`]. Moved into the rank thread,
+/// it is dropped when the thread body ends, even by unwinding, or with
+/// the closure if the spawn fails.
+struct LiveRank;
+
+impl LiveRank {
+    fn new() -> Self {
+        LIVE_RANK_THREADS.fetch_add(1, Ordering::SeqCst);
+        LiveRank
+    }
+}
+
+impl Drop for LiveRank {
+    fn drop(&mut self) {
+        LIVE_RANK_THREADS.fetch_sub(1, Ordering::SeqCst);
+    }
+}
 
 /// A shard-transport failure, always surfaced as a value — transports
 /// never panic or deadlock on peer failure (see the [module docs](self)).
@@ -970,9 +1000,13 @@ impl ChannelRanks {
             let done = done_tx.clone();
             let fault = Arc::clone(&fault);
             let abort = Arc::clone(&abort);
+            let live = LiveRank::new();
             let handle = std::thread::Builder::new()
                 .name(format!("varsaw-rank-{rank}"))
-                .spawn(move || rank_main(rank, shard, crx, drx, done, fault, abort))
+                .spawn(move || {
+                    let _live = live;
+                    rank_main(rank, shard, crx, drx, done, fault, abort)
+                })
                 .map_err(|_| TransportError::Disconnected {
                     rank,
                     step: "rank spawn",

@@ -139,6 +139,11 @@ pub struct SimExecutor {
     /// When set, planning goes through this process-shared cache instead
     /// of the private one — see [`SimExecutor::with_shared_plans`].
     shared_plans: Option<SharedPlanCache>,
+    /// Effective readout errors per measured width `m`, filled on first
+    /// use: entry `m` holds the errors of the device's `m` best qubits
+    /// under `m`-way crosstalk, and stays empty until then. The device
+    /// never changes after construction, so each width is computed once.
+    readout_by_width: Vec<Vec<ReadoutError>>,
 }
 
 impl SimExecutor {
@@ -163,6 +168,7 @@ impl SimExecutor {
             fault_sessions: 0,
             plans: PlanCache::new(),
             shared_plans: None,
+            readout_by_width: Vec::new(),
         }
     }
 
@@ -184,6 +190,7 @@ impl SimExecutor {
             fault_sessions: 0,
             plans: PlanCache::new(),
             shared_plans: None,
+            readout_by_width: Vec::new(),
         }
     }
 
@@ -765,6 +772,24 @@ impl SimExecutor {
             .collect()
     }
 
+    /// The readout errors an `m`-qubit measurement sees: measured logical
+    /// qubits map onto the device's best physical qubits, and crosstalk
+    /// scales with the number of simultaneous measurements.
+    fn readout_errors(&mut self, m: usize) -> &[ReadoutError] {
+        if self.readout_by_width.len() <= m {
+            self.readout_by_width.resize(m + 1, Vec::new());
+        }
+        if self.readout_by_width[m].len() != m {
+            self.readout_by_width[m] = self
+                .device
+                .best_qubits(m)
+                .into_iter()
+                .map(|q| self.device.effective_readout(q, m))
+                .collect();
+        }
+        &self.readout_by_width[m]
+    }
+
     fn finish(&mut self, mut probs: Vec<f64>, measured: Vec<usize>) -> Pmf {
         let m = measured.len();
         assert!(
@@ -777,14 +802,7 @@ impl SimExecutor {
         if self.device.depolarizing() > 0.0 {
             apply_depolarizing(&mut probs, self.device.depolarizing());
         }
-        // Map measured logical qubits onto the best physical qubits;
-        // crosstalk scales with the number of simultaneous measurements.
-        let physical = self.device.best_qubits(m);
-        let errors: Vec<ReadoutError> = physical
-            .iter()
-            .map(|&q| self.device.effective_readout(q, m))
-            .collect();
-        apply_readout_errors(&mut probs, &errors);
+        apply_readout_errors(&mut probs, self.readout_errors(m));
 
         if self.exact {
             Pmf::new(measured, probs)
@@ -881,6 +899,22 @@ mod tests {
             p_err_full > p_err_single * 1.5,
             "full {p_err_full} vs single {p_err_single}"
         );
+    }
+
+    #[test]
+    fn cached_readout_errors_match_the_device_at_every_width() {
+        let device = DeviceModel::mumbai_like();
+        let mut exec = SimExecutor::new(device.clone(), 16, 1);
+        // Widest first, then narrower and repeated widths hit the cache.
+        let widths: Vec<usize> = (0..=device.num_qubits()).rev().chain([2, 2, 8]).collect();
+        for m in widths {
+            let expected: Vec<ReadoutError> = device
+                .best_qubits(m)
+                .into_iter()
+                .map(|q| device.effective_readout(q, m))
+                .collect();
+            assert_eq!(exec.readout_errors(m), expected.as_slice(), "width {m}");
+        }
     }
 
     #[test]
