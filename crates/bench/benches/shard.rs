@@ -10,12 +10,6 @@
 //!   so the sharded side wins on states past the cache sizes even
 //!   single-threaded; the printed analysis shows how many exchanges the
 //!   hot-qubit remap left over.
-//! - `sharded_channel_{n}q_{s}shards`: the same shard plan through the
-//!   message-passing rank-thread transport instead of in-process handle
-//!   swaps — every cross-shard amplitude serialized onto a channel and
-//!   back. The gap to `sharded_{n}q_{s}shards` is the honest cost of
-//!   rank isolation; the printed counters show the wire volume per
-//!   apply.
 //! - `spsa_probes_12q_8x_{sequential,batched}`: eight SPSA-style probe
 //!   evaluations of a 12-qubit TFIM objective. The sequential side
 //!   submits one circuit dispatch at a time (`prepare` +
@@ -30,7 +24,7 @@ use chem::tfim_chain;
 use criterion::{criterion_group, criterion_main, Criterion};
 use mitigation::Pmf;
 use qnoise::DeviceModel;
-use qsim::{CircuitPlan, ShardPlan, ShardedState, Statevector, TransportMode};
+use qsim::{CircuitPlan, ShardPlan, ShardedState, Statevector};
 use vqe::{
     BaselineEvaluator, EfficientSu2, EnergyEvaluator, Entanglement, GroupedHamiltonian, SimExecutor,
 };
@@ -70,24 +64,6 @@ fn bench_sharded_apply(c: &mut Criterion) {
         g.bench_function(format!("sharded_{n}q_{shards}shards"), |b| {
             b.iter(|| {
                 let mut st = ShardedState::zero(n, shards);
-                st.apply_shard_plan(&sp);
-                std::hint::black_box(st.norm_sqr())
-            })
-        });
-        // One counted apply outside the timing loop: the wire volume is
-        // deterministic per plan, so printing it once tells the whole
-        // story alongside the channel row's mean.
-        let mut counted = ShardedState::zero(n, shards).with_transport(TransportMode::Channel);
-        counted.apply_shard_plan(&sp);
-        let stats = counted.shard_stats();
-        println!(
-            "bench shard {n}q/{shards} channel wire: {} messages, {:.1} MiB moved per apply",
-            stats.messages,
-            stats.bytes_moved as f64 / (1024.0 * 1024.0)
-        );
-        g.bench_function(format!("sharded_channel_{n}q_{shards}shards"), |b| {
-            b.iter(|| {
-                let mut st = ShardedState::zero(n, shards).with_transport(TransportMode::Channel);
                 st.apply_shard_plan(&sp);
                 std::hint::black_box(st.norm_sqr())
             })

@@ -53,7 +53,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         trend: false,
         append: false,
-        window: parallel::bench_history_window(),
+        window: bench::bench_history_window(),
         max_ratio: 2.0,
         paths: Vec::new(),
     };

@@ -10,10 +10,10 @@
 //! threshold (see the `bench_diff` binary). On top of the pairwise
 //! check sits the rolling-history trend gate: `BENCH_HISTORY.jsonl`
 //! accumulates one line per archived run ([`append_history`], window
-//! from `VARSAW_BENCH_HISTORY_WINDOW`), and [`trend_regressions`]
-//! judges the current run against the rolling median ± scaled MAD of
-//! that history — robust to a single noisy baseline run in a way the
-//! pairwise check cannot be.
+//! from `VARSAW_BENCH_HISTORY_WINDOW` via [`bench_history_window`]), and
+//! [`trend_regressions`] judges the current run against the rolling
+//! median ± scaled MAD of that history — robust to a single noisy
+//! baseline run in a way the pairwise check cannot be.
 //!
 //! The criterion harness itself is exercised here:
 //!
@@ -27,6 +27,13 @@
 //!     .measurement_time(Duration::from_millis(5));
 //! c.bench_function("doc/noop", |b| b.iter(|| std::hint::black_box(1 + 1)));
 //! ```
+
+mod config;
+
+pub use config::{
+    bench_history_window, BENCH_HISTORY_WINDOW_ENV, DEFAULT_BENCH_HISTORY_WINDOW,
+    MAX_BENCH_HISTORY_WINDOW,
+};
 
 /// One benchmark record from a `BENCH_*.json` artifact, as written by the
 /// criterion shim (`{"id", "mean_ns", "best_ns", "samples"}`).

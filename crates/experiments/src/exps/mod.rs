@@ -2,9 +2,7 @@
 //! table or figure of the paper.
 
 pub mod ablation;
-pub mod chaos;
 pub mod structural;
 pub mod sweeps;
 pub mod telemetry;
-pub mod transport;
 pub mod tuning;

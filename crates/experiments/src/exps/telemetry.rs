@@ -1,10 +1,10 @@
 //! Stage-attributed wall-time breakdown of one representative VQE
-//! iteration, across executor tiers and transports.
+//! iteration, across executor tiers.
 //!
 //! One iteration — prepare an EfficientSU2 ansatz state, then run a
 //! JigSaw-shaped measurement family (full-register Globals plus subset
-//! reads) — executes on each tier: serial, threaded, and sharded over
-//! both transport backends. The table reports, per tier, every telemetry
+//! reads) — executes on each tier: serial, threaded, and sharded. The
+//! table reports, per tier, every telemetry
 //! stage the iteration passed through (call count, total milliseconds,
 //! share of the tier's wall time) and an `attributed` summary row — the
 //! fraction of wall time the instrumentation accounts for. With the
@@ -14,7 +14,7 @@
 use crate::harness::Options;
 use crate::report::{fmt, results_path, Table};
 use qnoise::DeviceModel;
-use qsim::{Parallelism, Sharding, TransportMode};
+use qsim::{Parallelism, Sharding};
 use std::time::Instant;
 use vqe::{EfficientSu2, Entanglement, SimExecutor};
 
@@ -26,11 +26,10 @@ const SEED: u64 = 11;
 /// One representative iteration on a fresh executor configured for the
 /// tier. Returns the metered circuit count (sanity: identical across
 /// tiers, since every tier is bit-identical by contract).
-fn iteration(parallelism: Parallelism, sharding: Sharding, transport: TransportMode) -> u64 {
+fn iteration(parallelism: Parallelism, sharding: Sharding) -> u64 {
     let mut exec = SimExecutor::new(DeviceModel::mumbai_like(), SHOTS, SEED)
         .with_parallelism(parallelism)
-        .with_sharding(sharding)
-        .with_transport(transport);
+        .with_sharding(sharding);
     let ansatz = EfficientSu2::new(NUM_QUBITS, 2, Entanglement::Linear);
     let circuit = ansatz.circuit(&ansatz.initial_parameters(3));
     let state = exec.prepare(&circuit);
@@ -53,7 +52,7 @@ fn iteration(parallelism: Parallelism, sharding: Sharding, transport: TransportM
 }
 
 /// The `telemetry` experiment: per-stage wall-time attribution of one
-/// VQE iteration across serial / threaded / sharded×{local,channel}.
+/// VQE iteration across serial / threaded / sharded.
 pub fn telemetry_exp(opts: &Options) {
     let mut t = Table::new(["tier", "stage", "calls", "total ms", "% of wall"]);
     let path = results_path(&opts.out_dir, "telemetry", "telemetry.csv");
@@ -72,31 +71,10 @@ pub fn telemetry_exp(opts: &Options) {
     }
     telemetry::set_active(true);
 
-    let tiers: [(&str, Parallelism, Sharding, TransportMode); 4] = [
-        (
-            "serial",
-            Parallelism::Serial,
-            Sharding::Off,
-            TransportMode::Local,
-        ),
-        (
-            "threaded",
-            Parallelism::Threads(4),
-            Sharding::Off,
-            TransportMode::Local,
-        ),
-        (
-            "sharded/local",
-            Parallelism::Serial,
-            Sharding::Shards(SHARDS),
-            TransportMode::Local,
-        ),
-        (
-            "sharded/channel",
-            Parallelism::Serial,
-            Sharding::Shards(SHARDS),
-            TransportMode::Channel,
-        ),
+    let tiers: [(&str, Parallelism, Sharding); 3] = [
+        ("serial", Parallelism::Serial, Sharding::Off),
+        ("threaded", Parallelism::Threads(4), Sharding::Off),
+        ("sharded", Parallelism::Serial, Sharding::Shards(SHARDS)),
     ];
 
     // A single iteration is ~1-3ms; scheduler jitter on that scale can
@@ -105,15 +83,15 @@ pub fn telemetry_exp(opts: &Options) {
     let measured_passes: u32 = if opts.full { 10 } else { 3 };
 
     let mut reference_cost = None;
-    for (name, parallelism, sharding, transport) in tiers {
+    for (name, parallelism, sharding) in tiers {
         // Warm up once so OS page faults and lazy thread pools don't
         // masquerade as unattributed time on the measured passes.
-        iteration(parallelism, sharding, transport);
+        iteration(parallelism, sharding);
         let before = telemetry::global_snapshot();
         let start = Instant::now();
         let mut cost = 0;
         for _ in 0..measured_passes {
-            cost = iteration(parallelism, sharding, transport);
+            cost = iteration(parallelism, sharding);
         }
         let wall_ns = (start.elapsed().as_nanos().max(1) as u64) / u64::from(measured_passes);
         let delta = telemetry::global_snapshot()

@@ -32,9 +32,7 @@ const USAGE: &str = "usage: experiments <id> [--full] [--out DIR]
 ids: table1 table2 table3 table4 table5
      fig6 fig7 fig8 fig9 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19
      ablations | ablation-selective | ablation-spin | ablation-grouping
-     transport  (per-backend shard movement counters)
      telemetry  (per-stage wall-time breakdown of a VQE iteration; needs --features telemetry)
-     chaos  (fault-supervisor outcomes across kill rates and retry policies)
      all  (everything, in order)";
 
 fn run(command: &str, opts: &Options) {
@@ -59,9 +57,7 @@ fn run(command: &str, opts: &Options) {
         "ablation-selective" => exps::ablation::selective_mitigation(opts),
         "ablation-spin" => exps::ablation::spin_chains(opts),
         "ablation-grouping" => exps::ablation::grouping(opts),
-        "transport" => exps::transport::transport(opts),
         "telemetry" => exps::telemetry::telemetry_exp(opts),
-        "chaos" => exps::chaos::chaos(opts),
         "ablations" => {
             exps::ablation::selective_mitigation(opts);
             exps::ablation::spin_chains(opts);
@@ -87,9 +83,7 @@ fn run(command: &str, opts: &Options) {
                 "table4",
                 "table5",
                 "ablations",
-                "transport",
                 "telemetry",
-                "chaos",
             ] {
                 println!("\n=== {id} ===");
                 run(id, opts);

@@ -1,7 +1,7 @@
 //! Process-wide execution configuration, read from the environment once.
 //!
-//! Eight knobs control how the workspace's engines spread work, recover
-//! from failures, and report on themselves:
+//! Four knobs control how the workspace's engines spread work and
+//! report on themselves:
 //!
 //! - [`NUM_THREADS_ENV`] (`VARSAW_NUM_THREADS`): the worker-thread count
 //!   behind [`crate::num_threads`], shared by the statevector engine, the
@@ -12,26 +12,14 @@
 //! - [`SCHED_WORKERS_ENV`] (`VARSAW_SCHED_WORKERS`): an override for the
 //!   job-scheduler worker count behind [`crate::sched_workers`], consulted
 //!   by `sched::JobQueue` when no explicit worker count is passed;
-//! - [`SHARD_TRANSPORT_ENV`] (`VARSAW_SHARD_TRANSPORT`): the shard
-//!   transport backend behind [`crate::shard_transport`], consulted by
-//!   `qsim::transport` when a sharded state is built (`local` keeps the
-//!   zero-copy in-process backend, `channel` routes exchanges through
-//!   message-passing rank threads);
-//! - [`JOB_RETRIES_ENV`] (`VARSAW_JOB_RETRIES`): the default retry budget
-//!   behind [`crate::job_retries`], consulted by `sched::JobQueue` when no
-//!   explicit retry policy is set — how many times a job whose transport
-//!   session failed is re-dispatched before its error is surfaced;
-//! - [`JOB_DEADLINE_MS_ENV`] (`VARSAW_JOB_DEADLINE_MS`): the default
-//!   per-job deadline behind [`crate::job_deadline_ms`], consulted by
-//!   `sched::JobQueue` when no explicit deadline is set;
 //! - [`TELEMETRY_ENV`] (`VARSAW_TELEMETRY`): the runtime default of the
 //!   stage-telemetry switch behind [`crate::telemetry_default`] — only
 //!   observable in builds with the `telemetry` feature, where `0`/`off`
-//!   keeps an instrumented binary from recording;
-//! - [`BENCH_HISTORY_WINDOW_ENV`] (`VARSAW_BENCH_HISTORY_WINDOW`): the
-//!   rolling-window length behind [`crate::bench_history_window`] that
-//!   `bench_diff --trend` keeps in `BENCH_HISTORY.jsonl` and judges new
-//!   runs against.
+//!   keeps an instrumented binary from recording.
+//!
+//! Knobs that belong to one domain crate live there and reuse
+//! [`parse_count`] and [`warn_once`]: `sched` owns the default job
+//! deadline and `bench` the bench-history window.
 //!
 //! Earlier revisions re-parsed `VARSAW_NUM_THREADS` at every call site,
 //! which both repeated the work on hot paths and silently swallowed
@@ -69,33 +57,6 @@ pub const NUM_SHARDS_ENV: &str = "VARSAW_NUM_SHARDS";
 /// explicit count). Unset means "follow [`NUM_THREADS_ENV`]".
 pub const SCHED_WORKERS_ENV: &str = "VARSAW_SCHED_WORKERS";
 
-/// Environment variable selecting the shard-transport backend sharded
-/// execution moves amplitudes with (see `qsim::transport`). Valid values
-/// are the names in [`SHARD_TRANSPORT_NAMES`]; anything else is reported
-/// on stderr with the valid set and treated as unset (engines then use
-/// their in-process default).
-pub const SHARD_TRANSPORT_ENV: &str = "VARSAW_SHARD_TRANSPORT";
-
-/// The valid [`SHARD_TRANSPORT_ENV`] values, for error messages and docs.
-pub const SHARD_TRANSPORT_NAMES: [&str; 2] = ["local", "channel"];
-
-/// Environment variable setting the default per-job retry budget the job
-/// scheduler recovers transport failures with (see `sched::JobQueue`):
-/// how many *additional* dispatch attempts a job whose shard-transport
-/// session failed receives before its typed error is surfaced. Unset
-/// means no retries; capped at [`MAX_JOB_RETRIES`].
-pub const JOB_RETRIES_ENV: &str = "VARSAW_JOB_RETRIES";
-
-/// Environment variable setting the default per-job deadline, in
-/// milliseconds, the job scheduler enforces at session boundaries (see
-/// `sched::JobQueue`). Unset means no deadline.
-pub const JOB_DEADLINE_MS_ENV: &str = "VARSAW_JOB_DEADLINE_MS";
-
-/// Hard upper bound on [`JOB_RETRIES_ENV`] (sanity cap for typos; a
-/// retry ladder deeper than this only replays the same deterministic
-/// failure).
-pub const MAX_JOB_RETRIES: u32 = 16;
-
 /// Environment variable setting the runtime default of the stage
 /// telemetry switch (see the `telemetry` crate). Accepted values are the
 /// usual boolean spellings (`1`/`0`, `true`/`false`, `on`/`off`,
@@ -103,31 +64,6 @@ pub const MAX_JOB_RETRIES: u32 = 16;
 /// treated as unset. Only instrumented builds (the `telemetry` feature)
 /// observe it — uninstrumented binaries have nothing to switch.
 pub const TELEMETRY_ENV: &str = "VARSAW_TELEMETRY";
-
-/// Environment variable bounding the rolling window of runs kept in
-/// `BENCH_HISTORY.jsonl` and judged by `bench_diff --trend`. Zero and
-/// non-numbers are rejected with a warning; values above
-/// [`MAX_BENCH_HISTORY_WINDOW`] are capped. Unset means
-/// [`DEFAULT_BENCH_HISTORY_WINDOW`].
-pub const BENCH_HISTORY_WINDOW_ENV: &str = "VARSAW_BENCH_HISTORY_WINDOW";
-
-/// Default [`BENCH_HISTORY_WINDOW_ENV`]: enough depth for a stable
-/// median ± MAD band without letting months-old hardware drift vote.
-pub const DEFAULT_BENCH_HISTORY_WINDOW: usize = 20;
-
-/// Hard upper bound on [`BENCH_HISTORY_WINDOW_ENV`] (sanity cap: the
-/// trend gate reads every kept line on each run).
-pub const MAX_BENCH_HISTORY_WINDOW: usize = 500;
-
-/// A validated [`SHARD_TRANSPORT_ENV`] value. The `parallel` crate only
-/// names the backends; `qsim::transport` owns their semantics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardTransport {
-    /// In-process handle swaps and shared-memory pairwise walks.
-    Local,
-    /// Rank threads exchanging serialized amplitude words over channels.
-    Channel,
-}
 
 /// Hard upper bound on the worker count (sanity cap for typos in the
 /// environment variable).
@@ -148,21 +84,9 @@ pub struct Config {
     /// Job-scheduler worker-count override, or `None` to follow
     /// [`Config::threads`]; from [`SCHED_WORKERS_ENV`].
     pub sched_workers: Option<usize>,
-    /// Shard-transport backend override, or `None` to let engines use
-    /// their in-process default; from [`SHARD_TRANSPORT_ENV`].
-    pub shard_transport: Option<ShardTransport>,
-    /// Default per-job retry budget for transport failures, or `None` for
-    /// no retries; from [`JOB_RETRIES_ENV`], capped at [`MAX_JOB_RETRIES`].
-    pub job_retries: Option<u32>,
-    /// Default per-job deadline in milliseconds, or `None` for no
-    /// deadline; from [`JOB_DEADLINE_MS_ENV`].
-    pub job_deadline_ms: Option<u64>,
     /// Runtime default of the stage-telemetry switch, or `None` to let
     /// instrumented builds default to recording; from [`TELEMETRY_ENV`].
     pub telemetry: Option<bool>,
-    /// Rolling bench-history window override, or `None` for
-    /// [`DEFAULT_BENCH_HISTORY_WINDOW`]; from [`BENCH_HISTORY_WINDOW_ENV`].
-    pub bench_history_window: Option<usize>,
 }
 
 impl Config {
@@ -173,11 +97,7 @@ impl Config {
         threads_raw: Option<&str>,
         shards_raw: Option<&str>,
         sched_raw: Option<&str>,
-        transport_raw: Option<&str>,
-        retries_raw: Option<&str>,
-        deadline_raw: Option<&str>,
         telemetry_raw: Option<&str>,
-        history_window_raw: Option<&str>,
         default_threads: usize,
     ) -> (Config, Vec<String>) {
         let mut warnings = Vec::new();
@@ -222,58 +142,14 @@ impl Config {
             other => other,
         };
 
-        let shard_transport = parse_transport(transport_raw, &mut warnings);
-
-        // Unlike the count knobs, 0 is a legitimate retry budget (run
-        // once, never retry — the unset default), so retries get their
-        // own parse instead of `parse_count`.
-        let job_retries = match retries_raw.map(str::trim).filter(|s| !s.is_empty()) {
-            None => None,
-            Some(raw) => match raw.parse::<u32>() {
-                Ok(n) if n > MAX_JOB_RETRIES => {
-                    warnings.push(format!(
-                        "{JOB_RETRIES_ENV}={n} exceeds the cap of {MAX_JOB_RETRIES}; \
-                         using {MAX_JOB_RETRIES}"
-                    ));
-                    Some(MAX_JOB_RETRIES)
-                }
-                Ok(n) => Some(n),
-                Err(_) => {
-                    warnings.push(format!(
-                        "{JOB_RETRIES_ENV}={raw:?} is not a number; using the default"
-                    ));
-                    None
-                }
-            },
-        };
-
-        let job_deadline_ms =
-            parse_count(JOB_DEADLINE_MS_ENV, deadline_raw, &mut warnings).map(|n| n as u64);
-
         let telemetry = parse_bool(TELEMETRY_ENV, telemetry_raw, &mut warnings);
-
-        let bench_history_window =
-            match parse_count(BENCH_HISTORY_WINDOW_ENV, history_window_raw, &mut warnings) {
-                Some(n) if n > MAX_BENCH_HISTORY_WINDOW => {
-                    warnings.push(format!(
-                        "{BENCH_HISTORY_WINDOW_ENV}={n} exceeds the cap of \
-                         {MAX_BENCH_HISTORY_WINDOW}; using {MAX_BENCH_HISTORY_WINDOW}"
-                    ));
-                    Some(MAX_BENCH_HISTORY_WINDOW)
-                }
-                other => other,
-            };
 
         (
             Config {
                 threads,
                 shards,
                 sched_workers,
-                shard_transport,
-                job_retries,
-                job_deadline_ms,
                 telemetry,
-                bench_history_window,
             },
             warnings,
         )
@@ -282,9 +158,8 @@ impl Config {
 
 /// Prints `message` to stderr at most once per process per distinct
 /// message — the single funnel for the workspace's warning paths
-/// (invalid environment knobs, transport-degradation notices), so
-/// repeated triggers (every retry of a chaos run, every re-resolve in a
-/// test) cannot spam stderr.
+/// (invalid environment knobs), so repeated triggers (every re-resolve
+/// in a test) cannot spam stderr.
 ///
 /// Returns `true` when the message was printed (first sighting), `false`
 /// when it was suppressed as a duplicate — callers normally ignore the
@@ -301,27 +176,6 @@ pub fn warn_once(message: &str) -> bool {
         eprintln!("{message}");
     }
     fresh
-}
-
-/// Parses [`SHARD_TRANSPORT_ENV`]. `None`/empty means "not set" (no
-/// warning); an unknown name produces a warning listing the valid set
-/// and counts as unset, so engines fall back to their `local` default.
-fn parse_transport(raw: Option<&str>, warnings: &mut Vec<String>) -> Option<ShardTransport> {
-    let raw = raw?.trim();
-    if raw.is_empty() {
-        return None;
-    }
-    match raw.to_ascii_lowercase().as_str() {
-        "local" => Some(ShardTransport::Local),
-        "channel" => Some(ShardTransport::Channel),
-        _ => {
-            warnings.push(format!(
-                "{SHARD_TRANSPORT_ENV}={raw:?} is not a known transport \
-                 (valid: {SHARD_TRANSPORT_NAMES:?}); using \"local\""
-            ));
-            None
-        }
-    }
 }
 
 /// Parses one boolean variable. `None`/empty means "not set" (no
@@ -347,7 +201,7 @@ fn parse_bool(name: &str, raw: Option<&str>, warnings: &mut Vec<String>) -> Opti
 
 /// Parses one count variable. `None`/empty means "not set" (no warning);
 /// unparsable or zero values produce a warning and count as unset.
-fn parse_count(name: &str, raw: Option<&str>, warnings: &mut Vec<String>) -> Option<usize> {
+pub fn parse_count(name: &str, raw: Option<&str>, warnings: &mut Vec<String>) -> Option<usize> {
     let raw = raw?.trim();
     if raw.is_empty() {
         return None;
@@ -373,11 +227,7 @@ pub fn get() -> &'static Config {
         let threads_raw = std::env::var(NUM_THREADS_ENV).ok();
         let shards_raw = std::env::var(NUM_SHARDS_ENV).ok();
         let sched_raw = std::env::var(SCHED_WORKERS_ENV).ok();
-        let transport_raw = std::env::var(SHARD_TRANSPORT_ENV).ok();
-        let retries_raw = std::env::var(JOB_RETRIES_ENV).ok();
-        let deadline_raw = std::env::var(JOB_DEADLINE_MS_ENV).ok();
         let telemetry_raw = std::env::var(TELEMETRY_ENV).ok();
-        let history_window_raw = std::env::var(BENCH_HISTORY_WINDOW_ENV).ok();
         let default_threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
@@ -385,11 +235,7 @@ pub fn get() -> &'static Config {
             threads_raw.as_deref(),
             shards_raw.as_deref(),
             sched_raw.as_deref(),
-            transport_raw.as_deref(),
-            retries_raw.as_deref(),
-            deadline_raw.as_deref(),
             telemetry_raw.as_deref(),
-            history_window_raw.as_deref(),
             default_threads,
         );
         for w in &warnings {
@@ -404,32 +250,18 @@ mod tests {
     use super::*;
 
     fn resolve(threads: Option<&str>, shards: Option<&str>) -> (Config, Vec<String>) {
-        resolve_all(threads, shards, None, None, None, None, 4)
+        resolve_all(threads, shards, None, 4)
     }
 
-    /// The pre-telemetry positional form most tests use; the two new
-    /// knobs stay unset.
-    #[allow(clippy::too_many_arguments)]
+    /// The positional form without the telemetry switch, which stays
+    /// unset.
     fn resolve_all(
         threads: Option<&str>,
         shards: Option<&str>,
         sched: Option<&str>,
-        transport: Option<&str>,
-        retries: Option<&str>,
-        deadline: Option<&str>,
         default_threads: usize,
     ) -> (Config, Vec<String>) {
-        Config::resolve(
-            threads,
-            shards,
-            sched,
-            transport,
-            retries,
-            deadline,
-            None,
-            None,
-            default_threads,
-        )
+        Config::resolve(threads, shards, sched, None, default_threads)
     }
 
     fn defaults() -> Config {
@@ -437,11 +269,7 @@ mod tests {
             threads: 4,
             shards: None,
             sched_workers: None,
-            shard_transport: None,
-            job_retries: None,
-            job_deadline_ms: None,
             telemetry: None,
-            bench_history_window: None,
         }
     }
 
@@ -507,57 +335,23 @@ mod tests {
 
     #[test]
     fn default_threads_are_clamped_to_the_cap() {
-        let (c, _) = resolve_all(None, None, None, None, None, None, 1000);
+        let (c, _) = resolve_all(None, None, None, 1000);
         assert_eq!(c.threads, MAX_THREADS);
-        let (c, _) = resolve_all(None, None, None, None, None, None, 0);
+        let (c, _) = resolve_all(None, None, None, 0);
         assert_eq!(c.threads, 1);
     }
 
     #[test]
     fn sched_workers_parse_and_cap() {
-        let (c, w) = resolve_all(None, None, Some("3"), None, None, None, 4);
+        let (c, w) = resolve_all(None, None, Some("3"), 4);
         assert_eq!(c.sched_workers, Some(3));
         assert!(w.is_empty());
-        let (c, w) = resolve_all(None, None, Some("9999"), None, None, None, 4);
+        let (c, w) = resolve_all(None, None, Some("9999"), 4);
         assert_eq!(c.sched_workers, Some(MAX_THREADS));
         assert_eq!(w.len(), 1);
         assert!(w[0].contains(SCHED_WORKERS_ENV), "{w:?}");
-        let (c, w) = resolve_all(None, None, Some("zero"), None, None, None, 4);
+        let (c, w) = resolve_all(None, None, Some("zero"), 4);
         assert_eq!(c.sched_workers, None);
-        assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn job_retries_accept_zero_and_cap() {
-        // 0 is a real value (run once, never retry), not a typo.
-        let (c, w) = resolve_all(None, None, None, None, Some("0"), None, 4);
-        assert_eq!(c.job_retries, Some(0));
-        assert!(w.is_empty(), "{w:?}");
-        let (c, w) = resolve_all(None, None, None, None, Some("3"), None, 4);
-        assert_eq!(c.job_retries, Some(3));
-        assert!(w.is_empty());
-        let (c, w) = resolve_all(None, None, None, None, Some("999"), None, 4);
-        assert_eq!(c.job_retries, Some(MAX_JOB_RETRIES));
-        assert_eq!(w.len(), 1);
-        assert!(w[0].contains(JOB_RETRIES_ENV), "{w:?}");
-        let (c, w) = resolve_all(None, None, None, None, Some("lots"), None, 4);
-        assert_eq!(c.job_retries, None);
-        assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn job_deadlines_parse_and_reject_zero() {
-        let (c, w) = resolve_all(None, None, None, None, None, Some("2500"), 4);
-        assert_eq!(c.job_deadline_ms, Some(2500));
-        assert!(w.is_empty());
-        // A zero deadline would expire every job before dispatch; treat
-        // it as the typo it almost certainly is.
-        let (c, w) = resolve_all(None, None, None, None, None, Some("0"), 4);
-        assert_eq!(c.job_deadline_ms, None);
-        assert_eq!(w.len(), 1);
-        assert!(w[0].contains(JOB_DEADLINE_MS_ENV), "{w:?}");
-        let (c, w) = resolve_all(None, None, None, None, None, Some("soon"), 4);
-        assert_eq!(c.job_deadline_ms, None);
         assert_eq!(w.len(), 1);
     }
 
@@ -573,34 +367,17 @@ mod tests {
             ("off", Some(false)),
             (" no ", Some(false)),
         ] {
-            let (c, w) = Config::resolve(None, None, None, None, None, None, Some(raw), None, 4);
+            let (c, w) = Config::resolve(None, None, None, Some(raw), 4);
             assert_eq!(c.telemetry, want, "raw {raw:?}");
             assert!(w.is_empty(), "raw {raw:?}: {w:?}");
         }
-        let (c, w) = Config::resolve(None, None, None, None, None, None, Some("maybe"), None, 4);
+        let (c, w) = Config::resolve(None, None, None, Some("maybe"), 4);
         assert_eq!(c.telemetry, None);
         assert_eq!(w.len(), 1, "{w:?}");
         assert!(w[0].contains(TELEMETRY_ENV), "{w:?}");
-        let (c, w) = Config::resolve(None, None, None, None, None, None, Some("  "), None, 4);
+        let (c, w) = Config::resolve(None, None, None, Some("  "), 4);
         assert_eq!(c.telemetry, None);
         assert!(w.is_empty());
-    }
-
-    #[test]
-    fn bench_history_window_parses_rejects_zero_and_caps() {
-        let (c, w) = Config::resolve(None, None, None, None, None, None, None, Some("7"), 4);
-        assert_eq!(c.bench_history_window, Some(7));
-        assert!(w.is_empty());
-        let (c, w) = Config::resolve(None, None, None, None, None, None, None, Some("0"), 4);
-        assert_eq!(c.bench_history_window, None);
-        assert_eq!(w.len(), 1);
-        assert!(w[0].contains(BENCH_HISTORY_WINDOW_ENV), "{w:?}");
-        let (c, w) = Config::resolve(None, None, None, None, None, None, None, Some("99999"), 4);
-        assert_eq!(c.bench_history_window, Some(MAX_BENCH_HISTORY_WINDOW));
-        assert_eq!(w.len(), 1);
-        let (c, w) = Config::resolve(None, None, None, None, None, None, None, Some("soon"), 4);
-        assert_eq!(c.bench_history_window, None);
-        assert_eq!(w.len(), 1);
     }
 
     #[test]
@@ -609,38 +386,5 @@ mod tests {
         assert!(!warn_once("config-test: first unique warning"));
         assert!(warn_once("config-test: second unique warning"));
         assert!(!warn_once("config-test: second unique warning"));
-    }
-
-    #[test]
-    fn transport_names_parse_case_insensitively() {
-        for (raw, want) in [
-            ("local", ShardTransport::Local),
-            ("Local", ShardTransport::Local),
-            ("channel", ShardTransport::Channel),
-            ("CHANNEL", ShardTransport::Channel),
-            (" channel ", ShardTransport::Channel),
-        ] {
-            let (c, w) = resolve_all(None, None, None, Some(raw), None, None, 4);
-            assert_eq!(c.shard_transport, Some(want), "raw {raw:?}");
-            assert!(w.is_empty(), "raw {raw:?}: {w:?}");
-        }
-    }
-
-    #[test]
-    fn unknown_transport_names_warn_with_the_valid_set_and_fall_back() {
-        let (c, w) = resolve_all(None, None, None, Some("sockets"), None, None, 4);
-        assert_eq!(c.shard_transport, None, "unknown names fall back to unset");
-        assert_eq!(w.len(), 1, "{w:?}");
-        assert!(w[0].contains(SHARD_TRANSPORT_ENV), "{w:?}");
-        for name in SHARD_TRANSPORT_NAMES {
-            assert!(w[0].contains(name), "warning must list {name:?}: {w:?}");
-        }
-    }
-
-    #[test]
-    fn empty_transport_counts_as_unset() {
-        let (c, w) = resolve_all(None, None, None, Some("  "), None, None, 4);
-        assert_eq!(c.shard_transport, None);
-        assert!(w.is_empty());
     }
 }

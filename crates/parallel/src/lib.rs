@@ -40,8 +40,7 @@
 pub mod config;
 
 pub use config::{
-    warn_once, JOB_DEADLINE_MS_ENV, JOB_RETRIES_ENV, MAX_JOB_RETRIES, MAX_SHARDS, MAX_THREADS,
-    NUM_SHARDS_ENV, NUM_THREADS_ENV, SCHED_WORKERS_ENV, SHARD_TRANSPORT_ENV, SHARD_TRANSPORT_NAMES,
+    warn_once, MAX_SHARDS, MAX_THREADS, NUM_SHARDS_ENV, NUM_THREADS_ENV, SCHED_WORKERS_ENV,
 };
 
 use std::ops::Range;
@@ -133,62 +132,6 @@ pub fn sched_workers() -> usize {
     config.sched_workers.unwrap_or(config.threads)
 }
 
-/// The shard-transport backend override, or `None` when unset (engines
-/// then default to the zero-copy in-process backend).
-///
-/// Resolved from the `VARSAW_SHARD_TRANSPORT` environment variable — read
-/// once per process and cached, unknown names reported with the valid set
-/// (see [`config`]). The consumer is `qsim::transport`, which maps
-/// [`config::ShardTransport::Local`] to its in-process handle-swap
-/// backend and [`config::ShardTransport::Channel`] to its
-/// message-passing rank-thread backend.
-///
-/// # Examples
-///
-/// ```
-/// // Unset in this process: engines use the in-process default.
-/// assert_eq!(parallel::shard_transport(), None);
-/// ```
-pub fn shard_transport() -> Option<config::ShardTransport> {
-    config::get().shard_transport
-}
-
-/// The default per-job retry budget for transport failures, or `None`
-/// when unset (jobs then run exactly once).
-///
-/// Resolved from the `VARSAW_JOB_RETRIES` environment variable — read
-/// once per process and cached, capped at [`MAX_JOB_RETRIES`] (see
-/// [`config`]). The consumer is `sched::JobQueue`, whose retry policy
-/// defaults to this budget when the caller sets none explicitly.
-///
-/// # Examples
-///
-/// ```
-/// // Unset in this process: jobs run once, failures surface directly.
-/// assert_eq!(parallel::job_retries(), None);
-/// ```
-pub fn job_retries() -> Option<u32> {
-    config::get().job_retries
-}
-
-/// The default per-job deadline in milliseconds, or `None` when unset
-/// (jobs then have no deadline).
-///
-/// Resolved from the `VARSAW_JOB_DEADLINE_MS` environment variable —
-/// read once per process and cached (see [`config`]). The consumer is
-/// `sched::JobQueue`, which checks the deadline at session boundaries
-/// (dispatch, between retry attempts, between measurements).
-///
-/// # Examples
-///
-/// ```
-/// // Unset in this process: no deadline is enforced.
-/// assert_eq!(parallel::job_deadline_ms(), None);
-/// ```
-pub fn job_deadline_ms() -> Option<u64> {
-    config::get().job_deadline_ms
-}
-
 /// The runtime default of the stage-telemetry switch: `true` unless
 /// `VARSAW_TELEMETRY` says otherwise.
 ///
@@ -205,30 +148,6 @@ pub fn job_deadline_ms() -> Option<u64> {
 /// ```
 pub fn telemetry_default() -> bool {
     config::get().telemetry.unwrap_or(true)
-}
-
-/// The rolling window of runs `bench_diff --trend` keeps in
-/// `BENCH_HISTORY.jsonl` and judges new runs against.
-///
-/// Resolved from the `VARSAW_BENCH_HISTORY_WINDOW` environment variable —
-/// read once per process and cached, capped at
-/// [`config::MAX_BENCH_HISTORY_WINDOW`], defaulting to
-/// [`config::DEFAULT_BENCH_HISTORY_WINDOW`] (see [`config`]). The
-/// consumer is the `bench` crate's trend gate.
-///
-/// # Examples
-///
-/// ```
-/// // Unset in this process: the default window applies.
-/// assert_eq!(
-///     parallel::bench_history_window(),
-///     parallel::config::DEFAULT_BENCH_HISTORY_WINDOW
-/// );
-/// ```
-pub fn bench_history_window() -> usize {
-    config::get()
-        .bench_history_window
-        .unwrap_or(config::DEFAULT_BENCH_HISTORY_WINDOW)
 }
 
 /// The contiguous index range worker `w` of `workers` owns in `0..len`.

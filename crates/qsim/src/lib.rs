@@ -25,13 +25,8 @@
 //!   local ops run shard-parallel with no communication, global-qubit ops
 //!   go through explicit pairwise shard exchanges or O(1) plane swaps,
 //!   and a plan-analysis pass ([`plan::ShardPlan`]) remaps hot qubits
-//!   local first (bit-identical to the dense paths; see [`shard`]),
-//! - [`transport`]: the rank-transport seam under sharded execution —
-//!   one [`transport::ShardTransport`] trait, two backends
-//!   (zero-copy in-process [`transport::LocalSwap`], message-passing
-//!   [`transport::ChannelRanks`] rank threads), typed
-//!   [`TransportError`] failures, and per-backend movement counters
-//!   ([`TransportCounters`], via `ShardedState::shard_stats`),
+//!   local first (bit-identical to the dense paths; see [`shard`]);
+//!   movement tallies accumulate in [`ShardCounters`],
 //! - [`sample_counts`] / [`sample_counts_many`]: seeded shot sampling,
 //!   serial and batched-parallel,
 //! - [`lowest_eigenvalue`]: matrix-free Lanczos for exact reference
@@ -65,7 +60,6 @@ mod qasm;
 mod sampler;
 pub mod shard;
 mod state;
-pub mod transport;
 
 pub use circuit::{Circuit, CircuitStats};
 pub use complex::C64;
@@ -75,8 +69,5 @@ pub use linalg::{lowest_eigenvalue, smallest_tridiagonal_eigenvalue, HermitianOp
 pub use plan::{CircuitPlan, PlanCache, ShardPlan, SharedPlanCache};
 pub use qasm::to_qasm;
 pub use sampler::{sample_counts, sample_counts_many, sample_index};
-pub use shard::{ShardedState, Sharding};
+pub use shard::{ShardCounters, ShardedState, Sharding};
 pub use state::{CapacityError, Statevector};
-pub use transport::{
-    FaultInjection, FaultSchedule, TransportCounters, TransportError, TransportMode,
-};

@@ -35,18 +35,14 @@
 //! every exchange in an ansatz-shaped circuit into a local op. The state
 //! records the adopted layout and un-permutes when read back.
 //!
-//! # The transport seam
+//! # Data movement
 //!
-//! This module is pure **orchestration**: it classifies each plan step
-//! and dispatches the resulting movement onto a
-//! [`crate::transport::ShardTransport`] session. Where amplitudes live
-//! and how they cross shard boundaries is the backend's business —
-//! [`crate::transport::LocalSwap`] keeps today's zero-copy shared-memory
-//! walk, [`crate::transport::ChannelRanks`] runs one rank thread per
-//! shard with serialized message passing — selected per state via
-//! [`ShardedState::with_transport`] or process-wide via the
-//! `VARSAW_SHARD_TRANSPORT` environment variable. Movement tallies
-//! accumulate in [`ShardedState::shard_stats`].
+//! Every shard lives in this address space, so movement is plain memory
+//! work on the state's own shard buffers: exchanges walk each shard pair
+//! (or quad) elementwise, sub-split into aligned slices so small shard
+//! counts still occupy every worker, and plane swaps trade shard
+//! handles in O(1). Movement tallies accumulate in
+//! [`ShardedState::shard_stats`].
 //!
 //! # Bit-identical results
 //!
@@ -77,13 +73,9 @@
 
 use crate::circuit::CircuitStats;
 use crate::complex::C64;
-use crate::exec::{self, Parallelism};
+use crate::exec::{self, Parallelism, QuadKernel};
 use crate::plan::{check_shards, CircuitPlan, PlanOp, ShardPlan, ShardStep};
 use crate::state::{CapacityError, Statevector};
-use crate::transport::{
-    classify_exchange, ExchangeStep, FaultInjection, FaultSchedule, LocalOps, ShardTransport,
-    TransportCounters, TransportError, TransportMode,
-};
 
 /// How an executor decomposes statevector simulation across amplitude
 /// shards (the `qsim`-level twin of [`Parallelism`]: shards decide the
@@ -132,6 +124,23 @@ pub fn auto_shard_count(stats: &CircuitStats) -> usize {
     shards.min(max)
 }
 
+/// Movement tallies a [`ShardedState`] accumulates across every plan it
+/// applies (see [`ShardedState::shard_stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardCounters {
+    /// Batched local-op runs executed (one per `ShardStep::Local`).
+    pub local_runs: u64,
+    /// Pairwise exchange steps executed.
+    pub exchanges: u64,
+    /// Quad (both pair bits global) exchange steps executed.
+    pub quad_exchanges: u64,
+    /// Plane-swap steps executed (shard-handle swaps).
+    pub plane_swaps: u64,
+    /// Extra sub-slices created to spread exchanges across workers
+    /// (zero when every pair ran as one slice).
+    pub sub_splits: u64,
+}
+
 /// A pure `n`-qubit state stored as `2ᵏ` contiguous amplitude shards —
 /// see the [module docs](self) for the execution model.
 ///
@@ -151,21 +160,7 @@ pub struct ShardedState {
     /// plan's layout.
     dirty: bool,
     parallelism: Parallelism,
-    transport: TransportMode,
-    fault: FaultInjection,
-    /// Per-session fault draws: when no explicit [`FaultInjection`] is
-    /// installed, each transport session draws its injection from this
-    /// schedule at coordinate `(stream, session)`.
-    schedule: FaultSchedule,
-    /// The schedule stream this state draws from (supervisors vary it
-    /// per attempt so retries get independent draws).
-    stream: u64,
-    /// Transport sessions opened so far — the schedule's session index.
-    session: u64,
-    counters: TransportCounters,
-    /// Set when a transport session failed mid-plan: the shard contents
-    /// are no longer a coherent state, so further use is refused.
-    poisoned: bool,
+    counters: ShardCounters,
 }
 
 impl ShardedState {
@@ -223,13 +218,7 @@ impl ShardedState {
             layout: (0..num_qubits).collect(),
             dirty: false,
             parallelism: Parallelism::Auto,
-            transport: TransportMode::from_env(),
-            fault: FaultInjection::none(),
-            schedule: FaultSchedule::none(),
-            stream: 0,
-            session: 0,
-            counters: TransportCounters::default(),
-            poisoned: false,
+            counters: ShardCounters::default(),
         })
     }
 
@@ -253,13 +242,7 @@ impl ShardedState {
             layout: (0..state.num_qubits()).collect(),
             dirty: true,
             parallelism: Parallelism::Auto,
-            transport: TransportMode::from_env(),
-            fault: FaultInjection::none(),
-            schedule: FaultSchedule::none(),
-            stream: 0,
-            session: 0,
-            counters: TransportCounters::default(),
-            poisoned: false,
+            counters: ShardCounters::default(),
         }
     }
 
@@ -271,53 +254,8 @@ impl ShardedState {
         self
     }
 
-    /// Sets which transport backend moves amplitudes between shards
-    /// (default: the validated `VARSAW_SHARD_TRANSPORT` value, falling
-    /// back to [`TransportMode::Local`]). Like parallelism, the choice
-    /// never changes results — both backends are bit-identical.
-    pub fn with_transport(mut self, mode: TransportMode) -> Self {
-        self.transport = mode;
-        self
-    }
-
-    /// Installs chaos-testing fault injection for subsequent transport
-    /// sessions (see [`FaultInjection`]; testing hook). An explicit
-    /// injection overrides any installed [`FaultSchedule`].
-    pub fn with_fault(mut self, fault: FaultInjection) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Installs a seed-deterministic [`FaultSchedule`]: each subsequent
-    /// transport session draws its [`FaultInjection`] at schedule
-    /// coordinate `(stream, session index)`, where the session index
-    /// counts sessions this state has opened. Supervisors give every
-    /// retry attempt a distinct `stream` so attempts draw independently
-    /// while staying exactly reproducible.
-    pub fn with_fault_schedule(mut self, schedule: FaultSchedule, stream: u64) -> Self {
-        self.schedule = schedule;
-        self.stream = stream;
-        self
-    }
-
-    /// Whether a transport session failed mid-plan, leaving the shard
-    /// contents incoherent. Every fallible entry point on a poisoned
-    /// state returns [`TransportError::Poisoned`]; the infallible reads
-    /// panic. Supervisors quarantine and rebuild instead of reusing.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// The transport backend this state moves amplitudes with.
-    pub fn transport(&self) -> TransportMode {
-        self.transport
-    }
-
-    /// Movement tallies accumulated across every plan applied so far:
-    /// exchange/plane-swap/sub-split counts for any backend, plus
-    /// message and wire-byte volume for message-passing backends (zero
-    /// under [`TransportMode::Local`], which moves no messages).
-    pub fn shard_stats(&self) -> TransportCounters {
+    /// Movement tallies accumulated across every plan applied so far.
+    pub fn shard_stats(&self) -> ShardCounters {
         self.counters
     }
 
@@ -351,31 +289,14 @@ impl ShardedState {
     ///
     /// # Panics
     ///
-    /// Panics if the plan's qubit count differs from the state's, or on
-    /// a transport failure (see [`ShardedState::try_apply_plan`] for the
-    /// fallible variant).
+    /// Panics if the plan's qubit count differs from the state's.
     pub fn apply_plan(&mut self, plan: &CircuitPlan) {
-        self.try_apply_plan(plan).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Like [`ShardedState::apply_plan`], but surfaces transport
-    /// failures (a disconnected or stalled rank under a message-passing
-    /// backend) as typed [`TransportError`] values. After an error the
-    /// state is poisoned — the amplitudes are no longer coherent — and
-    /// every further apply returns [`TransportError::Poisoned`].
-    pub fn try_apply_plan(&mut self, plan: &CircuitPlan) -> Result<(), TransportError> {
-        // Fail fast before plan analysis: a poisoned state gave its
-        // shard buffers to a failed session and no longer has a shard
-        // count to analyze against.
-        if self.poisoned {
-            return Err(TransportError::Poisoned);
-        }
         let sp = if self.dirty {
             ShardPlan::with_layout(plan, self.num_shards(), &self.layout)
         } else {
             ShardPlan::analyze(plan, self.num_shards())
         };
-        self.try_apply_shard_plan(&sp)
+        self.apply_shard_plan(&sp);
     }
 
     /// Executes a precomputed [`ShardPlan`].
@@ -383,30 +304,9 @@ impl ShardedState {
     /// # Panics
     ///
     /// Panics if the analysis' qubit count or shard count differ from the
-    /// state's, if the state has already evolved under a different layout
-    /// than the analysis assumes, or on a transport failure (see
-    /// [`ShardedState::try_apply_shard_plan`]).
+    /// state's, or if the state has already evolved under a different
+    /// layout than the analysis assumes.
     pub fn apply_shard_plan(&mut self, sp: &ShardPlan) {
-        self.try_apply_shard_plan(sp)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Like [`ShardedState::apply_shard_plan`], but surfaces transport
-    /// failures as typed [`TransportError`] values instead of panicking.
-    ///
-    /// Opens one transport session per call: the shard buffers move into
-    /// the backend, every plan step dispatches as transport calls, and
-    /// the buffers move back on success. On failure the state is
-    /// poisoned (see [`ShardedState::try_apply_plan`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the caller bugs [`ShardedState::apply_shard_plan`]
-    /// documents (mismatched qubit/shard counts or layout).
-    pub fn try_apply_shard_plan(&mut self, sp: &ShardPlan) -> Result<(), TransportError> {
-        if self.poisoned {
-            return Err(TransportError::Poisoned);
-        }
         assert_eq!(
             sp.num_qubits(),
             self.num_qubits,
@@ -433,37 +333,28 @@ impl ShardedState {
         }
         let workers = self.workers();
         let local_bits = self.local_bits;
-        let nshards = self.shards.len();
-        let fault = if self.fault.is_none() {
-            self.schedule.injection(self.stream, self.session, nshards)
-        } else {
-            self.fault
-        };
-        self.session += 1;
-        let shards = std::mem::take(&mut self.shards);
-        // Session open/close are transport cost too: under a rank
-        // backend they spawn and join the rank threads, which dominates
-        // small plans. Attributed to the exchange stage (the generic
-        // cross-shard-movement bucket), disjoint from the per-verb
-        // spans inside `run_steps`.
-        let mut session = {
-            let _span = telemetry::span(telemetry::Stage::TransportExchange);
-            self.transport.connect(shards, local_bits, &fault)?
-        };
-        let run = run_steps(session.as_mut(), sp, local_bits, nshards, workers);
-        self.counters.merge(&session.counters());
-        let result = run.and_then(|()| {
-            let _span = telemetry::span(telemetry::Stage::TransportExchange);
-            session.finish()
-        });
-        match result {
-            Ok(shards) => {
-                self.shards = shards;
-                Ok(())
-            }
-            Err(e) => {
-                self.poisoned = true;
-                Err(e)
+        for step in sp.steps() {
+            match step {
+                ShardStep::Local(ops) => {
+                    let _span = telemetry::span(telemetry::Stage::SweepSharded);
+                    self.run_local(&LocalOps { ops, local_bits }, workers);
+                }
+                ShardStep::Exchange(op) => {
+                    let _span = telemetry::span(telemetry::Stage::TransportExchange);
+                    match classify_exchange(op, local_bits) {
+                        ExchangeStep::Pair { sbit, kernel } => {
+                            self.exchange_pairs(sbit, &kernel, workers)
+                        }
+                        ExchangeStep::Quad { bl, bh, kernel } => {
+                            self.exchange_quads(bl, bh, &kernel, workers)
+                        }
+                    }
+                }
+                ShardStep::PlaneSwap(op) => {
+                    let _span = telemetry::span(telemetry::Stage::TransportPlaneSwap);
+                    let swaps = plane_swap_pairs(op, local_bits, self.shards.len());
+                    self.plane_swap(&swaps);
+                }
             }
         }
     }
@@ -487,24 +378,112 @@ impl ShardedState {
         }
     }
 
-    /// Gathers the shards back into a dense [`Statevector`] in logical
-    /// basis ordering (un-permuting the adopted layout).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is poisoned (see
-    /// [`ShardedState::try_to_statevector`] for the fallible variant).
-    pub fn to_statevector(&self) -> Statevector {
-        self.try_to_statevector().unwrap_or_else(|e| panic!("{e}"))
+    /// Runs a batch of shard-local ops on every shard, shards spread
+    /// across the workers.
+    fn run_local(&mut self, ops: &LocalOps<'_>, workers: usize) {
+        let nshards = self.shards.len();
+        let w = workers.min(nshards).max(1);
+        parallel::for_each_chunk_mut(&mut self.shards, w, |wi, chunk| {
+            let first = parallel::worker_range(nshards, w, wi).start;
+            for (i, shard) in chunk.iter_mut().enumerate() {
+                ops.apply_to_shard(shard, first + i);
+            }
+        });
+        self.counters.local_runs += 1;
     }
 
-    /// Like [`ShardedState::to_statevector`], but returns
-    /// [`TransportError::Poisoned`] instead of panicking when a failed
-    /// transport session left the shard contents incoherent.
-    pub fn try_to_statevector(&self) -> Result<Statevector, TransportError> {
-        if self.poisoned {
-            return Err(TransportError::Poisoned);
+    /// Pairs shards along shard-index bit `sbit` and updates each pair
+    /// elementwise with `kernel`.
+    fn exchange_pairs(&mut self, sbit: usize, kernel: &ExchangeKernel, workers: usize) {
+        // Sub-split each shard pair so small shard counts still saturate
+        // the workers; power-of-two split counts keep slices aligned to
+        // the kernel's condition/pair bits.
+        let shard_len = self.shard_len();
+        let npairs = self.shards.len() / 2;
+        let max_splits = shard_len / kernel.min_block;
+        let splits = workers
+            .div_ceil(npairs.max(1))
+            .next_power_of_two()
+            .clamp(1, max_splits.max(1));
+        let sub = shard_len / splits;
+
+        let mut tasks: Vec<(&mut [C64], &mut [C64])> = Vec::with_capacity(npairs * splits);
+        for block in self.shards.chunks_mut(2 * sbit) {
+            let (lo_half, hi_half) = block.split_at_mut(sbit);
+            for (a, b) in lo_half.iter_mut().zip(hi_half.iter_mut()) {
+                for (sa, sb) in a.chunks_mut(sub).zip(b.chunks_mut(sub)) {
+                    tasks.push((sa, sb));
+                }
+            }
         }
+        let w = workers.min(tasks.len()).max(1);
+        parallel::for_each_chunk_mut(&mut tasks, w, |_, chunk| {
+            for (sa, sb) in chunk.iter_mut() {
+                kernel.apply_pair(sa, sb);
+            }
+        });
+        self.counters.exchanges += 1;
+        self.counters.sub_splits += splits as u64 - 1;
+    }
+
+    /// Groups shards into quads along shard-index bits `bl < bh` and
+    /// updates each quad elementwise with `kernel`.
+    fn exchange_quads(&mut self, bl: usize, bh: usize, kernel: &QuadBlockKernel, workers: usize) {
+        let shard_len = self.shard_len();
+        let nquads = self.shards.len() / 4;
+        let splits = workers
+            .div_ceil(nquads.max(1))
+            .next_power_of_two()
+            .clamp(1, shard_len);
+        let sub = shard_len / splits;
+
+        // Pull the four member shards of each quad out of `self.shards`
+        // without overlapping borrows: each slot is taken exactly once.
+        let mut slots: Vec<Option<&mut [C64]>> = self
+            .shards
+            .iter_mut()
+            .map(|s| Some(s.as_mut_slice()))
+            .collect();
+        let mut tasks: Vec<[&mut [C64]; 4]> = Vec::with_capacity(nquads * splits);
+        for s in 0..slots.len() {
+            if s & bl != 0 || s & bh != 0 {
+                continue;
+            }
+            let s0 = slots[s].take().expect("quad base taken once");
+            let s1 = slots[s | bl].take().expect("quad lo taken once");
+            let s2 = slots[s | bh].take().expect("quad hi taken once");
+            let s3 = slots[s | bl | bh].take().expect("quad both taken once");
+            for (((c0, c1), c2), c3) in s0
+                .chunks_mut(sub)
+                .zip(s1.chunks_mut(sub))
+                .zip(s2.chunks_mut(sub))
+                .zip(s3.chunks_mut(sub))
+            {
+                tasks.push([c0, c1, c2, c3]);
+            }
+        }
+        let w = workers.min(tasks.len()).max(1);
+        parallel::for_each_chunk_mut(&mut tasks, w, |_, chunk| {
+            for [s0, s1, s2, s3] in chunk.iter_mut() {
+                kernel.apply_planes(s0, s1, s2, s3);
+            }
+        });
+        self.counters.quad_exchanges += 1;
+        self.counters.sub_splits += splits as u64 - 1;
+    }
+
+    /// Applies a plane swap: each `(a, b)` pair of shard indices trades
+    /// shard handles (no amplitude math).
+    fn plane_swap(&mut self, swaps: &[(usize, usize)]) {
+        for &(a, b) in swaps {
+            self.shards.swap(a, b);
+        }
+        self.counters.plane_swaps += 1;
+    }
+
+    /// Gathers the shards back into a dense [`Statevector`] in logical
+    /// basis ordering (un-permuting the adopted layout).
+    pub fn to_statevector(&self) -> Statevector {
         let _span = telemetry::span(telemetry::Stage::SweepSharded);
         let dim = self.shards.len() << self.local_bits;
         let moved: Vec<(usize, usize)> = self
@@ -537,80 +516,252 @@ impl ShardedState {
                 }
             }
         }
-        Ok(Statevector::from_amplitudes(amps))
+        Statevector::from_amplitudes(amps)
     }
 
     /// The full outcome distribution in logical basis ordering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is poisoned (see
-    /// [`ShardedState::try_probabilities`]).
     pub fn probabilities(&self) -> Vec<f64> {
         self.to_statevector().probabilities()
     }
 
-    /// Like [`ShardedState::probabilities`], but returns
-    /// [`TransportError::Poisoned`] instead of panicking.
-    pub fn try_probabilities(&self) -> Result<Vec<f64>, TransportError> {
-        Ok(self.try_to_statevector()?.probabilities())
-    }
-
     /// The squared norm (1 for a valid state; useful in tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is poisoned: a failed session kept the shard
-    /// buffers, so there is no norm to report.
     pub fn norm_sqr(&self) -> f64 {
-        assert!(
-            !self.poisoned,
-            "shard transport: session poisoned by an earlier failure"
-        );
         self.shards.iter().flatten().map(|a| a.norm_sqr()).sum()
     }
 }
 
-/// Dispatches every step of a shard plan onto a transport session: the
-/// whole orchestration layer, backend-agnostic by construction.
-fn run_steps(
-    session: &mut dyn ShardTransport,
-    sp: &ShardPlan,
+/// A batched run of shard-local plan ops. Applying it to a shard
+/// performs exactly the arithmetic the dense path performs.
+struct LocalOps<'a> {
+    ops: &'a [PlanOp],
     local_bits: usize,
-    nshards: usize,
-    workers: usize,
-) -> Result<(), TransportError> {
-    for step in sp.steps() {
-        match step {
-            ShardStep::Local(ops) => {
-                let _span = telemetry::span(telemetry::Stage::SweepSharded);
-                session.run_local(&LocalOps::new(ops, local_bits), workers)?
+}
+
+impl LocalOps<'_> {
+    /// Runs the whole batch on one shard. `shard_index` supplies the
+    /// global index bits (qubits at or above the local range appear only
+    /// as control/phase conditions, which select whole shards).
+    fn apply_to_shard(&self, shard: &mut [C64], shard_index: usize) {
+        let base = shard_index << self.local_bits;
+        for op in self.ops {
+            apply_local_op(shard, base, self.local_bits, op);
+        }
+    }
+}
+
+/// The elementwise update rule of one pairwise exchange step. `sa` is
+/// the shard with the exchanged bit clear, `sb` its partner with it set.
+#[derive(Clone, Copy, Debug)]
+struct ExchangeKernel {
+    kind: PairKind,
+    /// Smallest aligned slice this kernel may run on: sub-splits must
+    /// preserve an element's low (condition/pair) bits within each
+    /// sub-slice, so split sizes must be multiples of this power of two.
+    min_block: usize,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum PairKind {
+    OneQ { m: [[C64; 2]; 2] },
+    CxLocalControl { cmask: usize },
+    SwapLocalLo { lomask: usize },
+    Block4Lo { lomask: usize, k: QuadKernel },
+}
+
+impl ExchangeKernel {
+    /// Updates one paired (low-half, high-half) slice run elementwise.
+    /// Both slices must have equal, `min_block`-aligned lengths.
+    fn apply_pair(&self, sa: &mut [C64], sb: &mut [C64]) {
+        debug_assert_eq!(sa.len(), sb.len());
+        debug_assert_eq!(sa.len() % self.min_block, 0);
+        match self.kind {
+            PairKind::OneQ { m } => {
+                for (a, b) in sa.iter_mut().zip(sb.iter_mut()) {
+                    let (b0, b1) = exec::pair_update(&m, *a, *b);
+                    *a = b0;
+                    *b = b1;
+                }
             }
-            ShardStep::Exchange(op) => {
-                let _span = telemetry::span(telemetry::Stage::TransportExchange);
-                match classify_exchange(op, local_bits) {
-                    ExchangeStep::Pair { sbit, kernel } => {
-                        session.exchange_pairs(sbit, &kernel, workers)?
-                    }
-                    ExchangeStep::Quad { bl, bh, kernel } => {
-                        session.exchange_quads(bl, bh, &kernel, workers)?
+            PairKind::CxLocalControl { cmask } => {
+                // Swap pairs whose (local) index has the control bit set;
+                // alignment guarantees `j & cmask` only depends on the
+                // in-slice offset.
+                for j in 0..sa.len() {
+                    if j & cmask != 0 {
+                        std::mem::swap(&mut sa[j], &mut sb[j]);
                     }
                 }
             }
-            ShardStep::PlaneSwap(op) => {
-                let _span = telemetry::span(telemetry::Stage::TransportPlaneSwap);
-                session.plane_swap(&plane_swap_pairs(op, local_bits, nshards))?
+            PairKind::SwapLocalLo { lomask } => {
+                // Pair (i0 | lomask) on the low half with i0 on the high
+                // half, i0 running over lo-clear offsets.
+                let lo_bit = lomask.trailing_zeros() as usize;
+                for p in 0..sa.len() / 2 {
+                    let i0 = exec::insert_zero_bit(p, lo_bit);
+                    std::mem::swap(&mut sa[i0 | lomask], &mut sb[i0]);
+                }
+            }
+            PairKind::Block4Lo { lomask, k } => {
+                // The high pair bit selects the half (sa = clear, sb =
+                // set); the low bit is in-slice. Quads load in pair-basis
+                // order s = 2·bit(hi) + bit(lo).
+                let lo_bit = lomask.trailing_zeros() as usize;
+                for p in 0..sa.len() / 2 {
+                    let i0 = exec::insert_zero_bit(p, lo_bit);
+                    let out = k.apply([sa[i0], sa[i0 | lomask], sb[i0], sb[i0 | lomask]]);
+                    sa[i0] = out[0];
+                    sa[i0 | lomask] = out[1];
+                    sb[i0] = out[2];
+                    sb[i0 | lomask] = out[3];
+                }
             }
         }
     }
-    Ok(())
+}
+
+/// The elementwise update rule of one quad exchange step (an entangler
+/// block with both pair bits global): the four shard slices hold the
+/// four pair-basis amplitude planes.
+#[derive(Clone, Copy, Debug)]
+struct QuadBlockKernel {
+    k: QuadKernel,
+}
+
+impl QuadBlockKernel {
+    /// Updates the four pair-basis planes elementwise. All slices must
+    /// have equal lengths; plane order is `s = 2·bit(hi) + bit(lo)`.
+    fn apply_planes(&self, s0: &mut [C64], s1: &mut [C64], s2: &mut [C64], s3: &mut [C64]) {
+        debug_assert!(s0.len() == s1.len() && s1.len() == s2.len() && s2.len() == s3.len());
+        for (((a0, a1), a2), a3) in s0
+            .iter_mut()
+            .zip(s1.iter_mut())
+            .zip(s2.iter_mut())
+            .zip(s3.iter_mut())
+        {
+            let out = self.k.apply([*a0, *a1, *a2, *a3]);
+            *a0 = out[0];
+            *a1 = out[1];
+            *a2 = out[2];
+            *a3 = out[3];
+        }
+    }
+}
+
+/// The movement shape of one `ShardStep::Exchange` op.
+enum ExchangeStep {
+    /// Shards pair along one shard-index bit (`sbit`).
+    Pair { sbit: usize, kernel: ExchangeKernel },
+    /// Shards group into quads along two shard-index bits.
+    Quad {
+        bl: usize,
+        bh: usize,
+        kernel: QuadBlockKernel,
+    },
+}
+
+/// Classifies an exchange op into its movement shape and kernel.
+/// `min_block` alignment mirrors the condition/pair-bit constraints of
+/// each kind (see `ExchangeKernel::min_block`).
+fn classify_exchange(op: &PlanOp, local_bits: usize) -> ExchangeStep {
+    let pair = |gq: usize, kind: PairKind, min_block: usize| {
+        debug_assert!(gq >= local_bits);
+        ExchangeStep::Pair {
+            sbit: 1usize << (gq - local_bits),
+            kernel: ExchangeKernel { kind, min_block },
+        }
+    };
+    match *op {
+        PlanOp::OneQ { q, m } => pair(q, PairKind::OneQ { m }, 1),
+        PlanOp::Cx { control, target } => pair(
+            target,
+            PairKind::CxLocalControl {
+                cmask: 1 << control,
+            },
+            1usize << (control + 1),
+        ),
+        PlanOp::Swap { lo, hi } => pair(
+            hi,
+            PairKind::SwapLocalLo { lomask: 1 << lo },
+            1usize << (lo + 1),
+        ),
+        PlanOp::Block4 { lo, hi, ref m } => {
+            if lo >= local_bits {
+                // Both pair bits are shard-index bits: shards group into
+                // quads instead of pairs.
+                debug_assert!(hi > lo);
+                ExchangeStep::Quad {
+                    bl: 1usize << (lo - local_bits),
+                    bh: 1usize << (hi - local_bits),
+                    kernel: QuadBlockKernel {
+                        k: QuadKernel::of(m),
+                    },
+                }
+            } else {
+                pair(
+                    hi,
+                    PairKind::Block4Lo {
+                        lomask: 1 << lo,
+                        k: QuadKernel::of(m),
+                    },
+                    1usize << (lo + 1),
+                )
+            }
+        }
+        PlanOp::Cz { .. } => unreachable!("CZ is diagonal and never exchanges"),
+    }
+}
+
+/// Applies one shard-local op to a single shard whose global index bits
+/// are `base` (already shifted into amplitude-index position). Qubits at
+/// or above `local_bits` only appear as control/phase conditions, which
+/// select whole shards via `base`.
+fn apply_local_op(shard: &mut [C64], base: usize, local_bits: usize, op: &PlanOp) {
+    match *op {
+        PlanOp::OneQ { q, m } => {
+            debug_assert!(q < local_bits);
+            exec::apply_1q_local(shard, q, &m);
+        }
+        PlanOp::Cx { control, target } => {
+            debug_assert!(target < local_bits);
+            if control < local_bits {
+                exec::apply_cx_local(shard, control, target);
+            } else if base & (1usize << control) != 0 {
+                // Global control: this whole shard sits in the controlled
+                // subspace; apply X on the target within it.
+                exec::apply_x_local(shard, target);
+            }
+        }
+        PlanOp::Cz { lo, hi } => match (lo < local_bits, hi < local_bits) {
+            (true, true) => exec::apply_cz_local(shard, lo, hi),
+            (true, false) => {
+                if base & (1usize << hi) != 0 {
+                    exec::negate_bit_set(shard, lo);
+                }
+            }
+            (false, false) => {
+                if base & (1usize << lo) != 0 && base & (1usize << hi) != 0 {
+                    for a in shard.iter_mut() {
+                        *a = -*a;
+                    }
+                }
+            }
+            (false, true) => unreachable!("CZ stores sorted qubits"),
+        },
+        PlanOp::Swap { lo, hi } => {
+            debug_assert!(hi < local_bits);
+            exec::apply_swap_local(shard, lo, hi);
+        }
+        PlanOp::Block4 { lo, hi, ref m } => {
+            debug_assert!(hi < local_bits, "local blocks have both pair bits local");
+            exec::apply_block4_local(shard, lo, hi, m);
+        }
+    }
 }
 
 /// The disjoint shard-index pairs a plane-swap op trades: CX with both
 /// qubits global swaps the target bit within the control-set planes,
 /// SWAP of two global qubits trades the mixed-bit planes. Pure index
-/// arithmetic — the transport decides whether a pair is a handle swap or
-/// a relabeling message.
+/// arithmetic — each pair becomes one shard-handle swap.
 fn plane_swap_pairs(op: &PlanOp, local_bits: usize, nshards: usize) -> Vec<(usize, usize)> {
     let mut pairs = Vec::new();
     match *op {
@@ -794,58 +945,6 @@ mod tests {
         assert_eq!(auto_shard_count(&Circuit::new(20).stats()), 4);
         // Never more shards than amplitudes.
         assert!(auto_shard_count(&Circuit::new(1).stats()) <= 2);
-    }
-
-    #[test]
-    fn fault_schedule_kills_typed_and_poisons_reads() {
-        let mut c = Circuit::new(4);
-        c.h(3).cx(3, 0);
-        let plan = CircuitPlan::compile(&c);
-        // Certain-kill schedule: the first session draws a dead rank.
-        let mut sharded =
-            ShardedState::zero(4, 4).with_fault_schedule(FaultSchedule::new(7, 1000, 0), 0);
-        let err = sharded.try_apply_plan(&plan).unwrap_err();
-        assert!(
-            matches!(err, TransportError::Disconnected { .. }),
-            "got {err:?}"
-        );
-        assert!(sharded.is_poisoned());
-        assert_eq!(
-            sharded.try_to_statevector().unwrap_err(),
-            TransportError::Poisoned
-        );
-        assert_eq!(
-            sharded.try_probabilities().unwrap_err(),
-            TransportError::Poisoned
-        );
-        assert_eq!(
-            sharded.try_apply_plan(&plan).unwrap_err(),
-            TransportError::Poisoned
-        );
-    }
-
-    #[test]
-    fn empty_fault_schedule_stays_bit_identical() {
-        let mut c = Circuit::new(4);
-        c.h(0).cx(0, 1).cx(1, 2).ry(3, 0.7).cx(2, 3);
-        let plan = CircuitPlan::compile(&c);
-        let mut serial = Statevector::zero(4);
-        serial.apply_plan(&plan);
-        let mut sharded =
-            ShardedState::zero(4, 4).with_fault_schedule(FaultSchedule::new(7, 0, 0), 3);
-        sharded.apply_plan(&plan);
-        assert!(!sharded.is_poisoned());
-        assert_eq!(serial.amplitudes(), sharded.to_statevector().amplitudes());
-    }
-
-    #[test]
-    #[should_panic(expected = "poisoned")]
-    fn poisoned_norm_panics_with_a_clear_message() {
-        let mut c = Circuit::new(4);
-        c.h(3);
-        let mut sharded = ShardedState::zero(4, 4).with_fault(FaultInjection::kill_rank(0));
-        let _ = sharded.try_apply_plan(&CircuitPlan::compile(&c));
-        sharded.norm_sqr();
     }
 
     #[test]

@@ -56,48 +56,6 @@ impl fmt::Display for CapacityError {
 
 impl std::error::Error for CapacityError {}
 
-/// Amplitude-word buffer views: exact `u64` encodings of amplitude
-/// slices for transports that move state between address spaces
-/// (`qsim::transport`'s channel backend). IEEE-754 bit transport
-/// round-trips every `f64` exactly — including signed zeros — so a
-/// serialized exchange stays bit-identical to the in-process path.
-pub(crate) mod words {
-    use crate::complex::C64;
-
-    /// Bytes one amplitude occupies on the wire (two `u64` bit words).
-    pub(crate) const BYTES_PER_AMP: u64 = 16;
-
-    /// Encodes `amps` into `out` as interleaved `(re, im)` bit words
-    /// (clearing `out` first): `2 * amps.len()` words.
-    pub(crate) fn encode(amps: &[C64], out: &mut Vec<u64>) {
-        out.clear();
-        out.reserve(amps.len() * 2);
-        for a in amps {
-            out.push(a.re.to_bits());
-            out.push(a.im.to_bits());
-        }
-    }
-
-    /// Decodes words produced by [`encode`] over an existing buffer of
-    /// exactly `words.len() / 2` amplitudes (a rank writing a replacement
-    /// shard back without reallocating).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the word count does not match the buffer (a malformed
-    /// message).
-    pub(crate) fn decode_into(words: &[u64], out: &mut [C64]) {
-        assert_eq!(
-            words.len(),
-            out.len() * 2,
-            "amplitude messages carry (re, im) word pairs"
-        );
-        for (a, pair) in out.iter_mut().zip(words.chunks_exact(2)) {
-            *a = C64::new(f64::from_bits(pair[0]), f64::from_bits(pair[1]));
-        }
-    }
-}
-
 /// A pure quantum state over `n` qubits, stored as 2ⁿ complex amplitudes.
 ///
 /// Basis-state index bit `q` is the outcome of qubit `q` (little-endian:
@@ -582,31 +540,6 @@ mod tests {
         let p = s.probabilities();
         assert_eq!(p[0], 1.0);
         assert_eq!(p[1..].iter().sum::<f64>(), 0.0);
-    }
-
-    #[test]
-    fn amplitude_words_round_trip_bit_exactly() {
-        // Signed zeros, subnormals, and ordinary amplitudes all survive
-        // the wire encoding with their exact bit patterns.
-        let amps = [
-            C64::new(0.0, -0.0),
-            C64::new(1.0, -1.0),
-            C64::new(f64::MIN_POSITIVE / 4.0, 0.125),
-            C64::new(-0.3, 0.7),
-        ];
-        let mut buf = Vec::new();
-        words::encode(&amps, &mut buf);
-        assert_eq!(buf.len(), amps.len() * 2);
-        assert_eq!(
-            buf.len() as u64 * 8,
-            amps.len() as u64 * words::BYTES_PER_AMP
-        );
-        let mut back = [C64::ZERO; 4];
-        words::decode_into(&buf, &mut back);
-        for (a, b) in amps.iter().zip(&back) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
     }
 
     #[test]

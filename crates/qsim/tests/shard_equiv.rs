@@ -7,19 +7,14 @@
 //! amplitude goes through the exact same floating-point operations as
 //! the serial kernels, so the gathered state must match **exactly**
 //! (`==` on `f64`, no tolerance) for every circuit, qubit count 2–14,
-//! shard count 1–8, and thread count 1–4 — and for **both** shard
-//! transports: the zero-copy in-process backend and the
-//! message-passing rank-thread backend (which serializes every moved
-//! amplitude to `u64` words and back).
+//! shard count 1–8, and thread count 1–4. Targeted tests pin exchange
+//! sub-split alignment at every worker count and the movement counters.
 
 use proptest::prelude::*;
 use qsim::plan::ShardPlan;
-use qsim::{Circuit, CircuitPlan, Parallelism, ShardedState, Statevector, TransportMode};
+use qsim::{Circuit, CircuitPlan, Parallelism, ShardedState, Statevector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Every assertion below is checked per transport backend.
-const TRANSPORTS: [TransportMode; 2] = [TransportMode::Local, TransportMode::Channel];
 
 /// A random circuit over `n` qubits drawn from a seeded stream:
 /// rotations, Cliffords, and (for n >= 2) CX/CZ/SWAP on distinct qubit
@@ -77,18 +72,15 @@ proptest! {
         let shards = (1usize << shard_log).min(1 << n);
         let circuit = random_circuit(n, gates, seed);
         let serial = serial_reference(&circuit);
-        for transport in TRANSPORTS {
-            let mut sharded = ShardedState::zero(n, shards)
-                .with_parallelism(Parallelism::Threads(threads))
-                .with_transport(transport);
-            sharded.apply_plan(&CircuitPlan::compile(&circuit));
-            prop_assert_eq!(
-                serial.amplitudes(),
-                sharded.to_statevector().amplitudes(),
-                "divergence: {} qubits, {} shards, {} threads, {} gates, seed {}, {:?} transport",
-                n, shards, threads, gates, seed, transport
-            );
-        }
+        let mut sharded = ShardedState::zero(n, shards)
+            .with_parallelism(Parallelism::Threads(threads));
+        sharded.apply_plan(&CircuitPlan::compile(&circuit));
+        prop_assert_eq!(
+            serial.amplitudes(),
+            sharded.to_statevector().amplitudes(),
+            "divergence: {} qubits, {} shards, {} threads, {} gates, seed {}",
+            n, shards, threads, gates, seed
+        );
     }
 
     /// The identity layout (no remap) exercises the exchange and
@@ -119,18 +111,15 @@ proptest! {
         let serial = serial_reference(&c);
         let layout: Vec<usize> = (0..n).collect();
         let sp = ShardPlan::with_layout(&plan, shards, &layout);
-        for transport in TRANSPORTS {
-            let mut sharded = ShardedState::zero(n, shards)
-                .with_parallelism(Parallelism::Threads(threads))
-                .with_transport(transport);
-            sharded.apply_shard_plan(&sp);
-            prop_assert_eq!(
-                serial.amplitudes(),
-                sharded.to_statevector().amplitudes(),
-                "divergence: {} shards, {} threads, seed {} ({} exchanges, {} plane swaps, {:?})",
-                shards, threads, seed, sp.exchange_count(), sp.plane_swap_count(), transport
-            );
-        }
+        let mut sharded = ShardedState::zero(n, shards)
+            .with_parallelism(Parallelism::Threads(threads));
+        sharded.apply_shard_plan(&sp);
+        prop_assert_eq!(
+            serial.amplitudes(),
+            sharded.to_statevector().amplitudes(),
+            "divergence: {} shards, {} threads, seed {} ({} exchanges, {} plane swaps)",
+            shards, threads, seed, sp.exchange_count(), sp.plane_swap_count()
+        );
     }
 
     /// Sequential plans on one sharded state (the second pins the layout
@@ -147,17 +136,10 @@ proptest! {
         let mut serial = Statevector::zero(n);
         serial.apply_plan(&CircuitPlan::compile(&a));
         serial.apply_plan(&CircuitPlan::compile(&b));
-        for transport in TRANSPORTS {
-            let mut sharded = ShardedState::zero(n, shards).with_transport(transport);
-            sharded.apply_plan(&CircuitPlan::compile(&a));
-            sharded.apply_plan(&CircuitPlan::compile(&b));
-            prop_assert_eq!(
-                serial.amplitudes(),
-                sharded.to_statevector().amplitudes(),
-                "divergence under {:?} transport",
-                transport
-            );
-        }
+        let mut sharded = ShardedState::zero(n, shards);
+        sharded.apply_plan(&CircuitPlan::compile(&a));
+        sharded.apply_plan(&CircuitPlan::compile(&b));
+        prop_assert_eq!(serial.amplitudes(), sharded.to_statevector().amplitudes());
     }
 
     /// Entangler blocks in every placement the shard planner
@@ -191,18 +173,15 @@ proptest! {
         let serial = serial_reference(&c);
         let layout: Vec<usize> = (0..n).collect();
         let sp = ShardPlan::with_layout(&plan, shards, &layout);
-        for transport in TRANSPORTS {
-            let mut sharded = ShardedState::zero(n, shards)
-                .with_parallelism(Parallelism::Threads(threads))
-                .with_transport(transport);
-            sharded.apply_shard_plan(&sp);
-            prop_assert_eq!(
-                serial.amplitudes(),
-                sharded.to_statevector().amplitudes(),
-                "divergence: {} shards, {} threads, seed {}, {:?} transport",
-                shards, threads, seed, transport
-            );
-        }
+        let mut sharded = ShardedState::zero(n, shards)
+            .with_parallelism(Parallelism::Threads(threads));
+        sharded.apply_shard_plan(&sp);
+        prop_assert_eq!(
+            serial.amplitudes(),
+            sharded.to_statevector().amplitudes(),
+            "divergence: {} shards, {} threads, seed {}",
+            shards, threads, seed
+        );
     }
 }
 
@@ -251,11 +230,122 @@ fn transposed_block_is_caught_by_the_shard_oracle() {
 fn pair_flipping_remap_is_bit_identical() {
     let circuit = random_circuit(4, 18, 1806);
     let serial = serial_reference(&circuit);
-    for transport in TRANSPORTS {
-        let mut sharded = ShardedState::zero(4, 2)
-            .with_parallelism(Parallelism::Threads(4))
-            .with_transport(transport);
-        sharded.apply_plan(&CircuitPlan::compile(&circuit));
-        assert_eq!(serial.amplitudes(), sharded.to_statevector().amplitudes());
+    let mut sharded = ShardedState::zero(4, 2).with_parallelism(Parallelism::Threads(4));
+    sharded.apply_plan(&CircuitPlan::compile(&circuit));
+    assert_eq!(serial.amplitudes(), sharded.to_statevector().amplitudes());
+}
+
+/// Exchange sub-splitting must respect every kernel's alignment floor:
+/// a one-qubit exchange may slice down to single amplitudes, but a CX
+/// with a local control must keep `1 << (control+1)`-sized blocks
+/// together, a SWAP with a local low bit `1 << (lo+1)`, and a fused
+/// entangler block with a local low pair bit likewise. Non-power-of-two
+/// worker counts round the split up to a power of two, and worker
+/// counts past the alignment-limited maximum must clamp, not slice
+/// through a condition block. Every combination stays bit-identical.
+#[test]
+fn sub_split_respects_alignment_at_every_worker_count() {
+    let n = 7;
+    // One circuit per exchange kind, each working the top (global under
+    // 4+ shards) qubit so the pinned layout forces real exchanges.
+    let mut one_q = Circuit::new(n);
+    one_q.h(0).ry(n - 1, 0.83).h(n - 1);
+
+    // Local control low, global target high: CxLocalControl alignment.
+    // Control n-3 gives the largest local condition mask (1 << (n-2))
+    // relative to a shard, squeezing max_splits down to 1 at 4 shards.
+    let mut cx_edge = Circuit::new(n);
+    cx_edge.h(0).h(n - 3).cx(n - 3, n - 1).cx(0, n - 1);
+
+    let mut swap_edge = Circuit::new(n);
+    swap_edge.h(0).ry(1, 0.4).swap(1, n - 1).swap(n - 3, n - 1);
+
+    // A same-pair entangler run with a rotation sandwich fuses into a
+    // 4x4 block on (lo local, hi global): Block4Lo alignment.
+    let mut block_edge = Circuit::new(n);
+    block_edge
+        .ry(1, 0.3)
+        .ry(n - 1, 0.7)
+        .cx(1, n - 1)
+        .cz(1, n - 1)
+        .rz(1, 0.9)
+        .cx(1, n - 1);
+
+    let layout: Vec<usize> = (0..n).collect();
+    for (name, circuit) in [
+        ("one_q", &one_q),
+        ("cx_edge", &cx_edge),
+        ("swap_edge", &swap_edge),
+        ("block_edge", &block_edge),
+    ] {
+        let plan = CircuitPlan::compile(circuit);
+        let serial = serial_reference(circuit);
+        for shards in [2usize, 4, 8] {
+            // A pinned identity layout keeps the top qubits global, so
+            // the chosen ops really exchange.
+            let sp = ShardPlan::with_layout(&plan, shards, &layout);
+            // Odd, prime, and oversubscribed worker counts: the split
+            // factor rounds up to a power of two and clamps at the
+            // kernel's alignment-limited maximum.
+            for threads in [1usize, 3, 5, 6, 7, 16, 64] {
+                let mut sharded =
+                    ShardedState::zero(n, shards).with_parallelism(Parallelism::Threads(threads));
+                sharded.apply_shard_plan(&sp);
+                assert_eq!(
+                    serial.amplitudes(),
+                    sharded.to_statevector().amplitudes(),
+                    "{name}: {shards} shards, {threads} threads"
+                );
+            }
+        }
     }
+}
+
+/// Worker counts exceeding the pair count do split exchanges: the state
+/// reports the extra slices it created, and the split work remains
+/// bit-identical (covered above).
+#[test]
+fn oversubscribed_exchanges_report_sub_splits() {
+    let n = 8;
+    let mut c = Circuit::new(n);
+    c.h(0).ry(n - 1, 0.6);
+    let plan = CircuitPlan::compile(&c);
+    let layout: Vec<usize> = (0..n).collect();
+    let sp = ShardPlan::with_layout(&plan, 2, &layout);
+    // 2 shards = 1 exchange pair; 8 workers want 8 slices of it.
+    let mut st = ShardedState::zero(n, 2).with_parallelism(Parallelism::Threads(8));
+    st.apply_shard_plan(&sp);
+    let stats = st.shard_stats();
+    assert!(stats.exchanges >= 1, "expected an exchange, got {stats:?}");
+    assert!(
+        stats.sub_splits >= 1,
+        "8 workers over 1 pair must sub-split, got {stats:?}"
+    );
+}
+
+/// Movement counters accumulate across chained plans on one state: a
+/// second plan with the same exchanges adds its steps to the first's.
+#[test]
+fn counters_accumulate_across_chained_plans() {
+    let n = 6;
+    let mut c = Circuit::new(n);
+    c.h(0).ry(n - 1, 0.5);
+    let plan = CircuitPlan::compile(&c);
+    let layout: Vec<usize> = (0..n).collect();
+    let sp = ShardPlan::with_layout(&plan, 4, &layout);
+    let mut st = ShardedState::zero(n, 4);
+    st.apply_shard_plan(&sp);
+    let after_one = st.shard_stats();
+    assert!(
+        after_one.exchanges >= 1,
+        "expected an exchange, got {after_one:?}"
+    );
+    assert!(
+        after_one.local_runs >= 1,
+        "expected a local run, got {after_one:?}"
+    );
+    st.apply_shard_plan(&sp);
+    let after_two = st.shard_stats();
+    assert_eq!(after_two.exchanges, 2 * after_one.exchanges);
+    assert_eq!(after_two.local_runs, 2 * after_one.local_runs);
 }

@@ -35,19 +35,13 @@
 //! [`JobQueue::with_workers`], or process-wide with the
 //! `VARSAW_SCHED_WORKERS` environment variable).
 //!
-//! On top of the queue sits a **fault supervisor**: transport failures
-//! ([`JobError::Transport`]) retry under a deterministic [`RetryPolicy`]
-//! (env knob `VARSAW_JOB_RETRIES`), optionally stepping down a
-//! degradation ladder — channel transport → local transport → unsharded
-//! serial — recorded per job as [`JobOutput::attempts`] and
-//! [`JobOutput::degraded_to`]. Jobs carry deadlines (env knob
-//! `VARSAW_JOB_DEADLINE_MS`, or [`JobQueue::submit_with_deadline`]) and
+//! Jobs carry deadlines (env knob `VARSAW_JOB_DEADLINE_MS`, see
+//! [`job_deadline_ms`], or [`JobQueue::submit_with_deadline`]) and
 //! support cooperative cancellation ([`JobHandle::cancel`]); both are
-//! honored at session boundaries. Chaos runs drive the whole ladder
-//! reproducibly through [`JobQueue::with_fault_schedule`], and every
-//! completion path — success, typed error, even a panic — releases the
-//! job's memory budget and wakes parked workers (`tests/chaos.rs`
-//! property-tests the oracle).
+//! honored at dispatch and between measurements. A **completion guard**
+//! turns a panicking job into [`JobError::Panicked`] carrying the panic
+//! message, so every completion path — success, typed error, even a
+//! panic — releases the job's memory budget and wakes parked workers.
 //!
 //! # Example
 //!
@@ -87,10 +81,12 @@
 //! assert_eq!(run(&jobs, 1), run(&reversed, 4)); // bit-identical
 //! ```
 
+mod config;
 mod fair;
 mod queue;
 
+pub use config::{job_deadline_ms, JOB_DEADLINE_MS_ENV};
 pub use queue::{
-    job_seed, AdmitError, Degradation, JobError, JobHandle, JobOutput, JobQueue, JobSpec,
-    JobTiming, MeasureScope, Measurement, RetryPolicy,
+    job_seed, AdmitError, JobError, JobHandle, JobOutput, JobQueue, JobSpec, JobTiming,
+    MeasureScope, Measurement,
 };

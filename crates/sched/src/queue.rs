@@ -4,17 +4,14 @@ use crate::fair::{FairScheduler, Pick};
 use mitigation::Pmf;
 use pauli::PauliString;
 use qnoise::DeviceModel;
-use qsim::{
-    CapacityError, Circuit, FaultSchedule, Parallelism, Sharding, SharedPlanCache, TransportError,
-    TransportMode,
-};
+use qsim::{CapacityError, Circuit, Parallelism, Sharding, SharedPlanCache};
 use std::collections::HashSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use vqe::{PrepareError, SimExecutor};
+use vqe::SimExecutor;
 
 /// The dense-plane representation limit (qubits) of the statevector
 /// engine; see [`qsim::Statevector::try_zero`]. Jobs past it can never
@@ -122,7 +119,7 @@ impl JobTiming {
         self.dispatched_at.duration_since(self.enqueued_at)
     }
 
-    /// Time from dispatch to completion (all attempts and backoffs).
+    /// Time from dispatch to completion.
     pub fn run_time(&self) -> Duration {
         self.completed_at.duration_since(self.dispatched_at)
     }
@@ -144,15 +141,7 @@ pub struct JobOutput {
     pub pmfs: Vec<Pmf>,
     /// Metered circuit executions (the paper's Cost metric) — exactly
     /// what a sequential [`SimExecutor`] run of this job would report.
-    /// Failed attempts meter nothing: only the successful attempt's cost
-    /// is billed, so retries never inflate a tenant's Cost.
     pub cost: u64,
-    /// Execution attempts the supervisor spent (1 = no fault seen).
-    pub attempts: u32,
-    /// How far the supervisor degraded the execution tier to complete
-    /// this job (`None` = ran at the configured tier). Every tier is
-    /// bit-identical, so degradation never changes the PMFs.
-    pub degraded_to: Option<Degradation>,
     /// Wall-clock milestones (enqueue → dispatch → complete).
     pub timing: JobTiming,
     /// Per-stage time breakdown of this job's execution — `Some` only
@@ -171,117 +160,6 @@ impl PartialEq for JobOutput {
             && self.tenant == other.tenant
             && self.pmfs == other.pmfs
             && self.cost == other.cost
-            && self.attempts == other.attempts
-            && self.degraded_to == other.degraded_to
-    }
-}
-
-/// How far the supervisor's degradation ladder stepped a job down from
-/// its configured execution tier after repeated transport faults. All
-/// tiers are bit-identical — degradation trades communication realism
-/// for reliability, never results.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Degradation {
-    /// Fell back from the message-passing channel transport to
-    /// in-process local swaps (still sharded).
-    LocalTransport,
-    /// Fell back to unsharded serial execution, which opens no transport
-    /// session and therefore cannot fault.
-    Unsharded,
-}
-
-impl fmt::Display for Degradation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Degradation::LocalTransport => write!(f, "local transport"),
-            Degradation::Unsharded => write!(f, "unsharded serial"),
-        }
-    }
-}
-
-/// How the [`JobQueue`] supervisor responds to a [`JobError::Transport`]
-/// failure: up to `max_attempts` total attempts with deterministic
-/// exponential backoff, optionally stepping down the degradation ladder
-/// (channel transport → local transport → unsharded serial) one rung per
-/// failure.
-///
-/// Retries preserve the queue's determinism contract: every attempt
-/// rebuilds the job's executor from the same [`job_seed`], so a job that
-/// eventually succeeds is bit-identical to its fault-free reference no
-/// matter how many attempts it took — and failed attempts consume no
-/// shared RNG, so co-tenants are never perturbed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (≥ 1): the first run plus up to
-    /// `max_attempts - 1` retries.
-    pub max_attempts: u32,
-    /// Base backoff before the first retry; attempt `n` waits
-    /// `backoff · 2ⁿ⁻¹`, capped at one second. The wait is cooperative:
-    /// cancellation and deadlines are honored while backing off.
-    pub backoff: Duration,
-    /// Whether retries may step down the degradation ladder. When
-    /// `false`, every attempt runs at the configured tier.
-    pub degrade: bool,
-}
-
-impl RetryPolicy {
-    /// No supervision: one attempt, no backoff, no degradation.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-            degrade: true,
-        }
-    }
-
-    /// `retries` retries after the first attempt, no backoff, with
-    /// degradation enabled — the common test/chaos shape.
-    pub fn retries(retries: u32) -> Self {
-        RetryPolicy {
-            max_attempts: retries.saturating_add(1),
-            backoff: Duration::ZERO,
-            degrade: true,
-        }
-    }
-
-    /// The environment-configured policy: `VARSAW_JOB_RETRIES` retries
-    /// ([`parallel::job_retries`], default 0) with a 10 ms base backoff
-    /// and degradation enabled.
-    pub fn from_env() -> Self {
-        RetryPolicy {
-            max_attempts: parallel::job_retries().unwrap_or(0).saturating_add(1),
-            backoff: Duration::from_millis(10),
-            degrade: true,
-        }
-    }
-
-    /// Replaces the base backoff.
-    pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Replaces the degradation setting.
-    pub fn with_degrade(mut self, degrade: bool) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
-    /// The deterministic backoff before retrying after failed attempt
-    /// `attempt` (1-based): `backoff · 2^(attempt−1)`, capped at 1 s.
-    fn delay(&self, attempt: u32) -> Duration {
-        const CAP: Duration = Duration::from_secs(1);
-        let shift = attempt.saturating_sub(1).min(16);
-        self.backoff.saturating_mul(1 << shift).min(CAP)
-    }
-}
-
-impl Default for RetryPolicy {
-    /// [`RetryPolicy::none`] — supervision is opt-in per queue (or via
-    /// the environment through [`RetryPolicy::from_env`], which
-    /// [`JobQueue::new`] installs).
-    fn default() -> Self {
-        RetryPolicy::none()
     }
 }
 
@@ -382,22 +260,14 @@ pub enum JobError {
     /// The state allocation was refused at run time (e.g. the allocator
     /// rejected the reservation even though the job was within budget).
     Capacity(CapacityError),
-    /// Sharded preparation failed inside the shard-transport layer (a
-    /// rank disconnected or timed out) — see [`qsim::TransportError`].
-    /// Unlike a capacity refusal, this is a property of the execution,
-    /// not the request: the supervisor retries it under the queue's
-    /// [`RetryPolicy`]; this error reports the **last** attempt's
-    /// failure after the policy was exhausted.
-    Transport(TransportError),
     /// The job was cancelled through [`JobHandle::cancel`] before it
-    /// completed (checked at dispatch, between measurements, and while
-    /// backing off between retry attempts).
+    /// completed (checked at dispatch and between measurements).
     Cancelled,
     /// The job's deadline passed before it completed (see
     /// [`JobQueue::with_deadline`] / [`JobQueue::submit_with_deadline`];
     /// checked at the same cooperative boundaries as cancellation).
     DeadlineExceeded,
-    /// The job's execution panicked. The supervisor converts the unwind
+    /// The job's execution panicked. The completion guard converts the unwind
     /// into this typed error so the worker survives, the job's memory
     /// budget is released, and parked co-workers are woken — a panicking
     /// job can neither deadlock the drain nor leak budget.
@@ -408,7 +278,6 @@ impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JobError::Capacity(e) => write!(f, "job failed to allocate its state: {e}"),
-            JobError::Transport(e) => write!(f, "job failed in shard transport: {e}"),
             JobError::Cancelled => write!(f, "job was cancelled"),
             JobError::DeadlineExceeded => write!(f, "job missed its deadline"),
             JobError::Panicked(msg) => write!(f, "job panicked: {msg}"),
@@ -424,22 +293,13 @@ impl From<CapacityError> for JobError {
     }
 }
 
-impl From<PrepareError> for JobError {
-    fn from(e: PrepareError) -> Self {
-        match e {
-            PrepareError::Capacity(e) => JobError::Capacity(e),
-            PrepareError::Transport(e) => JobError::Transport(e),
-        }
-    }
-}
-
 /// The write-once completion cell a [`JobHandle`] watches.
 #[derive(Debug, Default)]
 struct Slot {
     cell: Mutex<Option<Result<JobOutput, JobError>>>,
     ready: Condvar,
     /// Set by [`JobHandle::cancel`]; workers observe it cooperatively at
-    /// session boundaries.
+    /// dispatch and between measurements.
     cancelled: AtomicBool,
 }
 
@@ -505,8 +365,7 @@ impl JobHandle {
     /// Blocks until the job completes or `timeout` elapses: `None` on
     /// timeout, `Some(result)` otherwise. The bounded twin of
     /// [`JobHandle::wait`] — callers supervising a drain from outside
-    /// (or guarding against a wedged rank) poll with this instead of
-    /// blocking forever.
+    /// poll with this instead of blocking forever.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<JobOutput, JobError>> {
         let deadline = Instant::now() + timeout;
         let mut cell = lock(&self.slot.cell);
@@ -525,8 +384,8 @@ impl JobHandle {
     }
 
     /// Requests cooperative cancellation: the job completes with
-    /// [`JobError::Cancelled`] at its next session boundary (dispatch,
-    /// between measurements, or mid-backoff). A job that already
+    /// [`JobError::Cancelled`] at its next check (dispatch or between
+    /// measurements). A job that already
     /// completed keeps its result — cancellation never rewrites history.
     /// Idempotent and safe from any thread.
     pub fn cancel(&self) {
@@ -631,14 +490,9 @@ pub struct JobQueue {
     workers: usize,
     budget: u128,
     sharding: Sharding,
-    transport: TransportMode,
-    retry: RetryPolicy,
     /// Default per-job deadline applied at submission (jobs can override
     /// via [`JobQueue::submit_with_deadline`]).
     default_deadline: Option<Duration>,
-    /// Chaos seam: each attempt of each job draws its transport faults
-    /// from this schedule on an attempt-specific stream.
-    fault_schedule: FaultSchedule,
     shared: SharedPlanCache,
     /// Aggregate stage telemetry folded in from every completed job —
     /// see [`JobQueue::telemetry_snapshot`].
@@ -662,10 +516,7 @@ impl JobQueue {
             workers: parallel::sched_workers(),
             budget: u128::MAX,
             sharding: Sharding::Off,
-            transport: TransportMode::from_env(),
-            retry: RetryPolicy::from_env(),
-            default_deadline: parallel::job_deadline_ms().map(Duration::from_millis),
-            fault_schedule: FaultSchedule::none(),
+            default_deadline: crate::config::job_deadline_ms().map(Duration::from_millis),
             shared: SharedPlanCache::new(),
             telemetry: telemetry::Recorder::new(),
             state: Mutex::new(SchedState {
@@ -708,52 +559,14 @@ impl JobQueue {
         self
     }
 
-    /// Sets the shard-[`TransportMode`] job executors move amplitudes
-    /// through when sharding is on (default: the `VARSAW_SHARD_TRANSPORT`
-    /// environment knob, falling back to in-process swaps). Both backends
-    /// are bit-identical, so this never changes results; transport
-    /// failures surface per job as [`JobError::Transport`].
-    pub fn with_transport(mut self, transport: TransportMode) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// Sets the [`RetryPolicy`] the supervisor applies to
-    /// [`JobError::Transport`] failures (default: the
-    /// environment-configured [`RetryPolicy::from_env`], i.e.
-    /// `VARSAW_JOB_RETRIES` retries). Retried jobs stay bit-identical to
-    /// their fault-free reference — supervision never changes results,
-    /// only whether a faulted job survives.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// The retry policy the supervisor runs under.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Sets the default per-job deadline (measured from submission;
     /// default: the `VARSAW_JOB_DEADLINE_MS` environment knob, falling
     /// back to none). Jobs still queued or running when their deadline
     /// passes complete with [`JobError::DeadlineExceeded`] at the next
-    /// cooperative check, releasing their budget — a wedged rank cannot
+    /// cooperative check, releasing their budget — a stuck queue cannot
     /// hold a tenant's budget forever.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.default_deadline = Some(deadline);
-        self
-    }
-
-    /// Installs a seed-deterministic [`FaultSchedule`] as the chaos
-    /// seam: every execution attempt of every job draws its transport
-    /// faults at schedule stream [`job_seed`]`(job_id, attempt)`, so
-    /// fault placement is a pure function of `(schedule, job_id,
-    /// attempt)` — independent of workers, interleaving, and co-tenants,
-    /// and different per attempt (a retried job is not doomed to re-hit
-    /// the same fault).
-    pub fn with_fault_schedule(mut self, schedule: FaultSchedule) -> Self {
-        self.fault_schedule = schedule;
         self
     }
 
@@ -898,9 +711,8 @@ impl JobQueue {
 
     /// State bytes of currently running jobs. Exactly zero after a
     /// completed [`JobQueue::drain`] — every completion path (success,
-    /// typed error, retry exhaustion, cancellation, deadline, even a
-    /// panic) releases its reservation, so chaos runs can assert the
-    /// accounting is airtight.
+    /// typed error, cancellation, deadline, even a panic) releases its
+    /// reservation, so tests can assert the accounting is airtight.
     pub fn in_flight_bytes(&self) -> u128 {
         lock(&self.state).in_flight_bytes
     }
@@ -976,7 +788,7 @@ impl JobQueue {
                     dispatched_at.duration_since(job.enqueued_at),
                 );
                 catch_unwind(AssertUnwindSafe(|| self.run_job(&job, dispatched_at)))
-                    .unwrap_or_else(|payload| Err(JobError::Panicked(panic_message(&payload))))
+                    .unwrap_or_else(|payload| Err(JobError::Panicked(panic_message(&*payload))))
             };
             let stages = recorder.finish();
             if let Some(snapshot) = &stages {
@@ -998,8 +810,8 @@ impl JobQueue {
     }
 
     /// Returns [`JobError::Cancelled`] / [`JobError::DeadlineExceeded`]
-    /// when the job should stop — the cooperative check run at every
-    /// session boundary (dispatch, between measurements, mid-backoff).
+    /// when the job should stop — the cooperative check run at dispatch
+    /// and between measurements.
     fn check_alive(job: &PendingJob) -> Result<(), JobError> {
         if job.slot.cancelled.load(Ordering::Relaxed) {
             return Err(JobError::Cancelled);
@@ -1012,102 +824,18 @@ impl JobQueue {
         Ok(())
     }
 
-    /// The execution tier for degradation-ladder rung `rung`: rung 0 is
-    /// the configured tier; each transport failure under a degrading
-    /// policy steps one rung down — channel transport → local transport
-    /// → unsharded serial (which opens no transport and cannot fault).
-    fn rung(&self, rung: u32) -> (Sharding, TransportMode, Option<Degradation>) {
-        let sharded = !matches!(self.sharding, Sharding::Off);
-        match rung {
-            0 => (self.sharding, self.transport, None),
-            1 if sharded && self.transport == TransportMode::Channel => (
-                self.sharding,
-                TransportMode::Local,
-                Some(Degradation::LocalTransport),
-            ),
-            _ => (
-                Sharding::Off,
-                TransportMode::Local,
-                Some(Degradation::Unsharded),
-            ),
-        }
-    }
-
-    /// Cooperatively waits out a retry backoff: sleeps in short slices
-    /// so cancellation and deadlines interrupt the wait instead of
-    /// stacking on top of it.
-    fn backoff_wait(job: &PendingJob, delay: Duration) -> Result<(), JobError> {
-        const SLICE: Duration = Duration::from_millis(2);
-        let _span = telemetry::span(telemetry::Stage::SchedRetry);
-        let until = Instant::now() + delay;
-        loop {
-            Self::check_alive(job)?;
-            let Some(remaining) = until.checked_duration_since(Instant::now()) else {
-                return Ok(());
-            };
-            std::thread::sleep(remaining.min(SLICE));
-        }
-    }
-
-    /// Supervises one job: run an attempt, and on a transport failure
-    /// quarantine the attempt's poisoned state (it dies with the
-    /// attempt's executor — nothing is reused), back off
-    /// deterministically, optionally step down the degradation ladder,
-    /// and retry on a fresh executor — up to the policy's attempt
-    /// budget. Capacity errors, cancellation, and deadline expiry never
-    /// retry: they are properties of the request or the clock, not of
-    /// the failed execution.
-    fn run_job(&self, job: &PendingJob, dispatched_at: Instant) -> Result<JobOutput, JobError> {
-        let max_attempts = self.retry.max_attempts.max(1);
-        let mut rung = 0u32;
-        for attempt in 1..=max_attempts {
-            Self::check_alive(job)?;
-            let (sharding, transport, degraded) = self.rung(rung);
-            match self.run_attempt(job, attempt, sharding, transport, dispatched_at) {
-                Ok(mut out) => {
-                    out.attempts = attempt;
-                    out.degraded_to = degraded;
-                    return Ok(out);
-                }
-                Err(JobError::Transport(e)) => {
-                    if attempt == max_attempts {
-                        return Err(JobError::Transport(e));
-                    }
-                    if self.retry.degrade {
-                        rung += 1;
-                    }
-                    Self::backoff_wait(job, self.retry.delay(attempt))?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        unreachable!("the attempt loop returns on its last iteration")
-    }
-
-    /// Executes one attempt exactly as a standalone sequential run
-    /// would: fresh executor, seed from [`job_seed`], serial statevector
-    /// path (workers provide the parallelism; pinning jobs serial avoids
+    /// Executes one job exactly as a standalone sequential run would:
+    /// fresh executor, seed from [`job_seed`], serial statevector path
+    /// (workers provide the parallelism; pinning jobs serial avoids
     /// oversubscription and keeps per-job RNG streams self-contained).
-    /// The attempt's fault-schedule stream is
-    /// [`job_seed`]`(job_id, attempt)`, so chaos draws are a pure
-    /// function of `(schedule, job_id, attempt)`.
-    fn run_attempt(
-        &self,
-        job: &PendingJob,
-        attempt: u32,
-        sharding: Sharding,
-        transport: TransportMode,
-        dispatched_at: Instant,
-    ) -> Result<JobOutput, JobError> {
+    fn run_job(&self, job: &PendingJob, dispatched_at: Instant) -> Result<JobOutput, JobError> {
+        Self::check_alive(job)?;
         let spec = &job.spec;
         let seed = job_seed(self.root_seed, spec.job_id);
-        let stream = job_seed(spec.job_id, u64::from(attempt));
         let mut exec = SimExecutor::new(self.device.clone(), self.shots, seed)
             .with_shared_plans(self.shared.clone())
             .with_parallelism(Parallelism::Serial)
-            .with_sharding(sharding)
-            .with_transport(transport)
-            .with_fault_schedule(self.fault_schedule, stream);
+            .with_sharding(self.sharding);
         let state = exec.try_prepare(&spec.circuit)?;
         let mut pmfs = Vec::with_capacity(spec.measurements.len());
         for m in &spec.measurements {
@@ -1122,8 +850,6 @@ impl JobQueue {
             tenant: spec.tenant,
             pmfs,
             cost: exec.circuits_executed(),
-            attempts: attempt,
-            degraded_to: None,
             timing: JobTiming {
                 enqueued_at: job.enqueued_at,
                 dispatched_at,

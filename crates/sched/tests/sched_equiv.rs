@@ -8,29 +8,32 @@
 //! fuzzes job sets across tenants, shuffles submission orders, and varies
 //! worker counts 1–4, comparing everything against that reference — plus
 //! targeted tests for admission control, memory-pressure queueing,
-//! weight-ordered draining, starvation-freedom, and plan-cache sharing.
+//! weight-ordered draining, starvation-freedom, plan-cache sharing, and
+//! the failure paths that can really happen: deadlines, cancellation,
+//! bounded waits, and panicking jobs.
 
 use proptest::prelude::*;
 use qnoise::DeviceModel;
 use qsim::{Circuit, Parallelism};
-use sched::{job_seed, AdmitError, JobQueue, JobSpec, MeasureScope, Measurement};
+use sched::{job_seed, AdmitError, JobError, JobQueue, JobSpec, MeasureScope, Measurement};
 use std::collections::BTreeMap;
+use std::time::Duration;
 use vqe::SimExecutor;
 
 const SHOTS: u64 = 64;
 
 /// A hardware-efficient-style ansatz: RY layer, CX chain, RY layer.
-/// `angles` must hold at least `2 * n` values.
+/// Angles repeat when `angles` holds fewer than `2 * n` values.
 fn ansatz(n: usize, angles: &[f64]) -> Circuit {
     let mut c = Circuit::new(n);
     for q in 0..n {
-        c.ry(q, angles[q]);
+        c.ry(q, angles[q % angles.len()]);
     }
     for q in 0..n.saturating_sub(1) {
         c.cx(q, q + 1);
     }
     for q in 0..n {
-        c.ry(q, angles[n + q]);
+        c.ry(q, angles[(n + q) % angles.len()]);
     }
     c
 }
@@ -500,14 +503,11 @@ fn results_are_a_function_of_job_id_not_submission_order() {
     }
 }
 
-/// Sharded job execution rides the shard-transport seam: whichever
-/// backend moves the amplitudes — zero-copy in-process swaps or
-/// message-passing rank threads — every job's PMFs and cost stay
-/// bit-identical to the dense sequential reference. This is the test
-/// the CI `VARSAW_SHARD_TRANSPORT` matrix leans on.
+/// Sharded job execution is invisible in the results: every job's PMFs
+/// and cost stay bit-identical to the dense sequential reference.
 #[test]
-fn sharded_jobs_match_the_reference_under_both_transports() {
-    use qsim::{Sharding, TransportMode};
+fn sharded_jobs_match_the_reference() {
+    use qsim::Sharding;
 
     let device = DeviceModel::mumbai_like();
     let angles: Vec<f64> = (0..16).map(|i| 0.3 * i as f64 - 1.7).collect();
@@ -524,21 +524,153 @@ fn sharded_jobs_match_the_reference_under_both_transports() {
         .collect();
     let expected = reference(&device, 77, &specs);
 
-    for transport in [TransportMode::Local, TransportMode::Channel] {
-        let queue = JobQueue::new(device.clone(), SHOTS, 77)
-            .with_workers(3)
-            .with_sharding(Sharding::Shards(4))
-            .with_transport(transport);
-        let handles: Vec<_> = specs
-            .iter()
-            .map(|s| queue.submit(s.clone()).unwrap())
-            .collect();
-        queue.drain();
-        for h in &handles {
-            let out = h.wait().unwrap_or_else(|e| panic!("{transport:?}: {e}"));
-            let (pmfs, cost) = &expected[&out.job_id];
-            assert_eq!(&out.pmfs, pmfs, "{transport:?}: job {} PMFs", out.job_id);
-            assert_eq!(out.cost, *cost, "{transport:?}: job {} cost", out.job_id);
+    let queue = JobQueue::new(device.clone(), SHOTS, 77)
+        .with_workers(3)
+        .with_sharding(Sharding::Shards(4));
+    let handles: Vec<_> = specs
+        .iter()
+        .map(|s| queue.submit(s.clone()).unwrap())
+        .collect();
+    queue.drain();
+    for h in &handles {
+        let out = h.wait().unwrap_or_else(|e| panic!("{e}"));
+        let (pmfs, cost) = &expected[&out.job_id];
+        assert_eq!(&out.pmfs, pmfs, "job {} PMFs", out.job_id);
+        assert_eq!(out.cost, *cost, "job {} cost", out.job_id);
+    }
+}
+
+/// A zero deadline expires every job — queued or running — with a typed
+/// error, and the budget accounting survives.
+#[test]
+fn deadlines_expire_jobs_typed_and_release_budget() {
+    let device = DeviceModel::mumbai_like();
+    let queue = JobQueue::new(device, SHOTS, 7)
+        .with_workers(2)
+        .with_deadline(Duration::ZERO);
+    let handles: Vec<_> = (0..4u64)
+        .map(|i| {
+            queue
+                .submit(JobSpec {
+                    job_id: i,
+                    tenant: 0,
+                    circuit: ansatz(4, &[0.5, -0.2]),
+                    measurements: vec![Measurement::subset(basis(4, &[3, 0, 0, 0]))],
+                })
+                .unwrap()
+        })
+        .collect();
+    queue.drain();
+    for h in &handles {
+        assert_eq!(h.wait(), Err(JobError::DeadlineExceeded));
+    }
+    assert_eq!(queue.in_flight_bytes(), 0);
+    assert_eq!(queue.completed(), 4);
+
+    // A per-job override beats the queue default: a generous explicit
+    // deadline lets a job through the same queue.
+    let h = queue
+        .submit_with_deadline(
+            JobSpec {
+                job_id: 100,
+                tenant: 0,
+                circuit: ansatz(4, &[0.5, -0.2]),
+                measurements: vec![Measurement::subset(basis(4, &[3, 0, 0, 0]))],
+            },
+            Duration::from_secs(60),
+        )
+        .unwrap();
+    queue.drain();
+    assert!(h.wait().is_ok());
+}
+
+/// Cancellation before dispatch completes the job with a typed error;
+/// cancellation after completion never rewrites the result.
+#[test]
+fn cancellation_is_cooperative_and_never_rewrites_history() {
+    let device = DeviceModel::mumbai_like();
+    let queue = JobQueue::new(device, SHOTS, 3).with_workers(1);
+    let mk = |id: u64| JobSpec {
+        job_id: id,
+        tenant: 0,
+        circuit: ansatz(4, &[1.1, 0.2]),
+        measurements: vec![Measurement::subset(basis(4, &[3, 0, 0, 0]))],
+    };
+    let doomed = queue.submit(mk(1)).unwrap();
+    let survivor = queue.submit(mk(2)).unwrap();
+    doomed.cancel();
+    assert!(doomed.is_cancelled());
+    assert!(!survivor.is_cancelled());
+    queue.drain();
+    assert_eq!(doomed.wait(), Err(JobError::Cancelled));
+    let out = survivor.wait().expect("uncancelled co-tenant completes");
+
+    // Cancel after the fact: the result stands.
+    survivor.cancel();
+    assert_eq!(survivor.try_result(), Some(Ok(out)));
+    assert_eq!(queue.in_flight_bytes(), 0);
+}
+
+/// `wait_timeout` bounds the wait: times out (`None`) while nobody
+/// drains, returns the result once a drain ran, and keeps returning it.
+#[test]
+fn wait_timeout_bounds_the_wait() {
+    let device = DeviceModel::mumbai_like();
+    let queue = JobQueue::new(device, SHOTS, 13).with_workers(1);
+    let h = queue
+        .submit(JobSpec {
+            job_id: 1,
+            tenant: 0,
+            circuit: ansatz(4, &[0.7, -0.4]),
+            measurements: vec![Measurement::subset(basis(4, &[3, 0, 0, 0]))],
+        })
+        .unwrap();
+    assert_eq!(h.wait_timeout(Duration::from_millis(10)), None);
+    queue.drain();
+    let got = h
+        .wait_timeout(Duration::from_millis(10))
+        .expect("drained job is ready");
+    assert!(got.is_ok());
+    assert_eq!(h.wait_timeout(Duration::ZERO), Some(got));
+}
+
+/// Errors under memory pressure: a budget that serializes jobs, workers
+/// parked on it, and every job panicking — the drain still terminates,
+/// every handle completes typed with the panic's own message, and the
+/// budget is fully released. This is the pressure-park path the
+/// completion guard protects.
+#[test]
+fn failing_jobs_under_memory_pressure_never_wedge_the_drain() {
+    let device = DeviceModel::mumbai_like();
+    let budget = (16u128 << 5) * 3 / 2; // one 5-qubit state at a time
+    let queue = JobQueue::new(device, SHOTS, 21)
+        .with_workers(4)
+        .with_memory_budget(budget);
+    // A NaN rotation angle makes every outcome probability NaN, which the
+    // shot sampler rejects with a panic: the spec passes admission, so
+    // this is a failure only running the job can reveal.
+    let handles: Vec<_> = (0..6u64)
+        .map(|i| {
+            queue
+                .submit(JobSpec {
+                    job_id: 400 + i,
+                    tenant: i % 3,
+                    circuit: ansatz(5, &[f64::NAN, 1.0]),
+                    measurements: vec![Measurement::subset(basis(5, &[3, 0, 0, 0, 0]))],
+                })
+                .unwrap()
+        })
+        .collect();
+    queue.drain();
+    for h in &handles {
+        match h.wait() {
+            Err(JobError::Panicked(msg)) => assert!(
+                msg.contains("negative probability NaN"),
+                "the panic message must survive the guard: {msg:?}"
+            ),
+            other => panic!("expected typed panics, got {other:?}"),
         }
     }
+    assert_eq!(queue.in_flight_bytes(), 0);
+    assert!(queue.peak_in_flight_bytes() <= budget);
 }

@@ -1,11 +1,12 @@
 //! Stage-attributed telemetry for the VarSaw reproduction's hot paths.
 //!
 //! The workspace's speed claims (fusion ratios, batched dispatch, shard
-//! transports) all rest on "where did the time go" questions, so the hot
+//! exchanges) all rest on "where did the time go" questions, so the hot
 //! paths carry instrumentation points with a **fixed stage taxonomy**
 //! ([`Stage`]): plan compilation vs rebinding, the statevector sweep per
-//! execution tier, the shard-transport verbs, noise sampling, Bayesian
-//! reconstruction, and the job scheduler's queue/dispatch/retry phases.
+//! execution tier, cross-shard exchanges and plane swaps, noise
+//! sampling, Bayesian reconstruction, and the job scheduler's
+//! queue/dispatch phases.
 //!
 //! Instrumentation is **feature-gated**: without this crate's `enabled`
 //! feature (downstream crates forward their own `telemetry` feature to
@@ -27,7 +28,7 @@
 //! instrumented build can still run cold.
 //!
 //! Spans at the chosen call sites are **disjoint by construction** (a
-//! sweep span never contains a transport span, noise spans sit outside
+//! sweep span never contains an exchange span, noise spans sit outside
 //! the sweep spans), so summing a snapshot's stages never double-counts
 //! wall time; the `telemetry` experiments table relies on this when it
 //! reports the fraction of an iteration attributed to named stages.
@@ -70,9 +71,9 @@ pub enum Stage {
     /// Sharded statevector work: local shard sweeps and the final
     /// gather back into a dense state.
     SweepSharded,
-    /// Shard-transport pairwise/quad amplitude exchanges.
+    /// Cross-shard pairwise/quad amplitude exchanges.
     TransportExchange,
-    /// Shard-transport whole-plane swaps (global-qubit permutations).
+    /// Whole-shard plane swaps (global-qubit permutations).
     TransportPlaneSwap,
     /// Distribution-level noise: depolarizing and readout confusion
     /// application, plus shot sampling.
@@ -83,13 +84,11 @@ pub enum Stage {
     SchedQueueWait,
     /// Scheduler dispatch decisions (fair-queue picks).
     SchedDispatch,
-    /// Retry backoff waits between supervised attempts.
-    SchedRetry,
 }
 
 impl Stage {
     /// Number of stages in the taxonomy.
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// Every stage, in display order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -104,7 +103,6 @@ impl Stage {
         Stage::Reconstruction,
         Stage::SchedQueueWait,
         Stage::SchedDispatch,
-        Stage::SchedRetry,
     ];
 
     /// The stage's dense index into snapshot arrays (`0..COUNT`).
@@ -127,7 +125,6 @@ impl Stage {
             Stage::Reconstruction => "reconstruction",
             Stage::SchedQueueWait => "sched_queue_wait",
             Stage::SchedDispatch => "sched_dispatch",
-            Stage::SchedRetry => "sched_retry",
         }
     }
 }

@@ -6,76 +6,11 @@ use pauli::PauliString;
 use qnoise::{apply_depolarizing, apply_readout_errors, DeviceModel, ReadoutError};
 use qsim::shard::auto_shard_count;
 use qsim::{
-    CapacityError, Circuit, CircuitPlan, FaultInjection, FaultSchedule, Parallelism, PlanCache,
-    ShardPlan, ShardedState, Sharding, SharedPlanCache, Statevector, TransportError, TransportMode,
+    CapacityError, Circuit, CircuitPlan, Parallelism, PlanCache, ShardPlan, ShardedState, Sharding,
+    SharedPlanCache, Statevector,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Why state preparation could not produce a statevector: either the state
-/// would not fit (admission control refused the allocation up front), or —
-/// under the sharded executor with a message-passing transport — a rank
-/// failed mid-plan and the error surfaced through the transport seam.
-///
-/// Schedulers branch on the two arms differently: a [`CapacityError`] is a
-/// property of the *request* (re-submitting won't help on this host), while
-/// a [`TransportError`] is a property of the *execution* (the job may be
-/// retried on a fresh state).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PrepareError {
-    /// The state allocation was refused before any simulation ran.
-    Capacity(CapacityError),
-    /// A shard-transport failure interrupted sharded execution.
-    Transport(TransportError),
-}
-
-impl PrepareError {
-    /// The capacity refusal, if that is what this error is.
-    pub fn capacity(&self) -> Option<&CapacityError> {
-        match self {
-            PrepareError::Capacity(e) => Some(e),
-            PrepareError::Transport(_) => None,
-        }
-    }
-
-    /// The transport failure, if that is what this error is.
-    pub fn transport(&self) -> Option<&TransportError> {
-        match self {
-            PrepareError::Capacity(_) => None,
-            PrepareError::Transport(e) => Some(e),
-        }
-    }
-}
-
-impl std::fmt::Display for PrepareError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PrepareError::Capacity(e) => e.fmt(f),
-            PrepareError::Transport(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for PrepareError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PrepareError::Capacity(e) => Some(e),
-            PrepareError::Transport(e) => Some(e),
-        }
-    }
-}
-
-impl From<CapacityError> for PrepareError {
-    fn from(e: CapacityError) -> Self {
-        PrepareError::Capacity(e)
-    }
-}
-
-impl From<TransportError> for PrepareError {
-    fn from(e: TransportError) -> Self {
-        PrepareError::Transport(e)
-    }
-}
 
 /// Executes measurement circuits on a simulated noisy device, metering the
 /// number of circuits submitted — the paper's quantum-computational Cost
@@ -119,17 +54,6 @@ pub struct SimExecutor {
     exact: bool,
     parallelism: Parallelism,
     sharding: Sharding,
-    transport: TransportMode,
-    /// Per-session chaos draws: each sharded preparation session draws
-    /// its [`FaultInjection`] from this schedule (none by default).
-    fault_schedule: FaultSchedule,
-    /// The schedule stream this executor draws from — supervisors give
-    /// each retry attempt a distinct stream.
-    fault_stream: u64,
-    /// Preparation sessions opened so far: the schedule's session index,
-    /// advanced deterministically (batches advance by batch length, so
-    /// parallel fan-out draws the same faults as sequential execution).
-    fault_sessions: u64,
     /// Compiled-plan cache keyed by circuit structure: SPSA evaluations,
     /// subset/Global measurement rotations and MBM circuits all share the
     /// handful of shapes a VQE run executes, so after the first iteration
@@ -162,10 +86,6 @@ impl SimExecutor {
             exact: false,
             parallelism: Parallelism::Auto,
             sharding: Sharding::Off,
-            transport: TransportMode::from_env(),
-            fault_schedule: FaultSchedule::none(),
-            fault_stream: 0,
-            fault_sessions: 0,
             plans: PlanCache::new(),
             shared_plans: None,
             readout_by_width: Vec::new(),
@@ -184,10 +104,6 @@ impl SimExecutor {
             exact: true,
             parallelism: Parallelism::Auto,
             sharding: Sharding::Off,
-            transport: TransportMode::from_env(),
-            fault_schedule: FaultSchedule::none(),
-            fault_stream: 0,
-            fault_sessions: 0,
             plans: PlanCache::new(),
             shared_plans: None,
             readout_by_width: Vec::new(),
@@ -286,46 +202,6 @@ impl SimExecutor {
         self.sharding
     }
 
-    /// Sets which [`TransportMode`] sharded preparation moves amplitudes
-    /// through (default: the `VARSAW_SHARD_TRANSPORT` environment knob,
-    /// falling back to zero-copy in-process swaps). Both backends are
-    /// bit-identical, so this knob never changes results; the
-    /// message-passing backend exists to rehearse multi-node execution
-    /// and exercise the failure paths schedulers must handle.
-    ///
-    /// ```
-    /// use qnoise::DeviceModel;
-    /// use qsim::TransportMode;
-    /// use vqe::SimExecutor;
-    ///
-    /// let exec = SimExecutor::new(DeviceModel::noiseless(2), 128, 1)
-    ///     .with_transport(TransportMode::Channel);
-    /// assert_eq!(exec.transport(), TransportMode::Channel);
-    /// ```
-    pub fn with_transport(mut self, mode: TransportMode) -> Self {
-        self.transport = mode;
-        self
-    }
-
-    /// The shard-transport backend sharded preparation uses.
-    pub fn transport(&self) -> TransportMode {
-        self.transport
-    }
-
-    /// Installs a seed-deterministic [`FaultSchedule`] for sharded
-    /// preparation: each preparation session draws one
-    /// [`FaultInjection`] at schedule coordinate `(stream, session
-    /// index)`, where the session index counts this executor's prepares.
-    /// Unsharded preparation opens no transport session and never
-    /// faults. Supervisors give every retry attempt a distinct `stream`
-    /// so attempts draw independently while each run stays exactly
-    /// reproducible.
-    pub fn with_fault_schedule(mut self, schedule: FaultSchedule, stream: u64) -> Self {
-        self.fault_schedule = schedule;
-        self.fault_stream = stream;
-        self
-    }
-
     /// The shard count preparation of `circuit` resolves to.
     fn resolve_shards(&self, circuit: &Circuit) -> usize {
         match self.sharding {
@@ -359,41 +235,22 @@ impl SimExecutor {
     }
 
     /// Simulates a compiled plan from `|0…0⟩` on the dense plane or the
-    /// sharded executor, surfacing allocation refusals and transport
-    /// failures as a typed [`PrepareError`]. All paths are bit-identical.
-    /// `fault` is the chaos injection drawn for this session (only
-    /// sharded execution opens a transport session, so only it can
-    /// fault); a failed session's poisoned state is dropped here — the
-    /// caller never sees it.
+    /// sharded executor, surfacing allocation refusals as a typed
+    /// [`CapacityError`]. All paths are bit-identical.
     fn try_simulate(
         plan: &CircuitPlan,
         shard_plan: Option<&ShardPlan>,
         mode: Parallelism,
-        transport: TransportMode,
-        fault: FaultInjection,
-    ) -> Result<Statevector, PrepareError> {
+    ) -> Result<Statevector, CapacityError> {
         if let Some(sp) = shard_plan {
-            let mut st = ShardedState::try_zero(plan.num_qubits(), sp.num_shards())?
-                .with_parallelism(mode)
-                .with_transport(transport)
-                .with_fault(fault);
-            st.try_apply_shard_plan(sp)?;
-            Ok(st.try_to_statevector()?)
+            let mut st =
+                ShardedState::try_zero(plan.num_qubits(), sp.num_shards())?.with_parallelism(mode);
+            st.apply_shard_plan(sp);
+            Ok(st.to_statevector())
         } else {
             let mut st = Statevector::try_zero(plan.num_qubits())?;
             st.apply_plan_with(plan, mode);
             Ok(st)
-        }
-    }
-
-    /// The chaos injection the schedule draws for preparation session
-    /// `session` of a sharded plan (none when unsharded: no transport).
-    fn draw_fault(&self, session: u64, shard_plan: Option<&ShardPlan>) -> FaultInjection {
-        match shard_plan {
-            Some(sp) => self
-                .fault_schedule
-                .injection(self.fault_stream, session, sp.num_shards()),
-            None => FaultInjection::none(),
         }
     }
 
@@ -423,14 +280,12 @@ impl SimExecutor {
         self.try_prepare(circuit).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`SimExecutor::prepare`], surfacing state-allocation failures and
-    /// shard-transport failures as a typed [`PrepareError`] instead of
-    /// panicking — the admission-control and fault seam job schedulers
-    /// branch on. Covers every execution tier: the dense plane (serial or
-    /// threaded) probes [`Statevector::try_zero`], the sharded executor
-    /// probes [`ShardedState::try_zero`](qsim::ShardedState::try_zero) and
-    /// surfaces rank failures from
-    /// [`try_apply_shard_plan`](qsim::ShardedState::try_apply_shard_plan).
+    /// [`SimExecutor::prepare`], surfacing state-allocation failures as a
+    /// typed [`CapacityError`] instead of panicking — the admission-control
+    /// seam job schedulers branch on. Covers every execution tier: the
+    /// dense plane (serial or threaded) probes [`Statevector::try_zero`],
+    /// the sharded executor probes
+    /// [`ShardedState::try_zero`](qsim::ShardedState::try_zero).
     ///
     /// ```
     /// use qnoise::DeviceModel;
@@ -440,14 +295,12 @@ impl SimExecutor {
     /// let mut exec = SimExecutor::new(DeviceModel::noiseless(2), 16, 1);
     /// assert!(exec.try_prepare(&Circuit::new(3)).is_ok());
     /// let err = exec.try_prepare(&Circuit::new(33)).unwrap_err();
-    /// assert_eq!(err.capacity().unwrap().num_qubits(), 33);
+    /// assert_eq!(err.num_qubits(), 33);
     /// ```
-    pub fn try_prepare(&mut self, circuit: &Circuit) -> Result<Statevector, PrepareError> {
+    pub fn try_prepare(&mut self, circuit: &Circuit) -> Result<Statevector, CapacityError> {
         let plan = self.plan(circuit);
         let sp = self.shard_plan(&plan, self.resolve_shards(circuit));
-        let fault = self.draw_fault(self.fault_sessions, sp.as_ref());
-        self.fault_sessions += 1;
-        Self::try_simulate(&plan, sp.as_ref(), self.parallelism, self.transport, fault)
+        Self::try_simulate(&plan, sp.as_ref(), self.parallelism)
     }
 
     /// Prepares one state per circuit against the shared [`PlanCache`] —
@@ -481,43 +334,33 @@ impl SimExecutor {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`SimExecutor::prepare_batch`], surfacing state-allocation and
-    /// shard-transport failures as a typed [`PrepareError`] (the first one
-    /// encountered, in circuit order) instead of panicking.
+    /// [`SimExecutor::prepare_batch`], surfacing state-allocation failures
+    /// as a typed [`CapacityError`] (the first one encountered, in circuit
+    /// order) instead of panicking.
     pub fn try_prepare_batch(
         &mut self,
         circuits: &[Circuit],
-    ) -> Result<Vec<Statevector>, PrepareError> {
-        // Per-entry session indices are assigned up front (base + i), so
-        // the batch draws the exact faults sequential prepares would —
-        // regardless of whether the fan-out below runs threaded.
-        let base_session = self.fault_sessions;
-        self.fault_sessions += circuits.len() as u64;
-        let plans: Vec<(CircuitPlan, Option<ShardPlan>, FaultInjection)> = circuits
+    ) -> Result<Vec<Statevector>, CapacityError> {
+        let plans: Vec<(CircuitPlan, Option<ShardPlan>)> = circuits
             .iter()
-            .enumerate()
-            .map(|(i, c)| {
+            .map(|c| {
                 let plan = self.plan(c);
                 let sp = self.shard_plan(&plan, self.resolve_shards(c));
-                let fault = self.draw_fault(base_session + i as u64, sp.as_ref());
-                (plan, sp, fault)
+                (plan, sp)
             })
             .collect();
-        let transport = self.transport;
-        let states: Vec<Result<Statevector, PrepareError>> = if self.parallelism
+        let states: Vec<Result<Statevector, CapacityError>> = if self.parallelism
             != Parallelism::Serial
             && plans.len() > 1
             && parallel::num_threads() > 1
         {
-            parallel::parallel_map(plans, move |(plan, sp, fault)| {
-                Self::try_simulate(plan, sp.as_ref(), Parallelism::Serial, transport, *fault)
+            parallel::parallel_map(plans, |(plan, sp)| {
+                Self::try_simulate(plan, sp.as_ref(), Parallelism::Serial)
             })
         } else {
             plans
                 .iter()
-                .map(|(plan, sp, fault)| {
-                    Self::try_simulate(plan, sp.as_ref(), self.parallelism, transport, *fault)
-                })
+                .map(|(plan, sp)| Self::try_simulate(plan, sp.as_ref(), self.parallelism))
                 .collect()
         };
         states.into_iter().collect()

@@ -47,7 +47,7 @@ mod runner;
 pub use ansatz::{EfficientSu2, Entanglement};
 pub use basis::basis_rotation;
 pub use energy::GroupedHamiltonian;
-pub use executor::{BatchJob, PrepareError, SimExecutor};
+pub use executor::{BatchJob, SimExecutor};
 pub use optimizer::{BatchObjective, ImFil, NelderMead, Optimizer, Spsa, StepResult};
-pub use qsim::{Parallelism, Sharding, TransportError, TransportMode};
+pub use qsim::{Parallelism, Sharding};
 pub use runner::{run_vqe, BaselineEvaluator, EnergyEvaluator, VqeConfig, VqeTrace};

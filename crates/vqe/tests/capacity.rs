@@ -1,19 +1,13 @@
 //! End-to-end coverage of the fallible allocation path: every execution
 //! tier of [`SimExecutor`] — serial, threaded, and sharded — must surface
-//! a state that does not fit as a typed [`vqe::PrepareError::Capacity`]
+//! a state that does not fit as a typed [`qsim::CapacityError`]
 //! through `try_prepare` / `try_prepare_batch`, never by aborting the
 //! process. This is the admission-control seam `sched::JobQueue` branches
 //! on.
 
 use qnoise::DeviceModel;
-use qsim::{CapacityError, Circuit};
-use vqe::{Parallelism, PrepareError, Sharding, SimExecutor};
-
-/// Unwraps the capacity arm — these tests never hit a transport failure.
-fn capacity(err: &PrepareError) -> &CapacityError {
-    err.capacity()
-        .unwrap_or_else(|| panic!("expected a capacity error, got {err}"))
-}
+use qsim::Circuit;
+use vqe::{Parallelism, Sharding, SimExecutor};
 
 /// Qubit count past the dense 30-qubit ceiling (a 16 GiB plane); every
 /// tier must refuse it with a typed error.
@@ -54,8 +48,8 @@ fn every_tier_surfaces_capacity_errors_as_typed_values() {
         let err = exec
             .try_prepare(&oversized())
             .expect_err("oversized circuit must be refused");
-        assert_eq!(capacity(&err).num_qubits(), TOO_BIG, "tier {name}");
-        assert_eq!(capacity(&err).bytes(), 16u128 << TOO_BIG, "tier {name}");
+        assert_eq!(err.num_qubits(), TOO_BIG, "tier {name}");
+        assert_eq!(err.bytes(), 16u128 << TOO_BIG, "tier {name}");
         // The error is recoverable: the same executor keeps working.
         let state = exec
             .try_prepare(&small())
@@ -70,7 +64,7 @@ fn batch_surfaces_the_first_capacity_error_in_circuit_order() {
         let err = exec
             .try_prepare_batch(&[small(), oversized(), small()])
             .expect_err("batch with an oversized member must be refused");
-        assert_eq!(capacity(&err).num_qubits(), TOO_BIG, "tier {name}");
+        assert_eq!(err.num_qubits(), TOO_BIG, "tier {name}");
         // And an all-fitting batch still succeeds afterwards.
         let states = exec
             .try_prepare_batch(&[small(), small()])
@@ -83,8 +77,8 @@ fn batch_surfaces_the_first_capacity_error_in_circuit_order() {
 fn capacity_error_reports_the_requested_footprint() {
     let mut exec = SimExecutor::new(DeviceModel::noiseless(3), 64, 11);
     let err = exec.try_prepare(&Circuit::new(40)).unwrap_err();
-    assert_eq!(capacity(&err).num_qubits(), 40);
-    assert_eq!(capacity(&err).bytes(), 16u128 << 40);
+    assert_eq!(err.num_qubits(), 40);
+    assert_eq!(err.bytes(), 16u128 << 40);
     let msg = err.to_string();
     assert!(msg.contains("40"), "error message names the size: {msg}");
 }
