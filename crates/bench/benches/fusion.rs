@@ -5,9 +5,6 @@
 //!
 //! - `*_unfused_serial` vs `*_fused_serial`: gate-by-gate legacy execution
 //!   against a precompiled [`qsim::CircuitPlan`] on one thread.
-//! - `*_unfused_threaded` vs `*_fused_threaded`: the worker engine running
-//!   a one-op-per-gate plan against the fused plan — fusion halves the
-//!   rotation sweeps *and* the barrier regions.
 //! - `plan_compile` / `plan_rebind`: what a cache miss and a cache hit
 //!   cost on top of execution (rebind is the per-VQE-iteration price).
 //! - `entangler_*_blocked` vs `entangler_*_pergate`: entangler-block
@@ -17,7 +14,7 @@
 //!   ([`qsim::CircuitPlan::compile_unblocked`]).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qsim::{Circuit, CircuitPlan, Parallelism, Statevector};
+use qsim::{Circuit, CircuitPlan, Statevector};
 use vqe::{EfficientSu2, Entanglement};
 
 fn ansatz_circuit(n: usize, entanglement: Entanglement) -> Circuit {
@@ -27,8 +24,6 @@ fn ansatz_circuit(n: usize, entanglement: Entanglement) -> Circuit {
 
 fn bench_fusion(c: &mut Criterion) {
     let mut g = c.benchmark_group("fusion");
-    let threads = parallel::num_threads();
-    println!("bench fusion/*_threaded uses {threads} thread(s)");
     for (label, entanglement) in [
         ("full", Entanglement::Full),
         ("linear", Entanglement::Linear),
@@ -54,23 +49,6 @@ fn bench_fusion(c: &mut Criterion) {
                 b.iter(|| {
                     let mut st = Statevector::zero(n);
                     st.apply_plan(&fused);
-                    std::hint::black_box(st.amplitudes()[0])
-                })
-            });
-            g.bench_function(
-                format!("efficient_su2_{label}_{n}q_unfused_threaded"),
-                |b| {
-                    b.iter(|| {
-                        let mut st = Statevector::zero(n);
-                        st.apply_plan_with(&unfused, Parallelism::Threads(threads));
-                        std::hint::black_box(st.amplitudes()[0])
-                    })
-                },
-            );
-            g.bench_function(format!("efficient_su2_{label}_{n}q_fused_threaded"), |b| {
-                b.iter(|| {
-                    let mut st = Statevector::zero(n);
-                    st.apply_plan_with(&fused, Parallelism::Threads(threads));
                     std::hint::black_box(st.amplitudes()[0])
                 })
             });

@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mitigation::{reconstruct, Pmf, ReconstructionConfig, Reconstructor};
 use pauli::{group_by_cover, PauliString};
 use qnoise::{apply_readout_errors, ReadoutError};
-use qsim::{Circuit, Parallelism, Statevector};
+use qsim::shard::shards_and_workers;
+use qsim::{Circuit, CircuitPlan, Parallelism, ShardedState, Statevector};
 use rand::{rngs::StdRng, SeedableRng};
 use vqe::{EfficientSu2, Entanglement};
 
@@ -17,7 +18,7 @@ fn ansatz_circuit(n: usize) -> Circuit {
 }
 
 fn bench_statevector(c: &mut Criterion) {
-    // The canonical `efficient_su2_*` entries use the Auto dispatch —
+    // The canonical `efficient_su2_*` entries run the serial dense plane —
     // what every caller of `apply_circuit` gets.
     let mut g = c.benchmark_group("statevector");
     for n in [6usize, 8, 10, 12] {
@@ -30,29 +31,34 @@ fn bench_statevector(c: &mut Criterion) {
             })
         });
     }
-    // Serial-vs-parallel pairs at the sizes where Auto can go threaded,
-    // so speedup (or spawn overhead on starved machines) is measurable
-    // from one bench run. The parallel row pins `num_threads()` workers
-    // explicitly — on a single-core container it degrades to ~serial.
-    for n in [10usize, 12] {
+    // Serial-vs-threads pairs around `Parallelism::Auto`'s 2^12-amplitude
+    // threshold, so the crossover is measurable from one bench run. The
+    // threads row prepares the way `vqe::SimExecutor` does under
+    // `Threads(num_threads())`: compile, then run on 2^⌊log₂ w⌋ shards
+    // walked by `w` workers. On a single-core container it is the serial
+    // plane.
+    for n in [10usize, 11, 12] {
         let circuit = ansatz_circuit(n);
         g.bench_function(format!("efficient_su2_{n}q_serial"), |b| {
             b.iter(|| {
                 let mut st = Statevector::zero(n);
-                st.apply_circuit_with(&circuit, Parallelism::Serial);
+                st.apply_circuit(&circuit);
                 std::hint::black_box(st.probabilities()[0])
             })
         });
         // Stable id (no thread count embedded) so archived BENCH_*.json
-        // records match across runners; the worker count is reported on
-        // its own line instead.
+        // records match across runners; the shape is reported on its own
+        // line instead.
         let threads = parallel::num_threads();
-        println!("bench statevector/efficient_su2_{n}q_parallel uses {threads} thread(s)");
-        g.bench_function(format!("efficient_su2_{n}q_parallel"), |b| {
+        let (shards, workers) = shards_and_workers(Parallelism::Threads(threads), n, 0);
+        println!("bench statevector/efficient_su2_{n}q_threads uses {shards} shard(s) x {workers} worker(s)");
+        g.bench_function(format!("efficient_su2_{n}q_threads"), |b| {
             b.iter(|| {
-                let mut st = Statevector::zero(n);
-                st.apply_circuit_with(&circuit, Parallelism::Threads(threads));
-                std::hint::black_box(st.probabilities()[0])
+                let plan = CircuitPlan::compile(&circuit);
+                let mut st =
+                    ShardedState::zero(n, shards).with_parallelism(Parallelism::Threads(workers));
+                st.apply_plan(&plan);
+                std::hint::black_box(st.to_statevector().probabilities()[0])
             })
         });
     }

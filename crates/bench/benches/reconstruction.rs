@@ -1,11 +1,10 @@
 //! Benchmarks for the Bayesian-reconstruction engine, CI-archived as
 //! `BENCH_reconstruction.json` (see the bench-smoke job): the one-shot
 //! compatibility path, the key-cached persistent path the VQE evaluators
-//! run, multi-round sweeps, and the serial/parallel pair at a size where
-//! the chunked marginal reduction can go threaded.
+//! run, multi-round sweeps, and a 16-qubit sweep over a multi-chunk grid.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mitigation::{reconstruct, Parallelism, Pmf, ReconstructionConfig, Reconstructor};
+use mitigation::{reconstruct, Pmf, ReconstructionConfig, Reconstructor};
 use qsim::Statevector;
 use vqe::{EfficientSu2, Entanglement};
 
@@ -70,22 +69,13 @@ fn bench_cached(c: &mut Criterion) {
     });
 }
 
-fn bench_parallel_pair(c: &mut Criterion) {
-    // 16 qubits: 65536 outcomes, 16 chunks — above the Auto threshold, so
-    // the serial/parallel pair isolates the threaded marginal reduction.
-    // Stable ids (no thread count embedded), worker count on its own line,
-    // mirroring the statevector pairs.
+fn bench_multi_chunk(c: &mut Criterion) {
+    // 16 qubits: 65536 outcomes over 16 chunks, reduced in chunk order.
     let (global, locals) = synthetic(16);
     let cfg = ReconstructionConfig::default();
-    let mut serial = Reconstructor::new().with_parallelism(Parallelism::Serial);
+    let mut engine = Reconstructor::new();
     c.bench_function("reconstruction/serial_16q_15windows", |b| {
-        b.iter(|| std::hint::black_box(serial.reconstruct(&global, &locals, cfg)))
-    });
-    let threads = parallel::num_threads();
-    println!("bench reconstruction/parallel_16q_15windows uses {threads} thread(s)");
-    let mut parallel_engine = Reconstructor::new().with_parallelism(Parallelism::Threads(threads));
-    c.bench_function("reconstruction/parallel_16q_15windows", |b| {
-        b.iter(|| std::hint::black_box(parallel_engine.reconstruct(&global, &locals, cfg)))
+        b.iter(|| std::hint::black_box(engine.reconstruct(&global, &locals, cfg)))
     });
 }
 
@@ -99,6 +89,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = reconstruction;
     config = config();
-    targets = bench_oneshot, bench_cached, bench_parallel_pair
+    targets = bench_oneshot, bench_cached, bench_multi_chunk
 }
 criterion_main!(reconstruction);

@@ -3,8 +3,9 @@
 //!
 //! One iteration — prepare an EfficientSU2 ansatz state, then run a
 //! JigSaw-shaped measurement family (full-register Globals plus subset
-//! reads) — executes on each tier: serial, threaded, and sharded. The
-//! table reports, per tier, every telemetry
+//! reads) — executes on each tier: serial, and `threads(4)`, which
+//! prepares the state on 4 amplitude shards × 4 workers. The table
+//! reports, per tier, every telemetry
 //! stage the iteration passed through (call count, total milliseconds,
 //! share of the tier's wall time) and an `attributed` summary row — the
 //! fraction of wall time the instrumentation accounts for. With the
@@ -14,22 +15,20 @@
 use crate::harness::Options;
 use crate::report::{fmt, results_path, Table};
 use qnoise::DeviceModel;
-use qsim::{Parallelism, Sharding};
+use qsim::Parallelism;
 use std::time::Instant;
 use vqe::{EfficientSu2, Entanglement, SimExecutor};
 
 const NUM_QUBITS: usize = 12;
-const SHARDS: usize = 4;
 const SHOTS: u64 = 2048;
 const SEED: u64 = 11;
 
 /// One representative iteration on a fresh executor configured for the
 /// tier. Returns the metered circuit count (sanity: identical across
 /// tiers, since every tier is bit-identical by contract).
-fn iteration(parallelism: Parallelism, sharding: Sharding) -> u64 {
-    let mut exec = SimExecutor::new(DeviceModel::mumbai_like(), SHOTS, SEED)
-        .with_parallelism(parallelism)
-        .with_sharding(sharding);
+fn iteration(parallelism: Parallelism) -> u64 {
+    let mut exec =
+        SimExecutor::new(DeviceModel::mumbai_like(), SHOTS, SEED).with_parallelism(parallelism);
     let ansatz = EfficientSu2::new(NUM_QUBITS, 2, Entanglement::Linear);
     let circuit = ansatz.circuit(&ansatz.initial_parameters(3));
     let state = exec.prepare(&circuit);
@@ -52,7 +51,7 @@ fn iteration(parallelism: Parallelism, sharding: Sharding) -> u64 {
 }
 
 /// The `telemetry` experiment: per-stage wall-time attribution of one
-/// VQE iteration across serial / threaded / sharded.
+/// VQE iteration across serial / `threads(4)`.
 pub fn telemetry_exp(opts: &Options) {
     let mut t = Table::new(["tier", "stage", "calls", "total ms", "% of wall"]);
     let path = results_path(&opts.out_dir, "telemetry", "telemetry.csv");
@@ -71,10 +70,9 @@ pub fn telemetry_exp(opts: &Options) {
     }
     telemetry::set_active(true);
 
-    let tiers: [(&str, Parallelism, Sharding); 3] = [
-        ("serial", Parallelism::Serial, Sharding::Off),
-        ("threaded", Parallelism::Threads(4), Sharding::Off),
-        ("sharded", Parallelism::Serial, Sharding::Shards(SHARDS)),
+    let tiers: [(&str, Parallelism); 2] = [
+        ("serial", Parallelism::Serial),
+        ("threads(4)", Parallelism::Threads(4)),
     ];
 
     // A single iteration is ~1-3ms; scheduler jitter on that scale can
@@ -83,15 +81,15 @@ pub fn telemetry_exp(opts: &Options) {
     let measured_passes: u32 = if opts.full { 10 } else { 3 };
 
     let mut reference_cost = None;
-    for (name, parallelism, sharding) in tiers {
+    for (name, parallelism) in tiers {
         // Warm up once so OS page faults and lazy thread pools don't
         // masquerade as unattributed time on the measured passes.
-        iteration(parallelism, sharding);
+        iteration(parallelism);
         let before = telemetry::global_snapshot();
         let start = Instant::now();
         let mut cost = 0;
         for _ in 0..measured_passes {
-            cost = iteration(parallelism, sharding);
+            cost = iteration(parallelism);
         }
         let wall_ns = (start.elapsed().as_nanos().max(1) as u64) / u64::from(measured_passes);
         let delta = telemetry::global_snapshot()

@@ -24,12 +24,11 @@
 //! all mass).
 //!
 //! The functions here are one-shot conveniences; the engine underneath,
-//! with its cached projection-key tables, preallocated scratch, and
-//! parallel sweeps, is [`Reconstructor`](crate::Reconstructor).
+//! with its cached projection-key tables and preallocated scratch, is
+//! [`Reconstructor`](crate::Reconstructor).
 
 use crate::pmf::Pmf;
 use crate::recon::Reconstructor;
-use parallel::Parallelism;
 
 /// Configuration for [`reconstruct`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -69,9 +68,7 @@ impl Default for ReconstructionConfig {
 ///
 /// Panics if some qubit of `local` is not measured by `global`.
 pub fn bayesian_update(global: &mut Pmf, local: &Pmf, epsilon: f64) {
-    Reconstructor::new()
-        .with_parallelism(Parallelism::Serial)
-        .update(global, local, epsilon);
+    Reconstructor::new().update(global, local, epsilon);
 }
 
 /// JigSaw's full reconstruction: starts from the Global-PMF and applies the

@@ -9,8 +9,7 @@
 //! - [`reconstruct`] / [`bayesian_update`]: JigSaw's Bayesian
 //!   reconstruction, with [`Reconstructor`] as the reusable engine
 //!   underneath (cached projection-key tables, allocation-free fused
-//!   sweeps, optional parallel marginal reduction behind the shared
-//!   [`Parallelism`] seam),
+//!   sweeps),
 //! - [`mbm_correct`]: IBM-style matrix-based complete measurement
 //!   mitigation (combined with VarSaw in the paper's Section 6.8).
 //!
@@ -39,7 +38,6 @@ pub use bayes::{bayesian_update, reconstruct, ReconstructionConfig};
 pub use counts::Counts;
 pub use jigsaw::JigsawPlan;
 pub use mbm::mbm_correct;
-pub use parallel::Parallelism;
 pub use pmf::Pmf;
 pub use recon::Reconstructor;
 pub use window::{jigsaw_subset_count, sliding_windows};

@@ -1,14 +1,12 @@
 //! Process-wide execution configuration, read from the environment once.
 //!
-//! Four knobs control how the workspace's engines spread work and
+//! Three knobs control how the workspace's engines spread work and
 //! report on themselves:
 //!
 //! - [`NUM_THREADS_ENV`] (`VARSAW_NUM_THREADS`): the worker-thread count
-//!   behind [`crate::num_threads`], shared by the statevector engine, the
-//!   reconstruction engine and [`crate::parallel_map`];
-//! - [`NUM_SHARDS_ENV`] (`VARSAW_NUM_SHARDS`): an override for the
-//!   amplitude-plane shard count behind [`crate::num_shards`], consulted
-//!   by `qsim::shard`'s auto-sizing heuristic;
+//!   behind [`crate::num_threads`], shared by the sharded statevector
+//!   executor (whose shard count follows it), batched preparation and
+//!   [`crate::parallel_map`];
 //! - [`SCHED_WORKERS_ENV`] (`VARSAW_SCHED_WORKERS`): an override for the
 //!   job-scheduler worker count behind [`crate::sched_workers`], consulted
 //!   by `sched::JobQueue` when no explicit worker count is passed;
@@ -33,10 +31,10 @@
 //!
 //! ```
 //! std::env::set_var(parallel::NUM_THREADS_ENV, "3");
-//! std::env::set_var(parallel::NUM_SHARDS_ENV, "4");
+//! std::env::set_var(parallel::SCHED_WORKERS_ENV, "2");
 //! let config = parallel::config::get();
 //! assert_eq!(config.threads, 3);
-//! assert_eq!(config.shards, Some(4));
+//! assert_eq!(config.sched_workers, Some(2));
 //! // Read once: later environment changes are not observed.
 //! std::env::remove_var(parallel::NUM_THREADS_ENV);
 //! assert_eq!(parallel::num_threads(), 3);
@@ -46,11 +44,6 @@ use std::sync::OnceLock;
 
 /// Environment variable overriding the default worker count.
 pub const NUM_THREADS_ENV: &str = "VARSAW_NUM_THREADS";
-
-/// Environment variable overriding the automatic amplitude-plane shard
-/// count (see `qsim::shard`). Values are rounded down to a power of two,
-/// the granularity the shard decomposition supports.
-pub const NUM_SHARDS_ENV: &str = "VARSAW_NUM_SHARDS";
 
 /// Environment variable overriding the job-scheduler worker count (the
 /// threads `sched::JobQueue` drains with when the caller does not pass an
@@ -69,18 +62,12 @@ pub const TELEMETRY_ENV: &str = "VARSAW_TELEMETRY";
 /// environment variable).
 pub const MAX_THREADS: usize = 64;
 
-/// Hard upper bound on the shard-count override (sanity cap for typos).
-pub const MAX_SHARDS: usize = 1 << 12;
-
 /// The resolved execution configuration of this process.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Config {
     /// Worker threads parallel code should use (≥ 1); from
     /// [`NUM_THREADS_ENV`], defaulting to the hardware parallelism.
     pub threads: usize,
-    /// Amplitude-plane shard-count override (a power of two), or `None`
-    /// to let engines size shards automatically; from [`NUM_SHARDS_ENV`].
-    pub shards: Option<usize>,
     /// Job-scheduler worker-count override, or `None` to follow
     /// [`Config::threads`]; from [`SCHED_WORKERS_ENV`].
     pub sched_workers: Option<usize>,
@@ -95,7 +82,6 @@ impl Config {
     /// Pure (no environment access), so rejection behavior is unit-testable.
     fn resolve(
         threads_raw: Option<&str>,
-        shards_raw: Option<&str>,
         sched_raw: Option<&str>,
         telemetry_raw: Option<&str>,
         default_threads: usize,
@@ -113,25 +99,6 @@ impl Config {
             None => default_threads.clamp(1, MAX_THREADS),
         };
 
-        let shards = match parse_count(NUM_SHARDS_ENV, shards_raw, &mut warnings) {
-            Some(n) if n > MAX_SHARDS => {
-                warnings.push(format!(
-                    "{NUM_SHARDS_ENV}={n} exceeds the cap of {MAX_SHARDS}; using {MAX_SHARDS}"
-                ));
-                Some(MAX_SHARDS)
-            }
-            Some(n) if !n.is_power_of_two() => {
-                // Largest power of two <= n (n >= 1 here).
-                let rounded = 1usize << (usize::BITS - 1 - n.leading_zeros());
-                warnings.push(format!(
-                    "{NUM_SHARDS_ENV}={n} is not a power of two; using {rounded}"
-                ));
-                Some(rounded)
-            }
-            Some(n) => Some(n),
-            None => None,
-        };
-
         let sched_workers = match parse_count(SCHED_WORKERS_ENV, sched_raw, &mut warnings) {
             Some(n) if n > MAX_THREADS => {
                 warnings.push(format!(
@@ -147,7 +114,6 @@ impl Config {
         (
             Config {
                 threads,
-                shards,
                 sched_workers,
                 telemetry,
             },
@@ -225,7 +191,6 @@ pub fn get() -> &'static Config {
     static CONFIG: OnceLock<Config> = OnceLock::new();
     CONFIG.get_or_init(|| {
         let threads_raw = std::env::var(NUM_THREADS_ENV).ok();
-        let shards_raw = std::env::var(NUM_SHARDS_ENV).ok();
         let sched_raw = std::env::var(SCHED_WORKERS_ENV).ok();
         let telemetry_raw = std::env::var(TELEMETRY_ENV).ok();
         let default_threads = std::thread::available_parallelism()
@@ -233,7 +198,6 @@ pub fn get() -> &'static Config {
             .unwrap_or(1);
         let (config, warnings) = Config::resolve(
             threads_raw.as_deref(),
-            shards_raw.as_deref(),
             sched_raw.as_deref(),
             telemetry_raw.as_deref(),
             default_threads,
@@ -249,25 +213,23 @@ pub fn get() -> &'static Config {
 mod tests {
     use super::*;
 
-    fn resolve(threads: Option<&str>, shards: Option<&str>) -> (Config, Vec<String>) {
-        resolve_all(threads, shards, None, 4)
+    /// Resolves the thread and scheduler-worker knobs with the telemetry
+    /// switch unset.
+    fn resolve(threads: Option<&str>, sched: Option<&str>) -> (Config, Vec<String>) {
+        resolve_all(threads, sched, 4)
     }
 
-    /// The positional form without the telemetry switch, which stays
-    /// unset.
     fn resolve_all(
         threads: Option<&str>,
-        shards: Option<&str>,
         sched: Option<&str>,
         default_threads: usize,
     ) -> (Config, Vec<String>) {
-        Config::resolve(threads, shards, sched, None, default_threads)
+        Config::resolve(threads, sched, None, default_threads)
     }
 
     fn defaults() -> Config {
         Config {
             threads: 4,
-            shards: None,
             sched_workers: None,
             telemetry: None,
         }
@@ -294,7 +256,7 @@ mod tests {
             c,
             Config {
                 threads: 3,
-                shards: Some(8),
+                sched_workers: Some(8),
                 ..defaults()
             }
         );
@@ -307,7 +269,7 @@ mod tests {
         assert_eq!(c, defaults());
         assert_eq!(w.len(), 2, "one warning per rejected variable: {w:?}");
         assert!(w[0].contains(NUM_THREADS_ENV), "{w:?}");
-        assert!(w[1].contains(NUM_SHARDS_ENV), "{w:?}");
+        assert!(w[1].contains(SCHED_WORKERS_ENV), "{w:?}");
     }
 
     #[test]
@@ -321,36 +283,28 @@ mod tests {
     fn excessive_values_are_capped_with_a_warning() {
         let (c, w) = resolve(Some("9999"), Some("99999"));
         assert_eq!(c.threads, MAX_THREADS);
-        assert_eq!(c.shards, Some(MAX_SHARDS));
+        assert_eq!(c.sched_workers, Some(MAX_THREADS));
         assert_eq!(w.len(), 2);
     }
 
     #[test]
-    fn shard_counts_round_down_to_a_power_of_two() {
-        let (c, w) = resolve(None, Some("6"));
-        assert_eq!(c.shards, Some(4));
-        assert_eq!(w.len(), 1);
-        assert!(w[0].contains("power of two"), "{w:?}");
-    }
-
-    #[test]
     fn default_threads_are_clamped_to_the_cap() {
-        let (c, _) = resolve_all(None, None, None, 1000);
+        let (c, _) = resolve_all(None, None, 1000);
         assert_eq!(c.threads, MAX_THREADS);
-        let (c, _) = resolve_all(None, None, None, 0);
+        let (c, _) = resolve_all(None, None, 0);
         assert_eq!(c.threads, 1);
     }
 
     #[test]
     fn sched_workers_parse_and_cap() {
-        let (c, w) = resolve_all(None, None, Some("3"), 4);
+        let (c, w) = resolve_all(None, Some("3"), 4);
         assert_eq!(c.sched_workers, Some(3));
         assert!(w.is_empty());
-        let (c, w) = resolve_all(None, None, Some("9999"), 4);
+        let (c, w) = resolve_all(None, Some("9999"), 4);
         assert_eq!(c.sched_workers, Some(MAX_THREADS));
         assert_eq!(w.len(), 1);
         assert!(w[0].contains(SCHED_WORKERS_ENV), "{w:?}");
-        let (c, w) = resolve_all(None, None, Some("zero"), 4);
+        let (c, w) = resolve_all(None, Some("zero"), 4);
         assert_eq!(c.sched_workers, None);
         assert_eq!(w.len(), 1);
     }
@@ -367,15 +321,15 @@ mod tests {
             ("off", Some(false)),
             (" no ", Some(false)),
         ] {
-            let (c, w) = Config::resolve(None, None, None, Some(raw), 4);
+            let (c, w) = Config::resolve(None, None, Some(raw), 4);
             assert_eq!(c.telemetry, want, "raw {raw:?}");
             assert!(w.is_empty(), "raw {raw:?}: {w:?}");
         }
-        let (c, w) = Config::resolve(None, None, None, Some("maybe"), 4);
+        let (c, w) = Config::resolve(None, None, Some("maybe"), 4);
         assert_eq!(c.telemetry, None);
         assert_eq!(w.len(), 1, "{w:?}");
         assert!(w[0].contains(TELEMETRY_ENV), "{w:?}");
-        let (c, w) = Config::resolve(None, None, None, Some("  "), 4);
+        let (c, w) = Config::resolve(None, None, Some("  "), 4);
         assert_eq!(c.telemetry, None);
         assert!(w.is_empty());
     }

@@ -11,16 +11,13 @@
 //! Provided here:
 //!
 //! - [`config`]: the process-wide execution configuration, read **once**
-//!   from the environment ([`num_threads`] / [`num_shards`] are the
-//!   convenience accessors, overridable with the `VARSAW_NUM_THREADS` and
-//!   `VARSAW_NUM_SHARDS` environment variables);
+//!   from the environment ([`num_threads`] is the convenience accessor,
+//!   overridable with the `VARSAW_NUM_THREADS` environment variable);
 //! - [`chunk_ranges`] / [`worker_range`]: balanced contiguous index ranges
 //!   for partitioning an array across workers;
 //! - [`scope_workers`]: scoped fan-out of indexed workers (the calling
 //!   thread doubles as worker 0);
 //! - [`for_each_chunk_mut`]: scoped fan-out over disjoint mutable chunks;
-//! - [`SpinBarrier`]: a reusable spin-then-yield barrier for lockstep
-//!   phases inside a [`scope_workers`] call;
 //! - [`parallel_map`]: order-preserving parallel map over a work list.
 //!
 //! # Example
@@ -39,26 +36,24 @@
 
 pub mod config;
 
-pub use config::{
-    warn_once, MAX_SHARDS, MAX_THREADS, NUM_SHARDS_ENV, NUM_THREADS_ENV, SCHED_WORKERS_ENV,
-};
+pub use config::{warn_once, MAX_THREADS, NUM_THREADS_ENV, SCHED_WORKERS_ENV};
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How a parallel kernel spreads its work across threads.
 ///
-/// This is the workspace-wide dispatch seam: the statevector engine
-/// (`qsim::Statevector::apply_circuit_with`, which re-exports this type)
-/// and the Bayesian-reconstruction engine (`mitigation::Reconstructor`)
-/// both take it, so one knob pins serial execution through a whole stack
+/// The statevector executor re-exports this type (`qsim::Parallelism`):
+/// `qsim::shard::shards_and_workers` turns `Threads(w)` into `2^⌊log₂ w⌋`
+/// amplitude shards walked by `w` workers, and `vqe::SimExecutor` applies
+/// that rule when it prepares states. `qsim::Statevector::probabilities_with`
+/// takes it too, so one knob pins serial execution through a whole stack
 /// (e.g. when many executors already run under [`parallel_map`]).
 ///
-/// Each engine interprets the variants against its own cost model:
-/// `Auto` goes threaded only above that engine's amortization threshold,
-/// and `Threads(n)` requests are clamped to whatever partition the engine
-/// can actually hand out. Engines guarantee that the choice never changes
-/// results — serial and threaded paths are bit-identical.
+/// `Auto` goes threaded only above the engine's amortization threshold,
+/// and `Threads(n)` requests are clamped to at most [`MAX_THREADS`]
+/// workers. The choice never changes results: serial and threaded paths
+/// are bit-identical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Parallelism {
     /// Always run the serial kernels on the calling thread.
@@ -66,10 +61,8 @@ pub enum Parallelism {
     /// Pick automatically: threaded with [`num_threads`] workers when the
     /// work is large enough to amortize thread spawns, serial otherwise.
     Auto,
-    /// Request an explicit worker count. Engines clamp the request (the
-    /// statevector engine rounds down to a power of two; the
-    /// reconstruction engine caps at its chunk count); a resulting count
-    /// of one falls back to serial.
+    /// Request an explicit worker count, clamped to [`MAX_THREADS`]; a
+    /// count of one runs serial.
     Threads(usize),
 }
 
@@ -92,23 +85,6 @@ pub enum Parallelism {
 /// ```
 pub fn num_threads() -> usize {
     config::get().threads
-}
-
-/// The amplitude-plane shard-count override (a power of two), or `None`
-/// to let engines size shards automatically.
-///
-/// Resolved from the `VARSAW_NUM_SHARDS` environment variable — read once
-/// per process and cached, invalid values reported (see [`config`]). The
-/// consumer is `qsim::shard`'s auto-sizing heuristic.
-///
-/// # Examples
-///
-/// ```
-/// // Unset in this process: engines size shards automatically.
-/// assert_eq!(parallel::num_shards(), None);
-/// ```
-pub fn num_shards() -> Option<usize> {
-    config::get().shards
 }
 
 /// The worker count job schedulers should drain with: the
@@ -281,84 +257,6 @@ pub fn for_each_chunk_mut<T: Send>(
     });
 }
 
-/// A reusable barrier for lockstep phases between scoped workers.
-///
-/// [`SpinBarrier::wait`] spins briefly and then yields, so it stays cheap
-/// when every worker has its own core and degrades gracefully when the
-/// machine is oversubscribed (e.g. a single-core CI container running many
-/// workers). Unlike [`std::sync::Barrier`] there is no mutex or condvar in
-/// the hot path — the statevector engine crosses a barrier per gate, so
-/// wait latency matters more than idle efficiency.
-///
-/// All memory writes performed by any participating thread before `wait`
-/// are visible to every thread after the corresponding `wait` returns.
-///
-/// # Examples
-///
-/// ```
-/// use parallel::SpinBarrier;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-///
-/// let barrier = SpinBarrier::new(3);
-/// let phase1 = AtomicUsize::new(0);
-/// parallel::scope_workers(3, |_| {
-///     phase1.fetch_add(1, Ordering::Relaxed);
-///     barrier.wait();
-///     // Every worker sees all three phase-1 increments here.
-///     assert_eq!(phase1.load(Ordering::Relaxed), 3);
-/// });
-/// ```
-pub struct SpinBarrier {
-    total: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl SpinBarrier {
-    /// A barrier for `total` participating threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total == 0`.
-    pub fn new(total: usize) -> Self {
-        assert!(total > 0, "barrier needs at least one participant");
-        SpinBarrier {
-            total,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-        }
-    }
-
-    /// The number of participating threads.
-    pub fn participants(&self) -> usize {
-        self.total
-    }
-
-    /// Blocks until all `total` threads have called `wait` for the current
-    /// generation, then releases them together.
-    pub fn wait(&self) {
-        if self.total == 1 {
-            return;
-        }
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            // Last arriver: reset the count, then open the next generation.
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation.fetch_add(1, Ordering::AcqRel);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                spins = spins.wrapping_add(1);
-                if spins < 128 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
 /// Order-preserving parallel map: applies `f` to every item on up to
 /// [`num_threads`] scoped worker threads and collects the results in input
 /// order.
@@ -460,29 +358,6 @@ mod tests {
             }
         });
         assert_eq!(v, vec![9, 9]);
-    }
-
-    #[test]
-    fn spin_barrier_orders_phases() {
-        let workers = 4;
-        let barrier = SpinBarrier::new(workers);
-        let counter = AtomicUsize::new(0);
-        scope_workers(workers, |_| {
-            for round in 1..=5usize {
-                counter.fetch_add(1, Ordering::Relaxed);
-                barrier.wait();
-                assert_eq!(counter.load(Ordering::Relaxed), round * workers);
-                barrier.wait();
-            }
-        });
-    }
-
-    #[test]
-    fn single_thread_barrier_is_free() {
-        let b = SpinBarrier::new(1);
-        b.wait();
-        b.wait();
-        assert_eq!(b.participants(), 1);
     }
 
     #[test]

@@ -328,9 +328,8 @@ impl CircuitStats {
 
     /// The bytes a dense statevector over this circuit's register
     /// occupies (`16 · 2ⁿ`: one [`crate::C64`] per amplitude) — the
-    /// estimate the shard-count heuristic
-    /// (`qsim::shard::auto_shard_count`) and the `Parallelism::Auto`
-    /// dispatch threshold consult before allocating anything.
+    /// estimate admission control (`sched::JobQueue`) consults before
+    /// allocating anything.
     ///
     /// Returned as `u128` so the estimate stays exact for register sizes
     /// far beyond what [`crate::Statevector::try_zero`] can allocate.

@@ -1,91 +1,47 @@
-//! Multi-threaded circuit execution over the dense amplitude array.
+//! Amplitude-slice kernels shared by the dense plane and the shards.
 //!
-//! # Threading model
-//!
-//! Gate kernels are data-parallel: every gate updates disjoint amplitude
-//! pairs that can be partitioned across threads. Spawning threads *per
-//! gate* would cost more than an entire 12-qubit circuit, so the engine
-//! parallelizes at **circuit scope**: [`run_threaded`] spawns `workers`
-//! scoped threads once, walks all gates inside them in lockstep, and joins
-//! at the end. Between gates that touch overlapping regions the workers
-//! cross a [`parallel::SpinBarrier`]; gates confined to each worker's own
-//! contiguous amplitude chunk need no synchronization at all (see below).
-//!
-//! Because the workspace denies `unsafe` code, workers cannot share
-//! `&mut [C64]` slices whose partition changes per gate. Instead the
-//! amplitudes are staged in a shared plane of [`AtomicU64`] bit patterns
-//! (`re`/`im` interleaved): relaxed atomic loads and stores of `f64` bits
-//! compile to plain moves on mainstream targets, every gate's write set is
-//! disjoint across workers by construction, and the barrier provides the
-//! acquire/release edges between gates.
-//!
-//! # Chunking strategy
-//!
-//! The amplitude array of length `2^n` is split into `workers` (a power of
-//! two) contiguous chunks of `2^c` amplitudes, so chunk membership is given
-//! by the top `n − c` bits of a basis index. A gate whose amplitude pairs
-//! differ only in bits below `c` is **chunk-local**: each worker updates
-//! its own chunk and, crucially, runs straight into the next local gate
-//! with no barrier. Gates pairing amplitudes across a high bit are
-//! **cross-chunk**: their pair space is partitioned evenly across workers
-//! by [`parallel::worker_range`], with a barrier before and after.
-//! Controlled gates are classified by where their *pairs* reach, not their
-//! controls — a CX with a high control but low target only swaps within
-//! chunks whose base index has the control bit set, so it stays local, and
-//! a CZ is diagonal and always local.
+//! Every kernel here updates one contiguous amplitude slice in place: a
+//! whole [`Statevector`](crate::Statevector) or one shard of a
+//! [`ShardedState`](crate::ShardedState) whose pair bits are local.
+//! Threads never share a slice; [`crate::shard`] spreads shards (and
+//! sub-slices of exchanged shard pairs) across workers instead.
 //!
 //! # Bit-identical results
 //!
-//! Serial and threaded execution produce bit-identical amplitudes: each
-//! amplitude's new value is a pure elementwise function of its pair
-//! (`pair_update`, shared with the serial kernels), no reductions are
-//! reordered, and the partition only changes *which thread* computes a
-//! value, never the arithmetic. The cross-path property test in
-//! `tests/parallel_equiv.rs` asserts exact equality across qubit counts
-//! 1–12 and thread counts 1–8.
+//! Each amplitude's new value is a pure elementwise function of its pair
+//! or quad ([`pair_update`], [`QuadKernel::apply`]), the two-qubit sparse
+//! ops are exact swaps and negations, and no reduction is reordered. So
+//! which slice or thread runs an update never changes its arithmetic:
+//! dense and sharded execution agree bit for bit
+//! (`tests/shard_equiv.rs`).
 
 use crate::complex::C64;
-use crate::plan::{op_locality, OpLocality, PlanOp};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How [`Statevector::apply_circuit_with`](crate::Statevector::apply_circuit_with)
-/// spreads gate kernels across threads.
+/// How an executor spreads a circuit across threads.
 ///
-/// The enum itself lives in [`parallel`] so the Bayesian-reconstruction
-/// engine in `mitigation` shares the exact same dispatch seam; this
-/// re-export keeps `qsim::Parallelism` working. The engine here rounds
-/// [`Parallelism::Threads`] requests down to a power of two and caps them
-/// so every worker owns at least one amplitude pair; a resulting count of
-/// one falls back to serial.
+/// The enum lives in [`parallel`]; this re-export keeps
+/// `qsim::Parallelism` working. The dense [`Statevector`](crate::Statevector)
+/// plane is serial. Threads run as shards: [`crate::shard::shards_and_workers`]
+/// turns a choice into a shard count and a worker count, and a
+/// [`ShardedState`](crate::ShardedState) spreads its shards across those
+/// workers. Results never depend on the choice.
 ///
 /// # Examples
 ///
 /// ```
-/// use qsim::{Circuit, Parallelism, Statevector};
+/// use qsim::{Circuit, CircuitPlan, Parallelism, ShardedState, Statevector};
 ///
 /// let mut c = Circuit::new(3);
 /// c.h(0).cx(0, 1).cx(1, 2);
+/// let plan = CircuitPlan::compile(&c);
 /// let mut serial = Statevector::zero(3);
-/// serial.apply_circuit_with(&c, Parallelism::Serial);
-/// let mut threaded = Statevector::zero(3);
-/// threaded.apply_circuit_with(&c, Parallelism::Threads(4));
+/// serial.apply_plan(&plan);
+/// let mut threaded = ShardedState::zero(3, 2).with_parallelism(Parallelism::Threads(2));
+/// threaded.apply_plan(&plan);
 /// // Same amplitudes, bit for bit.
-/// assert_eq!(serial.amplitudes(), threaded.amplitudes());
+/// assert_eq!(serial.amplitudes(), threaded.to_statevector().amplitudes());
 /// ```
 pub use parallel::Parallelism;
-
-/// Smallest amplitude-plane size for which [`Parallelism::Auto`] goes
-/// threaded, expressed in bytes of the same estimate
-/// [`crate::CircuitStats::state_bytes`] reports (16 bytes per amplitude:
-/// below 2¹¹ amplitudes — 11 qubits — a whole circuit costs less than
-/// spawning).
-pub(crate) const AUTO_MIN_STATE_BYTES: u128 = (std::mem::size_of::<C64>() as u128) << 11;
-
-/// The dense-plane byte footprint of `dim` amplitudes — the dispatch-side
-/// twin of [`crate::CircuitStats::state_bytes`].
-pub(crate) fn state_bytes_for(dim: usize) -> u128 {
-    dim as u128 * std::mem::size_of::<C64>() as u128
-}
 
 /// The dense-plane byte footprint of an `n`-qubit register, saturating
 /// for register sizes beyond any allocatable plane. The single source
@@ -97,46 +53,8 @@ pub(crate) fn state_bytes_for_qubits(num_qubits: usize) -> u128 {
         .unwrap_or(u128::MAX)
 }
 
-/// Smallest plan op count for which [`Parallelism::Auto`] goes threaded:
-/// spawn cost is amortized over the whole circuit, so very short plans
-/// stay serial. Measured on the compiled plan's *post-fusion* sweep count
-/// (see [`crate::CircuitPlan::op_count`] and [`crate::Circuit::stats`]),
-/// not the raw gate count.
-pub(crate) const AUTO_MIN_OPS: usize = 8;
-
-/// Smallest per-worker chunk [`Parallelism::Auto`] will create. Explicit
-/// [`Parallelism::Threads`] requests may go lower (down to one pair per
-/// worker), which the equivalence tests exploit to cover tiny states.
-const AUTO_MIN_CHUNK: usize = 1 << 10;
-
-/// Hard cap on engine workers: per-gate barriers and per-call spawns stop
-/// paying for themselves beyond this, even on wide machines.
-pub(crate) const MAX_WORKERS: usize = 8;
-
-/// Rounds a worker request down to the largest power of two that keeps at
-/// least one amplitude pair per worker, capped at [`MAX_WORKERS`].
-/// Returns 1 (serial) when the request or the state is too small.
-pub(crate) fn clamp_workers(dim: usize, requested: usize) -> usize {
-    let cap = MAX_WORKERS.min(dim / 2).min(requested);
-    if cap < 2 {
-        1
-    } else {
-        // Largest power of two <= cap.
-        1 << (usize::BITS - 1 - cap.leading_zeros())
-    }
-}
-
-/// The worker count [`Parallelism::Auto`] selects for a state of `dim`
-/// amplitudes and a compiled plan of `ops` full-state sweeps.
-pub(crate) fn auto_workers(dim: usize, ops: usize) -> usize {
-    if state_bytes_for(dim) < AUTO_MIN_STATE_BYTES || ops < AUTO_MIN_OPS {
-        return 1;
-    }
-    clamp_workers(dim, parallel::num_threads().min(dim / AUTO_MIN_CHUNK))
-}
-
 /// New values of an amplitude pair under a single-qubit matrix. Shared by
-/// the serial and threaded kernels so both paths perform the exact same
+/// the dense and sharded kernels so both paths perform the exact same
 /// floating-point operations (bit-identical results).
 #[inline]
 pub(crate) fn pair_update(m: &[[C64; 2]; 2], a0: C64, a1: C64) -> (C64, C64) {
@@ -144,9 +62,10 @@ pub(crate) fn pair_update(m: &[[C64; 2]; 2], a0: C64, a1: C64) -> (C64, C64) {
 }
 
 /// New values of a pair-basis amplitude quad under a 4×4 block matrix.
-/// Shared by the serial, threaded, and sharded [`PlanOp::Block4`]
-/// kernels so all three tiers perform the exact same floating-point
-/// operations (bit-identical results).
+/// Shared by the dense and sharded
+/// [`PlanOp::Block4`](crate::plan::PlanOp::Block4) kernels so both tiers
+/// perform the exact same floating-point operations (bit-identical
+/// results).
 ///
 /// The accumulation tree is the fixed pairing `(t0 + t3) + (t1 + t2)`,
 /// not left-to-right. A shard-layout remap that flips a block's pair
@@ -185,8 +104,9 @@ pub(crate) fn sparse2_update(
     out
 }
 
-/// Per-pass classification of a bound [`PlanOp::Block4`] matrix by its
-/// nonzero pattern, shared by the serial, threaded, and sharded kernels.
+/// Per-pass classification of a bound
+/// [`PlanOp::Block4`](crate::plan::PlanOp::Block4) matrix by its nonzero
+/// pattern, shared by the dense and sharded kernels.
 ///
 /// Entangler blocks frequently bind matrices that are at least half
 /// zeros (a CX times a `R ⊗ I` rotation sandwich has two nonzeros per
@@ -486,239 +406,12 @@ pub(crate) fn insert_zero_bits(p: usize, lo: usize, hi: usize) -> usize {
     insert_zero_bit(insert_zero_bit(p, lo), hi)
 }
 
-/// Whether a plan op's amplitude *pairs* reach across a
-/// `2^chunk_bits`-amplitude chunk — the boolean view of the shared
-/// [`op_locality`] classifier (the sharded executor additionally splits
-/// the crossing case into elementwise exchanges and plane swaps; for the
-/// worker engine both partition the global pair space the same way).
-fn crosses_chunks(op: &PlanOp, chunk_bits: usize) -> bool {
-    op_locality(op, chunk_bits) != OpLocality::Local
-}
-
-/// The shared amplitude plane: `re`/`im` of amplitude `i` live at atomic
-/// words `2i` and `2i+1` as `f64` bit patterns. Relaxed ordering suffices
-/// because every gate's write set is disjoint across workers and the
-/// inter-gate barrier provides the acquire/release edges.
-struct SharedAmps<'a> {
-    bits: &'a [AtomicU64],
-}
-
-impl SharedAmps<'_> {
-    #[inline]
-    fn load(&self, i: usize) -> C64 {
-        C64::new(
-            f64::from_bits(self.bits[2 * i].load(Ordering::Relaxed)),
-            f64::from_bits(self.bits[2 * i + 1].load(Ordering::Relaxed)),
-        )
-    }
-
-    #[inline]
-    fn store(&self, i: usize, v: C64) {
-        self.bits[2 * i].store(v.re.to_bits(), Ordering::Relaxed);
-        self.bits[2 * i + 1].store(v.im.to_bits(), Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn swap(&self, i: usize, j: usize) {
-        let (a, b) = (self.load(i), self.load(j));
-        self.store(i, b);
-        self.store(j, a);
-    }
-
-    #[inline]
-    fn negate(&self, i: usize) {
-        let a = self.load(i);
-        self.store(i, -a);
-    }
-}
-
-/// Executes a compiled plan's `ops` over `amps` with `workers` scoped
-/// threads.
-///
-/// Caller guarantees: `workers` is a power of two, `2 <= workers <=
-/// amps.len() / 2`, and every op qubit is in range for the state.
-pub(crate) fn run_threaded(amps: &mut [C64], ops: &[PlanOp], workers: usize) {
-    let dim = amps.len();
-    debug_assert!(workers.is_power_of_two() && workers >= 2 && workers <= dim / 2);
-    let chunk = dim / workers;
-    let chunk_bits = chunk.trailing_zeros() as usize;
-
-    let cross: Vec<bool> = ops
-        .iter()
-        .map(|op| crosses_chunks(op, chunk_bits))
-        .collect();
-
-    // Stage the amplitudes into the shared atomic plane.
-    let plane: Vec<AtomicU64> = amps
-        .iter()
-        .flat_map(|a| {
-            [
-                AtomicU64::new(a.re.to_bits()),
-                AtomicU64::new(a.im.to_bits()),
-            ]
-        })
-        .collect();
-    let shared = SharedAmps { bits: &plane };
-    let barrier = parallel::SpinBarrier::new(workers);
-
-    parallel::scope_workers(workers, |w| {
-        let base = w * chunk;
-        for (k, op) in ops.iter().enumerate() {
-            // A barrier is needed whenever ownership hands over: entering,
-            // leaving, or staying in cross-chunk partitioning. Runs of
-            // chunk-local ops synchronize nothing.
-            if k > 0 && (cross[k] || cross[k - 1]) {
-                barrier.wait();
-            }
-            if cross[k] {
-                apply_cross(&shared, op, dim, workers, w);
-            } else {
-                apply_local(&shared, op, base, chunk);
-            }
-        }
-    });
-
-    for (i, a) in amps.iter_mut().enumerate() {
-        *a = shared.load(i);
-    }
-}
-
-/// Applies a chunk-local op over this worker's own amplitudes
-/// `[base, base + chunk)`. All pair indices stay inside the chunk; qubits
-/// at or above the chunk boundary can only appear as control/phase
-/// conditions, which select whole chunks via `base`.
-fn apply_local(shared: &SharedAmps<'_>, op: &PlanOp, base: usize, chunk: usize) {
-    let chunk_bits = chunk.trailing_zeros() as usize;
-    match *op {
-        PlanOp::OneQ { q, m } => {
-            let mask = 1 << q;
-            for p in 0..chunk / 2 {
-                let i = base + insert_zero_bit(p, q);
-                let (a0, a1) = (shared.load(i), shared.load(i | mask));
-                let (b0, b1) = pair_update(&m, a0, a1);
-                shared.store(i, b0);
-                shared.store(i | mask, b1);
-            }
-        }
-        PlanOp::Cx { control, target } => {
-            let tmask = 1 << target;
-            if control < chunk_bits {
-                let cmask = 1 << control;
-                let (lo, hi) = (control.min(target), control.max(target));
-                for p in 0..chunk / 4 {
-                    let i = (base + insert_zero_bits(p, lo, hi)) | cmask;
-                    shared.swap(i, i | tmask);
-                }
-            } else if base & (1 << control) != 0 {
-                // High control: this whole chunk is in the controlled
-                // subspace; apply X on the target within it.
-                for p in 0..chunk / 2 {
-                    let i = base + insert_zero_bit(p, target);
-                    shared.swap(i, i | tmask);
-                }
-            }
-        }
-        PlanOp::Cz { lo, hi } => {
-            let (lomask, himask) = (1usize << lo, 1usize << hi);
-            if hi < chunk_bits {
-                for p in 0..chunk / 4 {
-                    shared.negate((base + insert_zero_bits(p, lo, hi)) | lomask | himask);
-                }
-            } else if lo < chunk_bits {
-                if base & himask != 0 {
-                    for p in 0..chunk / 2 {
-                        shared.negate((base + insert_zero_bit(p, lo)) | lomask);
-                    }
-                }
-            } else if base & lomask != 0 && base & himask != 0 {
-                for i in base..base + chunk {
-                    shared.negate(i);
-                }
-            }
-        }
-        PlanOp::Swap { lo, hi } => {
-            let (lomask, himask) = (1usize << lo, 1usize << hi);
-            for p in 0..chunk / 4 {
-                let i0 = base + insert_zero_bits(p, lo, hi);
-                shared.swap(i0 | lomask, i0 | himask);
-            }
-        }
-        PlanOp::Block4 { lo, hi, ref m } => {
-            let k = QuadKernel::of(m);
-            let (lomask, himask) = (1usize << lo, 1usize << hi);
-            for p in 0..chunk / 4 {
-                let i0 = base + insert_zero_bits(p, lo, hi);
-                block4_update(shared, &k, i0, lomask, himask);
-            }
-        }
-    }
-}
-
-/// Loads one pair-basis quad from the shared plane, applies the
-/// classified block kernel, and stores it back.
-#[inline]
-fn block4_update(shared: &SharedAmps<'_>, k: &QuadKernel, i0: usize, lomask: usize, himask: usize) {
-    let a = [
-        shared.load(i0),
-        shared.load(i0 | lomask),
-        shared.load(i0 | himask),
-        shared.load(i0 | lomask | himask),
-    ];
-    let b = k.apply(a);
-    shared.store(i0, b[0]);
-    shared.store(i0 | lomask, b[1]);
-    shared.store(i0 | himask, b[2]);
-    shared.store(i0 | lomask | himask, b[3]);
-}
-
-/// Applies a cross-chunk op over this worker's share of the gate's global
-/// pair space. The pair-index → amplitude-index expansion is injective, so
-/// worker shares never touch the same amplitude.
-fn apply_cross(shared: &SharedAmps<'_>, op: &PlanOp, dim: usize, workers: usize, w: usize) {
-    match *op {
-        PlanOp::OneQ { q, m } => {
-            let mask = 1 << q;
-            for p in parallel::worker_range(dim / 2, workers, w) {
-                let i = insert_zero_bit(p, q);
-                let (a0, a1) = (shared.load(i), shared.load(i | mask));
-                let (b0, b1) = pair_update(&m, a0, a1);
-                shared.store(i, b0);
-                shared.store(i | mask, b1);
-            }
-        }
-        PlanOp::Cx { control, target } => {
-            let (cmask, tmask) = (1usize << control, 1usize << target);
-            let (lo, hi) = (control.min(target), control.max(target));
-            for p in parallel::worker_range(dim / 4, workers, w) {
-                let i = insert_zero_bits(p, lo, hi) | cmask;
-                shared.swap(i, i | tmask);
-            }
-        }
-        // CZ is diagonal and therefore always chunk-local.
-        PlanOp::Cz { .. } => unreachable!("CZ never crosses chunks"),
-        PlanOp::Swap { lo, hi } => {
-            let (lomask, himask) = (1usize << lo, 1usize << hi);
-            for p in parallel::worker_range(dim / 4, workers, w) {
-                let i0 = insert_zero_bits(p, lo, hi);
-                shared.swap(i0 | lomask, i0 | himask);
-            }
-        }
-        PlanOp::Block4 { lo, hi, ref m } => {
-            let k = QuadKernel::of(m);
-            let (lomask, himask) = (1usize << lo, 1usize << hi);
-            for p in parallel::worker_range(dim / 4, workers, w) {
-                let i0 = insert_zero_bits(p, lo, hi);
-                block4_update(shared, &k, i0, lomask, himask);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::circuit::Circuit;
     use crate::plan::CircuitPlan;
+    use crate::shard::{shards_and_workers, ShardedState};
     use crate::state::Statevector;
 
     #[test]
@@ -744,29 +437,20 @@ mod tests {
     }
 
     #[test]
-    fn clamp_workers_rounds_down_to_power_of_two() {
-        assert_eq!(clamp_workers(4096, 1), 1);
-        assert_eq!(clamp_workers(4096, 2), 2);
-        assert_eq!(clamp_workers(4096, 3), 2);
-        assert_eq!(clamp_workers(4096, 6), 4);
-        assert_eq!(clamp_workers(4096, 8), 8);
-        assert_eq!(clamp_workers(4096, 100), 8, "hard cap");
-        assert_eq!(clamp_workers(4, 8), 2, "at most one pair per worker");
-        assert_eq!(clamp_workers(2, 8), 1, "too small to split");
-    }
-
-    #[test]
     fn auto_stays_serial_for_small_states_and_short_circuits() {
-        assert_eq!(auto_workers(1 << 10, 100), 1, "state too small");
-        assert_eq!(auto_workers(1 << 12, 3), 1, "circuit too short");
+        assert_eq!(shards_and_workers(Parallelism::Auto, 11, 100), (1, 1));
+        assert_eq!(shards_and_workers(Parallelism::Auto, 12, 3), (1, 1));
+        let (shards, workers) = shards_and_workers(Parallelism::Auto, 12, 100);
+        assert_eq!(workers, parallel::num_threads());
+        assert!(shards.is_power_of_two() && shards <= workers);
     }
 
     #[test]
     fn threaded_matches_serial_on_a_dense_circuit() {
         // Touches every kernel: rotations on low and high qubits, CX in
-        // all control/target orientations, CZ and SWAP across the chunk
-        // boundary. With 4 workers on 5 qubits the chunk is 8 amplitudes
-        // (bits 0-2 local, 3-4 cross).
+        // all control/target orientations, CZ and SWAP across the shard
+        // boundary. With 4 shards on 5 qubits each shard holds 8
+        // amplitudes (bits 0-2 local, 3-4 global).
         let n = 5;
         let mut c = Circuit::new(n);
         for q in 0..n {
@@ -779,12 +463,13 @@ mod tests {
         let mut serial = Statevector::zero(n);
         serial.apply_plan(&plan);
         for workers in [2usize, 4, 8] {
-            let mut threaded = Statevector::zero(n);
-            let w = clamp_workers(threaded.amplitudes().len(), workers);
-            run_threaded(threaded.amplitudes_mut(), plan.ops(), w);
+            let mode = Parallelism::Threads(workers);
+            let (shards, _) = shards_and_workers(mode, n, plan.op_count());
+            let mut threaded = ShardedState::zero(n, shards).with_parallelism(mode);
+            threaded.apply_plan(&plan);
             assert_eq!(
                 serial.amplitudes(),
-                threaded.amplitudes(),
+                threaded.to_statevector().amplitudes(),
                 "{workers} workers"
             );
         }

@@ -15,18 +15,19 @@
 //!   sandwiches collapse into single 4×4 block sweeps, and the
 //!   parameter-free analysis is cached by circuit structure so repeated
 //!   ansatz executions only rebind angles (see [`plan`]),
-//! - [`Parallelism`]: serial vs multi-threaded circuit execution — large
-//!   states run the gate kernels on scoped threads (bit-identical to the
-//!   serial path, which consumes the same compiled plan; worker count
-//!   controlled by the `VARSAW_NUM_THREADS` environment variable via
-//!   [`parallel::num_threads`]),
-//! - [`ShardedState`] / [`Sharding`]: sharded amplitude-plane execution —
-//!   the plane splits into contiguous shards keyed by the top qubit bits,
+//! - [`ShardedState`]: sharded amplitude-plane execution, and the only
+//!   threaded one — the plane splits into contiguous shards keyed by the
+//!   top qubit bits,
 //!   local ops run shard-parallel with no communication, global-qubit ops
 //!   go through explicit pairwise shard exchanges or O(1) plane swaps,
 //!   and a plan-analysis pass ([`plan::ShardPlan`]) remaps hot qubits
-//!   local first (bit-identical to the dense paths; see [`shard`]);
+//!   local first (bit-identical to the dense plane; see [`shard`]);
 //!   movement tallies accumulate in [`ShardCounters`],
+//! - [`Parallelism`]: serial vs threaded execution —
+//!   [`shard::shards_and_workers`] turns `Threads(w)` into `2^⌊log₂ w⌋`
+//!   shards × `w` workers (worker count for `Auto` from the
+//!   `VARSAW_NUM_THREADS` environment variable via
+//!   [`parallel::num_threads`]),
 //! - [`sample_counts`] / [`sample_counts_many`]: seeded shot sampling,
 //!   serial and batched-parallel,
 //! - [`lowest_eigenvalue`]: matrix-free Lanczos for exact reference
@@ -69,5 +70,5 @@ pub use linalg::{lowest_eigenvalue, smallest_tridiagonal_eigenvalue, HermitianOp
 pub use plan::{CircuitPlan, PlanCache, ShardPlan, SharedPlanCache};
 pub use qasm::to_qasm;
 pub use sampler::{sample_counts, sample_counts_many, sample_index};
-pub use shard::{ShardCounters, ShardedState, Sharding};
+pub use shard::{ShardCounters, ShardedState};
 pub use state::{CapacityError, Statevector};

@@ -6,16 +6,15 @@
 //! perturbation pairs, subset evaluations, MBM circuits — with identical
 //! structure and only rotated parameters. Executing the raw gate list
 //! walks the full amplitude array once per gate; EfficientSU2's adjacent
-//! Ry·Rz rotation layers alone double the number of full-state sweeps
-//! (and, in the threaded engine, per-gate worker barriers).
+//! Ry·Rz rotation layers alone double the number of full-state sweeps.
 //!
 //! [`CircuitPlan::compile`] scans a [`Circuit`] once and lowers it to a
 //! flat op list:
 //!
 //! - **Adjacent-run fusion.** A maximal run of single-qubit gates on one
 //!   qubit becomes a single one-qubit op whose 2×2 matrix is the
-//!   product of the run's [`Gate::matrix`] values — one state sweep (and
-//!   one barrier region) instead of `k`.
+//!   product of the run's [`Gate::matrix`] values — one state sweep
+//!   instead of `k`.
 //! - **Diagonal folding.** A pending run whose product is diagonal
 //!   (Rz/Z/S/S†/T/T†) commutes with CZ on either qubit and with the
 //!   *control* side of CX, so it is folded through the entangler and keeps
@@ -29,7 +28,7 @@
 //!   skips the pass).
 //!
 //! Fusing changes amplitude *bit patterns* (one rounded matrix product
-//! instead of two rounded sweeps), so serial and threaded execution must
+//! instead of two rounded sweeps), so dense and sharded execution must
 //! consume the **same plan** — both do, and are bit-identical to each
 //! other (see `tests/fusion_equiv.rs`); fused-vs-unfused agreement is a
 //! `1e-12`-tolerance property, not bitwise.
@@ -539,8 +538,8 @@ fn matmul2(a: &[[C64; 2]; 2], b: &[[C64; 2]; 2]) -> [[C64; 2]; 2] {
 }
 
 /// A compiled, parameter-bound execution plan: the flat op list both the
-/// serial path ([`crate::Statevector::apply_plan`]) and the threaded
-/// engine execute. See the [module docs](self) for what compilation does.
+/// dense plane ([`crate::Statevector::apply_plan`]) and the sharded
+/// executor ([`crate::ShardedState::apply_plan`]) execute. See the [module docs](self) for what compilation does.
 #[derive(Clone, Debug)]
 pub struct CircuitPlan {
     structure: Arc<PlanStructure>,
@@ -601,9 +600,9 @@ impl CircuitPlan {
         self.structure.num_qubits
     }
 
-    /// The number of lowered ops — the full-state sweeps (and threaded
-    /// barrier regions) one execution costs. The parallel dispatch
-    /// heuristics weigh this, not the raw gate count.
+    /// The number of lowered ops — the full-state sweeps one execution
+    /// costs. [`crate::shard::shards_and_workers`] weighs this, not the
+    /// raw gate count.
     pub fn op_count(&self) -> usize {
         self.ops.len()
     }
@@ -657,8 +656,7 @@ impl CircuitPlan {
 
 /// How a [`PlanOp`]'s amplitude pairs relate to a contiguous power-of-two
 /// partition of the amplitude plane into blocks of `2^bits` amplitudes —
-/// the shard decomposition of `qsim::shard`, and equally the worker
-/// chunks of the threaded engine. Controlled gates are classified by
+/// the shard decomposition of `qsim::shard`. Controlled gates are classified by
 /// where their *pairs* reach, not their controls: a CX with a high
 /// control but low target only swaps within blocks whose base index has
 /// the control bit set, and CZ is diagonal, pairing nothing at all.

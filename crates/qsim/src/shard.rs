@@ -44,13 +44,22 @@
 //! handles in O(1). Movement tallies accumulate in
 //! [`ShardedState::shard_stats`].
 //!
+//! # Threads are shards
+//!
+//! The dense [`Statevector`] plane is serial. Threads run through this
+//! module: [`shards_and_workers`] turns a [`Parallelism`] choice into
+//! `2^⌊log₂ w⌋` shards walked by `w` workers, so shard-local runs go
+//! shard-parallel on the plain slice kernels, with no barrier between
+//! ops. Executors apply that rule to states they prepare from `|0…0⟩`,
+//! which adopt an exchange-minimizing layout.
+//!
 //! # Bit-identical results
 //!
 //! Sharded execution performs the exact same floating-point operations
-//! per logical amplitude as the serial and threaded planes — the kernels
+//! per logical amplitude as the dense plane — the kernels
 //! share `pair_update`, the two-qubit ops are exact swaps/negations, and
 //! the layout only changes *where* an amplitude is stored, never its
-//! arithmetic — so [`ShardedState::to_statevector`] equals the serial
+//! arithmetic — so [`ShardedState::to_statevector`] equals the dense
 //! result **bit for bit** (property-tested across shard × thread grids in
 //! `tests/shard_equiv.rs`).
 //!
@@ -71,57 +80,67 @@
 //! assert_eq!(sharded.to_statevector().amplitudes(), serial.amplitudes());
 //! ```
 
-use crate::circuit::CircuitStats;
 use crate::complex::C64;
 use crate::exec::{self, Parallelism, QuadKernel};
 use crate::plan::{check_shards, CircuitPlan, PlanOp, ShardPlan, ShardStep};
 use crate::state::{CapacityError, Statevector};
 
-/// How an executor decomposes statevector simulation across amplitude
-/// shards (the `qsim`-level twin of [`Parallelism`]: shards decide the
-/// memory partition, parallelism decides the threads that walk it).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Sharding {
-    /// Always simulate on the single dense plane.
-    Off,
-    /// Shard automatically when the register is large enough:
-    /// [`auto_shard_count`] consults the circuit's
-    /// [`state_bytes`](CircuitStats::state_bytes) estimate and the
-    /// `VARSAW_NUM_SHARDS` override ([`parallel::num_shards`]).
-    Auto,
-    /// Request an explicit shard count (a power of two).
-    Shards(usize),
-}
+/// Smallest register for which [`Parallelism::Auto`] goes threaded: 2¹²
+/// amplitudes. Below that a whole circuit on the dense plane costs less
+/// than spawning workers and exchanging shards.
+const AUTO_MIN_QUBITS: usize = 12;
 
-/// Ceiling on one shard's amplitude storage under [`Sharding::Auto`]:
-/// 4 MiB (2¹⁸ amplitudes) — small enough that a run of local ops on one
-/// shard stays in cache, large enough that exchange steps stay rare.
-pub(crate) const AUTO_SHARD_BYTES: u128 = 4 << 20;
+/// Smallest plan op count for which [`Parallelism::Auto`] goes threaded:
+/// spawn cost is amortized over the whole circuit, so very short plans
+/// stay serial. Measured on the compiled plan's *post-fusion* sweep count
+/// (see [`CircuitPlan::op_count`] and [`crate::Circuit::stats`]), not the
+/// raw gate count.
+const AUTO_MIN_OPS: usize = 8;
 
-/// Cap on the automatically chosen shard count.
-const AUTO_MAX_SHARDS: usize = 64;
-
-/// The shard count [`Sharding::Auto`] selects for a circuit with the
-/// given [`Circuit::stats`](crate::Circuit::stats): the `VARSAW_NUM_SHARDS`
-/// override when set (clamped to the register), otherwise the smallest
-/// power of two keeping each shard at or under the 4 MiB auto-shard
-/// ceiling (so ≤ 18-qubit states stay on one plane).
+/// The one rule that turns a [`Parallelism`] choice into an execution
+/// shape for a `num_qubits`-qubit plan of `ops` sweeps prepared from
+/// `|0…0⟩`: `(shards, workers)`, where `(1, 1)` means the serial dense
+/// plane.
+///
+/// - `Serial` is the dense plane.
+/// - `Threads(w)` is `2^⌊log₂ w⌋` shards walked by `w` workers, with `w`
+///   clamped to [`parallel::MAX_THREADS`] and the shard count to the
+///   amplitude count.
+/// - `Auto` is `Threads(`[`parallel::num_threads`]`())` from 2¹²
+///   amplitudes and 8 plan ops up, and the dense plane below either.
+///
+/// # Panics
+///
+/// Panics if `Parallelism::Threads(0)` is requested.
 ///
 /// ```
-/// use qsim::{shard::auto_shard_count, Circuit};
-/// assert_eq!(auto_shard_count(&Circuit::new(12).stats()), 1);
-/// assert_eq!(auto_shard_count(&Circuit::new(20).stats()), 4);
+/// use qsim::{shard::shards_and_workers, Parallelism};
+/// assert_eq!(shards_and_workers(Parallelism::Serial, 20, 100), (1, 1));
+/// assert_eq!(shards_and_workers(Parallelism::Threads(6), 12, 100), (4, 6));
+/// // Never more shards than amplitudes.
+/// assert_eq!(shards_and_workers(Parallelism::Threads(8), 1, 100), (2, 8));
+/// // Too small for Auto to thread.
+/// assert_eq!(shards_and_workers(Parallelism::Auto, 11, 100), (1, 1));
 /// ```
-pub fn auto_shard_count(stats: &CircuitStats) -> usize {
-    let max = 1usize << stats.num_qubits.min(30);
-    if let Some(s) = parallel::num_shards() {
-        return s.min(max);
-    }
-    let mut shards = 1usize;
-    while shards < AUTO_MAX_SHARDS && stats.state_bytes() / (shards as u128) > AUTO_SHARD_BYTES {
-        shards *= 2;
-    }
-    shards.min(max)
+pub fn shards_and_workers(mode: Parallelism, num_qubits: usize, ops: usize) -> (usize, usize) {
+    let workers = match mode {
+        Parallelism::Serial => 1,
+        Parallelism::Threads(n) => {
+            assert!(n > 0, "Parallelism::Threads needs at least one thread");
+            n.min(parallel::MAX_THREADS)
+        }
+        Parallelism::Auto => {
+            if num_qubits < AUTO_MIN_QUBITS || ops < AUTO_MIN_OPS {
+                1
+            } else {
+                parallel::num_threads()
+            }
+        }
+    };
+    // Largest power of two <= workers, then at most one amplitude per
+    // shard.
+    let shards = 1usize << (usize::BITS - 1 - workers.leading_zeros());
+    (shards.min(1 << num_qubits.min(30)), workers)
 }
 
 /// Movement tallies a [`ShardedState`] accumulates across every plan it
@@ -246,9 +265,12 @@ impl ShardedState {
         }
     }
 
-    /// Sets how execution spreads shard work across threads (default
-    /// [`Parallelism::Auto`]). Like the dense engines, the choice never
-    /// changes results — all paths are bit-identical.
+    /// Sets how many workers walk the shards (default
+    /// [`Parallelism::Auto`]), resolved per applied plan by
+    /// [`shards_and_workers`]: `Threads(n)` is clamped to
+    /// [`parallel::MAX_THREADS`], and `Auto` stays on one thread below
+    /// its size and op-count thresholds. The choice never changes
+    /// results.
     pub fn with_parallelism(mut self, mode: Parallelism) -> Self {
         self.parallelism = mode;
         self
@@ -331,7 +353,8 @@ impl ShardedState {
             self.layout.copy_from_slice(sp.layout());
             self.dirty = true;
         }
-        let workers = self.workers();
+        let ops = sp.local_count() + sp.exchange_count() + sp.plane_swap_count();
+        let (_, workers) = shards_and_workers(self.parallelism, self.num_qubits, ops);
         let local_bits = self.local_bits;
         for step in sp.steps() {
             match step {
@@ -354,25 +377,6 @@ impl ShardedState {
                     let _span = telemetry::span(telemetry::Stage::TransportPlaneSwap);
                     let swaps = plane_swap_pairs(op, local_bits, self.shards.len());
                     self.plane_swap(&swaps);
-                }
-            }
-        }
-    }
-
-    /// The worker count the parallelism mode yields for this state.
-    fn workers(&self) -> usize {
-        match self.parallelism {
-            Parallelism::Serial => 1,
-            Parallelism::Threads(n) => {
-                assert!(n > 0, "Parallelism::Threads needs at least one thread");
-                n
-            }
-            Parallelism::Auto => {
-                let dim = self.shards.len() << self.local_bits;
-                if exec::state_bytes_for(dim) < exec::AUTO_MIN_STATE_BYTES {
-                    1
-                } else {
-                    parallel::num_threads()
                 }
             }
         }
@@ -938,13 +942,20 @@ mod tests {
     }
 
     #[test]
-    fn auto_shard_count_scales_with_state_bytes() {
-        assert_eq!(auto_shard_count(&Circuit::new(4).stats()), 1);
-        assert_eq!(auto_shard_count(&Circuit::new(18).stats()), 1);
-        assert_eq!(auto_shard_count(&Circuit::new(19).stats()), 2);
-        assert_eq!(auto_shard_count(&Circuit::new(20).stats()), 4);
-        // Never more shards than amplitudes.
-        assert!(auto_shard_count(&Circuit::new(1).stats()) <= 2);
+    fn threads_become_power_of_two_shards() {
+        for (threads, shards) in [(1, 1), (2, 2), (3, 2), (6, 4), (8, 8), (9, 8)] {
+            assert_eq!(
+                shards_and_workers(Parallelism::Threads(threads), 12, 1),
+                (shards, threads)
+            );
+        }
+        let cap = parallel::MAX_THREADS;
+        assert_eq!(
+            shards_and_workers(Parallelism::Threads(1 << 20), 12, 1),
+            (cap.min(1 << 12), cap),
+            "workers clamp to MAX_THREADS"
+        );
+        assert_eq!(shards_and_workers(Parallelism::Threads(8), 2, 1), (4, 8));
     }
 
     #[test]

@@ -12,6 +12,9 @@ use std::fmt;
 /// amortize the thread spawns.
 const PROBS_PARALLEL_MIN_AMPS: usize = 1 << 16;
 
+/// Cap on the threads of the elementwise probability pass.
+const PROBS_MAX_WORKERS: usize = 8;
+
 /// A dense amplitude plane cannot be allocated: the register is beyond
 /// the representation limit, or the allocator refused the reservation.
 /// Returned by [`Statevector::try_zero`] (and the sharded allocator,
@@ -199,26 +202,11 @@ impl Statevector {
         }
     }
 
-    /// Applies `circuit` through a freshly compiled
-    /// [`CircuitPlan`] (gate fusion — see [`crate::plan`]), choosing
-    /// serial or multi-threaded execution automatically
-    /// ([`Parallelism::Auto`]) — see [`Statevector::apply_circuit_with`].
-    ///
-    /// Both execution paths consume the same plan and produce
-    /// **bit-identical** amplitudes, so the choice never changes results,
-    /// only wall-clock time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit has more qubits than the state.
-    pub fn apply_circuit(&mut self, circuit: &Circuit) {
-        self.apply_circuit_with(circuit, Parallelism::Auto);
-    }
-
-    /// Compiles `circuit` into a fused [`CircuitPlan`] and executes it on
-    /// the calling thread, regardless of state size or thread settings.
-    /// This is the reference path the threaded engine is tested against —
-    /// both execute the *same* plan, so they agree bit for bit.
+    /// Compiles `circuit` into a fused [`CircuitPlan`] (see
+    /// [`crate::plan`]) and executes it on the calling thread. Callers
+    /// that want threads prepare through a
+    /// [`ShardedState`](crate::ShardedState) instead; it runs the same
+    /// plan to the same bits.
     ///
     /// For the unfused gate-by-gate reference (different bit patterns, the
     /// same state to `1e-12`), see [`Statevector::apply_circuit_unfused`].
@@ -226,16 +214,7 @@ impl Statevector {
     /// # Panics
     ///
     /// Panics if the circuit has more qubits than the state.
-    ///
-    /// ```
-    /// use qsim::{Circuit, Statevector};
-    /// let mut c = Circuit::new(2);
-    /// c.h(0).cx(0, 1);
-    /// let mut psi = Statevector::zero(2);
-    /// psi.apply_circuit_serial(&c);
-    /// assert!((psi.probabilities()[0b11] - 0.5).abs() < 1e-12);
-    /// ```
-    pub fn apply_circuit_serial(&mut self, circuit: &Circuit) {
+    pub fn apply_circuit(&mut self, circuit: &Circuit) {
         self.apply_plan(&CircuitPlan::compile(circuit));
     }
 
@@ -254,35 +233,6 @@ impl Statevector {
         }
     }
 
-    /// Applies `circuit` with an explicit [`Parallelism`] choice, through
-    /// a freshly compiled [`CircuitPlan`].
-    ///
-    /// [`Parallelism::Threads`] requests are rounded down to a power of
-    /// two and capped so every worker owns at least one amplitude pair; a
-    /// resulting worker count of one runs the serial path. Serial and
-    /// threaded execution consume the same plan and produce bit-identical
-    /// amplitudes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit has more qubits than the state, or if
-    /// `Parallelism::Threads(0)` is requested.
-    ///
-    /// ```
-    /// use qsim::{Circuit, Parallelism, Statevector};
-    /// let mut c = Circuit::new(3);
-    /// c.h(0).cx(0, 1).cx(1, 2);
-    /// let mut a = Statevector::zero(3);
-    /// a.apply_circuit_with(&c, Parallelism::Threads(2));
-    /// let mut b = Statevector::zero(3);
-    /// b.apply_circuit_with(&c, Parallelism::Serial);
-    /// assert_eq!(a.amplitudes(), b.amplitudes());
-    /// ```
-    pub fn apply_circuit_with(&mut self, circuit: &Circuit, mode: Parallelism) {
-        self.check_circuit(circuit);
-        self.apply_plan_with(&CircuitPlan::compile(circuit), mode);
-    }
-
     /// Executes a compiled plan on the calling thread. Callers that run
     /// one circuit structure many times should compile (or cache — see
     /// [`crate::PlanCache`]) the plan once and use this.
@@ -298,54 +248,12 @@ impl Statevector {
         }
     }
 
-    /// Executes a compiled plan with an explicit [`Parallelism`] choice.
-    /// The serial and threaded paths consume the same op list and produce
-    /// bit-identical amplitudes; [`Parallelism::Auto`] weighs the plan's
-    /// post-fusion op count, not the source gate count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan has more qubits than the state, or if
-    /// `Parallelism::Threads(0)` is requested.
-    ///
-    /// ```
-    /// use qsim::{Circuit, CircuitPlan, Parallelism, Statevector};
-    /// let mut c = Circuit::new(3);
-    /// c.ry(0, 0.3).rz(0, 0.4).cx(0, 1).cx(1, 2);
-    /// let plan = CircuitPlan::compile(&c);
-    /// let mut a = Statevector::zero(3);
-    /// a.apply_plan_with(&plan, Parallelism::Threads(2));
-    /// let mut b = Statevector::zero(3);
-    /// b.apply_plan(&plan);
-    /// assert_eq!(a.amplitudes(), b.amplitudes());
-    /// ```
-    pub fn apply_plan_with(&mut self, plan: &CircuitPlan, mode: Parallelism) {
-        self.check_plan(plan);
-        let workers = match mode {
-            Parallelism::Serial => 1,
-            Parallelism::Auto => exec::auto_workers(self.amps.len(), plan.op_count()),
-            Parallelism::Threads(n) => {
-                assert!(n > 0, "Parallelism::Threads needs at least one thread");
-                exec::clamp_workers(self.amps.len(), n)
-            }
-        };
-        if workers < 2 {
-            let _span = telemetry::span(telemetry::Stage::SweepSerial);
-            for op in plan.ops() {
-                self.apply_plan_op(op);
-            }
-        } else {
-            let _span = telemetry::span(telemetry::Stage::SweepThreaded);
-            exec::run_threaded(&mut self.amps, plan.ops(), workers);
-        }
-    }
-
     /// One plan op, serially. Single-qubit and block sweeps share
-    /// `pair_update`/`quad_update` with the threaded engine (identical
+    /// `pair_update`/`quad_update` with the shard kernels (identical
     /// arithmetic, so identical bits); the sparse two-qubit kernels are
     /// pure swaps/negations — exact in floating point — so any
-    /// enumeration order yields the same bits as the threaded
-    /// partitioning. All kernels go through the hybrid sweeps in
+    /// enumeration order yields the same bits as a sharded run. All
+    /// kernels go through the hybrid sweeps in
     /// [`crate::exec`]: contiguous stride-1 lanes (branch-free,
     /// autovectorizable) when the pair's low bit allows long runs,
     /// index-spread enumeration below `exec::LANE_MIN_BIT`.
@@ -383,8 +291,8 @@ impl Statevector {
 
     fn apply_1q(&mut self, q: usize, m: [[C64; 2]; 2]) {
         debug_assert!(q < self.num_qubits);
-        // Same arithmetic as the threaded kernel (`exec::pair_update`),
-        // so results are bit-identical.
+        // Same arithmetic as the shard kernels (`exec::pair_update`), so
+        // results are bit-identical.
         exec::apply_1q_local(&mut self.amps, q, &m);
     }
 
@@ -444,14 +352,14 @@ impl Statevector {
             Parallelism::Serial => 1,
             Parallelism::Auto => {
                 if self.amps.len() >= PROBS_PARALLEL_MIN_AMPS {
-                    parallel::num_threads().min(exec::MAX_WORKERS)
+                    parallel::num_threads().min(PROBS_MAX_WORKERS)
                 } else {
                     1
                 }
             }
             Parallelism::Threads(n) => {
                 assert!(n > 0, "Parallelism::Threads needs at least one thread");
-                n.min(exec::MAX_WORKERS)
+                n.min(PROBS_MAX_WORKERS)
             }
         };
         self.probabilities_workers(workers)
@@ -657,19 +565,27 @@ mod tests {
         let mut c = Circuit::new(4);
         c.h(0).cx(0, 1).ry(2, 0.4).cx(1, 3).cz(0, 3).swap(1, 2);
         c.rz(3, -1.1).cx(3, 0);
+        let plan = CircuitPlan::compile(&c);
         let mut serial = Statevector::zero(4);
-        serial.apply_circuit_with(&c, Parallelism::Serial);
+        serial.apply_plan(&plan);
         for t in 1..=8 {
-            let mut par = Statevector::zero(4);
-            par.apply_circuit_with(&c, Parallelism::Threads(t));
+            let mode = Parallelism::Threads(t);
+            let (shards, _) = crate::shard::shards_and_workers(mode, 4, plan.op_count());
+            let mut par = crate::ShardedState::zero(4, shards).with_parallelism(mode);
+            par.apply_plan(&plan);
+            let par = par.to_statevector();
             assert_eq!(serial.amplitudes(), par.amplitudes(), "{t} threads");
+            assert_eq!(
+                serial.probabilities_with(Parallelism::Serial),
+                par.probabilities_with(mode),
+                "{t} threads"
+            );
         }
     }
 
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
-        let mut s = Statevector::zero(2);
-        s.apply_circuit_with(&Circuit::new(2), Parallelism::Threads(0));
+        Statevector::zero(2).probabilities_with(Parallelism::Threads(0));
     }
 }

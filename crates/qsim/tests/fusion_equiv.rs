@@ -3,9 +3,10 @@
 //! Three guarantees, over random circuits spanning qubit counts 1–12 and
 //! thread counts 1–8:
 //!
-//! 1. **Fused serial ≡ fused threaded, bitwise.** Both paths consume the
-//!    same compiled plan and perform identical arithmetic, so amplitudes
-//!    must match with `==` on `f64`, never a tolerance.
+//! 1. **Fused serial ≡ fused threaded, bitwise.** The dense plane and a
+//!    threaded run (`Threads(k)`: `2^⌊log₂ k⌋` shards × `k` workers)
+//!    consume the same compiled plan and perform identical arithmetic, so
+//!    amplitudes must match with `==` on `f64`, never a tolerance.
 //! 2. **Fused ≈ unfused, 1e-12.** Fusion replaces `k` rounded sweeps with
 //!    one rounded matrix product — mathematically the same unitary, so
 //!    every amplitude agrees to tight tolerance but *not* bitwise.
@@ -19,7 +20,8 @@
 //!    blocked structure reproduces a fresh compile bit for bit.
 
 use proptest::prelude::*;
-use qsim::{Circuit, CircuitPlan, Parallelism, PlanCache, Statevector};
+use qsim::shard::shards_and_workers;
+use qsim::{Circuit, CircuitPlan, Parallelism, PlanCache, ShardedState, Statevector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,7 +120,7 @@ fn su2_ansatz(n: usize, reps: usize, map: u8, seed: u64) -> Circuit {
 
 proptest! {
     /// Serial and threaded execution of one compiled plan agree bit for
-    /// bit, for every thread count the engine accepts.
+    /// bit, threads running as shards.
     #[test]
     fn fused_serial_and_threaded_are_bit_identical(
         n in 1usize..=12,
@@ -130,11 +132,13 @@ proptest! {
         let plan = CircuitPlan::compile(&circuit);
         let mut serial = Statevector::zero(n);
         serial.apply_plan(&plan);
-        let mut threaded = Statevector::zero(n);
-        threaded.apply_plan_with(&plan, Parallelism::Threads(threads));
+        let mode = Parallelism::Threads(threads);
+        let (shards, _) = shards_and_workers(mode, n, plan.op_count());
+        let mut threaded = ShardedState::zero(n, shards).with_parallelism(mode);
+        threaded.apply_plan(&plan);
         prop_assert_eq!(
             serial.amplitudes(),
-            threaded.amplitudes(),
+            threaded.to_statevector().amplitudes(),
             "divergence: {} qubits, {} threads, {} gates, seed {}",
             n, threads, gates, seed
         );
@@ -150,7 +154,7 @@ proptest! {
     ) {
         let circuit = random_circuit(n, gates, seed);
         let mut fused = Statevector::zero(n);
-        fused.apply_circuit_serial(&circuit);
+        fused.apply_circuit(&circuit);
         let mut unfused = Statevector::zero(n);
         unfused.apply_circuit_unfused(&circuit);
         for (i, (a, b)) in fused

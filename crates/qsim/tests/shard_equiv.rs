@@ -7,8 +7,11 @@
 //! amplitude goes through the exact same floating-point operations as
 //! the serial kernels, so the gathered state must match **exactly**
 //! (`==` on `f64`, no tolerance) for every circuit, qubit count 2–14,
-//! shard count 1–8, and thread count 1–4. Targeted tests pin exchange
-//! sub-split alignment at every worker count and the movement counters.
+//! shard count 1–8, and thread count 1–4. Threads are shards, so the
+//! executor-level rule (`Threads(w)` prepares on `2^⌊log₂ w⌋` shards ×
+//! `w` workers) is held to the serial bits too. Targeted tests pin
+//! exchange sub-split alignment at every worker count, the worker clamp,
+//! and the movement counters.
 
 use proptest::prelude::*;
 use qsim::plan::ShardPlan;
@@ -58,6 +61,34 @@ fn serial_reference(circuit: &Circuit) -> Statevector {
 }
 
 proptest! {
+    /// Executor preparation under `Threads(1..=8)` and `Auto` — dense
+    /// or sharded, whatever the rule picks — reproduces `Serial`
+    /// preparation bit for bit on 1–12 qubits, including registers with
+    /// fewer amplitudes than the requested shards.
+    #[test]
+    fn prepare_under_threads_and_auto_matches_serial(
+        n in 1usize..=12,
+        threads in 1usize..=8,
+        gates in 1usize..=40,
+        seed in 0u64..100_000,
+    ) {
+        let circuit = random_circuit(n, gates, seed);
+        let prepare = |mode| {
+            vqe::SimExecutor::new(qnoise::DeviceModel::noiseless(n), 16, 1)
+                .with_parallelism(mode)
+                .prepare(&circuit)
+        };
+        let serial = prepare(Parallelism::Serial);
+        for mode in [Parallelism::Threads(threads), Parallelism::Auto] {
+            prop_assert_eq!(
+                serial.amplitudes(),
+                prepare(mode).amplitudes(),
+                "{:?}: {} qubits, {} gates, seed {}",
+                mode, n, gates, seed
+            );
+        }
+    }
+
     /// Sharded execution (with the exchange-minimizing layout remap)
     /// reproduces the serial amplitudes bit for bit across qubit counts
     /// 2–14, shard counts 1–8, and thread counts 1–4.
@@ -320,6 +351,31 @@ fn oversubscribed_exchanges_report_sub_splits() {
     assert!(
         stats.sub_splits >= 1,
         "8 workers over 1 pair must sub-split, got {stats:?}"
+    );
+}
+
+/// Thread requests are clamped to `parallel::MAX_THREADS` before they
+/// reach the exchanges: an absurd request on a 2-shard 8-qubit state
+/// sub-splits each exchange at most `MAX_THREADS - 1` times.
+#[test]
+fn absurd_thread_requests_are_clamped() {
+    let n = 8;
+    let mut c = Circuit::new(n);
+    c.h(0).ry(n - 1, 0.6);
+    let plan = CircuitPlan::compile(&c);
+    let layout: Vec<usize> = (0..n).collect();
+    let sp = ShardPlan::with_layout(&plan, 2, &layout);
+    let mut st = ShardedState::zero(n, 2).with_parallelism(Parallelism::Threads(1 << 20));
+    st.apply_shard_plan(&sp);
+    let stats = st.shard_stats();
+    assert!(stats.exchanges >= 1, "expected an exchange, got {stats:?}");
+    assert!(
+        stats.sub_splits <= (parallel::MAX_THREADS as u64 - 1) * stats.exchanges,
+        "unclamped sub-splits: {stats:?}"
+    );
+    assert_eq!(
+        serial_reference(&c).amplitudes(),
+        st.to_statevector().amplitudes()
     );
 }
 

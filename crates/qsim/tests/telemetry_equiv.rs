@@ -1,13 +1,13 @@
 //! Telemetry transparency oracle for the statevector engine.
 //!
 //! Spans are observations, never participants: with a recorder installed
-//! and recording active, the fused serial, fused threaded, and unfused
-//! reference paths must produce exactly the bits they produce with
+//! and recording active, the fused serial, fused threaded (`Threads(4)`:
+//! 4 shards × 4 workers), and unfused reference paths must produce exactly the bits they produce with
 //! telemetry compiled out. These are the same equivalence assertions the
 //! fusion oracle makes — re-run here under instrumentation so a timing
 //! regression can never hide a numerics regression (and vice versa).
 
-use qsim::{Circuit, CircuitPlan, Parallelism, PlanCache, Statevector};
+use qsim::{Circuit, CircuitPlan, Parallelism, PlanCache, ShardedState, Statevector};
 
 /// A layered ansatz-shaped circuit: rotation layers interleaved with CX
 /// chains, deep enough to exercise run fusion and entangler blocking.
@@ -37,8 +37,9 @@ fn spans_do_not_perturb_fused_execution() {
 
     let mut serial = Statevector::zero(8);
     serial.apply_plan(&fused);
-    let mut threaded = Statevector::zero(8);
-    threaded.apply_plan_with(&fused, Parallelism::Threads(4));
+    let mut sharded = ShardedState::zero(8, 4).with_parallelism(Parallelism::Threads(4));
+    sharded.apply_plan(&fused);
+    let threaded = sharded.to_statevector();
     let mut reference = Statevector::zero(8);
     reference.apply_plan(&unfused);
 
@@ -61,6 +62,7 @@ fn spans_do_not_perturb_fused_execution() {
         let snap = recorder.snapshot();
         assert!(snap.stat(telemetry::Stage::PlanCompile).count >= 2);
         assert!(snap.stat(telemetry::Stage::SweepSerial).count >= 2);
+        assert!(snap.stat(telemetry::Stage::SweepSharded).count >= 1);
         assert!(snap.stat(telemetry::Stage::SweepThreaded).count >= 1);
     }
 }

@@ -4,7 +4,7 @@ use crate::fair::{FairScheduler, Pick};
 use mitigation::Pmf;
 use pauli::PauliString;
 use qnoise::DeviceModel;
-use qsim::{CapacityError, Circuit, Parallelism, Sharding, SharedPlanCache};
+use qsim::{CapacityError, Circuit, Parallelism, SharedPlanCache};
 use std::collections::HashSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -489,7 +489,6 @@ pub struct JobQueue {
     root_seed: u64,
     workers: usize,
     budget: u128,
-    sharding: Sharding,
     /// Default per-job deadline applied at submission (jobs can override
     /// via [`JobQueue::submit_with_deadline`]).
     default_deadline: Option<Duration>,
@@ -507,7 +506,7 @@ impl JobQueue {
     /// A queue executing on `device` with `shots` shots per measurement.
     /// Worker count defaults to [`parallel::sched_workers`], the memory
     /// budget to unlimited (the simulator's per-job representation limit
-    /// still applies), and sharding to off.
+    /// still applies).
     pub fn new(device: DeviceModel, shots: u64, root_seed: u64) -> Self {
         JobQueue {
             device,
@@ -515,7 +514,6 @@ impl JobQueue {
             root_seed,
             workers: parallel::sched_workers(),
             budget: u128::MAX,
-            sharding: Sharding::Off,
             default_deadline: crate::config::job_deadline_ms().map(Duration::from_millis),
             shared: SharedPlanCache::new(),
             telemetry: telemetry::Recorder::new(),
@@ -548,14 +546,6 @@ impl JobQueue {
     /// admitted jobs queue until they fit.
     pub fn with_memory_budget(mut self, bytes: u128) -> Self {
         self.budget = bytes;
-        self
-    }
-
-    /// Sets the [`Sharding`] mode job executors prepare states with
-    /// (default off). Sharded preparation is bit-identical, so this
-    /// never changes results.
-    pub fn with_sharding(mut self, sharding: Sharding) -> Self {
-        self.sharding = sharding;
         self
     }
 
@@ -834,8 +824,7 @@ impl JobQueue {
         let seed = job_seed(self.root_seed, spec.job_id);
         let mut exec = SimExecutor::new(self.device.clone(), self.shots, seed)
             .with_shared_plans(self.shared.clone())
-            .with_parallelism(Parallelism::Serial)
-            .with_sharding(self.sharding);
+            .with_parallelism(Parallelism::Serial);
         let state = exec.try_prepare(&spec.circuit)?;
         let mut pmfs = Vec::with_capacity(spec.measurements.len());
         for m in &spec.measurements {

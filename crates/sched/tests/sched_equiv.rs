@@ -61,12 +61,22 @@ fn reference(
     root_seed: u64,
     specs: &[JobSpec],
 ) -> BTreeMap<u64, (Vec<mitigation::Pmf>, u64)> {
+    reference_with(device, root_seed, specs, Parallelism::Serial)
+}
+
+/// [`reference`] with executors preparing states under `mode`.
+fn reference_with(
+    device: &DeviceModel,
+    root_seed: u64,
+    specs: &[JobSpec],
+    mode: Parallelism,
+) -> BTreeMap<u64, (Vec<mitigation::Pmf>, u64)> {
     specs
         .iter()
         .map(|spec| {
             let mut exec =
                 SimExecutor::new(device.clone(), SHOTS, job_seed(root_seed, spec.job_id))
-                    .with_parallelism(Parallelism::Serial);
+                    .with_parallelism(mode);
             let state = exec.prepare(&spec.circuit);
             let pmfs = spec
                 .measurements
@@ -503,12 +513,11 @@ fn results_are_a_function_of_job_id_not_submission_order() {
     }
 }
 
-/// Sharded job execution is invisible in the results: every job's PMFs
-/// and cost stay bit-identical to the dense sequential reference.
+/// Sharded preparation is invisible in the results: a reference whose
+/// executors prepare on 4 shards × 4 workers matches the dense
+/// sequential reference and the queue's jobs, bit for bit.
 #[test]
 fn sharded_jobs_match_the_reference() {
-    use qsim::Sharding;
-
     let device = DeviceModel::mumbai_like();
     let angles: Vec<f64> = (0..16).map(|i| 0.3 * i as f64 - 1.7).collect();
     let specs: Vec<JobSpec> = (0..4u64)
@@ -523,10 +532,12 @@ fn sharded_jobs_match_the_reference() {
         })
         .collect();
     let expected = reference(&device, 77, &specs);
+    assert_eq!(
+        reference_with(&device, 77, &specs, Parallelism::Threads(4)),
+        expected
+    );
 
-    let queue = JobQueue::new(device.clone(), SHOTS, 77)
-        .with_workers(3)
-        .with_sharding(Sharding::Shards(4));
+    let queue = JobQueue::new(device.clone(), SHOTS, 77).with_workers(3);
     let handles: Vec<_> = specs
         .iter()
         .map(|s| queue.submit(s.clone()).unwrap())

@@ -28,15 +28,12 @@ struct MitigationPipeline {
 }
 
 impl MitigationPipeline {
-    /// Wraps an executor; the reconstruction engine inherits the
-    /// executor's [`qsim::Parallelism`] choice so one knob pins the whole
-    /// evaluation stack (e.g. `Serial` under an outer `parallel_map`).
+    /// Wraps an executor with a fresh reconstruction engine.
     fn new(executor: SimExecutor) -> Self {
-        let reconstructor = Reconstructor::new().with_parallelism(executor.parallelism());
         MitigationPipeline {
             executor,
             recon: ReconstructionConfig::default(),
-            reconstructor,
+            reconstructor: Reconstructor::new(),
             mbm: false,
         }
     }

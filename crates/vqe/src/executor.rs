@@ -4,9 +4,9 @@ use crate::basis::basis_rotation;
 use mitigation::Pmf;
 use pauli::PauliString;
 use qnoise::{apply_depolarizing, apply_readout_errors, DeviceModel, ReadoutError};
-use qsim::shard::auto_shard_count;
+use qsim::shard::shards_and_workers;
 use qsim::{
-    CapacityError, Circuit, CircuitPlan, Parallelism, PlanCache, ShardPlan, ShardedState, Sharding,
+    CapacityError, Circuit, CircuitPlan, Parallelism, PlanCache, ShardPlan, ShardedState,
     SharedPlanCache, Statevector,
 };
 use rand::rngs::StdRng;
@@ -53,7 +53,6 @@ pub struct SimExecutor {
     circuits_executed: u64,
     exact: bool,
     parallelism: Parallelism,
-    sharding: Sharding,
     /// Compiled-plan cache keyed by circuit structure: SPSA evaluations,
     /// subset/Global measurement rotations and MBM circuits all share the
     /// handful of shapes a VQE run executes, so after the first iteration
@@ -85,7 +84,6 @@ impl SimExecutor {
             circuits_executed: 0,
             exact: false,
             parallelism: Parallelism::Auto,
-            sharding: Sharding::Off,
             plans: PlanCache::new(),
             shared_plans: None,
             readout_by_width: Vec::new(),
@@ -103,7 +101,6 @@ impl SimExecutor {
             circuits_executed: 0,
             exact: true,
             parallelism: Parallelism::Auto,
-            sharding: Sharding::Off,
             plans: PlanCache::new(),
             shared_plans: None,
             readout_by_width: Vec::new(),
@@ -142,10 +139,16 @@ impl SimExecutor {
         self
     }
 
-    /// Sets how statevector simulation spreads gate kernels across
-    /// threads (default [`Parallelism::Auto`]).
+    /// Sets how statevector simulation spreads across threads (default
+    /// [`Parallelism::Auto`]).
     ///
-    /// Serial and threaded simulation produce bit-identical amplitudes,
+    /// Preparation from `|0…0⟩` ([`SimExecutor::prepare`] and friends,
+    /// [`SimExecutor::run_circuit`]) follows
+    /// [`qsim::shard::shards_and_workers`]: `Threads(w)` prepares on
+    /// `2^⌊log₂ w⌋` amplitude shards walked by `w` workers, and `Auto`
+    /// does the same with [`parallel::num_threads`] workers from 12
+    /// qubits up. Basis rotations of already-prepared states run serial
+    /// on the dense plane. Every path produces bit-identical amplitudes,
     /// so this knob never changes results — use it to pin executors to
     /// the serial path when many run concurrently (e.g. inside
     /// `parallel_map`-style trial fan-outs) and thread oversubscription
@@ -170,47 +173,6 @@ impl SimExecutor {
         self.parallelism
     }
 
-    /// Sets how state preparation decomposes the amplitude plane across
-    /// shards (default [`Sharding::Off`]). Sharded execution is
-    /// bit-identical to the dense plane — local ops run shard-parallel,
-    /// global-qubit ops go through explicit exchanges (see
-    /// [`qsim::shard`]) — so this knob never changes results either; it
-    /// exists for registers past the cache (and, eventually, node)
-    /// capacity of one plane. [`Sharding::Auto`] consults the circuit's
-    /// [`qsim::CircuitStats::state_bytes`] estimate and the
-    /// `VARSAW_NUM_SHARDS` override.
-    ///
-    /// ```
-    /// use qnoise::DeviceModel;
-    /// use qsim::Sharding;
-    /// use vqe::SimExecutor;
-    ///
-    /// let exec = SimExecutor::new(DeviceModel::noiseless(2), 128, 1)
-    ///     .with_sharding(Sharding::Auto);
-    /// assert_eq!(exec.sharding(), Sharding::Auto);
-    /// ```
-    pub fn with_sharding(mut self, sharding: Sharding) -> Self {
-        if let Sharding::Shards(s) = sharding {
-            assert!(s.is_power_of_two(), "shard count {s} is not a power of two");
-        }
-        self.sharding = sharding;
-        self
-    }
-
-    /// The sharding mode state preparation uses.
-    pub fn sharding(&self) -> Sharding {
-        self.sharding
-    }
-
-    /// The shard count preparation of `circuit` resolves to.
-    fn resolve_shards(&self, circuit: &Circuit) -> usize {
-        match self.sharding {
-            Sharding::Off => 1,
-            Sharding::Auto => auto_shard_count(&circuit.stats()),
-            Sharding::Shards(s) => s.min(1 << circuit.num_qubits().min(30)),
-        }
-    }
-
     /// The compiled plan for `circuit`, through the shared cache when one
     /// is attached and the private cache otherwise.
     fn plan(&mut self, circuit: &Circuit) -> CircuitPlan {
@@ -220,48 +182,31 @@ impl SimExecutor {
         }
     }
 
-    /// The memoized sharded-execution plan for `plan` on `shards` shards
-    /// (`None` for unsharded execution). Routes through the same cache as
+    /// Compiles `circuit` for preparation from `|0…0⟩` under `mode`:
+    /// [`shards_and_workers`] picks the dense plane or a shard count and
+    /// worker count. Shard analyses route through the same cache as
     /// [`SimExecutor::plan`], so a rebind of a known ansatz shape skips
-    /// the layout re-analysis (ROADMAP carry-over).
-    fn shard_plan(&mut self, plan: &CircuitPlan, shards: usize) -> Option<ShardPlan> {
-        if shards <= 1 {
-            return None;
-        }
-        Some(match &self.shared_plans {
-            Some(shared) => shared.shard_plan(plan, shards),
-            None => self.plans.shard_plan(plan, shards),
-        })
-    }
-
-    /// Simulates a compiled plan from `|0…0⟩` on the dense plane or the
-    /// sharded executor, surfacing allocation refusals as a typed
-    /// [`CapacityError`]. All paths are bit-identical.
-    fn try_simulate(
-        plan: &CircuitPlan,
-        shard_plan: Option<&ShardPlan>,
-        mode: Parallelism,
-    ) -> Result<Statevector, CapacityError> {
-        if let Some(sp) = shard_plan {
-            let mut st =
-                ShardedState::try_zero(plan.num_qubits(), sp.num_shards())?.with_parallelism(mode);
-            st.apply_shard_plan(sp);
-            Ok(st.to_statevector())
-        } else {
-            let mut st = Statevector::try_zero(plan.num_qubits())?;
-            st.apply_plan_with(plan, mode);
-            Ok(st)
-        }
+    /// the layout re-analysis.
+    fn preparation(&mut self, circuit: &Circuit, mode: Parallelism) -> Preparation {
+        let plan = self.plan(circuit);
+        let (shards, workers) = shards_and_workers(mode, plan.num_qubits(), plan.op_count());
+        let sharded = (shards > 1).then(|| {
+            let sp = match &self.shared_plans {
+                Some(shared) => shared.shard_plan(&plan, shards),
+                None => self.plans.shard_plan(&plan, shards),
+            };
+            (sp, workers)
+        });
+        Preparation { plan, sharded }
     }
 
     /// Simulates `circuit` from `|0…0⟩` under this executor's
     /// [`Parallelism`] mode, without measuring or metering cost — the
     /// state-preparation step evaluators run before their measurement
-    /// circuits. Routing preparation through the executor keeps the
-    /// parallelism knob in charge of *every* statevector pass of an
-    /// evaluation, not just the basis rotations, and lets preparation hit
-    /// the executor's [`PlanCache`]: a VQE iteration rebinding new angles
-    /// into a known ansatz shape skips fusion re-analysis entirely.
+    /// circuits. Preparation is where the parallelism knob applies (see
+    /// [`SimExecutor::with_parallelism`]), and it hits the executor's
+    /// [`PlanCache`]: a VQE iteration rebinding new angles into a known
+    /// ansatz shape skips fusion and layout re-analysis entirely.
     ///
     /// ```
     /// use qnoise::DeviceModel;
@@ -283,8 +228,8 @@ impl SimExecutor {
     /// [`SimExecutor::prepare`], surfacing state-allocation failures as a
     /// typed [`CapacityError`] instead of panicking — the admission-control
     /// seam job schedulers branch on. Covers every execution tier: the
-    /// dense plane (serial or threaded) probes [`Statevector::try_zero`],
-    /// the sharded executor probes
+    /// serial dense plane probes [`Statevector::try_zero`], threaded
+    /// preparation on shards probes
     /// [`ShardedState::try_zero`](qsim::ShardedState::try_zero).
     ///
     /// ```
@@ -298,9 +243,7 @@ impl SimExecutor {
     /// assert_eq!(err.num_qubits(), 33);
     /// ```
     pub fn try_prepare(&mut self, circuit: &Circuit) -> Result<Statevector, CapacityError> {
-        let plan = self.plan(circuit);
-        let sp = self.shard_plan(&plan, self.resolve_shards(circuit));
-        Self::try_simulate(&plan, sp.as_ref(), self.parallelism)
+        self.preparation(circuit, self.parallelism).simulate()
     }
 
     /// Prepares one state per circuit against the shared [`PlanCache`] —
@@ -341,27 +284,20 @@ impl SimExecutor {
         &mut self,
         circuits: &[Circuit],
     ) -> Result<Vec<Statevector>, CapacityError> {
-        let plans: Vec<(CircuitPlan, Option<ShardPlan>)> = circuits
-            .iter()
-            .map(|c| {
-                let plan = self.plan(c);
-                let sp = self.shard_plan(&plan, self.resolve_shards(c));
-                (plan, sp)
-            })
-            .collect();
-        let states: Vec<Result<Statevector, CapacityError>> = if self.parallelism
-            != Parallelism::Serial
-            && plans.len() > 1
-            && parallel::num_threads() > 1
-        {
-            parallel::parallel_map(plans, |(plan, sp)| {
-                Self::try_simulate(plan, sp.as_ref(), Parallelism::Serial)
-            })
+        // Fanning out across circuits pins each one serial inside.
+        let fan_out = self.parallelism != Parallelism::Serial
+            && circuits.len() > 1
+            && parallel::num_threads() > 1;
+        let mode = if fan_out {
+            Parallelism::Serial
         } else {
-            plans
-                .iter()
-                .map(|(plan, sp)| Self::try_simulate(plan, sp.as_ref(), self.parallelism))
-                .collect()
+            self.parallelism
+        };
+        let preps: Vec<Preparation> = circuits.iter().map(|c| self.preparation(c, mode)).collect();
+        let states: Vec<Result<Statevector, CapacityError>> = if fan_out {
+            parallel::parallel_map(preps, Preparation::simulate)
+        } else {
+            preps.iter().map(Preparation::simulate).collect()
         };
         states.into_iter().collect()
     }
@@ -445,7 +381,7 @@ impl SimExecutor {
             state.clone()
         };
         let plan = self.plan(&basis_rotation(basis));
-        st.apply_plan_with(&plan, self.parallelism);
+        st.apply_plan(&plan);
         self.finish(st.marginal_probabilities(&measured), measured)
     }
 
@@ -467,12 +403,13 @@ impl SimExecutor {
             state.clone()
         };
         let plan = self.plan(&basis_rotation(basis));
-        st.apply_plan_with(&plan, self.parallelism);
+        st.apply_plan(&plan);
         let measured: Vec<usize> = (0..state.num_qubits()).collect();
         self.finish(st.marginal_probabilities(&measured), measured)
     }
 
-    /// Runs an explicit circuit from `|0…0⟩` and measures `measured` in the
+    /// Runs an explicit circuit from `|0…0⟩` (prepared like
+    /// [`SimExecutor::prepare`]) and measures `measured` in the
     /// computational basis.
     ///
     /// # Panics
@@ -480,9 +417,7 @@ impl SimExecutor {
     /// Panics if `measured` is empty or out of range.
     pub fn run_circuit(&mut self, circuit: &Circuit, measured: &[usize]) -> Pmf {
         assert!(!measured.is_empty(), "no qubits to measure");
-        let mut st = Statevector::zero(circuit.num_qubits());
-        let plan = self.plan(circuit);
-        st.apply_plan_with(&plan, self.parallelism);
+        let st = self.prepare(circuit);
         self.finish(st.marginal_probabilities(measured), measured.to_vec())
     }
 
@@ -577,7 +512,7 @@ impl SimExecutor {
                         _ => scratch.insert(job.state.clone()),
                     }
                 };
-                st.apply_plan_with(&pl.plan, mode);
+                st.apply_plan(&pl.plan);
                 st
             };
             if pl.full_register {
@@ -656,6 +591,33 @@ impl SimExecutor {
             let _span = telemetry::span(telemetry::Stage::NoiseSampling);
             let counts = qsim::sample_counts(&probs, self.shots, &mut self.rng);
             Pmf::new(measured, counts.iter().map(|&c| c as f64).collect())
+        }
+    }
+}
+
+/// A circuit compiled for preparation from `|0…0⟩`: its plan, plus the
+/// shard analysis and worker count when threads run it.
+struct Preparation {
+    plan: CircuitPlan,
+    sharded: Option<(ShardPlan, usize)>,
+}
+
+impl Preparation {
+    /// Simulates the plan from `|0…0⟩`, surfacing allocation refusals as a
+    /// typed [`CapacityError`]. Dense and sharded paths are bit-identical.
+    fn simulate(&self) -> Result<Statevector, CapacityError> {
+        match &self.sharded {
+            Some((sp, workers)) => {
+                let mut st = ShardedState::try_zero(self.plan.num_qubits(), sp.num_shards())?
+                    .with_parallelism(Parallelism::Threads(*workers));
+                st.apply_shard_plan(sp);
+                Ok(st.to_statevector())
+            }
+            None => {
+                let mut st = Statevector::try_zero(self.plan.num_qubits())?;
+                st.apply_plan(&self.plan);
+                Ok(st)
+            }
         }
     }
 }
@@ -806,8 +768,7 @@ mod tests {
                 SimExecutor::new(DeviceModel::mumbai_like(), 256, 11).with_parallelism(mode);
             let mut c = Circuit::new(3);
             c.h(0).cx(0, 1).cx(1, 2).ry(2, 0.7);
-            let mut st = Statevector::zero(3);
-            st.apply_circuit(&c);
+            let st = exec.prepare(&c);
             exec.run_prepared(&st, &ps("ZXZ")).probs().to_vec()
         };
         let serial = run(Parallelism::Serial);
@@ -924,20 +885,24 @@ mod tests {
             c.ry(q, 0.1 + q as f64);
         }
         c.cx(0, 1).cx(1, 2).cx(2, 3).cx(3, 4).cz(0, 4);
-        let mut dense = SimExecutor::new(DeviceModel::noiseless(5), 16, 2);
-        let mut sharded =
-            SimExecutor::new(DeviceModel::noiseless(5), 16, 2).with_sharding(Sharding::Shards(4));
-        assert_eq!(
-            dense.prepare(&c).amplitudes(),
-            sharded.prepare(&c).amplitudes()
-        );
-        // And through the measured path, PMFs stay equal too.
-        let st_d = dense.prepare(&c);
-        let st_s = sharded.prepare(&c);
-        assert_eq!(
-            dense.run_prepared(&st_d, &ps("ZZIII")).probs(),
-            sharded.run_prepared(&st_s, &ps("ZZIII")).probs()
-        );
+        let exec = |mode| SimExecutor::new(DeviceModel::noiseless(5), 16, 2).with_parallelism(mode);
+        for threads in [2, 4, 8] {
+            let mut dense = exec(Parallelism::Serial);
+            let mut sharded = exec(Parallelism::Threads(threads));
+            let st_d = dense.prepare(&c);
+            let st_s = sharded.prepare(&c);
+            assert_eq!(st_d.amplitudes(), st_s.amplitudes(), "{threads} threads");
+            assert_eq!(sharded.shard_cache_stats().1, 1, "prepared on shards");
+            // And through the measured path, PMFs stay equal too.
+            assert_eq!(
+                dense.run_prepared(&st_d, &ps("ZZIII")).probs(),
+                sharded.run_prepared(&st_s, &ps("ZZIII")).probs()
+            );
+            assert_eq!(
+                dense.run_circuit(&c, &[0, 3]).probs(),
+                sharded.run_circuit(&c, &[0, 3]).probs()
+            );
+        }
     }
 
     #[test]

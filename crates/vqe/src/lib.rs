@@ -7,8 +7,9 @@
 //!   (full/linear/circular/asymmetric entanglement, depth `p`),
 //! - [`basis_rotation`]: measurement-basis changes (Fig.5),
 //! - [`SimExecutor`]: noisy execution with best-qubit mapping, measurement
-//!   crosstalk, circuit-cost metering, statevector [`Parallelism`] and
-//!   [`Sharding`] knobs, and batched dispatch
+//!   crosstalk, circuit-cost metering, the statevector [`Parallelism`]
+//!   knob (threads prepare states on amplitude shards), and batched
+//!   dispatch
 //!   ([`SimExecutor::prepare_batch`] / [`SimExecutor::run_batch`]) that
 //!   evaluates whole parameter-set and measurement families against one
 //!   cached circuit plan,
@@ -49,5 +50,5 @@ pub use basis::basis_rotation;
 pub use energy::GroupedHamiltonian;
 pub use executor::{BatchJob, SimExecutor};
 pub use optimizer::{BatchObjective, ImFil, NelderMead, Optimizer, Spsa, StepResult};
-pub use qsim::{Parallelism, Sharding};
+pub use qsim::Parallelism;
 pub use runner::{run_vqe, BaselineEvaluator, EnergyEvaluator, VqeConfig, VqeTrace};

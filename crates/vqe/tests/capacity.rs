@@ -1,5 +1,6 @@
 //! End-to-end coverage of the fallible allocation path: every execution
-//! tier of [`SimExecutor`] — serial, threaded, and sharded — must surface
+//! tier of [`SimExecutor`] — serial, and `threads(4)`, which prepares on
+//! 4 amplitude shards × 4 workers — must surface
 //! a state that does not fit as a typed [`qsim::CapacityError`]
 //! through `try_prepare` / `try_prepare_batch`, never by aborting the
 //! process. This is the admission-control seam `sched::JobQueue` branches
@@ -7,7 +8,7 @@
 
 use qnoise::DeviceModel;
 use qsim::Circuit;
-use vqe::{Parallelism, Sharding, SimExecutor};
+use vqe::{Parallelism, SimExecutor};
 
 /// Qubit count past the dense 30-qubit ceiling (a 16 GiB plane); every
 /// tier must refuse it with a typed error.
@@ -26,19 +27,10 @@ fn small() -> Circuit {
 }
 
 fn tiers() -> Vec<(&'static str, SimExecutor)> {
-    let exec = |mode, sharding| {
-        SimExecutor::new(DeviceModel::noiseless(3), 64, 11)
-            .with_parallelism(mode)
-            .with_sharding(sharding)
-    };
+    let exec = |mode| SimExecutor::new(DeviceModel::noiseless(3), 64, 11).with_parallelism(mode);
     vec![
-        ("serial", exec(Parallelism::Serial, Sharding::Off)),
-        ("threaded", exec(Parallelism::Threads(4), Sharding::Off)),
-        ("sharded", exec(Parallelism::Serial, Sharding::Shards(4))),
-        (
-            "sharded+threaded",
-            exec(Parallelism::Threads(4), Sharding::Shards(4)),
-        ),
+        ("serial", exec(Parallelism::Serial)),
+        ("threads(4)", exec(Parallelism::Threads(4))),
     ]
 }
 
