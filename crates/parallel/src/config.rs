@@ -1,23 +1,20 @@
 //! Process-wide execution configuration, read from the environment once.
 //!
-//! Three knobs control how the workspace's engines spread work and
+//! Two knobs control how the workspace's engines spread work and
 //! report on themselves:
 //!
 //! - [`NUM_THREADS_ENV`] (`VARSAW_NUM_THREADS`): the worker-thread count
 //!   behind [`crate::num_threads`], shared by the sharded statevector
 //!   executor (whose shard count follows it), batched preparation and
 //!   [`crate::parallel_map`];
-//! - [`SCHED_WORKERS_ENV`] (`VARSAW_SCHED_WORKERS`): an override for the
-//!   job-scheduler worker count behind [`crate::sched_workers`], consulted
-//!   by `sched::JobQueue` when no explicit worker count is passed;
 //! - [`TELEMETRY_ENV`] (`VARSAW_TELEMETRY`): the runtime default of the
 //!   stage-telemetry switch behind [`crate::telemetry_default`] — only
 //!   observable in builds with the `telemetry` feature, where `0`/`off`
 //!   keeps an instrumented binary from recording.
 //!
 //! Knobs that belong to one domain crate live there and reuse
-//! [`parse_count`] and [`warn_once`]: `sched` owns the default job
-//! deadline and `bench` the bench-history window.
+//! [`parse_count`] and [`warn_once`]: `bench` owns the bench-history
+//! window.
 //!
 //! Earlier revisions re-parsed `VARSAW_NUM_THREADS` at every call site,
 //! which both repeated the work on hot paths and silently swallowed
@@ -31,10 +28,8 @@
 //!
 //! ```
 //! std::env::set_var(parallel::NUM_THREADS_ENV, "3");
-//! std::env::set_var(parallel::SCHED_WORKERS_ENV, "2");
 //! let config = parallel::config::get();
 //! assert_eq!(config.threads, 3);
-//! assert_eq!(config.sched_workers, Some(2));
 //! // Read once: later environment changes are not observed.
 //! std::env::remove_var(parallel::NUM_THREADS_ENV);
 //! assert_eq!(parallel::num_threads(), 3);
@@ -44,11 +39,6 @@ use std::sync::OnceLock;
 
 /// Environment variable overriding the default worker count.
 pub const NUM_THREADS_ENV: &str = "VARSAW_NUM_THREADS";
-
-/// Environment variable overriding the job-scheduler worker count (the
-/// threads `sched::JobQueue` drains with when the caller does not pass an
-/// explicit count). Unset means "follow [`NUM_THREADS_ENV`]".
-pub const SCHED_WORKERS_ENV: &str = "VARSAW_SCHED_WORKERS";
 
 /// Environment variable setting the runtime default of the stage
 /// telemetry switch (see the `telemetry` crate). Accepted values are the
@@ -68,9 +58,6 @@ pub struct Config {
     /// Worker threads parallel code should use (≥ 1); from
     /// [`NUM_THREADS_ENV`], defaulting to the hardware parallelism.
     pub threads: usize,
-    /// Job-scheduler worker-count override, or `None` to follow
-    /// [`Config::threads`]; from [`SCHED_WORKERS_ENV`].
-    pub sched_workers: Option<usize>,
     /// Runtime default of the stage-telemetry switch, or `None` to let
     /// instrumented builds default to recording; from [`TELEMETRY_ENV`].
     pub telemetry: Option<bool>,
@@ -82,7 +69,6 @@ impl Config {
     /// Pure (no environment access), so rejection behavior is unit-testable.
     fn resolve(
         threads_raw: Option<&str>,
-        sched_raw: Option<&str>,
         telemetry_raw: Option<&str>,
         default_threads: usize,
     ) -> (Config, Vec<String>) {
@@ -99,26 +85,9 @@ impl Config {
             None => default_threads.clamp(1, MAX_THREADS),
         };
 
-        let sched_workers = match parse_count(SCHED_WORKERS_ENV, sched_raw, &mut warnings) {
-            Some(n) if n > MAX_THREADS => {
-                warnings.push(format!(
-                    "{SCHED_WORKERS_ENV}={n} exceeds the cap of {MAX_THREADS}; using {MAX_THREADS}"
-                ));
-                Some(MAX_THREADS)
-            }
-            other => other,
-        };
-
         let telemetry = parse_bool(TELEMETRY_ENV, telemetry_raw, &mut warnings);
 
-        (
-            Config {
-                threads,
-                sched_workers,
-                telemetry,
-            },
-            warnings,
-        )
+        (Config { threads, telemetry }, warnings)
     }
 }
 
@@ -191,14 +160,12 @@ pub fn get() -> &'static Config {
     static CONFIG: OnceLock<Config> = OnceLock::new();
     CONFIG.get_or_init(|| {
         let threads_raw = std::env::var(NUM_THREADS_ENV).ok();
-        let sched_raw = std::env::var(SCHED_WORKERS_ENV).ok();
         let telemetry_raw = std::env::var(TELEMETRY_ENV).ok();
         let default_threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
         let (config, warnings) = Config::resolve(
             threads_raw.as_deref(),
-            sched_raw.as_deref(),
             telemetry_raw.as_deref(),
             default_threads,
         );
@@ -213,24 +180,14 @@ pub fn get() -> &'static Config {
 mod tests {
     use super::*;
 
-    /// Resolves the thread and scheduler-worker knobs with the telemetry
-    /// switch unset.
-    fn resolve(threads: Option<&str>, sched: Option<&str>) -> (Config, Vec<String>) {
-        resolve_all(threads, sched, 4)
-    }
-
-    fn resolve_all(
-        threads: Option<&str>,
-        sched: Option<&str>,
-        default_threads: usize,
-    ) -> (Config, Vec<String>) {
-        Config::resolve(threads, sched, None, default_threads)
+    /// Resolves the thread and telemetry knobs against a 4-thread host.
+    fn resolve(threads: Option<&str>, telemetry: Option<&str>) -> (Config, Vec<String>) {
+        Config::resolve(threads, telemetry, 4)
     }
 
     fn defaults() -> Config {
         Config {
             threads: 4,
-            sched_workers: None,
             telemetry: None,
         }
     }
@@ -251,13 +208,12 @@ mod tests {
 
     #[test]
     fn valid_values_are_used_verbatim() {
-        let (c, w) = resolve(Some("3"), Some("8"));
+        let (c, w) = resolve(Some("3"), Some("off"));
         assert_eq!(
             c,
             Config {
                 threads: 3,
-                sched_workers: Some(8),
-                ..defaults()
+                telemetry: Some(false),
             }
         );
         assert!(w.is_empty());
@@ -269,44 +225,31 @@ mod tests {
         assert_eq!(c, defaults());
         assert_eq!(w.len(), 2, "one warning per rejected variable: {w:?}");
         assert!(w[0].contains(NUM_THREADS_ENV), "{w:?}");
-        assert!(w[1].contains(SCHED_WORKERS_ENV), "{w:?}");
+        assert!(w[1].contains(TELEMETRY_ENV), "{w:?}");
     }
 
     #[test]
     fn zero_is_rejected_with_a_warning() {
-        let (c, w) = resolve(Some("0"), Some("0"));
+        let (c, w) = resolve(Some("0"), None);
         assert_eq!(c, defaults());
-        assert_eq!(w.len(), 2);
+        assert_eq!(w.len(), 1);
+        assert!(w[0].contains(NUM_THREADS_ENV), "{w:?}");
     }
 
     #[test]
     fn excessive_values_are_capped_with_a_warning() {
-        let (c, w) = resolve(Some("9999"), Some("99999"));
+        let (c, w) = resolve(Some("9999"), None);
         assert_eq!(c.threads, MAX_THREADS);
-        assert_eq!(c.sched_workers, Some(MAX_THREADS));
-        assert_eq!(w.len(), 2);
+        assert_eq!(w.len(), 1);
+        assert!(w[0].contains("exceeds the cap"), "{w:?}");
     }
 
     #[test]
     fn default_threads_are_clamped_to_the_cap() {
-        let (c, _) = resolve_all(None, None, 1000);
+        let (c, _) = Config::resolve(None, None, 1000);
         assert_eq!(c.threads, MAX_THREADS);
-        let (c, _) = resolve_all(None, None, 0);
+        let (c, _) = Config::resolve(None, None, 0);
         assert_eq!(c.threads, 1);
-    }
-
-    #[test]
-    fn sched_workers_parse_and_cap() {
-        let (c, w) = resolve_all(None, Some("3"), 4);
-        assert_eq!(c.sched_workers, Some(3));
-        assert!(w.is_empty());
-        let (c, w) = resolve_all(None, Some("9999"), 4);
-        assert_eq!(c.sched_workers, Some(MAX_THREADS));
-        assert_eq!(w.len(), 1);
-        assert!(w[0].contains(SCHED_WORKERS_ENV), "{w:?}");
-        let (c, w) = resolve_all(None, Some("zero"), 4);
-        assert_eq!(c.sched_workers, None);
-        assert_eq!(w.len(), 1);
     }
 
     #[test]
@@ -321,15 +264,15 @@ mod tests {
             ("off", Some(false)),
             (" no ", Some(false)),
         ] {
-            let (c, w) = Config::resolve(None, None, Some(raw), 4);
+            let (c, w) = resolve(None, Some(raw));
             assert_eq!(c.telemetry, want, "raw {raw:?}");
             assert!(w.is_empty(), "raw {raw:?}: {w:?}");
         }
-        let (c, w) = Config::resolve(None, None, Some("maybe"), 4);
+        let (c, w) = resolve(None, Some("maybe"));
         assert_eq!(c.telemetry, None);
         assert_eq!(w.len(), 1, "{w:?}");
         assert!(w[0].contains(TELEMETRY_ENV), "{w:?}");
-        let (c, w) = Config::resolve(None, None, Some("  "), 4);
+        let (c, w) = resolve(None, Some("  "));
         assert_eq!(c.telemetry, None);
         assert!(w.is_empty());
     }

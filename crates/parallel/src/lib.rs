@@ -36,7 +36,7 @@
 
 pub mod config;
 
-pub use config::{warn_once, MAX_THREADS, NUM_THREADS_ENV, SCHED_WORKERS_ENV};
+pub use config::{warn_once, MAX_THREADS, NUM_THREADS_ENV};
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,27 +85,6 @@ pub enum Parallelism {
 /// ```
 pub fn num_threads() -> usize {
     config::get().threads
-}
-
-/// The worker count job schedulers should drain with: the
-/// `VARSAW_SCHED_WORKERS` override when set, otherwise [`num_threads`].
-///
-/// Resolved once per process alongside the other knobs (see [`config`]).
-/// Scheduler workers are a *concurrency* choice, not a correctness one —
-/// `sched::JobQueue` results are bit-identical for any worker count — so
-/// the override exists to decouple queue draining from the statevector
-/// engine's thread count (e.g. many serial jobs side by side instead of
-/// one threaded job at a time).
-///
-/// # Examples
-///
-/// ```
-/// // Unset in this process: follows the engine thread count.
-/// assert_eq!(parallel::sched_workers(), parallel::num_threads());
-/// ```
-pub fn sched_workers() -> usize {
-    let config = config::get();
-    config.sched_workers.unwrap_or(config.threads)
 }
 
 /// The runtime default of the stage-telemetry switch: `true` unless

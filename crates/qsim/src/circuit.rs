@@ -268,8 +268,7 @@ impl Circuit {
 /// [`Circuit::stats`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CircuitStats {
-    /// The number of qubits of the circuit's register (sizes
-    /// [`CircuitStats::state_bytes`]).
+    /// The number of qubits of the circuit's register.
     pub num_qubits: usize,
     /// Total gates.
     pub gate_count: usize,
@@ -324,22 +323,6 @@ impl CircuitStats {
     /// ```
     pub fn blocked_ops(&self) -> usize {
         self.fused_ops().saturating_sub(self.fusible_pairs)
-    }
-
-    /// The bytes a dense statevector over this circuit's register
-    /// occupies (`16 · 2ⁿ`: one [`crate::C64`] per amplitude) — the
-    /// estimate admission control (`sched::JobQueue`) consults before
-    /// allocating anything.
-    ///
-    /// Returned as `u128` so the estimate stays exact for register sizes
-    /// far beyond what [`crate::Statevector::try_zero`] can allocate.
-    ///
-    /// ```
-    /// use qsim::Circuit;
-    /// assert_eq!(Circuit::new(12).stats().state_bytes(), 16 << 12);
-    /// ```
-    pub fn state_bytes(&self) -> u128 {
-        crate::exec::state_bytes_for_qubits(self.num_qubits)
     }
 }
 

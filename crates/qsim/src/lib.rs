@@ -67,7 +67,7 @@ pub use complex::C64;
 pub use exec::Parallelism;
 pub use gate::Gate;
 pub use linalg::{lowest_eigenvalue, smallest_tridiagonal_eigenvalue, HermitianOp, LanczosResult};
-pub use plan::{CircuitPlan, PlanCache, ShardPlan, SharedPlanCache};
+pub use plan::{CircuitPlan, PlanCache, ShardPlan};
 pub use qasm::to_qasm;
 pub use sampler::{sample_counts, sample_counts_many, sample_index};
 pub use shard::{ShardCounters, ShardedState};

@@ -64,7 +64,7 @@ use crate::complex::C64;
 use crate::gate::Gate;
 use crate::linalg::{identity2, kron2, matmul4, swap_qubits4, transpose4};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One lowered operation of a compiled plan. Two-qubit symmetric gates
 /// store sorted qubits so the execution kernels never re-sort.
@@ -1226,102 +1226,6 @@ impl PlanCache {
     }
 }
 
-/// A [`PlanCache`] behind `Arc<Mutex<…>>`: the compiled-plan sharing seam
-/// for concurrent executors. Tenants of a job scheduler running the same
-/// ansatz family hit each other's structures — the second tenant's
-/// submission rebinds the first one's analysis instead of compiling.
-///
-/// Cloning is cheap and shares the underlying cache. The lock is held
-/// only for the cache lookup/insert; matrix binding happens outside it.
-///
-/// ```
-/// use qsim::{Circuit, SharedPlanCache};
-///
-/// let shared = SharedPlanCache::new();
-/// let elsewhere = shared.clone(); // same cache
-/// let mut c = Circuit::new(2);
-/// c.ry(0, 0.4).cx(0, 1);
-/// shared.plan(&c);
-/// let mut c2 = Circuit::new(2);
-/// c2.ry(0, -1.3).cx(0, 1);
-/// elsewhere.plan(&c2); // same structure: a hit through the other handle
-/// let (structures, hits, misses) = shared.stats();
-/// assert_eq!((structures, hits, misses), (1, 1, 1));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct SharedPlanCache {
-    inner: Arc<Mutex<PlanCache>>,
-}
-
-impl SharedPlanCache {
-    /// An empty shared cache.
-    pub fn new() -> Self {
-        SharedPlanCache::default()
-    }
-
-    /// Locks the cache, recovering from a poisoned lock: the cache holds
-    /// only memoized analyses, which stay valid even if a panicking
-    /// thread abandoned the lock mid-insert.
-    fn lock(&self) -> std::sync::MutexGuard<'_, PlanCache> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The plan for `circuit` — [`PlanCache::plan`] under the lock, with
-    /// the matrix binding done outside it.
-    pub fn plan(&self, circuit: &Circuit) -> CircuitPlan {
-        let structure = {
-            let mut cache = self.lock();
-            let key = structure_key(circuit);
-            if let Some(structure) = cache.structures.get(&key).map(Arc::clone) {
-                cache.hits += 1;
-                structure
-            } else {
-                cache.misses += 1;
-                let _span = telemetry::span(telemetry::Stage::PlanCompile);
-                let structure = Arc::new(PlanStructure::analyze(circuit));
-                cache.structures.insert(key, Arc::clone(&structure));
-                structure
-            }
-        };
-        let _span = telemetry::span(telemetry::Stage::PlanRebind);
-        structure.bind(circuit)
-    }
-
-    /// The sharded-execution plan for `plan` — [`PlanCache::shard_plan`]
-    /// under the lock, with the op binding done outside it.
-    pub fn shard_plan(&self, plan: &CircuitPlan, shards: usize) -> ShardPlan {
-        let analysis = {
-            let mut cache = self.lock();
-            let key = (shard_key(plan), shards);
-            if let Some(analysis) = cache.shard_analyses.get(&key).map(Arc::clone) {
-                cache.shard_hits += 1;
-                analysis
-            } else {
-                cache.shard_misses += 1;
-                let _span = telemetry::span(telemetry::Stage::PlanCompile);
-                let analysis = Arc::new(ShardAnalysis::analyze(plan, shards));
-                cache.shard_analyses.insert(key, Arc::clone(&analysis));
-                analysis
-            }
-        };
-        let _span = telemetry::span(telemetry::Stage::PlanRebind);
-        analysis.bind(plan)
-    }
-
-    /// Cache statistics `(structures, hits, misses)`, mirroring the
-    /// executor-level `plan_cache_stats`.
-    pub fn stats(&self) -> (usize, u64, u64) {
-        let cache = self.lock();
-        (cache.len(), cache.hits(), cache.misses())
-    }
-
-    /// Shard-analysis counters `(hits, misses)` — see
-    /// [`PlanCache::shard_stats`].
-    pub fn shard_stats(&self) -> (u64, u64) {
-        self.lock().shard_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1646,35 +1550,6 @@ mod tests {
                                      // fused entry (the slot indices would be wrong).
         cache.shard_plan(&unfused, 2);
         assert_eq!(cache.shard_stats(), (0, 3));
-    }
-
-    #[test]
-    fn shared_plan_cache_is_shared_across_clones_and_threads() {
-        let shared = SharedPlanCache::new();
-        let make = |t: f64| {
-            let mut c = Circuit::new(3);
-            c.ry(0, t).cx(0, 1).cx(1, 2);
-            c
-        };
-        let plan = shared.plan(&make(0.25));
-        let sp = shared.shard_plan(&plan, 2);
-        std::thread::scope(|scope| {
-            for w in 0..4 {
-                let shared = shared.clone();
-                let make = &make;
-                scope.spawn(move || {
-                    let p = shared.plan(&make(0.1 * (w + 1) as f64));
-                    shared.shard_plan(&p, 2);
-                });
-            }
-        });
-        let (structures, hits, misses) = shared.stats();
-        assert_eq!((structures, misses), (1, 1), "one compile total");
-        assert_eq!(hits, 4);
-        assert_eq!(shared.shard_stats(), (4, 1));
-        // The shared rebind executes identically to a fresh analysis.
-        let fresh = ShardPlan::analyze(&plan, 2);
-        assert_eq!(sp.layout(), fresh.layout());
     }
 
     #[test]

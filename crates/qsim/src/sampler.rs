@@ -316,6 +316,14 @@ mod tests {
         sample_counts(&[0.5, -0.5], 1, &mut StdRng::seed_from_u64(0));
     }
 
+    /// A NaN rotation angle turns every outcome probability NaN; the
+    /// sampler must refuse it rather than draw from a garbage CDF.
+    #[test]
+    #[should_panic(expected = "negative probability NaN")]
+    fn nan_probability_panics() {
+        sample_counts(&[f64::NAN, 0.5], 1, &mut StdRng::seed_from_u64(0));
+    }
+
     #[test]
     #[should_panic(expected = "sums to zero")]
     fn zero_distribution_panics() {

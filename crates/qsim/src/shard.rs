@@ -198,8 +198,8 @@ impl ShardedState {
     /// exceeds the 30-qubit dense limit or the allocator refuses a
     /// shard's reservation. Each shard is reserved fallibly
     /// ([`Vec::try_reserve_exact`]), so an oversized request reports
-    /// instead of aborting — the seam a capacity-probing scheduler
-    /// retries with more shards or a smaller register.
+    /// instead of aborting, and `vqe::SimExecutor::try_prepare` passes
+    /// the error on to its caller.
     ///
     /// # Panics
     ///

@@ -100,8 +100,8 @@ impl Statevector {
     /// representation limit, or the allocator refuses the reservation
     /// (`2ⁿ⁺⁴` bytes — checked with [`Vec::try_reserve_exact`] instead of
     /// aborting the process). Capacity-probing callers — the sharded
-    /// allocator, batch schedulers sizing how many planes fit — branch on
-    /// the error instead of crashing.
+    /// allocator, `vqe::SimExecutor::try_prepare` — branch on the error
+    /// instead of crashing.
     ///
     /// ```
     /// use qsim::Statevector;

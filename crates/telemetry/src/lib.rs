@@ -5,22 +5,20 @@
 //! paths carry instrumentation points with a **fixed stage taxonomy**
 //! ([`Stage`]): plan compilation vs rebinding, the statevector sweep per
 //! execution tier, cross-shard exchanges and plane swaps, noise
-//! sampling, Bayesian reconstruction, and the job scheduler's
-//! queue/dispatch phases.
+//! sampling, and Bayesian reconstruction.
 //!
 //! Instrumentation is **feature-gated**: without this crate's `enabled`
 //! feature (downstream crates forward their own `telemetry` feature to
-//! it), [`span`] returns a zero-sized guard, [`record_duration`] is an
-//! empty inline function, and the optimizer deletes the call sites — the
-//! instrumented binaries are the uninstrumented ones. With the feature
-//! on, spans time themselves with [`std::time::Instant`] and accumulate
-//! into lock-free per-stage atomics:
+//! it), [`span`] returns a zero-sized guard and the optimizer deletes
+//! the call sites — the instrumented binaries are the uninstrumented
+//! ones. With the feature on, spans time themselves with
+//! [`std::time::Instant`] and accumulate into lock-free per-stage
+//! atomics:
 //!
 //! - a **process-global** accumulator, read with [`global_snapshot`];
 //! - an optional **scoped [`Recorder`]** installed on the current thread
-//!   ([`Recorder::install`]), which is how the job scheduler attributes
-//!   stages to individual jobs (each job runs pinned to one worker
-//!   thread).
+//!   ([`Recorder::install`]), which attributes one thread's stages apart
+//!   from whatever other threads record concurrently.
 //!
 //! Even when compiled in, recording honors a runtime switch seeded from
 //! the `VARSAW_TELEMETRY` environment knob (read once through
@@ -80,15 +78,11 @@ pub enum Stage {
     NoiseSampling,
     /// Bayesian reconstruction sweeps (`mitigation::Reconstructor`).
     Reconstruction,
-    /// Time a job spent admitted but not yet dispatched.
-    SchedQueueWait,
-    /// Scheduler dispatch decisions (fair-queue picks).
-    SchedDispatch,
 }
 
 impl Stage {
     /// Number of stages in the taxonomy.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 9;
 
     /// Every stage, in display order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -101,8 +95,6 @@ impl Stage {
         Stage::TransportPlaneSwap,
         Stage::NoiseSampling,
         Stage::Reconstruction,
-        Stage::SchedQueueWait,
-        Stage::SchedDispatch,
     ];
 
     /// The stage's dense index into snapshot arrays (`0..COUNT`).
@@ -123,8 +115,6 @@ impl Stage {
             Stage::TransportPlaneSwap => "transport_plane_swap",
             Stage::NoiseSampling => "noise_sampling",
             Stage::Reconstruction => "reconstruction",
-            Stage::SchedQueueWait => "sched_queue_wait",
-            Stage::SchedDispatch => "sched_dispatch",
         }
     }
 }
@@ -145,9 +135,8 @@ pub struct StageStat {
 }
 
 /// An immutable copy of per-stage accumulators: the exchange format
-/// between the recording layer and everything that reports on it
-/// (`sched::JobOutput` breakdowns, queue aggregates, the experiments
-/// table).
+/// between the recording layer and everything that reports on it (the
+/// experiments table, the paper-run benchmark).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     counts: [u64; Stage::COUNT],
@@ -329,16 +318,6 @@ mod imp {
         });
     }
 
-    /// Records one completed event of `stage` lasting `elapsed`.
-    /// For durations measured externally (e.g. queue wait computed from
-    /// stored timestamps) where a live [`span`] guard cannot bracket the
-    /// region.
-    pub fn record_duration(stage: Stage, elapsed: Duration) {
-        if active() {
-            record(stage, 1, saturating_ns(elapsed));
-        }
-    }
-
     fn saturating_ns(d: Duration) -> u64 {
         u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
     }
@@ -395,23 +374,6 @@ mod imp {
             self.cells.snapshot()
         }
 
-        /// The recorder's totals as an optional breakdown: `Some` when
-        /// instrumentation is compiled in, `None` otherwise — the shape
-        /// `sched::JobOutput` carries.
-        pub fn finish(&self) -> Option<TelemetrySnapshot> {
-            Some(self.snapshot())
-        }
-
-        /// Folds an already-taken snapshot into this recorder (how the
-        /// job queue aggregates per-job breakdowns).
-        pub fn absorb(&self, snapshot: &TelemetrySnapshot) {
-            for (stage, stat) in snapshot.rows() {
-                if stat.count != 0 || stat.total_ns != 0 {
-                    self.cells.add(stage, stat.count, stat.total_ns);
-                }
-            }
-        }
-
         /// Resets every stage to zero.
         pub fn clear(&self) {
             self.cells.clear();
@@ -451,7 +413,6 @@ mod imp {
 #[cfg(not(feature = "enabled"))]
 mod imp {
     use super::{Stage, TelemetrySnapshot};
-    use std::time::Duration;
 
     /// Whether recording is live right now. Always `false` without the
     /// `enabled` feature.
@@ -478,13 +439,8 @@ mod imp {
         Span
     }
 
-    /// Records one completed event of `stage`. Compiles to nothing
-    /// without the `enabled` feature.
-    #[inline(always)]
-    pub fn record_duration(_stage: Stage, _elapsed: Duration) {}
-
     /// A scoped accumulator. Zero-sized and inert without the `enabled`
-    /// feature: snapshots are empty and [`Recorder::finish`] is `None`.
+    /// feature: snapshots are always empty.
     #[derive(Clone, Copy, Debug, Default)]
     pub struct Recorder;
 
@@ -506,17 +462,6 @@ mod imp {
         pub fn snapshot(&self) -> TelemetrySnapshot {
             TelemetrySnapshot::empty()
         }
-
-        /// The optional breakdown shape: always `None` when the
-        /// instrumentation is compiled out.
-        #[inline(always)]
-        pub fn finish(&self) -> Option<TelemetrySnapshot> {
-            None
-        }
-
-        /// Folds a snapshot into this recorder (inert).
-        #[inline(always)]
-        pub fn absorb(&self, _snapshot: &TelemetrySnapshot) {}
 
         /// Resets every stage to zero (inert).
         #[inline(always)]
@@ -540,8 +485,7 @@ mod imp {
 }
 
 pub use imp::{
-    active, global_snapshot, record_duration, reset_global, set_active, span, Recorder,
-    RecorderGuard, Span,
+    active, global_snapshot, reset_global, set_active, span, Recorder, RecorderGuard, Span,
 };
 
 #[cfg(test)]
@@ -602,36 +546,22 @@ mod tests {
             let _span = span(Stage::SweepSerial);
             std::hint::black_box(());
         }
-        record_duration(Stage::SchedQueueWait, std::time::Duration::from_micros(5));
+        {
+            let _span = span(Stage::Reconstruction);
+            std::hint::black_box(());
+        }
         let recorded = recorder.snapshot();
         if compiled() {
             assert_eq!(recorded.stat(Stage::SweepSerial).count, 1);
-            // The duration record happened outside the guard, so only
-            // the global cells see it.
+            // The second span ran outside the guard, so only the global
+            // cells see it.
+            assert_eq!(recorded.stat(Stage::Reconstruction).count, 0);
             let delta = global_snapshot().since(&before);
-            assert_eq!(delta.stat(Stage::SchedQueueWait).count, 1);
-            assert!(delta.stat(Stage::SchedQueueWait).total_ns >= 5_000);
-            assert_eq!(recorder.finish(), Some(recorded));
+            assert_eq!(delta.stat(Stage::Reconstruction).count, 1);
         } else {
             assert!(recorded.is_empty());
             assert!(global_snapshot().is_empty());
-            assert_eq!(recorder.finish(), None);
         }
-    }
-
-    #[test]
-    fn absorb_folds_snapshots() {
-        let _lock = recording_lock();
-        let recorder = Recorder::new();
-        let mut snap = TelemetrySnapshot::empty();
-        {
-            let _guard = recorder.install();
-            let _span = span(Stage::Reconstruction);
-        }
-        snap.merge(&recorder.snapshot());
-        let aggregate = Recorder::new();
-        aggregate.absorb(&snap);
-        assert_eq!(aggregate.snapshot(), snap);
     }
 
     #[cfg(feature = "enabled")]

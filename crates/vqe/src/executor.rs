@@ -7,7 +7,7 @@ use qnoise::{apply_depolarizing, apply_readout_errors, DeviceModel, ReadoutError
 use qsim::shard::shards_and_workers;
 use qsim::{
     CapacityError, Circuit, CircuitPlan, Parallelism, PlanCache, ShardPlan, ShardedState,
-    SharedPlanCache, Statevector,
+    Statevector,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,9 +59,6 @@ pub struct SimExecutor {
     /// every simulation rebinds a cached plan instead of re-analyzing.
     /// Also memoizes sharded-execution analyses per structure.
     plans: PlanCache,
-    /// When set, planning goes through this process-shared cache instead
-    /// of the private one — see [`SimExecutor::with_shared_plans`].
-    shared_plans: Option<SharedPlanCache>,
     /// Effective readout errors per measured width `m`, filled on first
     /// use: entry `m` holds the errors of the device's `m` best qubits
     /// under `m`-way crosstalk, and stays empty until then. The device
@@ -85,7 +82,6 @@ impl SimExecutor {
             exact: false,
             parallelism: Parallelism::Auto,
             plans: PlanCache::new(),
-            shared_plans: None,
             readout_by_width: Vec::new(),
         }
     }
@@ -102,41 +98,8 @@ impl SimExecutor {
             exact: true,
             parallelism: Parallelism::Auto,
             plans: PlanCache::new(),
-            shared_plans: None,
             readout_by_width: Vec::new(),
         }
-    }
-
-    /// Routes this executor's circuit planning through a process-shared
-    /// [`SharedPlanCache`] instead of its private cache. Executors for
-    /// different jobs — or different tenants — running the same ansatz
-    /// family then hit each other's compiled structures: the scheduler
-    /// tier (`sched::JobQueue`) hands every job executor one shared
-    /// cache. Plans are deterministic artifacts, so sharing never
-    /// changes results.
-    ///
-    /// ```
-    /// use qnoise::DeviceModel;
-    /// use qsim::{Circuit, SharedPlanCache};
-    /// use vqe::SimExecutor;
-    ///
-    /// let shared = SharedPlanCache::new();
-    /// let mut a = SimExecutor::new(DeviceModel::noiseless(2), 16, 1)
-    ///     .with_shared_plans(shared.clone());
-    /// let mut b = SimExecutor::new(DeviceModel::noiseless(2), 16, 2)
-    ///     .with_shared_plans(shared.clone());
-    /// let mut c = Circuit::new(2);
-    /// c.ry(0, 0.3).cx(0, 1);
-    /// a.prepare(&c);
-    /// let mut c2 = Circuit::new(2);
-    /// c2.ry(0, -0.8).cx(0, 1);
-    /// b.prepare(&c2); // same structure: a hit through the other executor
-    /// assert_eq!(shared.stats(), (1, 1, 1));
-    /// assert_eq!(b.plan_cache_stats(), (1, 1, 1)); // reports the shared cache
-    /// ```
-    pub fn with_shared_plans(mut self, shared: SharedPlanCache) -> Self {
-        self.shared_plans = Some(shared);
-        self
     }
 
     /// Sets how statevector simulation spreads across threads (default
@@ -173,30 +136,15 @@ impl SimExecutor {
         self.parallelism
     }
 
-    /// The compiled plan for `circuit`, through the shared cache when one
-    /// is attached and the private cache otherwise.
-    fn plan(&mut self, circuit: &Circuit) -> CircuitPlan {
-        match &self.shared_plans {
-            Some(shared) => shared.plan(circuit),
-            None => self.plans.plan(circuit),
-        }
-    }
-
     /// Compiles `circuit` for preparation from `|0…0⟩` under `mode`:
     /// [`shards_and_workers`] picks the dense plane or a shard count and
-    /// worker count. Shard analyses route through the same cache as
-    /// [`SimExecutor::plan`], so a rebind of a known ansatz shape skips
-    /// the layout re-analysis.
+    /// worker count. Shard analyses are memoized in the executor's
+    /// [`PlanCache`] next to the plans, so a rebind of a known ansatz
+    /// shape skips the layout re-analysis.
     fn preparation(&mut self, circuit: &Circuit, mode: Parallelism) -> Preparation {
-        let plan = self.plan(circuit);
+        let plan = self.plans.plan(circuit);
         let (shards, workers) = shards_and_workers(mode, plan.num_qubits(), plan.op_count());
-        let sharded = (shards > 1).then(|| {
-            let sp = match &self.shared_plans {
-                Some(shared) => shared.shard_plan(&plan, shards),
-                None => self.plans.shard_plan(&plan, shards),
-            };
-            (sp, workers)
-        });
+        let sharded = (shards > 1).then(|| (self.plans.shard_plan(&plan, shards), workers));
         Preparation { plan, sharded }
     }
 
@@ -226,8 +174,8 @@ impl SimExecutor {
     }
 
     /// [`SimExecutor::prepare`], surfacing state-allocation failures as a
-    /// typed [`CapacityError`] instead of panicking — the admission-control
-    /// seam job schedulers branch on. Covers every execution tier: the
+    /// typed [`CapacityError`] instead of panicking, so a caller can react
+    /// to an allocator refusal. Covers every execution tier: the
     /// serial dense plane probes [`Statevector::try_zero`], threaded
     /// preparation on shards probes
     /// [`ShardedState::try_zero`](qsim::ShardedState::try_zero).
@@ -304,25 +252,16 @@ impl SimExecutor {
 
     /// Plan-cache statistics `(structures, hits, misses)` — how often
     /// simulations rebound a cached circuit structure instead of
-    /// re-analyzing it. Reports the shared cache when one is attached
-    /// ([`SimExecutor::with_shared_plans`]), so schedulers can observe
-    /// cross-tenant sharing through any participating executor.
+    /// re-analyzing it.
     pub fn plan_cache_stats(&self) -> (usize, u64, u64) {
-        match &self.shared_plans {
-            Some(shared) => shared.stats(),
-            None => (self.plans.len(), self.plans.hits(), self.plans.misses()),
-        }
+        (self.plans.len(), self.plans.hits(), self.plans.misses())
     }
 
     /// Shard-analysis cache counters `(hits, misses)` — how often sharded
     /// preparation rebound a memoized layout analysis instead of
-    /// re-analyzing (see [`qsim::PlanCache::shard_plan`]). Reports the
-    /// shared cache when one is attached.
+    /// re-analyzing (see [`qsim::PlanCache::shard_plan`]).
     pub fn shard_cache_stats(&self) -> (u64, u64) {
-        match &self.shared_plans {
-            Some(shared) => shared.shard_stats(),
-            None => self.plans.shard_stats(),
-        }
+        self.plans.shard_stats()
     }
 
     /// The device model.
@@ -380,7 +319,7 @@ impl SimExecutor {
             let _span = telemetry::span(telemetry::Stage::SweepSerial);
             state.clone()
         };
-        let plan = self.plan(&basis_rotation(basis));
+        let plan = self.plans.plan(&basis_rotation(basis));
         st.apply_plan(&plan);
         self.finish(st.marginal_probabilities(&measured), measured)
     }
@@ -402,7 +341,7 @@ impl SimExecutor {
             let _span = telemetry::span(telemetry::Stage::SweepSerial);
             state.clone()
         };
-        let plan = self.plan(&basis_rotation(basis));
+        let plan = self.plans.plan(&basis_rotation(basis));
         st.apply_plan(&plan);
         let measured: Vec<usize> = (0..state.num_qubits()).collect();
         self.finish(st.marginal_probabilities(&measured), measured)
@@ -483,7 +422,7 @@ impl SimExecutor {
                 );
                 let full_register = measured.len() == job.state.num_qubits();
                 Planned {
-                    plan: self.plan(&basis_rotation(job.basis)),
+                    plan: self.plans.plan(&basis_rotation(job.basis)),
                     measured,
                     full_register,
                 }
@@ -885,7 +824,10 @@ mod tests {
             c.ry(q, 0.1 + q as f64);
         }
         c.cx(0, 1).cx(1, 2).cx(2, 3).cx(3, 4).cz(0, 4);
-        let exec = |mode| SimExecutor::new(DeviceModel::noiseless(5), 16, 2).with_parallelism(mode);
+        // A noisy device with finite shots: PMFs match only if the
+        // probabilities and the sampling RNG stream both do.
+        let exec =
+            |mode| SimExecutor::new(DeviceModel::mumbai_like(), 64, 2).with_parallelism(mode);
         for threads in [2, 4, 8] {
             let mut dense = exec(Parallelism::Serial);
             let mut sharded = exec(Parallelism::Threads(threads));
@@ -893,15 +835,22 @@ mod tests {
             let st_s = sharded.prepare(&c);
             assert_eq!(st_d.amplitudes(), st_s.amplitudes(), "{threads} threads");
             assert_eq!(sharded.shard_cache_stats().1, 1, "prepared on shards");
-            // And through the measured path, PMFs stay equal too.
+            // And through the measured paths — subset, Global and explicit
+            // circuit — PMFs and metered cost stay equal too.
             assert_eq!(
                 dense.run_prepared(&st_d, &ps("ZZIII")).probs(),
                 sharded.run_prepared(&st_s, &ps("ZZIII")).probs()
             );
             assert_eq!(
+                dense.run_prepared_all(&st_d, &ps("ZZIXY")),
+                sharded.run_prepared_all(&st_s, &ps("ZZIXY"))
+            );
+            assert_eq!(
                 dense.run_circuit(&c, &[0, 3]).probs(),
                 sharded.run_circuit(&c, &[0, 3]).probs()
             );
+            assert_eq!(dense.circuits_executed(), 3);
+            assert_eq!(sharded.circuits_executed(), dense.circuits_executed());
         }
     }
 

@@ -3,8 +3,7 @@
 //! 4 amplitude shards × 4 workers — must surface
 //! a state that does not fit as a typed [`qsim::CapacityError`]
 //! through `try_prepare` / `try_prepare_batch`, never by aborting the
-//! process. This is the admission-control seam `sched::JobQueue` branches
-//! on.
+//! process.
 
 use qnoise::DeviceModel;
 use qsim::Circuit;

@@ -35,8 +35,7 @@ pub fn subsequence<T: Clone>(items: Vec<T>, size: impl Into<SizeRange>) -> Subse
 /// Strategy producing uniformly random permutations of `items` — the
 /// shim's counterpart of `proptest::sample::Shuffle` (real proptest
 /// reaches it through `Just(vec).prop_shuffle()`; offline callers use
-/// `sample::shuffle(vec)` directly). Submission-order fuzzing in the
-/// scheduler's equivalence suite is the primary consumer.
+/// `sample::shuffle(vec)` directly).
 pub fn shuffle<T: Clone>(items: Vec<T>) -> Shuffle<T> {
     Shuffle { items }
 }
