@@ -1,6 +1,7 @@
 //! Criterion benchmarks for the computational kernels every experiment
 //! leans on: state-vector simulation, Pauli algebra, noise channels,
-//! Bayesian reconstruction, grouping and the Lanczos eigensolver.
+//! Bayesian reconstruction, energy assembly, grouping and the Lanczos
+//! eigensolver.
 
 use chem::{molecular_hamiltonian, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -10,7 +11,7 @@ use qnoise::{apply_readout_errors, ReadoutError};
 use qsim::shard::shards_and_workers;
 use qsim::{Circuit, CircuitPlan, Parallelism, ShardedState, Statevector};
 use rand::{rngs::StdRng, SeedableRng};
-use vqe::{EfficientSu2, Entanglement};
+use vqe::{EfficientSu2, Entanglement, GroupedHamiltonian};
 
 fn ansatz_circuit(n: usize) -> Circuit {
     let a = EfficientSu2::new(n, 2, Entanglement::Full);
@@ -73,6 +74,22 @@ fn bench_pauli_expectation(c: &mut Criterion) {
     let string: PauliString = "ZXIZYIZXIZ".parse().unwrap();
     c.bench_function("pauli/exact_expectation_10q", |b| {
         b.iter(|| std::hint::black_box(string.expectation(&st)))
+    });
+}
+
+fn bench_energy(c: &mut Criterion) {
+    // One energy assembly of a VarSaw H6-10 evaluation: 918 terms in 463
+    // groups, each group's expectations over its own full-register
+    // 1024-outcome Output-PMF.
+    let spec = MoleculeSpec::find("H6", 10).unwrap();
+    let grouped = GroupedHamiltonian::new(&molecular_hamiltonian(&spec));
+    let n = grouped.num_qubits();
+    let mut st = Statevector::zero(n);
+    st.apply_circuit(&ansatz_circuit(n));
+    let global = Pmf::new((0..n).collect(), st.probabilities());
+    let pmfs = vec![global; grouped.num_groups()];
+    c.bench_function("energy/h6_10_energy_from_pmfs", |b| {
+        b.iter(|| std::hint::black_box(grouped.energy_from_pmfs(&pmfs)))
     });
 }
 
@@ -177,7 +194,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = kernels;
     config = config();
-    targets = bench_statevector, bench_pauli_expectation, bench_grouping,
+    targets = bench_statevector, bench_pauli_expectation, bench_energy, bench_grouping,
         bench_reconstruction, bench_noise_channel, bench_sampling, bench_lanczos
 }
 criterion_main!(kernels);

@@ -1,11 +1,14 @@
 //! Benchmarks for the Bayesian-reconstruction engine, CI-archived as
 //! `BENCH_reconstruction.json` (see the bench-smoke job): the one-shot
 //! compatibility path, the key-cached persistent path the VQE evaluators
-//! run, multi-round sweeps, and a 16-qubit sweep over a multi-chunk grid.
+//! run, multi-round sweeps, one H6-10 basis as VarSaw reconstructs it,
+//! and a 16-qubit sweep over a multi-chunk grid.
 
+use chem::{molecular_hamiltonian, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mitigation::{reconstruct, Pmf, ReconstructionConfig, Reconstructor};
 use qsim::Statevector;
+use varsaw::SpatialPlan;
 use vqe::{EfficientSu2, Entanglement};
 
 /// The 8-qubit EfficientSU2 output distribution with 7 pairwise window
@@ -17,6 +20,36 @@ fn jigsaw_8q() -> (Pmf, Vec<Pmf>) {
     st.apply_circuit(&a.circuit(&a.initial_parameters(7)));
     let global = Pmf::new((0..n).collect(), st.probabilities());
     let locals: Vec<Pmf> = (0..n - 1).map(|w| global.marginal(&[w, w + 1])).collect();
+    (global, locals)
+}
+
+/// One H6-10 basis as VarSaw reconstructs it: a 10-qubit global and the
+/// 1- and 2-qubit sliding-window locals the spatial plan covers it with,
+/// high-bit windows included. The basis is the one with the most windows;
+/// the evidence comes from a second ansatz state, so every update really
+/// reweights.
+fn h6_basis_10q() -> (Pmf, Vec<Pmf>) {
+    let n = 10usize;
+    let spec = MoleculeSpec::find("H6", n).expect("H6-10 is a Table 2 entry");
+    let plan = SpatialPlan::new(&molecular_hamiltonian(&spec), 2);
+    let basis = (0..plan.bases().len())
+        .max_by_key(|&b| plan.coverage(b).len())
+        .expect("H6 has measurable terms");
+    let a = EfficientSu2::new(n, 2, Entanglement::Full);
+    let probs = |seed| {
+        let mut st = Statevector::zero(n);
+        st.apply_circuit(&a.circuit(&a.initial_parameters(seed)));
+        st.probabilities()
+    };
+    let global = Pmf::new((0..n).collect(), probs(7));
+    let evidence = Pmf::new((0..n).collect(), probs(8));
+    let locals: Vec<Pmf> = plan
+        .coverage(basis)
+        .iter()
+        .map(|wc| evidence.marginal(&wc.subset.support()))
+        .collect();
+    let windows: Vec<&[usize]> = locals.iter().map(Pmf::qubits).collect();
+    println!("bench reconstruction/cached_10q_h6_basis windows {windows:?}");
     (global, locals)
 }
 
@@ -66,6 +99,16 @@ fn bench_cached(c: &mut Criterion) {
     };
     c.bench_function("reconstruction/cached_rounds4_8q_7windows", |b| {
         b.iter(|| std::hint::black_box(engine.reconstruct(&global, &locals, rounds4)))
+    });
+    let (global, locals) = h6_basis_10q();
+    c.bench_function("reconstruction/cached_10q_h6_basis", |b| {
+        b.iter(|| {
+            std::hint::black_box(engine.reconstruct(
+                &global,
+                &locals,
+                ReconstructionConfig::default(),
+            ))
+        })
     });
 }
 

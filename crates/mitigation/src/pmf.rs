@@ -46,9 +46,10 @@ impl Pmf {
             probs.iter().all(|&p| p >= 0.0),
             "negative probability in PMF"
         );
-        assert!(probs.iter().sum::<f64>() > 0.0, "PMF has zero total mass");
+        let total: f64 = probs.iter().sum();
+        assert!(total > 0.0, "PMF has zero total mass");
         let mut pmf = Pmf { qubits, probs };
-        pmf.normalize();
+        pmf.normalize_with(total);
         pmf
     }
 
@@ -96,6 +97,12 @@ impl Pmf {
     pub fn normalize(&mut self) {
         let total: f64 = self.probs.iter().sum();
         assert!(total > 0.0, "cannot normalize a zero PMF");
+        self.normalize_with(total);
+    }
+
+    /// Rescales to unit mass given the already-summed positive `total`,
+    /// leaving already-unit mass untouched.
+    fn normalize_with(&mut self, total: f64) {
         if (total - 1.0).abs() > 1e-15 {
             self.probs.iter_mut().for_each(|p| *p /= total);
         }

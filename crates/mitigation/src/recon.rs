@@ -11,11 +11,24 @@
 //! - **Key caching.** The `2^n`-entry projection-key table of every
 //!   (global, local) signature is computed once and cached; later sweeps
 //!   reuse it with a cheap signature lookup.
-//! - **Fused, allocation-free sweeps.** Each Bayesian update is three
-//!   passes over the outcome array — marginal-accumulate, reweight (which
-//!   also accumulates the post-update mass), and a conditional normalize —
-//!   in place, on preallocated scratch. No intermediate [`Pmf`]s,
-//!   marginals, or ratio vectors are constructed per call.
+//! - **Two passes per update, allocation-free.** Each Bayesian update is
+//!   a marginal-accumulate pass (A) and a reweight pass (B) that also
+//!   accumulates the post-update mass, in place on preallocated scratch.
+//!   No intermediate [`Pmf`]s, marginals, or ratio vectors are
+//!   constructed per call.
+//! - **Deferred normalization.** An update whose mass is not already 1
+//!   owes a divide-by-mass pass. Instead of a third pass, the division
+//!   runs inside the next update's Pass A, which divides each outcome and
+//!   then accumulates the divided value; after the last update one final
+//!   division pass settles whatever is still owed. Every outcome sees the
+//!   same divisions in the same order as with a separate pass.
+//! - **Register histograms.** For 2- and 4-outcome windows (every window
+//!   on the paper path) Pass A accumulates the window marginal in `K`
+//!   register accumulators with a select-add instead of scattering into
+//!   memory, so consecutive outcomes landing in one bin do not wait on
+//!   each other's stores. Adding `+0.0` to a nonnegative sum is exact, so
+//!   each bin still sums the same values in outcome order. Wider windows
+//!   keep the scatter loop.
 //! - **Chunk-ordered reduction.** The outcome range is split into
 //!   fixed-size chunks; each chunk accumulates its own partial marginal
 //!   histogram and partial mass, and the partials are summed in chunk
@@ -28,10 +41,11 @@
 //! window size), so the floating-point reduction order is fixed. For
 //! globals that fit in a single chunk (up to 12 qubits, every paper
 //! workload) the kernel is bit-identical to a textbook sequential
-//! implementation; beyond that the chunk-ordered reduction re-associates
-//! sums and agreement is within floating-point tolerance instead, with the
-//! exact bits pinned by digest. The property tests in
-//! `tests/recon_equiv.rs` assert both.
+//! implementation with a separate normalize pass per update; beyond that
+//! the chunk-ordered reduction re-associates sums and agreement is within
+//! floating-point tolerance instead, with the exact bits pinned by
+//! digest. The property and edge tests in `tests/recon_equiv.rs` assert
+//! both.
 
 use crate::bayes::ReconstructionConfig;
 use crate::pmf::Pmf;
@@ -67,10 +81,73 @@ fn ensure(buf: &mut Vec<f64>, len: usize) {
     }
 }
 
+/// Pass A over one chunk: divides every outcome by the previous update's
+/// deferred `divisor`, if one is owed, and writes the chunk's window
+/// histogram into `part` (one bin per window outcome).
+fn histogram(plane: &mut [f64], keys: &[u32], part: &mut [f64], divisor: Option<f64>) {
+    match part.len() {
+        2 => histogram_in_registers::<2>(plane, keys, part, divisor),
+        4 => histogram_in_registers::<4>(plane, keys, part, divisor),
+        _ => histogram_scatter(plane, keys, part, divisor),
+    }
+}
+
+/// [`histogram`] for `K`-outcome windows, with the bins in registers:
+/// every outcome select-adds into all `K` accumulators, `+0.0` into the
+/// bins it does not project to. A nonnegative sum plus `+0.0` is exact,
+/// so each bin sums the same values in the same order as the scatter.
+fn histogram_in_registers<const K: usize>(
+    plane: &mut [f64],
+    keys: &[u32],
+    part: &mut [f64],
+    divisor: Option<f64>,
+) {
+    let mut acc = [0.0; K];
+    let mut add = |key: u32, p: f64| {
+        for (j, a) in acc.iter_mut().enumerate() {
+            *a += if key as usize == j { p } else { 0.0 };
+        }
+    };
+    match divisor {
+        Some(d) => {
+            for (p, &key) in plane.iter_mut().zip(keys) {
+                *p /= d;
+                add(key, *p);
+            }
+        }
+        None => {
+            for (&p, &key) in plane.iter().zip(keys) {
+                add(key, p);
+            }
+        }
+    }
+    part.copy_from_slice(&acc);
+}
+
+/// [`histogram`] for any window size: scatters into the bins in memory.
+fn histogram_scatter(plane: &mut [f64], keys: &[u32], part: &mut [f64], divisor: Option<f64>) {
+    part.fill(0.0);
+    match divisor {
+        Some(d) => {
+            for (p, &key) in plane.iter_mut().zip(keys) {
+                *p /= d;
+                part[key as usize] += *p;
+            }
+        }
+        None => {
+            for (&p, &key) in plane.iter().zip(keys) {
+                part[key as usize] += p;
+            }
+        }
+    }
+}
+
 /// A reusable Bayesian-reconstruction engine: the `2^n`-entry
 /// projection-key table of every (global-qubits, local-qubits) signature
-/// is computed once and cached, and sweeps run as fused allocation-free
-/// passes over preallocated scratch (no intermediate [`Pmf`]s).
+/// is computed once and cached, and sweeps run as two fused
+/// allocation-free passes per update over preallocated scratch (no
+/// intermediate [`Pmf`]s), each update's normalization deferred into the
+/// next update's first pass.
 ///
 /// One `Reconstructor` should persist wherever reconstruction repeats
 /// with the same measurement geometry — `varsaw`'s evaluators keep one
@@ -215,6 +292,9 @@ impl Reconstructor {
 
         let plane = output.probs_mut();
         let epsilon = config.epsilon;
+        // The mass the last applied update left behind, while its
+        // normalize is still owed (see the module docs).
+        let mut pending: Option<f64> = None;
         for _ in 0..config.rounds {
             for (li, local) in locals.iter().enumerate() {
                 let keys = &self.tables[self.order[li]].keys[..dim];
@@ -227,15 +307,13 @@ impl Reconstructor {
                 let ratio = &mut self.ratio[..k];
                 let totals = &mut self.totals[..n_chunks];
 
-                // Pass A: per-chunk partial marginal histograms, reduced
-                // in chunk order.
-                partials.fill(0.0);
+                // Pass A: the owed normalize, then per-chunk partial
+                // marginal histograms, reduced in chunk order.
                 for (c, part) in partials.chunks_exact_mut(k).enumerate() {
                     let range = c * chunk_len..(c + 1) * chunk_len;
-                    for (&key, &p) in keys[range.clone()].iter().zip(&plane[range]) {
-                        part[key as usize] += p;
-                    }
+                    histogram(&mut plane[range.clone()], &keys[range], part, pending);
                 }
+                pending = None;
                 for (j, m) in marg.iter_mut().enumerate() {
                     let mut s = 0.0;
                     for c in 0..n_chunks {
@@ -286,13 +364,16 @@ impl Reconstructor {
                     total += t;
                 }
 
-                // Pass C: normalize, mirroring `Pmf::normalize`'s skip of
-                // already-unit mass.
+                // The normalize, mirroring `Pmf::normalize`'s skip of
+                // already-unit mass, is owed to the next Pass A.
                 if (total - 1.0).abs() > 1e-15 {
-                    for p in plane.iter_mut() {
-                        *p /= total;
-                    }
+                    pending = Some(total);
                 }
+            }
+        }
+        if let Some(total) = pending {
+            for p in plane.iter_mut() {
+                *p /= total;
             }
         }
     }

@@ -20,55 +20,79 @@ fn naive_reconstruct(global: &Pmf, locals: &[Pmf], config: ReconstructionConfig)
     let mut out = global.clone();
     for _ in 0..config.rounds {
         for local in locals {
-            let positions = out.projection_positions(local.qubits());
-            let key = |x: usize| -> usize {
-                positions
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &pos)| ((x >> pos) & 1) << j)
-                    .sum()
-            };
-            let k = local.probs().len();
-            let mut marg = vec![0.0; k];
-            for (x, &p) in out.probs().iter().enumerate() {
-                marg[key(x)] += p;
-            }
-            let mut unsupported = 0.0;
-            let mut supported_evidence = 0.0;
-            for j in 0..k {
-                if marg[j] > config.epsilon {
-                    supported_evidence += local.prob(j);
-                } else {
-                    unsupported += marg[j];
-                }
-            }
-            if supported_evidence <= 0.0 {
-                continue;
-            }
-            let scale = (1.0 - unsupported) / supported_evidence;
-            let ratio: Vec<f64> = (0..k)
-                .map(|j| {
-                    if marg[j] > config.epsilon {
-                        local.prob(j) * scale / marg[j]
-                    } else {
-                        1.0
-                    }
-                })
-                .collect();
-            let probs = out.probs_mut();
-            let mut total = 0.0;
-            for (x, p) in probs.iter_mut().enumerate() {
-                *p *= ratio[key(x)];
-                total += *p;
-            }
-            if (total - 1.0).abs() > 1e-15 {
-                for p in probs.iter_mut() {
-                    *p /= total;
-                }
-            }
+            naive_update(&mut out, local, config.epsilon, 1);
         }
     }
     out
+}
+
+/// One textbook Bayesian update of `out` by `local`: marginal, guarded
+/// ratios, reweight, then a separate normalize pass. Returns the
+/// post-reweight mass, or `None` when the update is skipped.
+///
+/// With `chunks == 1` every sum runs sequentially over the outcomes.
+/// With more, the outcome range splits into `chunks` equal chunks; each
+/// chunk's sums run sequentially and the chunk sums are added in chunk
+/// order — the engine's documented multi-chunk reduction.
+fn naive_update(out: &mut Pmf, local: &Pmf, epsilon: f64, chunks: usize) -> Option<f64> {
+    let positions = out.projection_positions(local.qubits());
+    let key = |x: usize| -> usize {
+        positions
+            .iter()
+            .enumerate()
+            .map(|(j, &pos)| ((x >> pos) & 1) << j)
+            .sum()
+    };
+    let k = local.probs().len();
+    let chunk_len = out.probs().len() / chunks;
+    let mut marg = vec![0.0; k];
+    for (c, probs) in out.probs().chunks(chunk_len).enumerate() {
+        let mut part = vec![0.0; k];
+        for (i, &p) in probs.iter().enumerate() {
+            part[key(c * chunk_len + i)] += p;
+        }
+        for j in 0..k {
+            marg[j] += part[j];
+        }
+    }
+    let mut unsupported = 0.0;
+    let mut supported_evidence = 0.0;
+    for j in 0..k {
+        if marg[j] > epsilon {
+            supported_evidence += local.prob(j);
+        } else {
+            unsupported += marg[j];
+        }
+    }
+    if supported_evidence <= 0.0 {
+        return None;
+    }
+    let scale = (1.0 - unsupported) / supported_evidence;
+    let ratio: Vec<f64> = (0..k)
+        .map(|j| {
+            if marg[j] > epsilon {
+                local.prob(j) * scale / marg[j]
+            } else {
+                1.0
+            }
+        })
+        .collect();
+    let probs = out.probs_mut();
+    let mut total = 0.0;
+    for (c, chunk) in probs.chunks_mut(chunk_len).enumerate() {
+        let mut sum = 0.0;
+        for (i, p) in chunk.iter_mut().enumerate() {
+            *p *= ratio[key(c * chunk_len + i)];
+            sum += *p;
+        }
+        total += sum;
+    }
+    if (total - 1.0).abs() > 1e-15 {
+        for p in probs.iter_mut() {
+            *p /= total;
+        }
+    }
+    Some(total)
 }
 
 /// FNV-1a over the output's `f64` bit patterns: a compact pin of every
@@ -231,4 +255,134 @@ fn multi_chunk_sweeps_match_pinned_bits() {
         "multi-chunk reduction drifted: tvd {}",
         reference.tvd(&serial)
     );
+}
+
+/// Edge cases of the deferred normalization: an update whose mass misses
+/// 1 owes its division to the next update's first pass, or to a final
+/// pass after the last update. Every case matches the reference, which
+/// normalizes right after each update, bit for bit.
+mod deferred_normalization {
+    use super::*;
+
+    const EPSILON: f64 = 1e-9;
+
+    fn config(rounds: usize) -> ReconstructionConfig {
+        ReconstructionConfig {
+            epsilon: EPSILON,
+            rounds,
+        }
+    }
+
+    /// A 10-qubit global whose qubit 0 always reads 0.
+    fn global_q0_zero() -> Pmf {
+        let probs: Vec<f64> = (0..1usize << 10)
+            .map(|x| {
+                if x & 1 == 1 {
+                    0.0
+                } else {
+                    ((x * 2654435761) % 1013 + 1) as f64
+                }
+            })
+            .collect();
+        Pmf::new((0..10).collect(), probs)
+    }
+
+    /// Whether updating `prior` by `local` owes a normalize: its mass
+    /// after the reweight misses 1 by more than the unit-mass tolerance.
+    /// `None` when the update is skipped.
+    fn owes_normalize(prior: &Pmf, local: &Pmf) -> Option<bool> {
+        let mut out = prior.clone();
+        naive_update(&mut out, local, EPSILON, 1).map(|total| (total - 1.0).abs() > 1e-15)
+    }
+
+    /// The first local over `qubits`, from a fixed deterministic family,
+    /// whose update of `prior` owes a normalize (`owes`) or lands on
+    /// unit mass (`!owes`).
+    fn local_owing(prior: &Pmf, qubits: &[usize], owes: bool) -> Pmf {
+        (1..500)
+            .map(|salt: usize| {
+                let probs = (0..1usize << qubits.len())
+                    .map(|j| ((j + 1) * salt % 97 + 1) as f64)
+                    .collect();
+                Pmf::new(qubits.to_vec(), probs)
+            })
+            .find(|l| owes_normalize(prior, l) == Some(owes))
+            .expect("the family has a local of each kind")
+    }
+
+    /// Evidence that qubit 0 reads 1, which `global_q0_zero` never
+    /// supports: the update is skipped.
+    fn incompatible() -> Pmf {
+        Pmf::new(vec![0], vec![0.0, 1.0])
+    }
+
+    fn assert_matches_reference(global: &Pmf, locals: &[Pmf]) {
+        for rounds in 1..=3 {
+            let want = naive_reconstruct(global, locals, config(rounds));
+            let got = Reconstructor::new().reconstruct(global, locals, config(rounds));
+            assert_eq!(got.probs(), want.probs(), "rounds {rounds}");
+        }
+    }
+
+    #[test]
+    fn skipped_update_right_after_an_owed_normalize() {
+        let global = global_q0_zero();
+        let owing = local_owing(&global, &[3, 4], true);
+        let mut after = global.clone();
+        naive_update(&mut after, &owing, EPSILON, 1);
+        assert_eq!(owes_normalize(&after, &incompatible()), None, "skipped");
+        let next = Pmf::new(vec![8, 9], vec![0.1, 0.2, 0.3, 0.4]);
+        assert_matches_reference(&global, &[owing, incompatible(), next]);
+    }
+
+    #[test]
+    fn sweep_whose_last_update_is_skipped() {
+        let global = global_q0_zero();
+        let owing = local_owing(&global, &[1, 2], true);
+        assert_matches_reference(&global, &[owing, incompatible()]);
+    }
+
+    #[test]
+    fn unit_mass_update_then_an_owed_normalize() {
+        let global = global_q0_zero();
+        let unit = local_owing(&global, &[5, 6], false);
+        let mut after = global.clone();
+        naive_update(&mut after, &unit, EPSILON, 1);
+        let owing = local_owing(&after, &[8], true);
+        assert_matches_reference(&global, &[unit, owing]);
+    }
+
+    /// Windows of 2, 4 and 8 outcomes — both register-histogram arms and
+    /// the scatter arm — in one sweep over a 13-qubit global that splits
+    /// into two chunks, high-bit windows included. Multi-chunk sums are
+    /// chunk-ordered, so the exact reference is the chunked one; the
+    /// sequential reference agrees within floating-point tolerance.
+    #[test]
+    fn mixed_window_sizes_over_a_multi_chunk_global() {
+        let n = 13;
+        let probs: Vec<f64> = (0..1usize << n)
+            .map(|x| ((x * 2654435761) % 1000 + 1) as f64)
+            .collect();
+        let global = Pmf::new((0..n).collect(), probs);
+        let locals = vec![
+            Pmf::new(vec![12], vec![0.7, 0.3]),
+            Pmf::new(vec![0, 1], vec![0.4, 0.1, 0.2, 0.3]),
+            Pmf::new(vec![10, 11, 12], (1..=8).map(f64::from).collect()),
+            Pmf::new(vec![11, 12], vec![0.3, 0.3, 0.2, 0.2]),
+            Pmf::new(vec![0], vec![0.45, 0.55]),
+            Pmf::new(vec![3, 7, 12], (1..=8).rev().map(f64::from).collect()),
+        ];
+        for rounds in 1..=2 {
+            let got = Reconstructor::new().reconstruct(&global, &locals, config(rounds));
+            let mut want = global.clone();
+            for _ in 0..rounds {
+                for local in &locals {
+                    naive_update(&mut want, local, EPSILON, 2);
+                }
+            }
+            assert_eq!(got.probs(), want.probs(), "rounds {rounds}");
+            let sequential = naive_reconstruct(&global, &locals, config(rounds));
+            assert!(sequential.tvd(&got) < 1e-12, "rounds {rounds}");
+        }
+    }
 }

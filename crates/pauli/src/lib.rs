@@ -31,7 +31,7 @@ mod string;
 mod term;
 
 pub use algebra::{fully_commute, pauli_product, Phase};
-pub use expectation::expectation_from_probs;
+pub use expectation::{expectation_from_probs, expectations_from_probs};
 pub use grouping::{group_by_cover, group_by_union, MeasurementGroup};
 pub use hamiltonian::Hamiltonian;
 pub use pauli::Pauli;

@@ -5,7 +5,8 @@
 //! paths carry instrumentation points with a **fixed stage taxonomy**
 //! ([`Stage`]): plan compilation vs rebinding, the statevector sweep per
 //! execution tier, cross-shard exchanges and plane swaps, noise
-//! sampling, and Bayesian reconstruction.
+//! sampling, Bayesian reconstruction, VarSaw's Local-PMF marginals and
+//! energy assembly.
 //!
 //! Instrumentation is **feature-gated**: without this crate's `enabled`
 //! feature (downstream crates forward their own `telemetry` feature to
@@ -27,7 +28,8 @@
 //!
 //! Spans at the chosen call sites are **disjoint by construction** (a
 //! sweep span never contains an exchange span, noise spans sit outside
-//! the sweep spans), so summing a snapshot's stages never double-counts
+//! the sweep spans, and the marginal and energy spans contain no
+//! sampling or reconstruction span), so summing a snapshot's stages never double-counts
 //! wall time; the `telemetry` experiments table relies on this when it
 //! reports the fraction of an iteration attributed to named stages.
 //!
@@ -78,11 +80,17 @@ pub enum Stage {
     NoiseSampling,
     /// Bayesian reconstruction sweeps (`mitigation::Reconstructor`).
     Reconstruction,
+    /// VarSaw's Local-PMF build: marginalizing each reduced subset PMF
+    /// onto the windows it covers (`mitigation::Pmf::marginal`).
+    Marginal,
+    /// Energy assembly from per-group outcome PMFs
+    /// (`vqe::GroupedHamiltonian::energy_from_pmfs`).
+    Energy,
 }
 
 impl Stage {
     /// Number of stages in the taxonomy.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 11;
 
     /// Every stage, in display order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -95,6 +103,8 @@ impl Stage {
         Stage::TransportPlaneSwap,
         Stage::NoiseSampling,
         Stage::Reconstruction,
+        Stage::Marginal,
+        Stage::Energy,
     ];
 
     /// The stage's dense index into snapshot arrays (`0..COUNT`).
@@ -115,6 +125,8 @@ impl Stage {
             Stage::TransportPlaneSwap => "transport_plane_swap",
             Stage::NoiseSampling => "noise_sampling",
             Stage::Reconstruction => "reconstruction",
+            Stage::Marginal => "marginal",
+            Stage::Energy => "energy",
         }
     }
 }
@@ -513,6 +525,29 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Stage::COUNT);
+    }
+
+    #[test]
+    fn stage_names_are_stable() {
+        // Report files and the paper-run benchmark's stage rows key on
+        // these names, in this order.
+        let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "plan_compile",
+                "plan_rebind",
+                "sweep_serial",
+                "sweep_threaded",
+                "sweep_sharded",
+                "transport_exchange",
+                "transport_plane_swap",
+                "noise_sampling",
+                "reconstruction",
+                "marginal",
+                "energy",
+            ]
+        );
     }
 
     #[test]

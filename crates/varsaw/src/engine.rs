@@ -57,9 +57,10 @@ impl MitigationPipeline {
         pmfs.into_iter().map(|pmf| self.correct(pmf)).collect()
     }
 
-    /// Bayesian reconstruction through the persistent engine.
-    fn reconstruct(&mut self, global: &Pmf, locals: &[Pmf]) -> Pmf {
-        self.reconstructor.reconstruct(global, locals, self.recon)
+    /// Bayesian reconstruction through the persistent engine, in place:
+    /// `prior` becomes the Output-PMF.
+    fn reconstruct(&mut self, prior: &mut Pmf, locals: &[Pmf]) {
+        self.reconstructor.sweep(prior, locals, self.recon);
     }
 }
 
@@ -155,12 +156,13 @@ impl JigsawEvaluator {
         let pmfs: Vec<Pmf> = windows
             .iter()
             .map(|wins| {
-                let global = results.next().expect("one Global per group");
+                let mut output = results.next().expect("one Global per group");
                 let locals: Vec<Pmf> = wins
                     .iter()
                     .map(|_| results.next().expect("one PMF per subset"))
                     .collect();
-                pipeline.reconstruct(&global, &locals)
+                pipeline.reconstruct(&mut output, &locals);
+                output
             })
             .collect();
         self.grouped.energy_from_pmfs(&pmfs)
@@ -210,7 +212,9 @@ pub struct VarSawEvaluator {
     grouped: GroupedHamiltonian,
     plan: SpatialPlan,
     scheduler: GlobalScheduler,
-    priors: Vec<Option<Pmf>>,
+    /// The previous evaluation's Output-PMFs, one per basis group (`None`
+    /// before the first evaluation).
+    priors: Option<Vec<Pmf>>,
     pipeline: MitigationPipeline,
 }
 
@@ -260,13 +264,12 @@ impl VarSawEvaluator {
         for (g, b) in grouped.groups().iter().zip(plan.bases()) {
             assert_eq!(&g.basis, b, "grouping/bases order drifted");
         }
-        let n = grouped.num_groups();
         VarSawEvaluator {
             ansatz,
             grouped,
             plan,
             scheduler: GlobalScheduler::new(temporal),
-            priors: vec![None; n],
+            priors: None,
             pipeline: MitigationPipeline::new(executor),
         }
     }
@@ -319,29 +322,29 @@ impl VarSawEvaluator {
 
         // Local PMFs per basis circuit, marginalized out of the groups.
         let n_bases = self.grouped.num_groups();
-        let locals: Vec<Vec<Pmf>> = (0..n_bases)
-            .map(|b| {
-                self.plan
-                    .coverage(b)
-                    .iter()
-                    .map(|wc| subset_pmfs[wc.group].marginal(&wc.subset.support()))
-                    .collect()
-            })
-            .collect();
-
-        // 2./3. Reconstruction with fresh Globals and/or chained priors.
-        let have_priors = self.priors.iter().all(Option::is_some);
-        let run_global = self.scheduler.should_run_global() || !have_priors;
-
-        let chained: Option<Vec<Pmf>> = have_priors.then(|| {
-            self.priors
-                .iter()
-                .enumerate()
-                .map(|(b, prior)| {
-                    let prior = prior.as_ref().expect("checked have_priors");
-                    pipeline.reconstruct(prior, &locals[b])
+        let locals: Vec<Vec<Pmf>> = {
+            let _span = telemetry::span(telemetry::Stage::Marginal);
+            (0..n_bases)
+                .map(|b| {
+                    self.plan
+                        .coverage(b)
+                        .iter()
+                        .map(|wc| subset_pmfs[wc.group].marginal(&wc.subset.support()))
+                        .collect()
                 })
                 .collect()
+        };
+
+        // 2./3. Reconstruction with fresh Globals and/or chained priors,
+        // each swept in place: the priors become the chained outputs and
+        // the measured Globals the fresh ones.
+        let run_global = self.scheduler.should_run_global() || self.priors.is_none();
+
+        let chained: Option<Vec<Pmf>> = self.priors.take().map(|mut priors| {
+            for (prior, locals) in priors.iter_mut().zip(&locals) {
+                pipeline.reconstruct(prior, locals);
+            }
+            priors
         });
         let fresh: Option<Vec<Pmf>> = run_global.then(|| {
             // The fresh Globals as one batch (reconstruction consumes no
@@ -353,12 +356,11 @@ impl VarSawEvaluator {
                 .iter()
                 .map(|g| BatchJob::global(state, &g.basis))
                 .collect();
-            let globals = pipeline.run_measurements(&global_jobs);
+            let mut globals = pipeline.run_measurements(&global_jobs);
+            for (global, locals) in globals.iter_mut().zip(&locals) {
+                pipeline.reconstruct(global, locals);
+            }
             globals
-                .iter()
-                .enumerate()
-                .map(|(b, global)| pipeline.reconstruct(global, &locals[b]))
-                .collect()
         });
 
         let (energy, outputs) = match (fresh, chained) {
@@ -376,7 +378,7 @@ impl VarSawEvaluator {
             (None, Some(c)) => (self.grouped.energy_from_pmfs(&c), c),
             (None, None) => unreachable!("first evaluation always runs Globals"),
         };
-        self.priors = outputs.into_iter().map(Some).collect();
+        self.priors = Some(outputs);
         self.scheduler.advance(run_global);
         energy
     }

@@ -2,7 +2,7 @@
 
 use crate::executor::SimExecutor;
 use mitigation::Pmf;
-use pauli::{expectation_from_probs, group_by_cover, Hamiltonian, MeasurementGroup, PauliTerm};
+use pauli::{expectations_from_probs, group_by_cover, Hamiltonian, MeasurementGroup, PauliTerm};
 use qsim::Statevector;
 
 /// A Hamiltonian partitioned into cover-based measurement groups — the
@@ -90,13 +90,16 @@ impl GroupedHamiltonian {
             pmfs.len(),
             self.groups.len()
         );
+        let _span = telemetry::span(telemetry::Stage::Energy);
         let mut energy = self.identity_offset;
         for (group, pmf) in self.groups.iter().zip(pmfs) {
-            for &member in &group.members {
-                let term = &self.terms[member];
-                energy +=
-                    term.coeff() * expectation_from_probs(term.string(), pmf.probs(), pmf.qubits());
-            }
+            let members = &group.members;
+            expectations_from_probs(
+                members.iter().map(|&m| self.terms[m].string()),
+                pmf.probs(),
+                pmf.qubits(),
+                |i, value| energy += self.terms[members[i]].coeff() * value,
+            );
         }
         energy
     }
