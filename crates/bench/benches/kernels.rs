@@ -147,18 +147,23 @@ fn bench_reconstruction(c: &mut Criterion) {
 }
 
 fn bench_noise_channel(c: &mut Criterion) {
-    let errors = vec![ReadoutError::new(0.02, 0.05); 10];
-    let base: Vec<f64> = (0..1024).map(|i| (i as f64 + 1.0) / 524800.0).collect();
-    c.bench_function("noise/readout_channel_10q", |b| {
-        b.iter_batched(
-            || base.clone(),
-            |mut probs| {
-                apply_readout_errors(&mut probs, &errors);
-                std::hint::black_box(probs[0])
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    // Full-register Global widths on H2O-8 and H6-10.
+    for n in [8usize, 10] {
+        let errors = vec![ReadoutError::new(0.02, 0.05); n];
+        let dim = 1usize << n;
+        let norm = (dim * (dim + 1) / 2) as f64;
+        let base: Vec<f64> = (0..dim).map(|i| (i as f64 + 1.0) / norm).collect();
+        c.bench_function(format!("noise/readout_channel_{n}q"), |b| {
+            b.iter_batched(
+                || base.clone(),
+                |mut probs| {
+                    apply_readout_errors(&mut probs, &errors);
+                    std::hint::black_box(probs[0])
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
 }
 
 fn bench_sampling(c: &mut Criterion) {

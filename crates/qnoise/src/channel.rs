@@ -3,9 +3,10 @@
 //! The executor simulates noise *exactly* at the distribution level: the
 //! ideal outcome distribution is pushed through the per-qubit readout
 //! confusion matrices (a tensor-product stochastic map, applied axis by
-//! axis in `O(k·2ᵏ)`) and an optional depolarizing mixture, and only then
-//! sampled. This is statistically identical to flipping bits shot by shot
-//! but much cheaper at VQE shot counts.
+//! axis in `O(k·2ᵏ)`, each axis one branch-free pass over paired block
+//! halves) and an optional depolarizing mixture, and only then sampled.
+//! This is statistically identical to flipping bits shot by shot but much
+//! cheaper at VQE shot counts.
 
 use crate::readout::ReadoutError;
 
@@ -42,14 +43,15 @@ pub fn apply_readout_errors(probs: &mut [f64], errors: &[ReadoutError]) {
             continue;
         }
         let m = e.confusion();
-        let mask = 1usize << j;
-        for x in 0..probs.len() {
-            if x & mask == 0 {
-                let y = x | mask;
-                let p0 = probs[x];
-                let p1 = probs[y];
-                probs[x] = m[0][0] * p0 + m[0][1] * p1;
-                probs[y] = m[1][0] * p0 + m[1][1] * p1;
+        // Outcomes pair up as x and x | 2^j: in each block of 2^(j+1)
+        // they are the low and high halves, element by element.
+        let half = 1usize << j;
+        for block in probs.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            for (p0, p1) in lo.iter_mut().zip(hi) {
+                let (a, b) = (*p0, *p1);
+                *p0 = m[0][0] * a + m[0][1] * b;
+                *p1 = m[1][0] * a + m[1][1] * b;
             }
         }
     }

@@ -1,10 +1,32 @@
 //! Property-based tests for noise channels.
 
 use proptest::prelude::*;
+use proptest::strategy::Just;
 use qnoise::{apply_depolarizing, apply_readout_errors, DeviceModel, ReadoutError};
 
 fn arb_readout() -> impl Strategy<Value = ReadoutError> {
     (0.0..0.5f64, 0.0..0.5f64).prop_map(|(a, b)| ReadoutError::new(a, b))
+}
+
+/// The readout channel by definition: per outcome `x` with bit `j`
+/// clear, mix the pair `(x, x | 2^j)` through qubit `j`'s confusion.
+fn readout_per_outcome(probs: &mut [f64], errors: &[ReadoutError]) {
+    for (j, e) in errors.iter().enumerate() {
+        if *e == ReadoutError::NONE {
+            continue;
+        }
+        let m = e.confusion();
+        let mask = 1usize << j;
+        for x in 0..probs.len() {
+            if x & mask == 0 {
+                let y = x | mask;
+                let p0 = probs[x];
+                let p1 = probs[y];
+                probs[x] = m[0][0] * p0 + m[0][1] * p1;
+                probs[y] = m[1][0] * p0 + m[1][1] * p1;
+            }
+        }
+    }
 }
 
 fn arb_dist(k: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -23,6 +45,22 @@ proptest! {
         apply_readout_errors(&mut p, &errors);
         prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         prop_assert!(p.iter().all(|&x| x >= -1e-12));
+    }
+
+    /// The blocked channel is bit-identical to the per-outcome loop, with
+    /// noiseless axes skipped, from 1 to 10 qubits.
+    #[test]
+    fn blocked_readout_matches_the_per_outcome_loop(
+        errors in prop::collection::vec(prop_oneof![arb_readout(), Just(ReadoutError::NONE)], 1..=10),
+        weights in prop::collection::vec(0.0..1.0f64, 1024),
+    ) {
+        let dist = &weights[..1usize << errors.len()];
+        let mut got = dist.to_vec();
+        apply_readout_errors(&mut got, &errors);
+        let mut want = dist.to_vec();
+        readout_per_outcome(&mut want, &errors);
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want), "{:?}", errors);
     }
 
     /// Order of qubit axes does not matter (the channel is a tensor

@@ -28,8 +28,7 @@
 //!   shards × `w` workers (worker count for `Auto` from the
 //!   `VARSAW_NUM_THREADS` environment variable via
 //!   [`parallel::num_threads`]),
-//! - [`sample_counts`] / [`sample_counts_many`]: seeded shot sampling,
-//!   serial and batched-parallel,
+//! - [`sample_counts`]: seeded shot sampling, one uniform per shot,
 //! - [`lowest_eigenvalue`]: matrix-free Lanczos for exact reference
 //!   energies.
 //!
@@ -69,6 +68,6 @@ pub use gate::Gate;
 pub use linalg::{lowest_eigenvalue, smallest_tridiagonal_eigenvalue, HermitianOp, LanczosResult};
 pub use plan::{CircuitPlan, PlanCache, ShardPlan};
 pub use qasm::to_qasm;
-pub use sampler::{sample_counts, sample_counts_many, sample_index};
+pub use sampler::sample_counts;
 pub use shard::{ShardCounters, ShardedState};
 pub use state::{CapacityError, Statevector};
