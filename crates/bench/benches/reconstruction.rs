@@ -2,14 +2,15 @@
 //! `BENCH_reconstruction.json` (see the bench-smoke job): the one-shot
 //! compatibility path, the key-cached persistent path the VQE evaluators
 //! run, multi-round sweeps, one H6-10 basis as VarSaw reconstructs it,
-//! and a 16-qubit sweep over a multi-chunk grid.
+//! every H6-10 basis as one VarSaw evaluation reconstructs them, and a
+//! 16-qubit sweep over a multi-chunk grid.
 
 use chem::{molecular_hamiltonian, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mitigation::{reconstruct, Pmf, ReconstructionConfig, Reconstructor};
 use qsim::Statevector;
 use varsaw::SpatialPlan;
-use vqe::{EfficientSu2, Entanglement};
+use vqe::{basis_rotation, EfficientSu2, Entanglement};
 
 /// The 8-qubit EfficientSU2 output distribution with 7 pairwise window
 /// locals — one basis circuit's JigSaw reconstruction, as in `kernels.rs`.
@@ -51,6 +52,53 @@ fn h6_basis_10q() -> (Pmf, Vec<Pmf>) {
     let windows: Vec<&[usize]> = locals.iter().map(Pmf::qubits).collect();
     println!("bench reconstruction/cached_10q_h6_basis windows {windows:?}");
     (global, locals)
+}
+
+/// Every H6-10 basis as one VarSaw evaluation reconstructs them: per
+/// basis, a full-width 10-qubit Global (the ansatz state rotated into the
+/// basis, as a Global circuit measures it) and one local per covering
+/// window (1- and 2-qubit, as the spatial plan gives them). The evidence
+/// comes from a second ansatz state, so the updates really reweight and
+/// many owe a normalize.
+fn h6_all_bases_10q() -> Vec<(Pmf, Vec<Pmf>)> {
+    let n = 10usize;
+    let spec = MoleculeSpec::find("H6", n).expect("H6-10 is a Table 2 entry");
+    let plan = SpatialPlan::new(&molecular_hamiltonian(&spec), 2);
+    let a = EfficientSu2::new(n, 2, Entanglement::Full);
+    let state = |seed| {
+        let mut st = Statevector::zero(n);
+        st.apply_circuit(&a.circuit(&a.initial_parameters(seed)));
+        st
+    };
+    let prior = state(7);
+    let all: Vec<usize> = (0..n).collect();
+    let evidence = Pmf::new(all.clone(), state(8).probabilities());
+    let cases: Vec<(Pmf, Vec<Pmf>)> = plan
+        .bases()
+        .iter()
+        .enumerate()
+        .map(|(b, basis)| {
+            let mut rotated = prior.clone();
+            rotated.apply_circuit(&basis_rotation(basis));
+            let locals = plan
+                .coverage(b)
+                .iter()
+                .map(|wc| evidence.marginal(&wc.subset.support()))
+                .collect();
+            (Pmf::new(all.clone(), rotated.probabilities()), locals)
+        })
+        .collect();
+    let windows: usize = cases.iter().map(|(_, l)| l.len()).sum();
+    let single: usize = cases
+        .iter()
+        .flat_map(|(_, l)| l)
+        .filter(|l| l.num_qubits() == 1)
+        .count();
+    println!(
+        "bench reconstruction/h6_10_all_bases_cached bases {} windows {windows} (1-qubit {single})",
+        cases.len()
+    );
+    cases
 }
 
 /// A synthetic n-qubit global with pairwise locals that disagree with its
@@ -112,6 +160,19 @@ fn bench_cached(c: &mut Criterion) {
     });
 }
 
+fn bench_all_bases(c: &mut Criterion) {
+    let cases = h6_all_bases_10q();
+    let cfg = ReconstructionConfig::default();
+    let mut engine = Reconstructor::new();
+    c.bench_function("reconstruction/h6_10_all_bases_cached", |b| {
+        b.iter(|| {
+            for (global, locals) in &cases {
+                std::hint::black_box(engine.reconstruct(global, locals, cfg));
+            }
+        })
+    });
+}
+
 fn bench_multi_chunk(c: &mut Criterion) {
     // 16 qubits: 65536 outcomes over 16 chunks, reduced in chunk order.
     let (global, locals) = synthetic(16);
@@ -132,6 +193,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = reconstruction;
     config = config();
-    targets = bench_oneshot, bench_cached, bench_multi_chunk
+    targets = bench_oneshot, bench_cached, bench_all_bases, bench_multi_chunk
 }
 criterion_main!(reconstruction);

@@ -8,27 +8,23 @@
 //! — depend only on the *(global-qubits, local-qubits)* geometry, which
 //! never changes across iterations. [`Reconstructor`] exploits that:
 //!
-//! - **Key caching.** The `2^n`-entry projection-key table of every
-//!   (global, local) signature is computed once and cached; later sweeps
-//!   reuse it with a cheap signature lookup.
+//! - **Key caching.** The `2^n`-entry projection-key table and the bin
+//!   order (below) of every (global, local) signature are computed once
+//!   and cached; later sweeps reuse them with a cheap signature lookup.
 //! - **Two passes per update, allocation-free.** Each Bayesian update is
 //!   a marginal-accumulate pass (A) and a reweight pass (B) that also
 //!   accumulates the post-update mass, in place on preallocated scratch.
-//!   No intermediate [`Pmf`]s, marginals, or ratio vectors are
-//!   constructed per call.
-//! - **Deferred normalization.** An update whose mass is not already 1
-//!   owes a divide-by-mass pass. Instead of a third pass, the division
-//!   runs inside the next update's Pass A, which divides each outcome and
-//!   then accumulates the divided value; after the last update one final
-//!   division pass settles whatever is still owed. Every outcome sees the
-//!   same divisions in the same order as with a separate pass.
-//! - **Register histograms.** For 2- and 4-outcome windows (every window
-//!   on the paper path) Pass A accumulates the window marginal in `K`
-//!   register accumulators with a select-add instead of scattering into
-//!   memory, so consecutive outcomes landing in one bin do not wait on
-//!   each other's stores. Adding `+0.0` to a nonnegative sum is exact, so
-//!   each bin still sums the same values in outcome order. Wider windows
-//!   keep the scatter loop.
+//!   An update whose mass is not already 1 then divides by it in a
+//!   vectorizable pass in outcome order. No intermediate [`Pmf`]s,
+//!   marginals, or ratio vectors are constructed per call.
+//! - **Bin-ordered marginals.** Pass A does not walk the outcomes in
+//!   order. Each table carries, per chunk, the outcomes grouped by window
+//!   bin and ascending inside each bin, and Pass A sums every bin through
+//!   that order as its own register chain, interleaving up to four bins.
+//!   A `K`-outcome window thus waits on `2^n / K` dependent adds per bin,
+//!   not `2^n`, while each bin still adds the same values in the same
+//!   order as a textbook scatter `marg[key(x)] += p[x]`. Pass B's mass is
+//!   one chain over all outcomes in order; it sets the floor of an update.
 //! - **Chunk-ordered reduction.** The outcome range is split into
 //!   fixed-size chunks; each chunk accumulates its own partial marginal
 //!   histogram and partial mass, and the partials are summed in chunk
@@ -49,6 +45,7 @@
 
 use crate::bayes::ReconstructionConfig;
 use crate::pmf::Pmf;
+use std::borrow::Borrow;
 
 /// Outcomes per partition chunk. Fixed, so the chunk grid — and with it
 /// the floating-point reduction order — depends only on the problem
@@ -56,13 +53,19 @@ use crate::pmf::Pmf;
 /// kernel matches a textbook sequential update bit for bit.
 const CHUNK_OUTCOMES: usize = 1 << 12;
 
-/// A cached projection-key table: `keys[x]` is the window outcome that
-/// global outcome `x` projects to, for one (global, local) signature.
+/// A cached projection-key table for one (global, local) signature.
+///
+/// `keys[x]` is the window outcome (bin) that global outcome `x` projects
+/// to. `order` lists the outcomes of each chunk grouped by bin, ascending
+/// inside each bin: bin `j` of chunk `c` is
+/// `order[starts[c·k + j]..starts[c·k + j + 1]]`, for `k` window outcomes.
 #[derive(Clone, Debug)]
 struct KeyTable {
     global: Vec<usize>,
     local: Vec<usize>,
     keys: Vec<u32>,
+    order: Vec<u32>,
+    starts: Vec<u32>,
 }
 
 /// The number of chunks the outcome range splits into for a window of
@@ -81,73 +84,98 @@ fn ensure(buf: &mut Vec<f64>, len: usize) {
     }
 }
 
-/// Pass A over one chunk: divides every outcome by the previous update's
-/// deferred `divisor`, if one is owed, and writes the chunk's window
-/// histogram into `part` (one bin per window outcome).
-fn histogram(plane: &mut [f64], keys: &[u32], part: &mut [f64], divisor: Option<f64>) {
+/// The bin order of the (global, local) signature whose window bits sit
+/// at `positions` of a `dim`-outcome global. Returns the order and the
+/// `n_chunks·k + 1` bin starts (see [`KeyTable`]).
+///
+/// Within a chunk, bin `j`'s outcomes are the chunk's high bits, `j`'s
+/// window bits and every subset of the chunk's free (non-window) low
+/// bits; `y = (y − free) & free` walks those subsets in ascending order.
+/// A bin whose window bits above the chunk boundary disagree with the
+/// chunk's is empty there.
+fn bin_order(positions: &[usize], dim: usize) -> (Vec<u32>, Vec<u32>) {
+    let k = 1usize << positions.len();
+    let n_chunks = chunk_count(dim, k);
+    let low = dim / n_chunks - 1;
+    let window = positions.iter().fold(0, |m, &pos| m | 1 << pos);
+    let free = low & !window;
+    let mut order = Vec::with_capacity(dim);
+    let mut starts = Vec::with_capacity(n_chunks * k + 1);
+    for prefix in (0..dim).step_by(low + 1) {
+        for j in 0..k {
+            starts.push(order.len() as u32);
+            let bits = positions
+                .iter()
+                .enumerate()
+                .fold(0, |x, (b, &pos)| x | ((j >> b) & 1) << pos);
+            if (bits ^ prefix) & window & !low != 0 {
+                continue;
+            }
+            let head = prefix | (bits & low);
+            let mut y = 0usize;
+            loop {
+                order.push((head | y) as u32);
+                if y == free {
+                    break;
+                }
+                y = y.wrapping_sub(free) & free;
+            }
+        }
+    }
+    starts.push(dim as u32);
+    (order, starts)
+}
+
+/// Pass A over one chunk: sums each window bin of the chunk into `part`,
+/// reading the bin's outcomes of `plane` through `order`, where bin `j`
+/// is `order[starts[j]..starts[j + 1]]`. Each bin is one chain of adds in
+/// ascending outcome order, starting from `0.0`. Bins of equal length run
+/// interleaved, up to four chains at once; a chunk whose bins differ in
+/// length (a window bit above the chunk boundary leaves some bins empty)
+/// sums them one after another.
+fn bin_sums(plane: &[f64], order: &[u32], starts: &[u32], part: &mut [f64]) {
+    let len = (starts[1] - starts[0]) as usize;
+    if starts.windows(2).any(|w| (w[1] - w[0]) as usize != len) {
+        for (s, w) in part.iter_mut().zip(starts.windows(2)) {
+            let mut acc = 0.0;
+            for &x in &order[w[0] as usize..w[1] as usize] {
+                acc += plane[x as usize];
+            }
+            *s = acc;
+        }
+        return;
+    }
+    let first = starts[0] as usize;
+    let bins = &order[first..first + part.len() * len];
     match part.len() {
-        2 => histogram_in_registers::<2>(plane, keys, part, divisor),
-        4 => histogram_in_registers::<4>(plane, keys, part, divisor),
-        _ => histogram_scatter(plane, keys, part, divisor),
+        1 => interleaved::<1>(plane, bins, len, part),
+        2 => interleaved::<2>(plane, bins, len, part),
+        _ => interleaved::<4>(plane, bins, len, part),
     }
 }
 
-/// [`histogram`] for `K`-outcome windows, with the bins in registers:
-/// every outcome select-adds into all `K` accumulators, `+0.0` into the
-/// bins it does not project to. A nonnegative sum plus `+0.0` is exact,
-/// so each bin sums the same values in the same order as the scatter.
-fn histogram_in_registers<const K: usize>(
-    plane: &mut [f64],
-    keys: &[u32],
-    part: &mut [f64],
-    divisor: Option<f64>,
-) {
-    let mut acc = [0.0; K];
-    let mut add = |key: u32, p: f64| {
-        for (j, a) in acc.iter_mut().enumerate() {
-            *a += if key as usize == j { p } else { 0.0 };
-        }
-    };
-    match divisor {
-        Some(d) => {
-            for (p, &key) in plane.iter_mut().zip(keys) {
-                *p /= d;
-                add(key, *p);
+/// [`bin_sums`] over equal bins of `len` outcomes each, `L` bins at a time
+/// with one register accumulator per bin. `part.len()` is a multiple of
+/// `L` (window sizes are powers of two).
+fn interleaved<const L: usize>(plane: &[f64], bins: &[u32], len: usize, part: &mut [f64]) {
+    for (lanes, out) in bins.chunks_exact(L * len).zip(part.chunks_exact_mut(L)) {
+        let lane: [&[u32]; L] = std::array::from_fn(|j| &lanes[j * len..(j + 1) * len]);
+        let mut acc = [0.0; L];
+        for i in 0..len {
+            for (a, l) in acc.iter_mut().zip(&lane) {
+                *a += plane[l[i] as usize];
             }
         }
-        None => {
-            for (&p, &key) in plane.iter().zip(keys) {
-                add(key, p);
-            }
-        }
-    }
-    part.copy_from_slice(&acc);
-}
-
-/// [`histogram`] for any window size: scatters into the bins in memory.
-fn histogram_scatter(plane: &mut [f64], keys: &[u32], part: &mut [f64], divisor: Option<f64>) {
-    part.fill(0.0);
-    match divisor {
-        Some(d) => {
-            for (p, &key) in plane.iter_mut().zip(keys) {
-                *p /= d;
-                part[key as usize] += *p;
-            }
-        }
-        None => {
-            for (&p, &key) in plane.iter().zip(keys) {
-                part[key as usize] += p;
-            }
-        }
+        out.copy_from_slice(&acc);
     }
 }
 
 /// A reusable Bayesian-reconstruction engine: the `2^n`-entry
-/// projection-key table of every (global-qubits, local-qubits) signature
-/// is computed once and cached, and sweeps run as two fused
-/// allocation-free passes per update over preallocated scratch (no
-/// intermediate [`Pmf`]s), each update's normalization deferred into the
-/// next update's first pass.
+/// projection-key table and bin order of every (global-qubits,
+/// local-qubits) signature are computed once and cached, and sweeps run
+/// as two allocation-free passes per update (plus a normalize when the
+/// mass is not 1) over preallocated scratch, with no intermediate
+/// [`Pmf`]s.
 ///
 /// One `Reconstructor` should persist wherever reconstruction repeats
 /// with the same measurement geometry — `varsaw`'s evaluators keep one
@@ -179,7 +207,7 @@ fn histogram_scatter(plane: &mut [f64], keys: &[u32], part: &mut [f64], divisor:
 pub struct Reconstructor {
     tables: Vec<KeyTable>,
     /// Table index per local of the sweep in progress (reused scratch).
-    order: Vec<usize>,
+    picked: Vec<usize>,
     // Sweep scratch: per-chunk partial histograms and masses, the
     // reduced marginal and the per-outcome ratios.
     partials: Vec<f64>,
@@ -253,38 +281,42 @@ impl Reconstructor {
     /// Runs `config.rounds` sweeps of Bayesian updates over `locals`,
     /// mutating `output` in place. `rounds: 0` leaves it untouched.
     ///
+    /// The locals may be owned or borrowed (`&[Pmf]` or `&[&Pmf]`), so a
+    /// caller whose Local-PMFs are shared between several outputs — VarSaw
+    /// computes each distinct coverage marginal once per evaluation and
+    /// hands it to every basis it covers — passes references instead of
+    /// copies. Both forms give the same bits.
+    ///
     /// # Panics
     ///
-    /// Panics if a local measures a qubit `output` does not, or a window
-    /// exceeds 32 qubits.
-    pub fn sweep(&mut self, output: &mut Pmf, locals: &[Pmf], config: ReconstructionConfig) {
+    /// Panics if a local measures a qubit `output` does not, or `output`
+    /// measures 32 qubits or more.
+    pub fn sweep<L: Borrow<Pmf>>(
+        &mut self,
+        output: &mut Pmf,
+        locals: &[L],
+        config: ReconstructionConfig,
+    ) {
         if config.rounds == 0 || locals.is_empty() {
             return;
         }
         let _span = telemetry::span(telemetry::Stage::Reconstruction);
         let dim = output.probs().len();
 
-        self.order.clear();
+        self.picked.clear();
         for local in locals {
-            let idx = self.table_index(output, local);
-            self.order.push(idx);
+            let idx = self.table_index(output, local.borrow());
+            self.picked.push(idx);
         }
 
-        let k_max = locals
-            .iter()
-            .map(|l| l.probs().len())
-            .max()
-            .expect("nonempty");
-        let chunks_max = locals
-            .iter()
-            .map(|l| chunk_count(dim, l.probs().len()))
-            .max()
-            .expect("nonempty");
-        let partial_max = locals
-            .iter()
-            .map(|l| chunk_count(dim, l.probs().len()) * l.probs().len())
-            .max()
-            .expect("nonempty");
+        let (mut k_max, mut chunks_max, mut partial_max) = (0, 0, 0);
+        for local in locals {
+            let k = local.borrow().probs().len();
+            let n_chunks = chunk_count(dim, k);
+            k_max = k_max.max(k);
+            chunks_max = chunks_max.max(n_chunks);
+            partial_max = partial_max.max(n_chunks * k);
+        }
         ensure(&mut self.marg, k_max);
         ensure(&mut self.ratio, k_max);
         ensure(&mut self.partials, partial_max);
@@ -292,13 +324,11 @@ impl Reconstructor {
 
         let plane = output.probs_mut();
         let epsilon = config.epsilon;
-        // The mass the last applied update left behind, while its
-        // normalize is still owed (see the module docs).
-        let mut pending: Option<f64> = None;
         for _ in 0..config.rounds {
-            for (li, local) in locals.iter().enumerate() {
-                let keys = &self.tables[self.order[li]].keys[..dim];
-                let lp = local.probs();
+            for (local, &t) in locals.iter().zip(&self.picked) {
+                let table = &self.tables[t];
+                let keys = &table.keys[..dim];
+                let lp = local.borrow().probs();
                 let k = lp.len();
                 let n_chunks = chunk_count(dim, k);
                 let chunk_len = dim / n_chunks;
@@ -307,13 +337,12 @@ impl Reconstructor {
                 let ratio = &mut self.ratio[..k];
                 let totals = &mut self.totals[..n_chunks];
 
-                // Pass A: the owed normalize, then per-chunk partial
-                // marginal histograms, reduced in chunk order.
+                // Pass A: per-chunk partial marginal histograms, summed
+                // bin by bin in bin order, reduced in chunk order.
                 for (c, part) in partials.chunks_exact_mut(k).enumerate() {
-                    let range = c * chunk_len..(c + 1) * chunk_len;
-                    histogram(&mut plane[range.clone()], &keys[range], part, pending);
+                    let starts = &table.starts[c * k..=(c + 1) * k];
+                    bin_sums(plane, &table.order, starts, part);
                 }
-                pending = None;
                 for (j, m) in marg.iter_mut().enumerate() {
                     let mut s = 0.0;
                     for c in 0..n_chunks {
@@ -364,16 +393,13 @@ impl Reconstructor {
                     total += t;
                 }
 
-                // The normalize, mirroring `Pmf::normalize`'s skip of
-                // already-unit mass, is owed to the next Pass A.
+                // The normalize, in outcome order, mirroring
+                // `Pmf::normalize`'s skip of already-unit mass.
                 if (total - 1.0).abs() > 1e-15 {
-                    pending = Some(total);
+                    for p in plane.iter_mut() {
+                        *p /= total;
+                    }
                 }
-            }
-        }
-        if let Some(total) = pending {
-            for p in plane.iter_mut() {
-                *p /= total;
             }
         }
     }
@@ -381,18 +407,20 @@ impl Reconstructor {
     /// The cached key-table index for the (global, local) signature,
     /// building the table on first sight.
     fn table_index(&mut self, global: &Pmf, local: &Pmf) -> usize {
+        // The short local list first: it rejects almost every table, and
+        // most tables of a workload share one global.
         if let Some(i) = self.tables.iter().position(|t| {
-            t.global.as_slice() == global.qubits() && t.local.as_slice() == local.qubits()
+            t.local.as_slice() == local.qubits() && t.global.as_slice() == global.qubits()
         }) {
             return i;
         }
         assert!(
-            local.num_qubits() <= 32,
-            "window of {} qubits exceeds the 32-qubit key width",
-            local.num_qubits()
+            global.num_qubits() < 32,
+            "global of {} qubits exceeds the 31-qubit outcome-index width",
+            global.num_qubits()
         );
         let positions = global.projection_positions(local.qubits());
-        let keys = (0..global.probs().len())
+        let keys: Vec<u32> = (0..global.probs().len())
             .map(|x| {
                 let mut key = 0u32;
                 for (j, &pos) in positions.iter().enumerate() {
@@ -401,10 +429,13 @@ impl Reconstructor {
                 key
             })
             .collect();
+        let (order, starts) = bin_order(&positions, keys.len());
         self.tables.push(KeyTable {
             global: global.qubits().to_vec(),
             local: local.qubits().to_vec(),
             keys,
+            order,
+            starts,
         });
         self.tables.len() - 1
     }
@@ -479,6 +510,80 @@ mod tests {
         // Huge windows cap the grid so partials never outweigh the plane.
         assert_eq!(chunk_count(1 << 16, 1 << 14), 4);
         assert_eq!(chunk_count(1 << 16, 1 << 16), 1);
+    }
+
+    /// Every bin-order table lists each chunk's outcomes exactly once,
+    /// grouped by window bin and ascending inside each bin, for single-
+    /// and multi-chunk globals, high, descending and wide windows.
+    #[test]
+    fn bin_order_groups_each_chunk_by_key() {
+        let shapes: [(usize, &[usize]); 8] = [
+            (3, &[0, 1]),
+            (6, &[3, 1]),
+            (10, &[8]),
+            (10, &[4, 2, 0]),
+            (13, &[12]),
+            (13, &[0, 12]),
+            (14, &[12, 13]),
+            (14, &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]),
+        ];
+        for (n, window) in shapes {
+            let dim = 1usize << n;
+            let global = Pmf::new((0..n).collect(), vec![1.0; dim]);
+            let mut r = Reconstructor::new();
+            r.update(&mut global.clone(), &global.marginal(window), 1e-9);
+            let t = &r.tables[0];
+            let k = 1usize << window.len();
+            let n_chunks = chunk_count(dim, k);
+            let chunk_len = dim / n_chunks;
+            assert_eq!(t.order.len(), dim, "{n} {window:?}");
+            assert_eq!(t.starts.len(), n_chunks * k + 1, "{n} {window:?}");
+            assert_eq!(t.starts[n_chunks * k] as usize, dim);
+            for c in 0..n_chunks {
+                let chunk = c * chunk_len..(c + 1) * chunk_len;
+                assert_eq!(t.starts[c * k] as usize, chunk.start, "{n} {window:?}");
+                let mut seen = vec![false; chunk_len];
+                for j in 0..k {
+                    let bin =
+                        &t.order[t.starts[c * k + j] as usize..t.starts[c * k + j + 1] as usize];
+                    assert!(
+                        bin.windows(2).all(|w| w[0] < w[1]),
+                        "{n} {window:?} bin {j}"
+                    );
+                    for &x in bin {
+                        let x = x as usize;
+                        assert!(chunk.contains(&x), "{n} {window:?}: {x} outside chunk {c}");
+                        assert_eq!(t.keys[x] as usize, j, "{n} {window:?}: {x} in bin {j}");
+                        assert!(!std::mem::replace(&mut seen[x - chunk.start], true));
+                    }
+                }
+                assert!(
+                    seen.iter().all(|&s| s),
+                    "{n} {window:?}: chunk {c} incomplete"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_and_owned_locals_sweep_the_same_bits() {
+        let global = global3();
+        let locals = vec![
+            Pmf::new(vec![2], vec![0.7, 0.3]),
+            Pmf::new(vec![0, 1], vec![0.4, 0.3, 0.2, 0.1]),
+            Pmf::new(vec![2, 1], vec![0.1, 0.2, 0.3, 0.4]),
+        ];
+        let borrowed: Vec<&Pmf> = locals.iter().collect();
+        let cfg = ReconstructionConfig {
+            epsilon: 1e-9,
+            rounds: 2,
+        };
+        let mut r = Reconstructor::new();
+        let (mut owned, mut shared) = (global.clone(), global.clone());
+        r.sweep(&mut owned, &locals, cfg);
+        r.sweep(&mut shared, &borrowed, cfg);
+        assert_eq!(owned.probs(), shared.probs());
+        assert_ne!(owned.probs(), global.probs());
     }
 
     #[test]

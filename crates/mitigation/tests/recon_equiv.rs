@@ -51,17 +51,17 @@ fn naive_update(out: &mut Pmf, local: &Pmf, epsilon: f64, chunks: usize) -> Opti
         for (i, &p) in probs.iter().enumerate() {
             part[key(c * chunk_len + i)] += p;
         }
-        for j in 0..k {
-            marg[j] += part[j];
+        for (m, p) in marg.iter_mut().zip(&part) {
+            *m += p;
         }
     }
     let mut unsupported = 0.0;
     let mut supported_evidence = 0.0;
-    for j in 0..k {
-        if marg[j] > epsilon {
+    for (j, &m) in marg.iter().enumerate() {
+        if m > epsilon {
             supported_evidence += local.prob(j);
         } else {
-            unsupported += marg[j];
+            unsupported += m;
         }
     }
     if supported_evidence <= 0.0 {
@@ -121,6 +121,43 @@ fn arb_weights(n: usize) -> impl Strategy<Value = Vec<f64>> {
             }
             w
         })
+}
+
+/// Runs `locals` over `global` with one engine twice — fresh, then
+/// key-cached — and asserts both runs equal the naive reference bit for
+/// bit, for 0–3 rounds. Owned and borrowed locals both take part.
+fn assert_fresh_and_cached_match_reference(global: &Pmf, locals: &[Pmf]) {
+    let borrowed: Vec<&Pmf> = locals.iter().collect();
+    for rounds in 0..=3 {
+        let config = ReconstructionConfig {
+            epsilon: 1e-9,
+            rounds,
+        };
+        let want = naive_reconstruct(global, locals, config);
+        let mut engine = Reconstructor::new();
+        let fresh = engine.reconstruct(global, locals, config);
+        assert_eq!(fresh.probs(), want.probs(), "fresh, rounds {rounds}");
+        let mut cached = global.clone();
+        engine.sweep(&mut cached, &borrowed, config);
+        assert_eq!(cached.probs(), want.probs(), "key-cached, rounds {rounds}");
+    }
+}
+
+/// A deterministic n-qubit global over `qubits` with every outcome
+/// weighted differently.
+fn hashed_global(qubits: Vec<usize>) -> Pmf {
+    let probs = (0..1usize << qubits.len())
+        .map(|x| ((x * 2654435761) % 1009 + 1) as f64)
+        .collect();
+    Pmf::new(qubits, probs)
+}
+
+/// A local over `qubits` whose evidence is salted so locals differ.
+fn salted_local(qubits: Vec<usize>, salt: usize) -> Pmf {
+    let probs = (0..1usize << qubits.len())
+        .map(|j| ((j + 1) * (salt + 3) % 13 + 1) as f64)
+        .collect();
+    Pmf::new(qubits, probs)
 }
 
 /// The sliding window subsets `[s, s+window)` of `0..n`.
@@ -185,6 +222,41 @@ proptest! {
         prop_assert_eq!(reference.probs(), serial.probs());
     }
 
+    /// A global whose qubit list is a permutation, swept by 1- and 2-qubit
+    /// locals whose lists may be non-contiguous, descending or repeat an
+    /// earlier window: bit for bit against the reference, fresh and
+    /// key-cached, across qubit counts 2–10 and round counts 0–3.
+    #[test]
+    fn permuted_globals_and_arbitrary_local_lists_are_bit_identical(
+        n in 2usize..=10,
+        perm in prop::sample::shuffle((0..10usize).collect()),
+        picks in prop::collection::vec((0usize..10, 0usize..10, 0.0..1.0f64), 1..=8),
+        rounds in 0usize..=3,
+        global_seed in prop::collection::vec(0.01..1.0f64, 1 << 10),
+        local_seed in prop::collection::vec(0.01..1.0f64, 8),
+    ) {
+        let qubits: Vec<usize> = perm.into_iter().filter(|&q| q < n).collect();
+        let global = Pmf::new(qubits, global_seed[..1 << n].to_vec());
+        let locals: Vec<Pmf> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, b, coin))| {
+                let (a, b) = (a % n, b % n);
+                let sub = if a == b || coin < 0.4 { vec![a] } else { vec![a, b] };
+                let probs = (0..1usize << sub.len()).map(|j| local_seed[(i + j) % 8]).collect();
+                Pmf::new(sub, probs)
+            })
+            .collect();
+        let config = ReconstructionConfig { epsilon: 1e-9, rounds };
+
+        let reference = naive_reconstruct(&global, &locals, config);
+        let mut engine = Reconstructor::new();
+        let fresh = engine.reconstruct(&global, &locals, config);
+        prop_assert_eq!(reference.probs(), fresh.probs(), "naive vs fresh");
+        let cached = engine.reconstruct(&global, &locals, config);
+        prop_assert_eq!(reference.probs(), cached.probs(), "naive vs key-cached");
+    }
+
     /// The compatibility wrapper `reconstruct()` is the one-shot engine.
     #[test]
     fn wrapper_matches_engine(
@@ -198,6 +270,37 @@ proptest! {
         let engine = Reconstructor::new().reconstruct(&global, &locals, config);
         prop_assert_eq!(wrapped.probs(), engine.probs());
     }
+}
+
+/// Local qubit lists in descending order and with gaps — `[3, 1]` puts
+/// global bit 3 in window bit 0 — including a descending 3-qubit window,
+/// over a global whose own qubit list is not sorted either.
+#[test]
+fn descending_and_non_contiguous_locals_are_bit_identical() {
+    let global = hashed_global(vec![2, 0, 5, 1, 4, 3]);
+    let locals = vec![
+        salted_local(vec![3, 1], 0),
+        salted_local(vec![5, 0], 1),
+        salted_local(vec![1, 3], 2),
+        salted_local(vec![4, 2, 0], 3),
+        salted_local(vec![2], 4),
+    ];
+    assert_fresh_and_cached_match_reference(&global, &locals);
+}
+
+/// A sweep mixing 1- and 2-qubit locals the way VarSaw's coverage does
+/// (the H6-10 basis with most windows: a window repeats when two subset
+/// groups cover it), over a 10-qubit global.
+#[test]
+fn varsaw_shaped_mixed_width_sweeps_are_bit_identical() {
+    let global = hashed_global((0..10).collect());
+    let windows: [&[usize]; 9] = [&[1], &[1, 2], &[2], &[4], &[4], &[6], &[6], &[8], &[8]];
+    let locals: Vec<Pmf> = windows
+        .iter()
+        .enumerate()
+        .map(|(i, w)| salted_local(w.to_vec(), i))
+        .collect();
+    assert_fresh_and_cached_match_reference(&global, &locals);
 }
 
 /// Consecutive locals with *different* chunk grids: a 13-qubit window
@@ -257,10 +360,11 @@ fn multi_chunk_sweeps_match_pinned_bits() {
     );
 }
 
-/// Edge cases of the deferred normalization: an update whose mass misses
-/// 1 owes its division to the next update's first pass, or to a final
-/// pass after the last update. Every case matches the reference, which
-/// normalizes right after each update, bit for bit.
+/// Edge cases of the normalization: an update whose mass misses 1 owes a
+/// division, which must land before the next update reads the plane —
+/// next to skipped updates, unit-mass updates and the end of a sweep.
+/// Every case matches the reference, which normalizes right after each
+/// update, bit for bit.
 mod deferred_normalization {
     use super::*;
 
@@ -352,9 +456,9 @@ mod deferred_normalization {
         assert_matches_reference(&global, &[unit, owing]);
     }
 
-    /// Windows of 2, 4 and 8 outcomes — both register-histogram arms and
-    /// the scatter arm — in one sweep over a 13-qubit global that splits
-    /// into two chunks, high-bit windows included. Multi-chunk sums are
+    /// Windows of 2, 4 and 8 outcomes in one sweep over a 13-qubit global
+    /// that splits into two chunks, high-bit windows (bins left empty in
+    /// a chunk) included. Multi-chunk sums are
     /// chunk-ordered, so the exact reference is the chunked one; the
     /// sequential reference agrees within floating-point tolerance.
     #[test]

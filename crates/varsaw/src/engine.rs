@@ -5,11 +5,12 @@
 //! Baseline (in the `vqe` crate), JigSaw, VarSaw, and the noise-free Ideal
 //! (Baseline on a noiseless device).
 
-use crate::spatial::SpatialPlan;
+use crate::spatial::{DistinctCoverage, SpatialPlan};
 use crate::temporal::{GlobalScheduler, TemporalPolicy};
 use mitigation::{mbm_correct, sliding_windows, Pmf, ReconstructionConfig, Reconstructor};
 use pauli::{Hamiltonian, PauliString};
 use qsim::{Circuit, Statevector};
+use std::borrow::Borrow;
 use vqe::{BatchJob, EfficientSu2, EnergyEvaluator, GroupedHamiltonian, SimExecutor};
 
 /// The execute-and-mitigate plumbing shared by [`JigsawEvaluator`] and
@@ -58,9 +59,27 @@ impl MitigationPipeline {
     }
 
     /// Bayesian reconstruction through the persistent engine, in place:
-    /// `prior` becomes the Output-PMF.
-    fn reconstruct(&mut self, prior: &mut Pmf, locals: &[Pmf]) {
+    /// `prior` becomes the Output-PMF. The locals may be owned or
+    /// borrowed.
+    fn reconstruct<L: Borrow<Pmf>>(&mut self, prior: &mut Pmf, locals: &[L]) {
         self.reconstructor.sweep(prior, locals, self.recon);
+    }
+
+    /// Reconstructs every basis's output in place from the coverage
+    /// marginals its windows read: output `b` is swept by
+    /// `marginals[i]` for each `i` in `windows[b]`, in order.
+    fn reconstruct_covered(
+        &mut self,
+        outputs: &mut [Pmf],
+        windows: &[Vec<usize>],
+        marginals: &[Pmf],
+    ) {
+        let mut locals: Vec<&Pmf> = Vec::new();
+        for (output, entries) in outputs.iter_mut().zip(windows) {
+            locals.clear();
+            locals.extend(entries.iter().map(|&i| &marginals[i]));
+            self.reconstruct(output, &locals);
+        }
     }
 }
 
@@ -215,6 +234,9 @@ pub struct VarSawEvaluator {
     /// The previous evaluation's Output-PMFs, one per basis group (`None`
     /// before the first evaluation).
     priors: Option<Vec<Pmf>>,
+    /// The plan's coverage deduplicated into distinct marginals, built on
+    /// the first evaluation (`None` before it).
+    coverage: Option<DistinctCoverage>,
     pipeline: MitigationPipeline,
 }
 
@@ -270,6 +292,7 @@ impl VarSawEvaluator {
             plan,
             scheduler: GlobalScheduler::new(temporal),
             priors: None,
+            coverage: None,
             pipeline: MitigationPipeline::new(executor),
         }
     }
@@ -320,19 +343,20 @@ impl VarSawEvaluator {
             .collect();
         let subset_pmfs: Vec<Pmf> = pipeline.run_measurements(&subset_jobs);
 
-        // Local PMFs per basis circuit, marginalized out of the groups.
-        let n_bases = self.grouped.num_groups();
-        let locals: Vec<Vec<Pmf>> = {
+        // The Local-PMFs, marginalized out of the groups: each distinct
+        // (group, window support) marginal once, shared by every basis
+        // window that reads it.
+        let (coverage, marginals) = {
             let _span = telemetry::span(telemetry::Stage::Marginal);
-            (0..n_bases)
-                .map(|b| {
-                    self.plan
-                        .coverage(b)
-                        .iter()
-                        .map(|wc| subset_pmfs[wc.group].marginal(&wc.subset.support()))
-                        .collect()
-                })
-                .collect()
+            let coverage = self
+                .coverage
+                .get_or_insert_with(|| self.plan.distinct_coverage());
+            let marginals: Vec<Pmf> = coverage
+                .entries
+                .iter()
+                .map(|(group, support)| subset_pmfs[*group].marginal(support))
+                .collect();
+            (&*coverage, marginals)
         };
 
         // 2./3. Reconstruction with fresh Globals and/or chained priors,
@@ -341,9 +365,7 @@ impl VarSawEvaluator {
         let run_global = self.scheduler.should_run_global() || self.priors.is_none();
 
         let chained: Option<Vec<Pmf>> = self.priors.take().map(|mut priors| {
-            for (prior, locals) in priors.iter_mut().zip(&locals) {
-                pipeline.reconstruct(prior, locals);
-            }
+            pipeline.reconstruct_covered(&mut priors, &coverage.windows, &marginals);
             priors
         });
         let fresh: Option<Vec<Pmf>> = run_global.then(|| {
@@ -357,9 +379,7 @@ impl VarSawEvaluator {
                 .map(|g| BatchJob::global(state, &g.basis))
                 .collect();
             let mut globals = pipeline.run_measurements(&global_jobs);
-            for (global, locals) in globals.iter_mut().zip(&locals) {
-                pipeline.reconstruct(global, locals);
-            }
+            pipeline.reconstruct_covered(&mut globals, &coverage.windows, &marginals);
             globals
         });
 

@@ -30,6 +30,21 @@ pub struct WindowCoverage {
     pub group: usize,
 }
 
+/// The distinct Local-PMFs a plan's coverage asks for: one entry per
+/// distinct (subset group, window support) pair, and for every basis the
+/// entry each of its coverage windows reads. Windows of different bases
+/// (or different windows of one basis) whose group and support agree
+/// share one marginal, so an evaluation computes each entry once.
+#[derive(Clone, Debug)]
+pub(crate) struct DistinctCoverage {
+    /// The distinct (subset group, window support) pairs, in first-use
+    /// order over the bases and their windows.
+    pub(crate) entries: Vec<(usize, Vec<usize>)>,
+    /// Per basis, the index into `entries` of each coverage window, in
+    /// [`SpatialPlan::coverage`] order.
+    pub(crate) windows: Vec<Vec<usize>>,
+}
+
 /// Aggregate circuit-count statistics — the quantities plotted in Fig.12.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpatialStats {
@@ -227,6 +242,35 @@ impl SpatialPlan {
         &self.coverage[b]
     }
 
+    /// The coverage deduplicated into its distinct (subset group, window
+    /// support) marginals (see [`DistinctCoverage`]).
+    pub(crate) fn distinct_coverage(&self) -> DistinctCoverage {
+        let mut entries: Vec<(usize, Vec<usize>)> = Vec::new();
+        // Entry indices per subset group. A group's support fits in one
+        // window, so its windows have at most 2^window − 1 distinct
+        // supports and a linear scan over them is enough.
+        let mut of_group: Vec<Vec<usize>> = vec![Vec::new(); self.subset_groups.len()];
+        let windows = self
+            .coverage
+            .iter()
+            .map(|cov| {
+                cov.iter()
+                    .map(|wc| {
+                        let support = wc.subset.support();
+                        let seen = &mut of_group[wc.group];
+                        if let Some(&i) = seen.iter().find(|&&i| entries[i].1 == support) {
+                            return i;
+                        }
+                        seen.push(entries.len());
+                        entries.push((wc.group, support));
+                        entries.len() - 1
+                    })
+                    .collect()
+            })
+            .collect();
+        DistinctCoverage { entries, windows }
+    }
+
     /// Circuit-count statistics (Fig.12).
     pub fn stats(&self) -> SpatialStats {
         self.stats
@@ -309,6 +353,30 @@ mod tests {
             assert!(!sup.is_empty());
             assert!(sup.last().unwrap() - sup.first().unwrap() < plan.window());
         }
+    }
+
+    #[test]
+    fn distinct_coverage_maps_every_window_to_its_marginal() {
+        let plan = SpatialPlan::new(&fig6_hamiltonian(), 2);
+        let distinct = plan.distinct_coverage();
+        assert_eq!(distinct.windows.len(), plan.bases().len());
+        let mut windows = 0;
+        for (b, entries) in distinct.windows.iter().enumerate() {
+            let coverage = plan.coverage(b);
+            assert_eq!(entries.len(), coverage.len(), "basis {b}");
+            for (&i, wc) in entries.iter().zip(coverage) {
+                assert_eq!(distinct.entries[i], (wc.group, wc.subset.support()));
+            }
+            windows += coverage.len();
+        }
+        for (i, entry) in distinct.entries.iter().enumerate() {
+            assert!(!distinct.entries[..i].contains(entry), "entry {i} repeats");
+        }
+        assert!(
+            distinct.entries.len() < windows,
+            "{} entries for {windows} windows",
+            distinct.entries.len()
+        );
     }
 
     #[test]
