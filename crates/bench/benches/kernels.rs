@@ -1,17 +1,18 @@
 //! Criterion benchmarks for the computational kernels every experiment
-//! leans on: state-vector simulation, Pauli algebra, noise channels,
-//! Bayesian reconstruction, energy assembly, grouping and the Lanczos
-//! eigensolver.
+//! leans on: state-vector simulation, batched dispatch, Pauli algebra,
+//! noise channels, Bayesian reconstruction, energy assembly, grouping and
+//! the Lanczos eigensolver.
 
-use chem::{molecular_hamiltonian, MoleculeSpec};
+use chem::{molecular_hamiltonian, tfim_chain, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mitigation::{reconstruct, Pmf, ReconstructionConfig, Reconstructor};
 use pauli::{group_by_cover, PauliString};
-use qnoise::{apply_readout_errors, ReadoutError};
-use qsim::shard::shards_and_workers;
-use qsim::{Circuit, CircuitPlan, Parallelism, ShardedState, Statevector};
+use qnoise::{apply_readout_errors, DeviceModel, ReadoutError};
+use qsim::{Circuit, Statevector};
 use rand::{rngs::StdRng, SeedableRng};
-use vqe::{EfficientSu2, Entanglement, GroupedHamiltonian};
+use vqe::{
+    BaselineEvaluator, EfficientSu2, EnergyEvaluator, Entanglement, GroupedHamiltonian, SimExecutor,
+};
 
 fn ansatz_circuit(n: usize) -> Circuit {
     let a = EfficientSu2::new(n, 2, Entanglement::Full);
@@ -19,8 +20,7 @@ fn ansatz_circuit(n: usize) -> Circuit {
 }
 
 fn bench_statevector(c: &mut Criterion) {
-    // The canonical `efficient_su2_*` entries run the serial dense plane —
-    // what every caller of `apply_circuit` gets.
+    // The serial dense plane — the one execution engine.
     let mut g = c.benchmark_group("statevector");
     for n in [6usize, 8, 10, 12] {
         let circuit = ansatz_circuit(n);
@@ -32,37 +32,57 @@ fn bench_statevector(c: &mut Criterion) {
             })
         });
     }
-    // Serial-vs-threads pairs around `Parallelism::Auto`'s 2^12-amplitude
-    // threshold, so the crossover is measurable from one bench run. The
-    // threads row prepares the way `vqe::SimExecutor` does under
-    // `Threads(num_threads())`: compile, then run on 2^⌊log₂ w⌋ shards
-    // walked by `w` workers. On a single-core container it is the serial
-    // plane.
-    for n in [10usize, 11, 12] {
-        let circuit = ansatz_circuit(n);
-        g.bench_function(format!("efficient_su2_{n}q_serial"), |b| {
-            b.iter(|| {
-                let mut st = Statevector::zero(n);
-                st.apply_circuit(&circuit);
-                std::hint::black_box(st.probabilities()[0])
-            })
-        });
-        // Stable id (no thread count embedded) so archived BENCH_*.json
-        // records match across runners; the shape is reported on its own
-        // line instead.
-        let threads = parallel::num_threads();
-        let (shards, workers) = shards_and_workers(Parallelism::Threads(threads), n, 0);
-        println!("bench statevector/efficient_su2_{n}q_threads uses {shards} shard(s) x {workers} worker(s)");
-        g.bench_function(format!("efficient_su2_{n}q_threads"), |b| {
-            b.iter(|| {
-                let plan = CircuitPlan::compile(&circuit);
-                let mut st =
-                    ShardedState::zero(n, shards).with_parallelism(Parallelism::Threads(workers));
-                st.apply_plan(&plan);
-                std::hint::black_box(st.to_statevector().probabilities()[0])
-            })
-        });
-    }
+    g.finish();
+}
+
+fn bench_batched_dispatch(c: &mut Criterion) {
+    // Eight SPSA-style probe evaluations of a 12-qubit TFIM objective.
+    // The sequential side submits one circuit dispatch at a time
+    // (`prepare` + `run_prepared_all` per measurement group); the batched
+    // side is `BaselineEvaluator::evaluate_batch`, which plans the whole
+    // family up front (shared compiled plans, scratch reuse, direct
+    // full-register reads) and reproduces the sequential results seed for
+    // seed — the ratio is pure per-dispatch overhead amortization.
+    let mut g = c.benchmark_group("dispatch");
+    let n = 12;
+    let h = tfim_chain(n, 1.0, 0.7, false);
+    let ansatz = EfficientSu2::new(n, 2, Entanglement::Linear);
+    let probes: Vec<Vec<f64>> = (0..8).map(|i| ansatz.initial_parameters(i)).collect();
+    let probe_refs: Vec<&[f64]> = probes.iter().map(|p| p.as_slice()).collect();
+    let grouped = GroupedHamiltonian::new(&h);
+    let mut seq_exec = SimExecutor::new(DeviceModel::mumbai_like(), 1024, 7);
+    let mut eval = BaselineEvaluator::new(
+        &h,
+        ansatz.clone(),
+        SimExecutor::new(DeviceModel::mumbai_like(), 1024, 7),
+    );
+    println!(
+        "bench dispatch spsa_probes_12q: {} measurement groups x 8 probes",
+        grouped.num_groups()
+    );
+    // Warm both plan caches so each side pays rebinds only.
+    eval.evaluate(&probes[0]);
+    let warm = seq_exec.prepare(&ansatz.circuit(&probes[0]));
+    grouped.measure(&mut seq_exec, &warm);
+
+    g.bench_function("spsa_probes_12q_8x_sequential", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for p in &probes {
+                let state = seq_exec.prepare(&ansatz.circuit(p));
+                let pmfs: Vec<Pmf> = grouped
+                    .groups()
+                    .iter()
+                    .map(|grp| seq_exec.run_prepared_all(&state, &grp.basis))
+                    .collect();
+                acc += grouped.energy_from_pmfs(&pmfs);
+            }
+            std::hint::black_box(acc)
+        })
+    });
+    g.bench_function("spsa_probes_12q_8x_batched", |b| {
+        b.iter(|| std::hint::black_box(eval.evaluate_batch(&probe_refs).iter().sum::<f64>()))
+    });
     g.finish();
 }
 
@@ -199,7 +219,8 @@ fn config() -> Criterion {
 criterion_group! {
     name = kernels;
     config = config();
-    targets = bench_statevector, bench_pauli_expectation, bench_energy, bench_grouping,
+    targets = bench_statevector, bench_batched_dispatch, bench_pauli_expectation, bench_energy,
+        bench_grouping,
         bench_reconstruction, bench_noise_channel, bench_sampling, bench_lanczos
 }
 criterion_main!(kernels);

@@ -15,7 +15,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qnoise::DeviceModel;
-use qsim::Parallelism;
 use vqe::{EfficientSu2, Entanglement, SimExecutor};
 
 const SHOTS: u64 = 1024;
@@ -25,8 +24,7 @@ const NUM_QUBITS: usize = 10;
 /// One representative iteration: prepare the ansatz, two Globals, three
 /// subset reads — the same shape the `telemetry` experiment attributes.
 fn iteration() -> f64 {
-    let mut exec = SimExecutor::new(DeviceModel::mumbai_like(), SHOTS, SEED)
-        .with_parallelism(Parallelism::Serial);
+    let mut exec = SimExecutor::new(DeviceModel::mumbai_like(), SHOTS, SEED);
     let ansatz = EfficientSu2::new(NUM_QUBITS, 2, Entanglement::Linear);
     let circuit = ansatz.circuit(&ansatz.initial_parameters(5));
     let state = exec.prepare(&circuit);

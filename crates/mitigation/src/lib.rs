@@ -32,7 +32,6 @@ mod mbm;
 mod pmf;
 mod recon;
 mod window;
-mod zne;
 
 pub use bayes::{bayesian_update, reconstruct, ReconstructionConfig};
 pub use counts::Counts;
@@ -41,4 +40,3 @@ pub use mbm::mbm_correct;
 pub use pmf::Pmf;
 pub use recon::Reconstructor;
 pub use window::{jigsaw_subset_count, sliding_windows};
-pub use zne::{richardson_extrapolate, zero_noise_extrapolate};

@@ -4,9 +4,8 @@
 //! report on themselves:
 //!
 //! - [`NUM_THREADS_ENV`] (`VARSAW_NUM_THREADS`): the worker-thread count
-//!   behind [`crate::num_threads`], shared by the sharded statevector
-//!   executor (whose shard count follows it), batched preparation and
-//!   [`crate::parallel_map`];
+//!   behind [`crate::num_threads`], which sizes [`crate::parallel_map`]
+//!   (the `experiments` trial fan-out); statevector simulation is serial;
 //! - [`TELEMETRY_ENV`] (`VARSAW_TELEMETRY`): the runtime default of the
 //!   stage-telemetry switch behind [`crate::telemetry_default`] — only
 //!   observable in builds with the `telemetry` feature, where `0`/`off`

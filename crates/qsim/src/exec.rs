@@ -1,47 +1,18 @@
-//! Amplitude-slice kernels shared by the dense plane and the shards.
+//! Amplitude-slice kernels behind [`Statevector`](crate::Statevector).
 //!
-//! Every kernel here updates one contiguous amplitude slice in place: a
-//! whole [`Statevector`](crate::Statevector) or one shard of a
-//! [`ShardedState`](crate::ShardedState) whose pair bits are local.
-//! Threads never share a slice; [`crate::shard`] spreads shards (and
-//! sub-slices of exchanged shard pairs) across workers instead.
+//! Every kernel here updates one contiguous amplitude slice in place, on
+//! the calling thread.
 //!
-//! # Bit-identical results
+//! # Exact arithmetic
 //!
 //! Each amplitude's new value is a pure elementwise function of its pair
-//! or quad ([`pair_update`], [`QuadKernel::apply`]), the two-qubit sparse
-//! ops are exact swaps and negations, and no reduction is reordered. So
-//! which slice or thread runs an update never changes its arithmetic:
-//! dense and sharded execution agree bit for bit
-//! (`tests/shard_equiv.rs`).
+//! or quad ([`pair_update`], [`quad_update`], [`sparse2_update`]), the
+//! two-qubit sparse ops are exact swaps and negations, and no reduction
+//! is reordered. So the enumeration a sweep picks (contiguous lanes or
+//! index spreading, see [`LANE_MIN_BIT`]) never changes its arithmetic:
+//! both forms produce the same bits.
 
 use crate::complex::C64;
-
-/// How an executor spreads a circuit across threads.
-///
-/// The enum lives in [`parallel`]; this re-export keeps
-/// `qsim::Parallelism` working. The dense [`Statevector`](crate::Statevector)
-/// plane is serial. Threads run as shards: [`crate::shard::shards_and_workers`]
-/// turns a choice into a shard count and a worker count, and a
-/// [`ShardedState`](crate::ShardedState) spreads its shards across those
-/// workers. Results never depend on the choice.
-///
-/// # Examples
-///
-/// ```
-/// use qsim::{Circuit, CircuitPlan, Parallelism, ShardedState, Statevector};
-///
-/// let mut c = Circuit::new(3);
-/// c.h(0).cx(0, 1).cx(1, 2);
-/// let plan = CircuitPlan::compile(&c);
-/// let mut serial = Statevector::zero(3);
-/// serial.apply_plan(&plan);
-/// let mut threaded = ShardedState::zero(3, 2).with_parallelism(Parallelism::Threads(2));
-/// threaded.apply_plan(&plan);
-/// // Same amplitudes, bit for bit.
-/// assert_eq!(serial.amplitudes(), threaded.to_statevector().amplitudes());
-/// ```
-pub use parallel::Parallelism;
 
 /// The dense-plane byte footprint of an `n`-qubit register, saturating
 /// for register sizes beyond any allocatable plane. The single source
@@ -54,27 +25,19 @@ pub(crate) fn state_bytes_for_qubits(num_qubits: usize) -> u128 {
 }
 
 /// New values of an amplitude pair under a single-qubit matrix. Shared by
-/// the dense and sharded kernels so both paths perform the exact same
-/// floating-point operations (bit-identical results).
+/// both enumerations of [`apply_1q_local`], so they perform the exact
+/// same floating-point operations (bit-identical results).
 #[inline]
 pub(crate) fn pair_update(m: &[[C64; 2]; 2], a0: C64, a1: C64) -> (C64, C64) {
     (m[0][0] * a0 + m[0][1] * a1, m[1][0] * a0 + m[1][1] * a1)
 }
 
-/// New values of a pair-basis amplitude quad under a 4×4 block matrix.
-/// Shared by the dense and sharded
-/// [`PlanOp::Block4`](crate::plan::PlanOp::Block4) kernels so both tiers
-/// perform the exact same floating-point operations (bit-identical
-/// results).
+/// New values of a pair-basis amplitude quad under a 4×4 block matrix
+/// (the dense [`PlanOp::Block4`](crate::plan::PlanOp::Block4) rule).
 ///
 /// The accumulation tree is the fixed pairing `(t0 + t3) + (t1 + t2)`,
-/// not left-to-right. A shard-layout remap that flips a block's pair
-/// order relabels the pair basis by the permutation `(0)(3)(1 2)`
-/// (`linalg::swap_qubits4` conjugation — exact entry copies); that
-/// relabeling fixes the `{0,3}` operand pair and swaps the `{1,2}`
-/// one wholesale, and IEEE addition is commutative, so this pairing
-/// makes remapped blocks bit-identical to the serial reference where
-/// left-to-right accumulation would diverge by a rounding.
+/// not left-to-right; it is pinned because the prepared states (and so
+/// every seed-pinned energy) depend on it.
 #[inline]
 pub(crate) fn quad_update(m: &[[C64; 4]; 4], a: [C64; 4]) -> [C64; 4] {
     let mut out = [C64::ZERO; 4];
@@ -88,9 +51,7 @@ pub(crate) fn quad_update(m: &[[C64; 4]; 4], a: [C64; 4]) -> [C64; 4] {
 /// matrix: row `r` reads only `a[cols[r][0]]` and `a[cols[r][1]]` (a row
 /// with one nonzero pads the second slot with a zero coefficient). Eight
 /// complex multiplies instead of sixteen — entangler blocks built from
-/// CX/CZ sandwiches are mostly this sparse. Two-term sums are
-/// commutative bitwise, so like [`quad_update`]'s pairing this rule is
-/// exact under the pair-flip relabeling a shard-layout remap performs.
+/// CX/CZ sandwiches are mostly this sparse.
 #[inline(always)]
 pub(crate) fn sparse2_update(
     cols: &[[usize; 2]; 4],
@@ -106,16 +67,14 @@ pub(crate) fn sparse2_update(
 
 /// Per-pass classification of a bound
 /// [`PlanOp::Block4`](crate::plan::PlanOp::Block4) matrix by its nonzero
-/// pattern, shared by the dense and sharded kernels.
+/// pattern.
 ///
 /// Entangler blocks frequently bind matrices that are at least half
 /// zeros (a CX times a `R ⊗ I` rotation sandwich has two nonzeros per
 /// row), so each execution pass scans the 16 entries once and picks the
 /// cheapest update rule. The classification is a pure function of the
-/// matrix values, so every tier derives the same kernel for the same op
-/// — cross-tier results stay bit-identical — and rebinding needs no
-/// bookkeeping: a rebound matrix is simply re-classified at its next
-/// pass.
+/// matrix values, so rebinding needs no bookkeeping: a rebound matrix is
+/// simply re-classified at its next pass.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum QuadKernel {
     /// Full 16-multiply [`quad_update`].
@@ -147,15 +106,6 @@ impl QuadKernel {
             }
         }
         QuadKernel::Sparse2 { cols, vals }
-    }
-
-    /// Applies the classified rule to one pair-basis quad.
-    #[inline(always)]
-    pub(crate) fn apply(&self, a: [C64; 4]) -> [C64; 4] {
-        match self {
-            QuadKernel::Dense(m) => quad_update(m, a),
-            QuadKernel::Sparse2 { cols, vals } => sparse2_update(cols, vals, a),
-        }
     }
 }
 
@@ -220,10 +170,9 @@ pub(crate) fn for_each_quad_lanes(
 /// switch can never change results — only speed.
 pub(crate) const LANE_MIN_BIT: usize = 3;
 
-/// Single-qubit matrix sweep over a contiguous amplitude slice (a full
-/// statevector or one shard with `q` local). Hybrid enumeration per
-/// [`LANE_MIN_BIT`]; the arithmetic per pair is [`pair_update`] on both
-/// paths, keeping every tier bit-identical.
+/// Single-qubit matrix sweep over the amplitude plane. Hybrid
+/// enumeration per [`LANE_MIN_BIT`]; the arithmetic per pair is
+/// [`pair_update`] on both paths, so both produce the same bits.
 pub(crate) fn apply_1q_local(amps: &mut [C64], q: usize, m: &[[C64; 2]; 2]) {
     let m = *m;
     if q >= LANE_MIN_BIT {
@@ -245,41 +194,9 @@ pub(crate) fn apply_1q_local(amps: &mut [C64], q: usize, m: &[[C64; 2]; 2]) {
     }
 }
 
-/// X sweep on `q` (a CX whose control sits outside the slice and is
-/// known set): swaps the two `q` lanes.
-pub(crate) fn apply_x_local(amps: &mut [C64], q: usize) {
-    if q >= LANE_MIN_BIT {
-        for_each_pair_lanes(amps, q, |s0, s1| s0.swap_with_slice(s1));
-    } else {
-        let mask = 1usize << q;
-        for p in 0..amps.len() / 2 {
-            let i = insert_zero_bit(p, q);
-            amps.swap(i, i | mask);
-        }
-    }
-}
-
-/// Z sweep on `q` (a CZ whose partner sits outside the slice and is
-/// known set): negates the set-`q` lane.
-pub(crate) fn negate_bit_set(amps: &mut [C64], q: usize) {
-    if q >= LANE_MIN_BIT {
-        for_each_pair_lanes(amps, q, |_s0, s1| {
-            for a in s1.iter_mut() {
-                *a = -*a;
-            }
-        });
-    } else {
-        let mask = 1usize << q;
-        for p in 0..amps.len() / 2 {
-            let i = insert_zero_bit(p, q) | mask;
-            amps[i] = -amps[i];
-        }
-    }
-}
-
-/// CX sweep with both qubits inside the slice: in the sorted pair basis
-/// the control-set lanes are `s1`/`s3` (control = low bit) or `s2`/`s3`
-/// (control = high bit); X on the target swaps them.
+/// CX sweep: in the sorted pair basis the control-set lanes are
+/// `s1`/`s3` (control = low bit) or `s2`/`s3` (control = high bit); X on
+/// the target swaps them.
 pub(crate) fn apply_cx_local(amps: &mut [C64], control: usize, target: usize) {
     let (lo, hi) = (control.min(target), control.max(target));
     if lo >= LANE_MIN_BIT {
@@ -297,7 +214,7 @@ pub(crate) fn apply_cx_local(amps: &mut [C64], control: usize, target: usize) {
     }
 }
 
-/// CZ sweep with both qubits inside the slice: negates the both-set lane.
+/// CZ sweep: negates the both-set lane.
 pub(crate) fn apply_cz_local(amps: &mut [C64], lo: usize, hi: usize) {
     if lo >= LANE_MIN_BIT {
         for_each_quad_lanes(amps, lo, hi, |_s0, _s1, _s2, s3| {
@@ -314,8 +231,7 @@ pub(crate) fn apply_cz_local(amps: &mut [C64], lo: usize, hi: usize) {
     }
 }
 
-/// SWAP sweep with both qubits inside the slice: exchanges the two
-/// single-set lanes.
+/// SWAP sweep: exchanges the two single-set lanes.
 pub(crate) fn apply_swap_local(amps: &mut [C64], lo: usize, hi: usize) {
     if lo >= LANE_MIN_BIT {
         for_each_quad_lanes(amps, lo, hi, |_s0, s1, s2, _s3| s1.swap_with_slice(s2));
@@ -328,8 +244,7 @@ pub(crate) fn apply_swap_local(amps: &mut [C64], lo: usize, hi: usize) {
     }
 }
 
-/// Entangler-block sweep (4×4 matrix over pair `(lo, hi)`) with both
-/// qubits inside the slice. The matrix is classified once per pass
+/// Entangler-block sweep (4×4 matrix over pair `(lo, hi)`). The matrix is classified once per pass
 /// ([`QuadKernel`]) and the sweep is monomorphized over the resulting
 /// update rule, so the hot loop carries no per-quad dispatch.
 pub(crate) fn apply_block4_local(amps: &mut [C64], lo: usize, hi: usize, m: &[[C64; 4]; 4]) {
@@ -391,8 +306,6 @@ fn block4_sweep(
 /// Spreads `p` over the bit positions of an index, leaving a zero at
 /// position `bit`: bits `0..bit` of `p` stay, bits `bit..` shift up one.
 /// Enumerates all indices whose `bit` is clear as `p` runs over `0..len/2`.
-/// Shared with the serial plan kernels in `state.rs`, so both paths
-/// enumerate the exact same amplitude pairs.
 #[inline]
 pub(crate) fn insert_zero_bit(p: usize, bit: usize) -> usize {
     let low = p & ((1 << bit) - 1);
@@ -409,10 +322,6 @@ pub(crate) fn insert_zero_bits(p: usize, lo: usize, hi: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::Circuit;
-    use crate::plan::CircuitPlan;
-    use crate::shard::{shards_and_workers, ShardedState};
-    use crate::state::Statevector;
 
     #[test]
     fn insert_zero_bit_enumerates_clear_bit_indices() {
@@ -434,44 +343,5 @@ mod tests {
         let mut seen: Vec<usize> = (0..16).map(|p| insert_zero_bits(p, 1, 3)).collect();
         seen.dedup();
         assert_eq!(seen.len(), 16);
-    }
-
-    #[test]
-    fn auto_stays_serial_for_small_states_and_short_circuits() {
-        assert_eq!(shards_and_workers(Parallelism::Auto, 11, 100), (1, 1));
-        assert_eq!(shards_and_workers(Parallelism::Auto, 12, 3), (1, 1));
-        let (shards, workers) = shards_and_workers(Parallelism::Auto, 12, 100);
-        assert_eq!(workers, parallel::num_threads());
-        assert!(shards.is_power_of_two() && shards <= workers);
-    }
-
-    #[test]
-    fn threaded_matches_serial_on_a_dense_circuit() {
-        // Touches every kernel: rotations on low and high qubits, CX in
-        // all control/target orientations, CZ and SWAP across the shard
-        // boundary. With 4 shards on 5 qubits each shard holds 8
-        // amplitudes (bits 0-2 local, 3-4 global).
-        let n = 5;
-        let mut c = Circuit::new(n);
-        for q in 0..n {
-            c.ry(q, 0.3 + q as f64).rz(q, -0.7 * q as f64);
-        }
-        c.cx(0, 4).cx(4, 0).cx(1, 2).cz(0, 4).cz(1, 2).swap(0, 4);
-        c.swap(1, 2).h(4).x(3).cx(3, 1);
-
-        let plan = CircuitPlan::compile(&c);
-        let mut serial = Statevector::zero(n);
-        serial.apply_plan(&plan);
-        for workers in [2usize, 4, 8] {
-            let mode = Parallelism::Threads(workers);
-            let (shards, _) = shards_and_workers(mode, n, plan.op_count());
-            let mut threaded = ShardedState::zero(n, shards).with_parallelism(mode);
-            threaded.apply_plan(&plan);
-            assert_eq!(
-                serial.amplitudes(),
-                threaded.to_statevector().amplitudes(),
-                "{workers} workers"
-            );
-        }
     }
 }

@@ -254,24 +254,8 @@ pub(crate) fn identity2() -> [[C64; 2]; 2] {
     [[C64::ONE, C64::ZERO], [C64::ZERO, C64::ONE]]
 }
 
-/// Conjugates a 4×4 pair matrix by the qubit swap: the result expresses
-/// the same unitary with the roles of the low and high bit exchanged
-/// (basis indices 1 and 2 swap in both rows and columns). A pure entry
-/// permutation — no arithmetic — so remapping a block through a qubit
-/// layout never re-rounds its matrix.
-pub(crate) fn swap_qubits4(m: &[[C64; 4]; 4]) -> [[C64; 4]; 4] {
-    const P: [usize; 4] = [0, 2, 1, 3];
-    let mut out = [[C64::ZERO; 4]; 4];
-    for i in 0..4 {
-        for j in 0..4 {
-            out[i][j] = m[P[i]][P[j]];
-        }
-    }
-    out
-}
-
-/// Transposes a 4×4 matrix. Only used by the equivalence-suite mutation
-/// checks (a transposed block must be caught by the oracles).
+/// Transposes a 4×4 matrix. Only used by the block-path mutation check
+/// (a transposed block must be caught by the plan tests).
 pub(crate) fn transpose4(m: &[[C64; 4]; 4]) -> [[C64; 4]; 4] {
     let mut out = [[C64::ZERO; 4]; 4];
     for i in 0..4 {
@@ -511,20 +495,10 @@ mod tests {
     }
 
     #[test]
-    fn swap_qubits4_exchanges_kron_operands() {
-        let a = ry2(0.6);
-        let b = rz2(1.1);
-        let k = kron2(&a, &b);
-        assert_close4(&swap_qubits4(&k), &kron2(&b, &a), 0.0);
-        // Involution: swapping twice restores the original bitwise.
-        assert_close4(&swap_qubits4(&swap_qubits4(&k)), &k, 0.0);
-    }
-
-    #[test]
     fn transpose4_flips_cx_direction() {
         // CX is symmetric, so transpose is a no-op on it; a non-symmetric
         // sandwich is not fixed by transposition (the mutation the
-        // equivalence suites rely on being visible).
+        // plan tests rely on being visible).
         let cx = cx4_control_lo();
         assert_close4(&transpose4(&cx), &cx, 0.0);
         let u = matmul4(&kron2(&ry2(0.5), &identity2()), &cx);

@@ -28,10 +28,8 @@
 //!   skips the pass).
 //!
 //! Fusing changes amplitude *bit patterns* (one rounded matrix product
-//! instead of two rounded sweeps), so dense and sharded execution must
-//! consume the **same plan** — both do, and are bit-identical to each
-//! other (see `tests/fusion_equiv.rs`); fused-vs-unfused agreement is a
-//! `1e-12`-tolerance property, not bitwise.
+//! instead of two rounded sweeps), so fused-vs-unfused agreement is a
+//! `1e-12`-tolerance property, not bitwise (see `tests/fusion_equiv.rs`).
 //!
 //! # Plan caching
 //!
@@ -62,7 +60,7 @@
 use crate::circuit::Circuit;
 use crate::complex::C64;
 use crate::gate::Gate;
-use crate::linalg::{identity2, kron2, matmul4, swap_qubits4, transpose4};
+use crate::linalg::{identity2, kron2, matmul4, transpose4};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -537,9 +535,9 @@ fn matmul2(a: &[[C64; 2]; 2], b: &[[C64; 2]; 2]) -> [[C64; 2]; 2] {
     out
 }
 
-/// A compiled, parameter-bound execution plan: the flat op list both the
-/// dense plane ([`crate::Statevector::apply_plan`]) and the sharded
-/// executor ([`crate::ShardedState::apply_plan`]) execute. See the [module docs](self) for what compilation does.
+/// A compiled, parameter-bound execution plan: the flat op list
+/// [`crate::Statevector::apply_plan`] executes. See the
+/// [module docs](self) for what compilation does.
 #[derive(Clone, Debug)]
 pub struct CircuitPlan {
     structure: Arc<PlanStructure>,
@@ -601,8 +599,7 @@ impl CircuitPlan {
     }
 
     /// The number of lowered ops — the full-state sweeps one execution
-    /// costs. [`crate::shard::shards_and_workers`] weighs this, not the
-    /// raw gate count.
+    /// costs.
     pub fn op_count(&self) -> usize {
         self.ops.len()
     }
@@ -625,9 +622,8 @@ impl CircuitPlan {
     }
 
     /// Returns a copy of this plan with every block matrix transposed —
-    /// a deliberately wrong plan the equivalence suites use to prove
-    /// their block-path assertions are non-vacuous. Not part of the
-    /// public API surface.
+    /// a deliberately wrong plan the block-path tests use to prove their
+    /// assertions are non-vacuous. Not part of the public API surface.
     #[doc(hidden)]
     pub fn transpose_blocks_for_tests(&self) -> CircuitPlan {
         let ops = self
@@ -651,445 +647,6 @@ impl CircuitPlan {
     /// The lowered ops, for the execution kernels.
     pub(crate) fn ops(&self) -> &[PlanOp] {
         &self.ops
-    }
-}
-
-/// How a [`PlanOp`]'s amplitude pairs relate to a contiguous power-of-two
-/// partition of the amplitude plane into blocks of `2^bits` amplitudes —
-/// the shard decomposition of `qsim::shard`. Controlled gates are classified by
-/// where their *pairs* reach, not their controls: a CX with a high
-/// control but low target only swaps within blocks whose base index has
-/// the control bit set, and CZ is diagonal, pairing nothing at all.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum OpLocality {
-    /// Every pair falls inside one block (possibly conditioned on the
-    /// block's high index bits): no cross-block traffic.
-    Local,
-    /// Pairs reach across blocks elementwise: executing the op moves
-    /// amplitude data between exactly-paired blocks.
-    Exchange,
-    /// Pairs relabel whole blocks (CX with control *and* target high;
-    /// SWAP of two high qubits): executable as O(1) block-handle swaps,
-    /// no amplitude data moves at all.
-    PlaneSwap,
-}
-
-/// Classifies `op` against blocks of `2^bits` amplitudes.
-pub(crate) fn op_locality(op: &PlanOp, bits: usize) -> OpLocality {
-    match *op {
-        PlanOp::OneQ { q, .. } => {
-            if q < bits {
-                OpLocality::Local
-            } else {
-                OpLocality::Exchange
-            }
-        }
-        PlanOp::Cx { control, target } => {
-            if target < bits {
-                OpLocality::Local
-            } else if control < bits {
-                OpLocality::Exchange
-            } else {
-                OpLocality::PlaneSwap
-            }
-        }
-        PlanOp::Cz { .. } => OpLocality::Local,
-        PlanOp::Swap { lo, hi } => {
-            if hi < bits {
-                OpLocality::Local
-            } else if lo < bits {
-                OpLocality::Exchange
-            } else {
-                OpLocality::PlaneSwap
-            }
-        }
-        // A dense 4×4 mixes all four pair states, so unlike CX/SWAP a
-        // both-high block still moves amplitude data: never a plane swap.
-        PlanOp::Block4 { hi, .. } => {
-            if hi < bits {
-                OpLocality::Local
-            } else {
-                OpLocality::Exchange
-            }
-        }
-    }
-}
-
-/// One execution step of a [`ShardPlan`]: plan ops grouped by how they
-/// interact with the shard decomposition.
-#[derive(Clone, Debug)]
-pub(crate) enum ShardStep {
-    /// A maximal run of shard-local ops: every shard executes the whole
-    /// run independently — one parallel fan-out, no communication.
-    Local(Vec<PlanOp>),
-    /// One op whose pairs cross shards elementwise: executed as an
-    /// explicit pairwise shard exchange.
-    Exchange(PlanOp),
-    /// One op that only relabels shards: executed as O(1) shard-handle
-    /// swaps.
-    PlaneSwap(PlanOp),
-}
-
-/// The sharded-execution compilation of a [`CircuitPlan`]: a qubit
-/// *layout* that remaps exchange-heavy qubits into the shard-local bit
-/// range, plus the (remapped) ops classified into shard-local runs,
-/// pairwise exchanges, and plane swaps. Executed by
-/// [`crate::ShardedState::apply_shard_plan`]; see the `qsim::shard`
-/// module docs for the execution model.
-///
-/// The analysis is structural — it never reads rotation angles — so a
-/// `ShardPlan` computed for one parameter binding is valid for any
-/// rebind of the same [`PlanCache`] structure. Like compilation itself,
-/// analysis is cheap (one scan of the op list) next to executing a
-/// single op over a large state.
-///
-/// # Examples
-///
-/// A circuit hammering the *top* qubit would naively exchange on every
-/// rotation; the layout analysis remaps it into the local range, leaving
-/// zero exchanges:
-///
-/// ```
-/// use qsim::{Circuit, CircuitPlan};
-/// use qsim::plan::ShardPlan;
-///
-/// let mut c = Circuit::new(4);
-/// c.ry(3, 0.1).cx(3, 0).ry(3, 0.2).cx(3, 1).ry(3, 0.3);
-/// let plan = CircuitPlan::compile(&c);
-/// let sharded = ShardPlan::analyze(&plan, 2);
-/// assert_eq!(sharded.exchange_count(), 0);
-/// assert!(sharded.layout()[3] < 3, "hot qubit 3 remapped into the local range");
-///
-/// // Pinning the identity layout shows what the remap saved: both
-/// // entangler blocks on qubit 3 would cross shards.
-/// let identity = ShardPlan::with_layout(&plan, 2, &[0, 1, 2, 3]);
-/// assert_eq!(identity.exchange_count(), 2);
-/// ```
-#[derive(Clone, Debug)]
-pub struct ShardPlan {
-    analysis: Arc<ShardAnalysis>,
-    steps: Vec<ShardStep>,
-}
-
-/// One slot of a [`ShardAnalysis`]: an execution step recorded as
-/// *indices into the source plan's op list* instead of bound ops, so one
-/// analysis can be rebound to any plan with the same op structure
-/// (same kinds and wiring, different rotation matrices).
-#[derive(Clone, Debug)]
-enum ShardSlot {
-    /// A maximal run of shard-local ops.
-    Local(Vec<u32>),
-    /// One pairwise-exchange op.
-    Exchange(u32),
-    /// One plane-swap op.
-    PlaneSwap(u32),
-}
-
-/// The parameter-free half of a [`ShardPlan`]: the qubit layout, the
-/// step segmentation (as op indices) and the step counts. Depends only
-/// on the plan's op *structure* — kinds and qubit wiring, never rotation
-/// matrices — so a [`PlanCache`] memoizes it per (structure, shard
-/// count) and rebinding new angles skips the whole analysis
-/// ([`PlanCache::shard_plan`]).
-#[derive(Debug)]
-pub(crate) struct ShardAnalysis {
-    num_qubits: usize,
-    shards: usize,
-    local_bits: usize,
-    layout: Vec<usize>,
-    slots: Vec<ShardSlot>,
-    local_ops: usize,
-    exchange_ops: usize,
-    plane_swaps: usize,
-}
-
-impl ShardAnalysis {
-    /// Runs the layout analysis on `plan`'s op structure — see
-    /// [`ShardPlan::analyze`] for the policy.
-    fn analyze(plan: &CircuitPlan, shards: usize) -> ShardAnalysis {
-        let local_bits = check_shards(plan.num_qubits(), shards);
-        let n = plan.num_qubits();
-        // Pair-reaching touches per qubit: the ops that would become
-        // exchanges (or plane swaps) if this qubit sat in the global
-        // range. CZ is diagonal and never reaches; CX controls and
-        // high-conditioned phases select, but move nothing.
-        let mut cost = vec![0u64; n];
-        for op in plan.ops() {
-            match *op {
-                PlanOp::OneQ { q, .. } => cost[q] += 1,
-                PlanOp::Cx { target, .. } => cost[target] += 1,
-                PlanOp::Swap { lo, hi } | PlanOp::Block4 { lo, hi, .. } => {
-                    cost[lo] += 1;
-                    cost[hi] += 1;
-                }
-                PlanOp::Cz { .. } => {}
-            }
-        }
-        let mut order: Vec<usize> = (0..n).collect();
-        // Cheapest first; ties resolved toward high qubit indices so an
-        // even tally reproduces the identity layout.
-        order.sort_by_key(|&q| (cost[q], std::cmp::Reverse(q)));
-        let k = n - local_bits;
-        let mut globals = order[..k].to_vec();
-        let mut locals = order[k..].to_vec();
-        globals.sort_unstable();
-        locals.sort_unstable();
-        let mut layout = vec![0usize; n];
-        for (slot, &q) in locals.iter().enumerate() {
-            layout[q] = slot;
-        }
-        for (slot, &q) in globals.iter().enumerate() {
-            layout[q] = local_bits + slot;
-        }
-        Self::segment(plan, shards, local_bits, layout)
-    }
-
-    /// Classifies every (layout-remapped) op and coalesces local runs,
-    /// recording op indices rather than bound ops.
-    fn segment(
-        plan: &CircuitPlan,
-        shards: usize,
-        local_bits: usize,
-        layout: Vec<usize>,
-    ) -> ShardAnalysis {
-        let mut slots: Vec<ShardSlot> = Vec::new();
-        let (mut local_ops, mut exchange_ops, mut plane_swaps) = (0, 0, 0);
-        for (i, op) in plan.ops().iter().enumerate() {
-            let op = remap_op(op, &layout);
-            let i = i as u32;
-            match op_locality(&op, local_bits) {
-                OpLocality::Local => {
-                    local_ops += 1;
-                    if let Some(ShardSlot::Local(run)) = slots.last_mut() {
-                        run.push(i);
-                    } else {
-                        slots.push(ShardSlot::Local(vec![i]));
-                    }
-                }
-                OpLocality::Exchange => {
-                    exchange_ops += 1;
-                    slots.push(ShardSlot::Exchange(i));
-                }
-                OpLocality::PlaneSwap => {
-                    plane_swaps += 1;
-                    slots.push(ShardSlot::PlaneSwap(i));
-                }
-            }
-        }
-        ShardAnalysis {
-            num_qubits: plan.num_qubits(),
-            shards,
-            local_bits,
-            layout,
-            slots,
-            local_ops,
-            exchange_ops,
-            plane_swaps,
-        }
-    }
-
-    /// Binds `plan`'s concrete ops into this analysis' slots. Caller
-    /// guarantees the op structures match ([`shard_key`] equality).
-    fn bind(self: &Arc<Self>, plan: &CircuitPlan) -> ShardPlan {
-        let ops = plan.ops();
-        let remap = |i: u32| remap_op(&ops[i as usize], &self.layout);
-        let steps = self
-            .slots
-            .iter()
-            .map(|slot| match slot {
-                ShardSlot::Local(run) => ShardStep::Local(run.iter().map(|&i| remap(i)).collect()),
-                ShardSlot::Exchange(i) => ShardStep::Exchange(remap(*i)),
-                ShardSlot::PlaneSwap(i) => ShardStep::PlaneSwap(remap(*i)),
-            })
-            .collect();
-        ShardPlan {
-            analysis: Arc::clone(self),
-            steps,
-        }
-    }
-}
-
-/// The memoization key of a [`ShardAnalysis`]: the plan's qubit count
-/// followed by one kind+wiring word per *lowered op*. Keyed on the op
-/// list rather than the source circuit so fused and unfused plans of one
-/// circuit — same circuit structure, different op segmentation — never
-/// share an entry.
-fn shard_key(plan: &CircuitPlan) -> Vec<u64> {
-    let mut key = Vec::with_capacity(plan.op_count() + 1);
-    key.push(plan.num_qubits() as u64);
-    key.extend(plan.ops().iter().map(|op| {
-        let (tag, a, b): (u64, usize, usize) = match *op {
-            PlanOp::OneQ { q, .. } => (1, q, 0),
-            PlanOp::Cx { control, target } => (2, control, target),
-            PlanOp::Cz { lo, hi } => (3, lo, hi),
-            PlanOp::Swap { lo, hi } => (4, lo, hi),
-            PlanOp::Block4 { lo, hi, .. } => (5, lo, hi),
-        };
-        (tag << 48) | ((a as u64) << 24) | b as u64
-    }));
-    key
-}
-
-impl ShardPlan {
-    /// Analyzes `plan` for execution on `shards` shards, choosing the
-    /// qubit layout that minimizes exchange steps: each qubit's
-    /// pair-reaching op count is tallied, and the qubits touched least
-    /// take the global (top) bit positions. Ties prefer the identity
-    /// layout.
-    ///
-    /// The analysis half (layout + step segmentation) is parameter-free;
-    /// executors re-running one ansatz shape should route through
-    /// [`PlanCache::shard_plan`], which memoizes it and only rebinds the
-    /// op matrices per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is not a power of two or exceeds the plan's
-    /// amplitude count.
-    pub fn analyze(plan: &CircuitPlan, shards: usize) -> ShardPlan {
-        Arc::new(ShardAnalysis::analyze(plan, shards)).bind(plan)
-    }
-
-    /// Analyzes `plan` under a caller-pinned qubit layout
-    /// (`layout[logical] = physical bit position`) — how a state that
-    /// already adopted a layout executes further plans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is invalid (see [`ShardPlan::analyze`]) or
-    /// `layout` is not a permutation of the plan's qubits.
-    pub fn with_layout(plan: &CircuitPlan, shards: usize, layout: &[usize]) -> ShardPlan {
-        let local_bits = check_shards(plan.num_qubits(), shards);
-        check_layout(plan.num_qubits(), layout);
-        Arc::new(ShardAnalysis::segment(
-            plan,
-            shards,
-            local_bits,
-            layout.to_vec(),
-        ))
-        .bind(plan)
-    }
-
-    /// The number of qubits the plan acts on.
-    pub fn num_qubits(&self) -> usize {
-        self.analysis.num_qubits
-    }
-
-    /// The shard count the analysis targets.
-    pub fn num_shards(&self) -> usize {
-        self.analysis.shards
-    }
-
-    /// The number of amplitude-index bits local to one shard
-    /// (`num_qubits − log2(num_shards)`).
-    pub fn local_bits(&self) -> usize {
-        self.analysis.local_bits
-    }
-
-    /// The qubit layout: `layout()[q]` is the physical bit position
-    /// logical qubit `q` occupies during sharded execution. Positions
-    /// `>= local_bits()` select the shard index.
-    pub fn layout(&self) -> &[usize] {
-        &self.analysis.layout
-    }
-
-    /// Ops executed shard-locally with no communication.
-    pub fn local_count(&self) -> usize {
-        self.analysis.local_ops
-    }
-
-    /// Ops executed as elementwise pairwise shard exchanges — the
-    /// communication cost the layout remap minimizes.
-    pub fn exchange_count(&self) -> usize {
-        self.analysis.exchange_ops
-    }
-
-    /// Ops executed as O(1) shard-handle swaps (no amplitude traffic).
-    pub fn plane_swap_count(&self) -> usize {
-        self.analysis.plane_swaps
-    }
-
-    /// The execution steps, for the sharded kernels.
-    pub(crate) fn steps(&self) -> &[ShardStep] {
-        &self.steps
-    }
-}
-
-/// Validates a shard count against a register size; returns the
-/// per-shard local bit count. Shared with `qsim::shard`'s constructors
-/// so plan analysis and state allocation reject the same requests with
-/// the same messages.
-pub(crate) fn check_shards(num_qubits: usize, shards: usize) -> usize {
-    assert!(
-        shards.is_power_of_two(),
-        "shard count {shards} is not a power of two"
-    );
-    let shard_bits = shards.trailing_zeros() as usize;
-    assert!(
-        shard_bits <= num_qubits,
-        "{shards} shards need more than the 2^{num_qubits} amplitudes available"
-    );
-    num_qubits - shard_bits
-}
-
-/// Validates that `layout` is a permutation of `0..num_qubits`.
-fn check_layout(num_qubits: usize, layout: &[usize]) {
-    assert_eq!(
-        layout.len(),
-        num_qubits,
-        "layout length {} for a {num_qubits}-qubit plan",
-        layout.len()
-    );
-    let mut seen = vec![false; num_qubits];
-    for &p in layout {
-        assert!(
-            p < num_qubits && !seen[p],
-            "layout {layout:?} is not a permutation of 0..{num_qubits}"
-        );
-        seen[p] = true;
-    }
-}
-
-/// Rewrites an op's qubits through `layout`, preserving the sorted-qubit
-/// invariants of the symmetric ops.
-fn remap_op(op: &PlanOp, layout: &[usize]) -> PlanOp {
-    match *op {
-        PlanOp::OneQ { q, m } => PlanOp::OneQ { q: layout[q], m },
-        PlanOp::Cx { control, target } => PlanOp::Cx {
-            control: layout[control],
-            target: layout[target],
-        },
-        PlanOp::Cz { lo, hi } => {
-            let (a, b) = (layout[lo], layout[hi]);
-            PlanOp::Cz {
-                lo: a.min(b),
-                hi: a.max(b),
-            }
-        }
-        PlanOp::Swap { lo, hi } => {
-            let (a, b) = (layout[lo], layout[hi]);
-            PlanOp::Swap {
-                lo: a.min(b),
-                hi: a.max(b),
-            }
-        }
-        PlanOp::Block4 { lo, hi, m } => {
-            let (a, b) = (layout[lo], layout[hi]);
-            if a < b {
-                PlanOp::Block4 { lo: a, hi: b, m }
-            } else {
-                // Re-sorting the pair permutes the basis — a pure entry
-                // shuffle, so remapping never re-rounds the matrix, and
-                // `exec::quad_update`'s (0,3)+(1,2) accumulation pairing
-                // is invariant under exactly this relabeling, so the
-                // remapped block executes bit-identically too.
-                PlanOp::Block4 {
-                    lo: b,
-                    hi: a,
-                    m: swap_qubits4(&m),
-                }
-            }
-        }
     }
 }
 
@@ -1117,11 +674,6 @@ pub struct PlanCache {
     structures: HashMap<Vec<u64>, Arc<PlanStructure>>,
     hits: u64,
     misses: u64,
-    /// Sharded-execution analyses, keyed by (op structure, shard count) —
-    /// see [`PlanCache::shard_plan`].
-    shard_analyses: HashMap<(Vec<u64>, usize), Arc<ShardAnalysis>>,
-    shard_hits: u64,
-    shard_misses: u64,
 }
 
 impl PlanCache {
@@ -1152,52 +704,6 @@ impl PlanCache {
         plan
     }
 
-    /// The [`ShardPlan`] for executing `plan` on `shards` shards,
-    /// rebinding a memoized shard analysis when one matches and
-    /// analyzing (and caching) otherwise. Bit-identical to
-    /// [`ShardPlan::analyze`] — the analysis depends only on op kinds
-    /// and wiring, so a rebound plan of the same shape reuses the layout
-    /// and step segmentation verbatim.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`ShardPlan::analyze`].
-    ///
-    /// ```
-    /// use qsim::{Circuit, PlanCache};
-    ///
-    /// let mut cache = PlanCache::new();
-    /// let make = |t: f64| {
-    ///     let mut c = Circuit::new(4);
-    ///     c.ry(0, t).cx(0, 1).cx(1, 2).cx(2, 3);
-    ///     c
-    /// };
-    /// let a = cache.plan(&make(0.1));
-    /// let b = cache.plan(&make(0.9));
-    /// cache.shard_plan(&a, 2);
-    /// cache.shard_plan(&b, 2); // same shape: analysis reused
-    /// assert_eq!(cache.shard_stats(), (1, 1));
-    /// ```
-    pub fn shard_plan(&mut self, plan: &CircuitPlan, shards: usize) -> ShardPlan {
-        let key = (shard_key(plan), shards);
-        if let Some(analysis) = self.shard_analyses.get(&key) {
-            self.shard_hits += 1;
-            let _span = telemetry::span(telemetry::Stage::PlanRebind);
-            return analysis.bind(plan);
-        }
-        self.shard_misses += 1;
-        let analysis = {
-            let _span = telemetry::span(telemetry::Stage::PlanCompile);
-            Arc::new(ShardAnalysis::analyze(plan, shards))
-        };
-        let sp = {
-            let _span = telemetry::span(telemetry::Stage::PlanRebind);
-            analysis.bind(plan)
-        };
-        self.shard_analyses.insert(key, analysis);
-        sp
-    }
-
     /// The number of distinct circuit structures cached.
     pub fn len(&self) -> usize {
         self.structures.len()
@@ -1216,13 +722,6 @@ impl PlanCache {
     /// Structure-cache misses so far (full compilations).
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Shard-analysis cache counters `(hits, misses)` — how often
-    /// [`PlanCache::shard_plan`] rebound a memoized layout instead of
-    /// re-analyzing.
-    pub fn shard_stats(&self) -> (u64, u64) {
-        (self.shard_hits, self.shard_misses)
     }
 }
 
@@ -1496,60 +995,6 @@ mod tests {
             structure_code(Gate::Swap(2, 5)),
             structure_code(Gate::Swap(5, 2))
         );
-    }
-
-    /// The satellite regression for shard-analysis memoization: a cached
-    /// analysis rebound to new angles must equal a fresh
-    /// [`ShardPlan::analyze`] in layout, step segmentation, counts, and
-    /// the executed amplitudes (bit for bit).
-    #[test]
-    fn cached_shard_plan_rebind_equals_fresh_analysis() {
-        let make = |t: f64| {
-            let mut c = Circuit::new(5);
-            c.ry(4, t)
-                .cx(4, 0)
-                .rz(4, 2.0 * t)
-                .cx(4, 1)
-                .ry(0, -t)
-                .swap(1, 2);
-            c
-        };
-        let mut cache = PlanCache::new();
-        let first = cache.plan(&make(0.3));
-        cache.shard_plan(&first, 4); // populate the analysis cache
-        let rebound_plan = cache.plan(&make(-1.7));
-        let cached = cache.shard_plan(&rebound_plan, 4);
-        let fresh = ShardPlan::analyze(&rebound_plan, 4);
-        assert_eq!(cache.shard_stats(), (1, 1));
-        assert_eq!(cached.layout(), fresh.layout());
-        assert_eq!(cached.local_count(), fresh.local_count());
-        assert_eq!(cached.exchange_count(), fresh.exchange_count());
-        assert_eq!(cached.plane_swap_count(), fresh.plane_swap_count());
-        let run = |sp: &ShardPlan| {
-            let mut st = crate::ShardedState::zero(5, 4);
-            st.apply_shard_plan(sp);
-            st.to_statevector()
-        };
-        assert_eq!(
-            run(&cached).amplitudes(),
-            run(&fresh).amplitudes(),
-            "rebound analysis must execute bit-identically to a fresh one"
-        );
-    }
-
-    #[test]
-    fn shard_plan_cache_distinguishes_shard_counts_and_fusion() {
-        let mut c = Circuit::new(4);
-        c.rz(0, 0.4).cz(0, 1).ry(0, 0.9).cx(1, 2).ry(3, 0.2);
-        let fused = CircuitPlan::compile(&c);
-        let unfused = CircuitPlan::compile_unfused(&c);
-        let mut cache = PlanCache::new();
-        cache.shard_plan(&fused, 2);
-        cache.shard_plan(&fused, 4); // different shard count: miss
-                                     // Same circuit, different op segmentation: must not share the
-                                     // fused entry (the slot indices would be wrong).
-        cache.shard_plan(&unfused, 2);
-        assert_eq!(cache.shard_stats(), (0, 3));
     }
 
     #[test]

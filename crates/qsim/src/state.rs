@@ -2,25 +2,16 @@
 
 use crate::circuit::Circuit;
 use crate::complex::C64;
-use crate::exec::{self, Parallelism};
+use crate::exec;
 use crate::gate::Gate;
 use crate::plan::{CircuitPlan, PlanOp};
 use std::fmt;
 
-/// Smallest amplitude count for which [`Statevector::probabilities`]
-/// parallelizes. The per-element work is tiny, so only very large states
-/// amortize the thread spawns.
-const PROBS_PARALLEL_MIN_AMPS: usize = 1 << 16;
-
-/// Cap on the threads of the elementwise probability pass.
-const PROBS_MAX_WORKERS: usize = 8;
-
 /// A dense amplitude plane cannot be allocated: the register is beyond
 /// the representation limit, or the allocator refused the reservation.
-/// Returned by [`Statevector::try_zero`] (and the sharded allocator,
-/// `qsim::shard::ShardedState::try_zero`) so capacity-probing callers can
-/// fall back — e.g. to more shards or a smaller register — instead of
-/// aborting the process.
+/// Returned by [`Statevector::try_zero`] so capacity-probing callers can
+/// fall back — e.g. to a smaller register — or report the failure
+/// instead of aborting the process.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CapacityError {
     num_qubits: usize,
@@ -99,9 +90,9 @@ impl Statevector {
     /// plane cannot exist: the register exceeds the 30-qubit
     /// representation limit, or the allocator refuses the reservation
     /// (`2ⁿ⁺⁴` bytes — checked with [`Vec::try_reserve_exact`] instead of
-    /// aborting the process). Capacity-probing callers — the sharded
-    /// allocator, `vqe::SimExecutor::try_prepare` — branch on the error
-    /// instead of crashing.
+    /// aborting the process). Capacity-probing callers such as
+    /// `vqe::SimExecutor::try_prepare` branch on the error instead of
+    /// crashing.
     ///
     /// ```
     /// use qsim::Statevector;
@@ -203,10 +194,7 @@ impl Statevector {
     }
 
     /// Compiles `circuit` into a fused [`CircuitPlan`] (see
-    /// [`crate::plan`]) and executes it on the calling thread. Callers
-    /// that want threads prepare through a
-    /// [`ShardedState`](crate::ShardedState) instead; it runs the same
-    /// plan to the same bits.
+    /// [`crate::plan`]) and executes it on the calling thread.
     ///
     /// For the unfused gate-by-gate reference (different bit patterns, the
     /// same state to `1e-12`), see [`Statevector::apply_circuit_unfused`].
@@ -248,15 +236,11 @@ impl Statevector {
         }
     }
 
-    /// One plan op, serially. Single-qubit and block sweeps share
-    /// `pair_update`/`quad_update` with the shard kernels (identical
-    /// arithmetic, so identical bits); the sparse two-qubit kernels are
-    /// pure swaps/negations — exact in floating point — so any
-    /// enumeration order yields the same bits as a sharded run. All
-    /// kernels go through the hybrid sweeps in
-    /// [`crate::exec`]: contiguous stride-1 lanes (branch-free,
+    /// One plan op, serially. All kernels go through the hybrid sweeps
+    /// in [`crate::exec`]: contiguous stride-1 lanes (branch-free,
     /// autovectorizable) when the pair's low bit allows long runs,
-    /// index-spread enumeration below `exec::LANE_MIN_BIT`.
+    /// index-spread enumeration below `exec::LANE_MIN_BIT`. Both forms
+    /// perform the same arithmetic, so they produce the same bits.
     fn apply_plan_op(&mut self, op: &PlanOp) {
         match *op {
             PlanOp::OneQ { q, m } => self.apply_1q(q, m),
@@ -291,8 +275,6 @@ impl Statevector {
 
     fn apply_1q(&mut self, q: usize, m: [[C64; 2]; 2]) {
         debug_assert!(q < self.num_qubits);
-        // Same arithmetic as the shard kernels (`exec::pair_update`), so
-        // results are bit-identical.
         exec::apply_1q_local(&mut self.amps, q, &m);
     }
 
@@ -330,56 +312,9 @@ impl Statevector {
 
     /// The full outcome distribution: `p[x] = |⟨x|ψ⟩|²` over all 2ⁿ
     /// bitstrings.
-    ///
-    /// Large states (≥ 2¹⁶ amplitudes) compute the elementwise squares on
-    /// [`parallel::num_threads`] scoped threads; being elementwise, the
-    /// parallel path is bit-identical to the serial one.
     pub fn probabilities(&self) -> Vec<f64> {
-        self.probabilities_with(Parallelism::Auto)
-    }
-
-    /// [`Statevector::probabilities`] with an explicit [`Parallelism`]
-    /// choice. Being elementwise, every path is bit-identical; the knob
-    /// exists so callers already running inside a thread fan-out (e.g. a
-    /// batched dispatch) can pin the serial path instead of nesting
-    /// worker scopes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `Parallelism::Threads(0)` is requested.
-    pub fn probabilities_with(&self, mode: Parallelism) -> Vec<f64> {
-        let workers = match mode {
-            Parallelism::Serial => 1,
-            Parallelism::Auto => {
-                if self.amps.len() >= PROBS_PARALLEL_MIN_AMPS {
-                    parallel::num_threads().min(PROBS_MAX_WORKERS)
-                } else {
-                    1
-                }
-            }
-            Parallelism::Threads(n) => {
-                assert!(n > 0, "Parallelism::Threads needs at least one thread");
-                n.min(PROBS_MAX_WORKERS)
-            }
-        };
-        self.probabilities_workers(workers)
-    }
-
-    fn probabilities_workers(&self, workers: usize) -> Vec<f64> {
-        if workers < 2 {
-            let _span = telemetry::span(telemetry::Stage::SweepSerial);
-            return self.amps.iter().map(|a| a.norm_sqr()).collect();
-        }
-        let _span = telemetry::span(telemetry::Stage::SweepThreaded);
-        let mut out = vec![0.0f64; self.amps.len()];
-        let amps = &self.amps;
-        parallel::for_each_chunk_mut(&mut out, workers, |w, chunk| {
-            let start = parallel::worker_range(amps.len(), workers, w).start;
-            for (k, o) in chunk.iter_mut().enumerate() {
-                *o = amps[start + k].norm_sqr();
-            }
-        });
-        out
+        let _span = telemetry::span(telemetry::Stage::SweepSerial);
+        self.amps.iter().map(|a| a.norm_sqr()).collect()
     }
 
     /// The marginal outcome distribution over `qubits`, indexed compactly:
@@ -550,42 +485,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn from_amplitudes_checks_length() {
         Statevector::from_amplitudes(vec![C64::ONE, C64::ZERO, C64::ZERO]);
-    }
-
-    #[test]
-    fn chunked_probabilities_match_serial() {
-        let s = ghz(6);
-        for workers in [2usize, 3, 8] {
-            assert_eq!(s.probabilities_workers(workers), s.probabilities_workers(1));
-        }
-    }
-
-    #[test]
-    fn explicit_thread_modes_agree_with_serial() {
-        let mut c = Circuit::new(4);
-        c.h(0).cx(0, 1).ry(2, 0.4).cx(1, 3).cz(0, 3).swap(1, 2);
-        c.rz(3, -1.1).cx(3, 0);
-        let plan = CircuitPlan::compile(&c);
-        let mut serial = Statevector::zero(4);
-        serial.apply_plan(&plan);
-        for t in 1..=8 {
-            let mode = Parallelism::Threads(t);
-            let (shards, _) = crate::shard::shards_and_workers(mode, 4, plan.op_count());
-            let mut par = crate::ShardedState::zero(4, shards).with_parallelism(mode);
-            par.apply_plan(&plan);
-            let par = par.to_statevector();
-            assert_eq!(serial.amplitudes(), par.amplitudes(), "{t} threads");
-            assert_eq!(
-                serial.probabilities_with(Parallelism::Serial),
-                par.probabilities_with(mode),
-                "{t} threads"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_rejected() {
-        Statevector::zero(2).probabilities_with(Parallelism::Threads(0));
     }
 }

@@ -1,27 +1,21 @@
 //! Property tests for the circuit compiler (`qsim::plan`).
 //!
-//! Three guarantees, over random circuits spanning qubit counts 1–12 and
-//! thread counts 1–8:
+//! Three guarantees, over random circuits spanning qubit counts 1–12:
 //!
-//! 1. **Fused serial ≡ fused threaded, bitwise.** The dense plane and a
-//!    threaded run (`Threads(k)`: `2^⌊log₂ k⌋` shards × `k` workers)
-//!    consume the same compiled plan and perform identical arithmetic, so
-//!    amplitudes must match with `==` on `f64`, never a tolerance.
-//! 2. **Fused ≈ unfused, 1e-12.** Fusion replaces `k` rounded sweeps with
+//! 1. **Fused ≈ unfused, 1e-12.** Fusion replaces `k` rounded sweeps with
 //!    one rounded matrix product — mathematically the same unitary, so
 //!    every amplitude agrees to tight tolerance but *not* bitwise.
-//! 3. **Rebind ≡ fresh compile, bitwise.** A cached structure rebound
+//! 2. **Rebind ≡ fresh compile, bitwise.** A cached structure rebound
 //!    with new rotation angles multiplies exactly the matrices a fresh
 //!    compile would, so the resulting states are bit-identical.
-//! 4. **Entangler blocks preserve the state.** Ansatz-shaped circuits
+//! 3. **Entangler blocks preserve the state.** Ansatz-shaped circuits
 //!    (rotation sandwiches around full / linear / circular entangler
 //!    maps) always lower to at least one `Block4`, the blocked plan
 //!    matches gate-by-gate execution to 1e-12, and rebinding a cached
 //!    blocked structure reproduces a fresh compile bit for bit.
 
 use proptest::prelude::*;
-use qsim::shard::shards_and_workers;
-use qsim::{Circuit, CircuitPlan, Parallelism, PlanCache, ShardedState, Statevector};
+use qsim::{Circuit, CircuitPlan, PlanCache, Statevector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -119,31 +113,6 @@ fn su2_ansatz(n: usize, reps: usize, map: u8, seed: u64) -> Circuit {
 }
 
 proptest! {
-    /// Serial and threaded execution of one compiled plan agree bit for
-    /// bit, threads running as shards.
-    #[test]
-    fn fused_serial_and_threaded_are_bit_identical(
-        n in 1usize..=12,
-        threads in 1usize..=8,
-        gates in 1usize..=32,
-        seed in 0u64..100_000,
-    ) {
-        let circuit = random_circuit(n, gates, seed);
-        let plan = CircuitPlan::compile(&circuit);
-        let mut serial = Statevector::zero(n);
-        serial.apply_plan(&plan);
-        let mode = Parallelism::Threads(threads);
-        let (shards, _) = shards_and_workers(mode, n, plan.op_count());
-        let mut threaded = ShardedState::zero(n, shards).with_parallelism(mode);
-        threaded.apply_plan(&plan);
-        prop_assert_eq!(
-            serial.amplitudes(),
-            threaded.to_statevector().amplitudes(),
-            "divergence: {} qubits, {} threads, {} gates, seed {}",
-            n, threads, gates, seed
-        );
-    }
-
     /// The fused plan prepares the same state as gate-by-gate execution
     /// to 1e-12 per amplitude (fusion re-rounds, so not bitwise).
     #[test]

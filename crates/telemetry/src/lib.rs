@@ -1,12 +1,11 @@
 //! Stage-attributed telemetry for the VarSaw reproduction's hot paths.
 //!
-//! The workspace's speed claims (fusion ratios, batched dispatch, shard
-//! exchanges) all rest on "where did the time go" questions, so the hot
-//! paths carry instrumentation points with a **fixed stage taxonomy**
-//! ([`Stage`]): plan compilation vs rebinding, the statevector sweep per
-//! execution tier, cross-shard exchanges and plane swaps, noise
-//! sampling, Bayesian reconstruction, VarSaw's Local-PMF marginals and
-//! energy assembly.
+//! The workspace's speed claims (fusion ratios, batched dispatch, the
+//! sampler and reconstruction kernels) all rest on "where did the time
+//! go" questions, so the hot paths carry instrumentation points with a
+//! **fixed stage taxonomy** ([`Stage`]): plan compilation vs rebinding,
+//! the statevector sweeps, noise sampling, Bayesian reconstruction,
+//! VarSaw's Local-PMF marginals and energy assembly.
 //!
 //! Instrumentation is **feature-gated**: without this crate's `enabled`
 //! feature (downstream crates forward their own `telemetry` feature to
@@ -26,10 +25,10 @@
 //! `parallel::config`) and adjustable with [`set_active`] — an
 //! instrumented build can still run cold.
 //!
-//! Spans at the chosen call sites are **disjoint by construction** (a
-//! sweep span never contains an exchange span, noise spans sit outside
-//! the sweep spans, and the marginal and energy spans contain no
-//! sampling or reconstruction span), so summing a snapshot's stages never double-counts
+//! Spans at the chosen call sites are **disjoint by construction** (noise
+//! spans sit outside the sweep spans, and the marginal and energy spans
+//! contain no sampling or reconstruction span), so summing a snapshot's
+//! stages never double-counts
 //! wall time; the `telemetry` experiments table relies on this when it
 //! reports the fraction of an iteration attributed to named stages.
 //!
@@ -64,17 +63,16 @@ pub enum Stage {
     /// Rebinding parameters into a cached structure (plan-cache hit).
     PlanRebind,
     /// Dense statevector pass on the calling thread: gate sweeps,
-    /// marginal/probability reads, and state copies of the serial tier.
+    /// marginal/probability reads, and state copies.
     SweepSerial,
-    /// Dense statevector pass fanned out across worker threads.
+    /// Never recorded. Kept only because `paperbench/src/main.rs` and
+    /// `BENCHMARK.json` name it; a benchmark change drops it (ROADMAP.md,
+    /// "One execution engine", Sequencing).
     SweepThreaded,
-    /// Sharded statevector work: local shard sweeps and the final
-    /// gather back into a dense state.
+    /// Never recorded. Kept only because `paperbench/src/main.rs` names
+    /// it; a benchmark change drops it (ROADMAP.md, "One execution
+    /// engine", Sequencing).
     SweepSharded,
-    /// Cross-shard pairwise/quad amplitude exchanges.
-    TransportExchange,
-    /// Whole-shard plane swaps (global-qubit permutations).
-    TransportPlaneSwap,
     /// Distribution-level noise: depolarizing and readout confusion
     /// application, plus shot sampling.
     NoiseSampling,
@@ -90,7 +88,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages in the taxonomy.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 9;
 
     /// Every stage, in display order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -99,8 +97,6 @@ impl Stage {
         Stage::SweepSerial,
         Stage::SweepThreaded,
         Stage::SweepSharded,
-        Stage::TransportExchange,
-        Stage::TransportPlaneSwap,
         Stage::NoiseSampling,
         Stage::Reconstruction,
         Stage::Marginal,
@@ -121,8 +117,6 @@ impl Stage {
             Stage::SweepSerial => "sweep_serial",
             Stage::SweepThreaded => "sweep_threaded",
             Stage::SweepSharded => "sweep_sharded",
-            Stage::TransportExchange => "transport_exchange",
-            Stage::TransportPlaneSwap => "transport_plane_swap",
             Stage::NoiseSampling => "noise_sampling",
             Stage::Reconstruction => "reconstruction",
             Stage::Marginal => "marginal",
@@ -540,8 +534,6 @@ mod tests {
                 "sweep_serial",
                 "sweep_threaded",
                 "sweep_sharded",
-                "transport_exchange",
-                "transport_plane_swap",
                 "noise_sampling",
                 "reconstruction",
                 "marginal",
@@ -607,15 +599,15 @@ mod tests {
         let recorder = Recorder::new();
         {
             let _guard = recorder.install();
-            let _span = span(Stage::SweepThreaded);
+            let _span = span(Stage::SweepSerial);
         }
         assert!(recorder.snapshot().is_empty(), "switched-off span recorded");
         set_active(true);
         {
             let _guard = recorder.install();
-            let _span = span(Stage::SweepThreaded);
+            let _span = span(Stage::SweepSerial);
         }
-        assert_eq!(recorder.snapshot().stat(Stage::SweepThreaded).count, 1);
+        assert_eq!(recorder.snapshot().stat(Stage::SweepSerial).count, 1);
     }
 
     #[cfg(feature = "enabled")]

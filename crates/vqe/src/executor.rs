@@ -4,11 +4,7 @@ use crate::basis::basis_rotation;
 use mitigation::Pmf;
 use pauli::PauliString;
 use qnoise::{apply_depolarizing, apply_readout_errors, DeviceModel, ReadoutError};
-use qsim::shard::shards_and_workers;
-use qsim::{
-    CapacityError, Circuit, CircuitPlan, Parallelism, PlanCache, ShardPlan, ShardedState,
-    Statevector,
-};
+use qsim::{CapacityError, Circuit, CircuitPlan, PlanCache, Statevector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,12 +48,10 @@ pub struct SimExecutor {
     rng: StdRng,
     circuits_executed: u64,
     exact: bool,
-    parallelism: Parallelism,
     /// Compiled-plan cache keyed by circuit structure: SPSA evaluations,
     /// subset/Global measurement rotations and MBM circuits all share the
     /// handful of shapes a VQE run executes, so after the first iteration
     /// every simulation rebinds a cached plan instead of re-analyzing.
-    /// Also memoizes sharded-execution analyses per structure.
     plans: PlanCache,
     /// Effective readout errors per measured width `m`, filled on first
     /// use: entry `m` holds the errors of the device's `m` best qubits
@@ -80,7 +74,6 @@ impl SimExecutor {
             rng: StdRng::seed_from_u64(seed),
             circuits_executed: 0,
             exact: false,
-            parallelism: Parallelism::Auto,
             plans: PlanCache::new(),
             readout_by_width: Vec::new(),
         }
@@ -96,73 +89,23 @@ impl SimExecutor {
             rng: StdRng::seed_from_u64(seed),
             circuits_executed: 0,
             exact: true,
-            parallelism: Parallelism::Auto,
             plans: PlanCache::new(),
             readout_by_width: Vec::new(),
         }
     }
 
-    /// Sets how statevector simulation spreads across threads (default
-    /// [`Parallelism::Auto`]).
-    ///
-    /// Preparation from `|0…0⟩` ([`SimExecutor::prepare`] and friends,
-    /// [`SimExecutor::run_circuit`]) follows
-    /// [`qsim::shard::shards_and_workers`]: `Threads(w)` prepares on
-    /// `2^⌊log₂ w⌋` amplitude shards walked by `w` workers, and `Auto`
-    /// does the same with [`parallel::num_threads`] workers from 12
-    /// qubits up. Basis rotations of already-prepared states run serial
-    /// on the dense plane. Every path produces bit-identical amplitudes,
-    /// so this knob never changes results — use it to pin executors to
-    /// the serial path when many run concurrently (e.g. inside
-    /// `parallel_map`-style trial fan-outs) and thread oversubscription
-    /// would hurt.
-    ///
-    /// ```
-    /// use qnoise::DeviceModel;
-    /// use qsim::Parallelism;
-    /// use vqe::SimExecutor;
-    ///
-    /// let exec = SimExecutor::new(DeviceModel::noiseless(2), 128, 1)
-    ///     .with_parallelism(Parallelism::Serial);
-    /// assert_eq!(exec.parallelism(), Parallelism::Serial);
-    /// ```
-    pub fn with_parallelism(mut self, mode: Parallelism) -> Self {
-        self.parallelism = mode;
-        self
-    }
-
-    /// The statevector parallelism mode circuits are simulated with.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Compiles `circuit` for preparation from `|0…0⟩` under `mode`:
-    /// [`shards_and_workers`] picks the dense plane or a shard count and
-    /// worker count. Shard analyses are memoized in the executor's
-    /// [`PlanCache`] next to the plans, so a rebind of a known ansatz
-    /// shape skips the layout re-analysis.
-    fn preparation(&mut self, circuit: &Circuit, mode: Parallelism) -> Preparation {
-        let plan = self.plans.plan(circuit);
-        let (shards, workers) = shards_and_workers(mode, plan.num_qubits(), plan.op_count());
-        let sharded = (shards > 1).then(|| (self.plans.shard_plan(&plan, shards), workers));
-        Preparation { plan, sharded }
-    }
-
-    /// Simulates `circuit` from `|0…0⟩` under this executor's
-    /// [`Parallelism`] mode, without measuring or metering cost — the
-    /// state-preparation step evaluators run before their measurement
-    /// circuits. Preparation is where the parallelism knob applies (see
-    /// [`SimExecutor::with_parallelism`]), and it hits the executor's
+    /// Simulates `circuit` from `|0…0⟩` on the dense plane, without
+    /// measuring or metering cost — the state-preparation step evaluators
+    /// run before their measurement circuits. It hits the executor's
     /// [`PlanCache`]: a VQE iteration rebinding new angles into a known
-    /// ansatz shape skips fusion and layout re-analysis entirely.
+    /// ansatz shape skips fusion re-analysis entirely.
     ///
     /// ```
     /// use qnoise::DeviceModel;
-    /// use qsim::{Circuit, Parallelism};
+    /// use qsim::Circuit;
     /// use vqe::SimExecutor;
     ///
-    /// let mut exec = SimExecutor::new(DeviceModel::noiseless(2), 16, 1)
-    ///     .with_parallelism(Parallelism::Serial);
+    /// let mut exec = SimExecutor::new(DeviceModel::noiseless(2), 16, 1);
     /// let mut c = Circuit::new(2);
     /// c.h(0).cx(0, 1);
     /// let state = exec.prepare(&c);
@@ -175,10 +118,8 @@ impl SimExecutor {
 
     /// [`SimExecutor::prepare`], surfacing state-allocation failures as a
     /// typed [`CapacityError`] instead of panicking, so a caller can react
-    /// to an allocator refusal. Covers every execution tier: the
-    /// serial dense plane probes [`Statevector::try_zero`], threaded
-    /// preparation on shards probes
-    /// [`ShardedState::try_zero`](qsim::ShardedState::try_zero).
+    /// to an allocator refusal: the dense plane is allocated through
+    /// [`Statevector::try_zero`].
     ///
     /// ```
     /// use qnoise::DeviceModel;
@@ -191,20 +132,20 @@ impl SimExecutor {
     /// assert_eq!(err.num_qubits(), 33);
     /// ```
     pub fn try_prepare(&mut self, circuit: &Circuit) -> Result<Statevector, CapacityError> {
-        self.preparation(circuit, self.parallelism).simulate()
+        let plan = self.plans.plan(circuit);
+        let mut st = Statevector::try_zero(plan.num_qubits())?;
+        st.apply_plan(&plan);
+        Ok(st)
     }
 
     /// Prepares one state per circuit against the shared [`PlanCache`] —
     /// the batched twin of [`SimExecutor::prepare`], and the front half
     /// of a [`SimExecutor::run_batch`] dispatch. Circuits sharing one
     /// structure (an SPSA ± probe pair, multi-start restarts, a subset
-    /// family) compile once and rebind per entry; on multi-core hosts the
-    /// simulations fan out across [`parallel::num_threads`] workers (each
-    /// pinned serial inside, so the batch is never oversubscribed).
+    /// family) compile once and rebind per entry.
     ///
     /// Results are **identical** to calling `prepare` once per circuit,
-    /// in order — preparation consumes no randomness and every execution
-    /// path is bit-identical.
+    /// in order — preparation consumes no randomness.
     ///
     /// ```
     /// use qnoise::DeviceModel;
@@ -232,22 +173,7 @@ impl SimExecutor {
         &mut self,
         circuits: &[Circuit],
     ) -> Result<Vec<Statevector>, CapacityError> {
-        // Fanning out across circuits pins each one serial inside.
-        let fan_out = self.parallelism != Parallelism::Serial
-            && circuits.len() > 1
-            && parallel::num_threads() > 1;
-        let mode = if fan_out {
-            Parallelism::Serial
-        } else {
-            self.parallelism
-        };
-        let preps: Vec<Preparation> = circuits.iter().map(|c| self.preparation(c, mode)).collect();
-        let states: Vec<Result<Statevector, CapacityError>> = if fan_out {
-            parallel::parallel_map(preps, Preparation::simulate)
-        } else {
-            preps.iter().map(Preparation::simulate).collect()
-        };
-        states.into_iter().collect()
+        circuits.iter().map(|c| self.try_prepare(c)).collect()
     }
 
     /// Plan-cache statistics `(structures, hits, misses)` — how often
@@ -255,13 +181,6 @@ impl SimExecutor {
     /// re-analyzing it.
     pub fn plan_cache_stats(&self) -> (usize, u64, u64) {
         (self.plans.len(), self.plans.hits(), self.plans.misses())
-    }
-
-    /// Shard-analysis cache counters `(hits, misses)` — how often sharded
-    /// preparation rebound a memoized layout analysis instead of
-    /// re-analyzing (see [`qsim::PlanCache::shard_plan`]).
-    pub fn shard_cache_stats(&self) -> (u64, u64) {
-        self.plans.shard_stats()
     }
 
     /// The device model.
@@ -371,11 +290,8 @@ impl SimExecutor {
     /// safe. What changes is the cost: the batch is *planned* up front
     /// (rotation plans bound through the cache, measured-qubit sets
     /// resolved once), the deterministic statevector work runs with a
-    /// reused scratch plane (and fans out across threads on multi-core
-    /// hosts — each job pinned serial inside), full-register reads skip
-    /// the generic marginal bit-gather for the direct probability pass,
-    /// and only the noise + sampling stage — which must consume the RNG
-    /// in job order — stays sequential.
+    /// reused scratch plane, and full-register reads skip the generic
+    /// marginal bit-gather for the direct probability pass.
     ///
     /// # Panics
     ///
@@ -433,11 +349,7 @@ impl SimExecutor {
         // clone + rotate + marginal (the full-register read and the
         // in-place no-rotation read produce the same bits as the generic
         // path; `scratch` only recycles the allocation).
-        let read = |job: &BatchJob<'_>,
-                    pl: &Planned,
-                    scratch: &mut Option<Statevector>,
-                    mode: Parallelism|
-         -> Vec<f64> {
+        let read = |job: &BatchJob<'_>, pl: &Planned, scratch: &mut Option<Statevector>| {
             let rotated: &Statevector = if pl.plan.op_count() == 0 {
                 job.state
             } else {
@@ -455,30 +367,18 @@ impl SimExecutor {
                 st
             };
             if pl.full_register {
-                // `mode` rides along so jobs pinned serial inside the
-                // batch fan-out never nest a second worker scope.
-                rotated.probabilities_with(mode)
+                rotated.probabilities()
             } else {
                 rotated.marginal_probabilities(&pl.measured)
             }
         };
 
-        let probs: Vec<Vec<f64>> = if self.parallelism != Parallelism::Serial
-            && jobs.len() > 1
-            && parallel::num_threads() > 1
-        {
-            let indices: Vec<usize> = (0..jobs.len()).collect();
-            parallel::parallel_map(indices, |&i| {
-                let mut scratch = None;
-                read(&jobs[i], &planned[i], &mut scratch, Parallelism::Serial)
-            })
-        } else {
-            let mut scratch: Option<Statevector> = None;
-            jobs.iter()
-                .zip(&planned)
-                .map(|(job, pl)| read(job, pl, &mut scratch, self.parallelism))
-                .collect()
-        };
+        let mut scratch: Option<Statevector> = None;
+        let probs: Vec<Vec<f64>> = jobs
+            .iter()
+            .zip(&planned)
+            .map(|(job, pl)| read(job, pl, &mut scratch))
+            .collect();
 
         // Noise + sampling consume the RNG in job order: sequential by
         // construction, exactly as N single runs would.
@@ -530,33 +430,6 @@ impl SimExecutor {
             let _span = telemetry::span(telemetry::Stage::NoiseSampling);
             let counts = qsim::sample_counts(&probs, self.shots, &mut self.rng);
             Pmf::new(measured, counts.iter().map(|&c| c as f64).collect())
-        }
-    }
-}
-
-/// A circuit compiled for preparation from `|0…0⟩`: its plan, plus the
-/// shard analysis and worker count when threads run it.
-struct Preparation {
-    plan: CircuitPlan,
-    sharded: Option<(ShardPlan, usize)>,
-}
-
-impl Preparation {
-    /// Simulates the plan from `|0…0⟩`, surfacing allocation refusals as a
-    /// typed [`CapacityError`]. Dense and sharded paths are bit-identical.
-    fn simulate(&self) -> Result<Statevector, CapacityError> {
-        match &self.sharded {
-            Some((sp, workers)) => {
-                let mut st = ShardedState::try_zero(self.plan.num_qubits(), sp.num_shards())?
-                    .with_parallelism(Parallelism::Threads(*workers));
-                st.apply_shard_plan(sp);
-                Ok(st.to_statevector())
-            }
-            None => {
-                let mut st = Statevector::try_zero(self.plan.num_qubits())?;
-                st.apply_plan(&self.plan);
-                Ok(st)
-            }
         }
     }
 }
@@ -698,24 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_mode_never_changes_results() {
-        // Statevector execution is bit-identical across modes, and the
-        // sampling RNG stream is untouched by the choice, so whole PMFs
-        // must match exactly.
-        let run = |mode: Parallelism| {
-            let mut exec =
-                SimExecutor::new(DeviceModel::mumbai_like(), 256, 11).with_parallelism(mode);
-            let mut c = Circuit::new(3);
-            c.h(0).cx(0, 1).cx(1, 2).ry(2, 0.7);
-            let st = exec.prepare(&c);
-            exec.run_prepared(&st, &ps("ZXZ")).probs().to_vec()
-        };
-        let serial = run(Parallelism::Serial);
-        assert_eq!(serial, run(Parallelism::Auto));
-        assert_eq!(serial, run(Parallelism::Threads(4)));
-    }
-
-    #[test]
     fn run_circuit_measures_computational_basis() {
         let mut exec = SimExecutor::exact(DeviceModel::noiseless(2), 1);
         let mut c = Circuit::new(2);
@@ -815,43 +670,6 @@ mod tests {
         }
         // One structure: one compile, two rebinds.
         assert_eq!(exec.plan_cache_stats(), (1, 2, 1));
-    }
-
-    #[test]
-    fn sharded_preparation_is_bit_identical() {
-        let mut c = Circuit::new(5);
-        for q in 0..5 {
-            c.ry(q, 0.1 + q as f64);
-        }
-        c.cx(0, 1).cx(1, 2).cx(2, 3).cx(3, 4).cz(0, 4);
-        // A noisy device with finite shots: PMFs match only if the
-        // probabilities and the sampling RNG stream both do.
-        let exec =
-            |mode| SimExecutor::new(DeviceModel::mumbai_like(), 64, 2).with_parallelism(mode);
-        for threads in [2, 4, 8] {
-            let mut dense = exec(Parallelism::Serial);
-            let mut sharded = exec(Parallelism::Threads(threads));
-            let st_d = dense.prepare(&c);
-            let st_s = sharded.prepare(&c);
-            assert_eq!(st_d.amplitudes(), st_s.amplitudes(), "{threads} threads");
-            assert_eq!(sharded.shard_cache_stats().1, 1, "prepared on shards");
-            // And through the measured paths — subset, Global and explicit
-            // circuit — PMFs and metered cost stay equal too.
-            assert_eq!(
-                dense.run_prepared(&st_d, &ps("ZZIII")).probs(),
-                sharded.run_prepared(&st_s, &ps("ZZIII")).probs()
-            );
-            assert_eq!(
-                dense.run_prepared_all(&st_d, &ps("ZZIXY")),
-                sharded.run_prepared_all(&st_s, &ps("ZZIXY"))
-            );
-            assert_eq!(
-                dense.run_circuit(&c, &[0, 3]).probs(),
-                sharded.run_circuit(&c, &[0, 3]).probs()
-            );
-            assert_eq!(dense.circuits_executed(), 3);
-            assert_eq!(sharded.circuits_executed(), dense.circuits_executed());
-        }
     }
 
     #[test]

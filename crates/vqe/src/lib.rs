@@ -7,12 +7,11 @@
 //!   (full/linear/circular/asymmetric entanglement, depth `p`),
 //! - [`basis_rotation`]: measurement-basis changes (Fig.5),
 //! - [`SimExecutor`]: noisy execution with best-qubit mapping, measurement
-//!   crosstalk, circuit-cost metering, the statevector [`Parallelism`]
-//!   knob (threads prepare states on amplitude shards), and batched
-//!   dispatch
+//!   crosstalk, circuit-cost metering, and batched dispatch
 //!   ([`SimExecutor::prepare_batch`] / [`SimExecutor::run_batch`]) that
 //!   evaluates whole parameter-set and measurement families against one
-//!   cached circuit plan,
+//!   cached circuit plan; states are simulated serially on the dense
+//!   plane,
 //! - [`GroupedHamiltonian`]: the baseline's commutation-grouped
 //!   measurement circuits and energy estimation,
 //! - [`Spsa`] / [`ImFil`]: the classical optimizers,
@@ -50,5 +49,4 @@ pub use basis::basis_rotation;
 pub use energy::GroupedHamiltonian;
 pub use executor::{BatchJob, SimExecutor};
 pub use optimizer::{BatchObjective, ImFil, NelderMead, Optimizer, Spsa, StepResult};
-pub use qsim::Parallelism;
 pub use runner::{run_vqe, BaselineEvaluator, EnergyEvaluator, VqeConfig, VqeTrace};

@@ -165,8 +165,8 @@ impl BaselineEvaluator {
         &self.grouped
     }
 
-    /// Prepares the ansatz state for `params`, under the executor's
-    /// [`Parallelism`](qsim::Parallelism) mode (hitting its plan cache).
+    /// Prepares the ansatz state for `params` through the executor
+    /// (hitting its plan cache).
     pub fn prepare(&mut self, params: &[f64]) -> Statevector {
         self.executor.prepare(&self.ansatz.circuit(params))
     }
