@@ -137,7 +137,8 @@ fn bench_reconstruction(c: &mut Criterion) {
     // `reconstruct()` path (key tables built per call); the `_cached` row
     // is what the VQE evaluators actually pay from iteration two on — a
     // persistent `Reconstructor` whose key tables and scratch survive.
-    // The full serial/parallel matrix lives in `benches/reconstruction.rs`.
+    // The key-cached H6-10 rows, over exact and over shot-sampled
+    // Globals, and the multi-chunk row live in `benches/reconstruction.rs`.
     let n = 8usize;
     let circuit = ansatz_circuit(n);
     let mut st = Statevector::zero(n);

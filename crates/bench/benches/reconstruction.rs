@@ -2,13 +2,15 @@
 //! `BENCH_reconstruction.json` (see the bench-smoke job): the one-shot
 //! compatibility path, the key-cached persistent path the VQE evaluators
 //! run, multi-round sweeps, one H6-10 basis as VarSaw reconstructs it,
-//! every H6-10 basis as one VarSaw evaluation reconstructs them, and a
-//! 16-qubit sweep over a multi-chunk grid.
+//! every H6-10 basis as one VarSaw evaluation reconstructs them — over
+//! exact, dense Globals and over 1,024-shot sampled ones, as a paper run
+//! measures them — and a 16-qubit sweep over a multi-chunk grid.
 
 use chem::{molecular_hamiltonian, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mitigation::{reconstruct, Pmf, ReconstructionConfig, Reconstructor};
-use qsim::Statevector;
+use qsim::{sample_counts, Statevector};
+use rand::{rngs::StdRng, SeedableRng};
 use varsaw::SpatialPlan;
 use vqe::{basis_rotation, EfficientSu2, Entanglement};
 
@@ -101,6 +103,31 @@ fn h6_all_bases_10q() -> Vec<(Pmf, Vec<Pmf>)> {
     cases
 }
 
+/// [`h6_all_bases_10q`] with each Global replaced by a seeded `shots`-shot
+/// draw from it, as a paper run measures its Globals: at most `shots` of
+/// the 1,024 outcomes are nonzero, so the sweeps run over the prior's
+/// support rather than over every outcome.
+fn h6_all_bases_10q_sampled(shots: u64) -> Vec<(Pmf, Vec<Pmf>)> {
+    let mut rng = StdRng::seed_from_u64(11);
+    let cases: Vec<(Pmf, Vec<Pmf>)> = h6_all_bases_10q()
+        .into_iter()
+        .map(|(global, locals)| {
+            let counts = sample_counts(global.probs(), shots, &mut rng);
+            let probs = counts.into_iter().map(|c| c as f64).collect();
+            (Pmf::new(global.qubits().to_vec(), probs), locals)
+        })
+        .collect();
+    let nonzero: usize = cases
+        .iter()
+        .map(|(g, _)| g.probs().iter().filter(|&&p| p != 0.0).count())
+        .sum();
+    println!(
+        "bench reconstruction/sampled_10q_h6_all_bases shots {shots} mean nonzero outcomes {:.0} of 1024",
+        nonzero as f64 / cases.len() as f64
+    );
+    cases
+}
+
 /// A synthetic n-qubit global with pairwise locals that disagree with its
 /// marginals (so every update really reweights). Deterministic, no
 /// statevector: 2^n amplitudes would dominate setup at large n.
@@ -173,6 +200,19 @@ fn bench_all_bases(c: &mut Criterion) {
     });
 }
 
+fn bench_sampled_all_bases(c: &mut Criterion) {
+    let cases = h6_all_bases_10q_sampled(1024);
+    let cfg = ReconstructionConfig::default();
+    let mut engine = Reconstructor::new();
+    c.bench_function("reconstruction/sampled_10q_h6_all_bases", |b| {
+        b.iter(|| {
+            for (global, locals) in &cases {
+                std::hint::black_box(engine.reconstruct(global, locals, cfg));
+            }
+        })
+    });
+}
+
 fn bench_multi_chunk(c: &mut Criterion) {
     // 16 qubits: 65536 outcomes over 16 chunks, reduced in chunk order.
     let (global, locals) = synthetic(16);
@@ -193,6 +233,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = reconstruction;
     config = config();
-    targets = bench_oneshot, bench_cached, bench_all_bases, bench_multi_chunk
+    targets = bench_oneshot, bench_cached, bench_all_bases, bench_sampled_all_bases,
+        bench_multi_chunk
 }
 criterion_main!(reconstruction);

@@ -29,6 +29,19 @@
 //!   fixed-size chunks; each chunk accumulates its own partial marginal
 //!   histogram and partial mass, and the partials are summed in chunk
 //!   order.
+//! - **Sparse priors.** A Global sampled with 1,024 shots has at most
+//!   1,024 nonzero outcomes, and a sweep chained from it keeps them. When
+//!   at most half of a single-chunk output's outcomes are nonzero, the
+//!   sweep lists them once, ascending, with their values in compact
+//!   scratch (a 64-outcome nonzero mask per word, walked with
+//!   `trailing_zeros`), runs every update of every round over that list
+//!   and scatters the values back at the end. Pass A sums each bin over
+//!   the list in ascending order, in one masked register accumulator per
+//!   bin for 2- and 4-outcome windows; Pass B's mass is one chain over the
+//!   list; the normalize divides the listed values only. Denser outputs
+//!   (exact-mode and MBM-corrected PMFs), outputs under 64 outcomes and
+//!   multi-chunk globals keep the bin-ordered kernel. The cut is an internal constant of the observed
+//!   density, like the chunk size, not an option.
 //!
 //! # Bit-identical results
 //!
@@ -42,6 +55,16 @@
 //! floating-point tolerance instead, with the exact bits pinned by
 //! digest. The property and edge tests in `tests/recon_equiv.rs` assert
 //! both.
+//!
+//! The sparse sweep gives the same bits because zero stays zero. An
+//! outcome that is `±0.0` in the prior stays so under the textbook update
+//! too: `0 · ratio` for a finite, non-negative ratio and `0 / total` for a
+//! positive mass. Every sum starts from `+0.0`, so no partial sum is ever
+//! `-0.0`, and adding `±0.0` to any other value leaves it unchanged:
+//! skipping those outcomes changes no rounding. An update whose ratios or
+//! owed mass break that premise (only possible with a negative epsilon or
+//! a plane edited to hold negative values) hands the sweep back to the
+//! dense kernel from that update on.
 
 use crate::bayes::ReconstructionConfig;
 use crate::pmf::Pmf;
@@ -170,6 +193,119 @@ fn interleaved<const L: usize>(plane: &[f64], bins: &[u32], len: usize, part: &m
     }
 }
 
+/// Fills `ratio` with the guarded Bayes ratios of a window whose prior
+/// marginal is `marg` and whose evidence is `lp`. Returns `false` when
+/// the update is skipped.
+///
+/// The update is Bayes conditioned on the prior's support: window
+/// outcomes whose prior marginal is at or below `epsilon` keep their mass
+/// *exactly* (ratio 1 with the evidence renormalized around them), so
+/// near-zero prior mass is neither amplified by up to local/epsilon nor
+/// eroded by normalization drift, however many rounds run. If the prior
+/// supports no outcome carrying local evidence the update is skipped —
+/// reweighting would annihilate all mass.
+fn guarded_ratios(marg: &[f64], lp: &[f64], epsilon: f64, ratio: &mut [f64]) -> bool {
+    let mut unsupported = 0.0;
+    let mut supported_evidence = 0.0;
+    for (&m, &l) in marg.iter().zip(lp) {
+        if m > epsilon {
+            supported_evidence += l;
+        } else {
+            unsupported += m;
+        }
+    }
+    if supported_evidence <= 0.0 {
+        return false;
+    }
+    let scale = (1.0 - unsupported) / supported_evidence;
+    for ((r, &m), &l) in ratio.iter_mut().zip(marg).zip(lp) {
+        *r = if m > epsilon { l * scale / m } else { 1.0 };
+    }
+    true
+}
+
+/// Pass A over a listed support: sums each window bin of the listed
+/// outcomes into `marg`, where outcome `support[i]` (value `values[i]`)
+/// falls in bin `keys[support[i]]`. Each bin is one chain of adds in
+/// ascending outcome order, starting from `0.0`.
+///
+/// Windows of two and four outcomes keep one register accumulator per
+/// bin and add every listed value to each, masked to `+0.0` outside its
+/// bin; wider windows scatter into `marg`.
+fn support_sums(support: &[u32], values: &[f64], keys: &[u32], marg: &mut [f64]) {
+    match marg.len() {
+        2 => masked_lanes::<2>(support, values, keys, marg),
+        4 => masked_lanes::<4>(support, values, keys, marg),
+        _ => {
+            marg.fill(0.0);
+            for (&x, &v) in support.iter().zip(values) {
+                marg[keys[x as usize] as usize] += v;
+            }
+        }
+    }
+}
+
+/// [`support_sums`] with `K` register accumulators. A chain that starts
+/// from `+0.0` is never `-0.0`, so the masked `+0.0` adds leave every
+/// partial sum of a bin as its own values alone make it.
+fn masked_lanes<const K: usize>(support: &[u32], values: &[f64], keys: &[u32], marg: &mut [f64]) {
+    let mut acc = [0.0; K];
+    for (&x, &v) in support.iter().zip(values) {
+        let key = keys[x as usize] as usize;
+        for (j, a) in acc.iter_mut().enumerate() {
+            *a += if key == j { v } else { 0.0 };
+        }
+    }
+    marg.copy_from_slice(&acc);
+}
+
+/// Whether a post-update mass of `total` owes a normalize, mirroring
+/// `Pmf::normalize`'s skip of already-unit mass.
+fn owes_normalize(total: f64) -> bool {
+    (total - 1.0).abs() > 1e-15
+}
+
+/// Lists the nonzero outcomes of `plane` in ascending order into
+/// `support` and their values into `values`, when at most half of the
+/// outcomes are nonzero; returns whether it did. `plane` holds a whole
+/// number of 64-outcome words and at most [`CHUNK_OUTCOMES`].
+///
+/// The scan builds one nonzero mask per 64-outcome word, eight outcomes
+/// at a time (a shape the compiler turns into vector compares), and walks
+/// each mask with `trailing_zeros`: a sparse plane costs a compare per
+/// outcome plus a step per listed one.
+fn gather_support(plane: &[f64], support: &mut Vec<u32>, values: &mut Vec<f64>) -> bool {
+    let mut masks = [0u64; CHUNK_OUTCOMES / 64];
+    let masks = &mut masks[..plane.len() / 64];
+    let mut listed = 0;
+    for (mask, word) in masks.iter_mut().zip(plane.chunks_exact(64)) {
+        for (i, eight) in word.chunks_exact(8).enumerate() {
+            let eight: &[f64; 8] = eight.try_into().expect("chunks of eight");
+            let byte = (0..8).fold(0, |m, j| m | u64::from(eight[j] != 0.0) << j);
+            *mask |= byte << (8 * i);
+        }
+        // A dense plane stops the scan as soon as it is past the cut.
+        listed += mask.count_ones() as usize;
+        if 2 * listed > plane.len() {
+            return false;
+        }
+    }
+    support.resize(listed, 0);
+    values.resize(listed, 0.0);
+    let mut slots = support.iter_mut().zip(values.iter_mut());
+    for (word, &mask) in masks.iter().enumerate() {
+        let mut mask = mask;
+        while mask != 0 {
+            let x = word * 64 + mask.trailing_zeros() as usize;
+            let (s, v) = slots.next().expect("one slot per listed outcome");
+            *s = x as u32;
+            *v = plane[x];
+            mask &= mask - 1;
+        }
+    }
+    true
+}
+
 /// A reusable Bayesian-reconstruction engine: the `2^n`-entry
 /// projection-key table and bin order of every (global-qubits,
 /// local-qubits) signature are computed once and cached, and sweeps run
@@ -186,8 +322,11 @@ fn interleaved<const L: usize>(plane: &[f64], bins: &[u32], len: usize, part: &m
 ///
 /// Fresh and key-cached sweeps are **bit-identical**: the chunk grid is a
 /// pure function of the problem shape (outcome count and window size), so
-/// the floating-point reduction order is fixed. See the "reconstruction
-/// hot path" section of `ARCHITECTURE.md` and the property tests in
+/// the floating-point reduction order is fixed. An output with at most
+/// half of its outcomes nonzero — a shot-sampled Global and everything
+/// chained from it — is swept over its nonzero outcomes only, with the
+/// same bits (see the module docs). See the "reconstruction hot path"
+/// section of `ARCHITECTURE.md` and the property tests in
 /// `tests/recon_equiv.rs`.
 ///
 /// # Examples
@@ -209,11 +348,15 @@ pub struct Reconstructor {
     /// Table index per local of the sweep in progress (reused scratch).
     picked: Vec<usize>,
     // Sweep scratch: per-chunk partial histograms and masses, the
-    // reduced marginal and the per-outcome ratios.
+    // reduced marginal and the per-window-outcome ratios.
     partials: Vec<f64>,
     marg: Vec<f64>,
     ratio: Vec<f64>,
     totals: Vec<f64>,
+    // Sparse-sweep scratch: the prior's nonzero outcomes, ascending, and
+    // their values while the sweep runs over them.
+    support: Vec<u32>,
+    values: Vec<f64>,
 }
 
 impl Clone for Reconstructor {
@@ -324,84 +467,150 @@ impl Reconstructor {
 
         let plane = output.probs_mut();
         let epsilon = config.epsilon;
-        for _ in 0..config.rounds {
-            for (local, &t) in locals.iter().zip(&self.picked) {
-                let table = &self.tables[t];
-                let keys = &table.keys[..dim];
-                let lp = local.borrow().probs();
-                let k = lp.len();
-                let n_chunks = chunk_count(dim, k);
-                let chunk_len = dim / n_chunks;
-                let partials = &mut self.partials[..n_chunks * k];
-                let marg = &mut self.marg[..k];
-                let ratio = &mut self.ratio[..k];
-                let totals = &mut self.totals[..n_chunks];
+        let updates = config.rounds * locals.len();
+        // A single-chunk output of at least one mask word with at most
+        // half of its outcomes nonzero runs over those outcomes only (see
+        // "Sparse priors" above); the dense kernel takes every other
+        // output, and whatever the sparse sweep hands back.
+        let mut next = 0;
+        if (64..=CHUNK_OUTCOMES).contains(&dim)
+            && gather_support(plane, &mut self.support, &mut self.values)
+        {
+            next = self.sparse_updates(plane, locals, epsilon, updates);
+        }
+        for u in next..updates {
+            let i = u % locals.len();
+            self.dense_update(plane, locals[i].borrow().probs(), self.picked[i], epsilon);
+        }
+    }
 
-                // Pass A: per-chunk partial marginal histograms, summed
-                // bin by bin in bin order, reduced in chunk order.
-                for (c, part) in partials.chunks_exact_mut(k).enumerate() {
-                    let starts = &table.starts[c * k..=(c + 1) * k];
-                    bin_sums(plane, &table.order, starts, part);
-                }
-                for (j, m) in marg.iter_mut().enumerate() {
-                    let mut s = 0.0;
-                    for c in 0..n_chunks {
-                        s += partials[c * k + j];
-                    }
-                    *m = s;
-                }
+    /// One Bayesian update of the whole `plane` by the evidence `lp`
+    /// through key table `t`: bin-ordered Pass A, Pass B and the owed
+    /// normalize, each over every outcome.
+    fn dense_update(&mut self, plane: &mut [f64], lp: &[f64], t: usize, epsilon: f64) {
+        let table = &self.tables[t];
+        let dim = plane.len();
+        let keys = &table.keys[..dim];
+        let k = lp.len();
+        let n_chunks = chunk_count(dim, k);
+        let chunk_len = dim / n_chunks;
+        let partials = &mut self.partials[..n_chunks * k];
+        let marg = &mut self.marg[..k];
+        let ratio = &mut self.ratio[..k];
+        let totals = &mut self.totals[..n_chunks];
 
-                // Guarded ratios. The update is Bayes conditioned on the
-                // prior's support: window outcomes whose prior marginal
-                // is at or below epsilon keep their mass *exactly* (ratio
-                // 1 with the evidence renormalized around them), so
-                // near-zero prior mass is neither amplified by up to
-                // local/epsilon nor eroded by normalization drift,
-                // however many rounds run. If the prior supports no
-                // outcome carrying local evidence the update is skipped —
-                // reweighting would annihilate all mass.
-                let mut unsupported = 0.0;
-                let mut supported_evidence = 0.0;
-                for (&m, &l) in marg.iter().zip(lp) {
-                    if m > epsilon {
-                        supported_evidence += l;
-                    } else {
-                        unsupported += m;
-                    }
-                }
-                if supported_evidence <= 0.0 {
-                    continue;
-                }
-                let scale = (1.0 - unsupported) / supported_evidence;
-                for ((r, &m), &l) in ratio.iter_mut().zip(marg.iter()).zip(lp) {
-                    *r = if m > epsilon { l * scale / m } else { 1.0 };
-                }
+        // Pass A: per-chunk partial marginal histograms, summed bin by
+        // bin in bin order, reduced in chunk order.
+        for (c, part) in partials.chunks_exact_mut(k).enumerate() {
+            let starts = &table.starts[c * k..=(c + 1) * k];
+            bin_sums(plane, &table.order, starts, part);
+        }
+        for (j, m) in marg.iter_mut().enumerate() {
+            let mut s = 0.0;
+            for c in 0..n_chunks {
+                s += partials[c * k + j];
+            }
+            *m = s;
+        }
+        if !guarded_ratios(marg, lp, epsilon, ratio) {
+            return;
+        }
 
-                // Pass B: reweight, accumulating per-chunk masses that
-                // are reduced in chunk order.
-                for (c, t) in totals.iter_mut().enumerate() {
-                    let range = c * chunk_len..(c + 1) * chunk_len;
-                    let mut sum = 0.0;
-                    for (p, &key) in plane[range.clone()].iter_mut().zip(&keys[range]) {
-                        *p *= ratio[key as usize];
-                        sum += *p;
-                    }
-                    *t = sum;
-                }
-                let mut total = 0.0;
-                for &t in totals.iter() {
-                    total += t;
-                }
+        // Pass B: reweight, accumulating per-chunk masses that are
+        // reduced in chunk order.
+        for (c, t) in totals.iter_mut().enumerate() {
+            let range = c * chunk_len..(c + 1) * chunk_len;
+            let mut sum = 0.0;
+            for (p, &key) in plane[range.clone()].iter_mut().zip(&keys[range]) {
+                *p *= ratio[key as usize];
+                sum += *p;
+            }
+            *t = sum;
+        }
+        let mut total = 0.0;
+        for &t in totals.iter() {
+            total += t;
+        }
 
-                // The normalize, in outcome order, mirroring
-                // `Pmf::normalize`'s skip of already-unit mass.
-                if (total - 1.0).abs() > 1e-15 {
+        // The normalize, in outcome order, mirroring `Pmf::normalize`'s
+        // skip of already-unit mass.
+        if owes_normalize(total) {
+            for p in plane.iter_mut() {
+                *p /= total;
+            }
+        }
+    }
+
+    /// Runs updates `0..updates` of the sweep (update `u` applies local
+    /// `u mod locals.len()`) over the compact support that
+    /// [`gather_support`] listed, then scatters the values back into
+    /// `plane`. Returns the first update still owed to
+    /// [`dense_update`](Self::dense_update): `updates`, unless an update
+    /// would turn an unlisted zero into something else, in which case
+    /// the plane is handed to the dense kernel from there on.
+    ///
+    /// Pass A sums each bin over its listed outcomes in ascending order,
+    /// starting from `0.0`; Pass B reweights and sums the mass as one
+    /// chain in ascending order; the normalize divides the listed values.
+    /// Unlisted outcomes are `±0.0`. A sum that starts from `+0.0` is
+    /// never `-0.0`, and adding `±0.0` to anything else changes nothing,
+    /// so dropping them changes no partial sum: the results are the dense
+    /// kernel's, bit for bit.
+    fn sparse_updates<L: Borrow<Pmf>>(
+        &mut self,
+        plane: &mut [f64],
+        locals: &[L],
+        epsilon: f64,
+        updates: usize,
+    ) -> usize {
+        let support = &self.support;
+        let values = &mut self.values[..support.len()];
+        let scatter = |plane: &mut [f64], values: &[f64]| {
+            for (&x, &v) in support.iter().zip(values) {
+                plane[x as usize] = v;
+            }
+        };
+        for u in 0..updates {
+            let i = u % locals.len();
+            let lp = locals[i].borrow().probs();
+            let keys = &self.tables[self.picked[i]].keys[..plane.len()];
+            let marg = &mut self.marg[..lp.len()];
+            let ratio = &mut self.ratio[..lp.len()];
+
+            support_sums(support, values, keys, marg);
+            if !guarded_ratios(marg, lp, epsilon, ratio) {
+                continue;
+            }
+            // `±0.0 · r` keeps its bits only for a finite `r` with a
+            // clear sign bit; any other ratio must reach every outcome.
+            if !ratio.iter().all(|r| r.is_finite() && r.is_sign_positive()) {
+                scatter(plane, values);
+                return u;
+            }
+
+            // Pass B: reweight, summing the mass as one chain.
+            let mut total = 0.0;
+            for (&x, v) in support.iter().zip(values.iter_mut()) {
+                *v *= ratio[keys[x as usize] as usize];
+                total += *v;
+            }
+            if owes_normalize(total) {
+                // `±0.0 / total` keeps its bits only for a positive total
+                // (a NaN total owes no normalize).
+                if total <= 0.0 {
+                    scatter(plane, values);
                     for p in plane.iter_mut() {
                         *p /= total;
                     }
+                    return u + 1;
+                }
+                for v in values.iter_mut() {
+                    *v /= total;
                 }
             }
         }
+        scatter(plane, values);
+        updates
     }
 
     /// The cached key-table index for the (global, local) signature,
@@ -565,6 +774,38 @@ mod tests {
         }
     }
 
+    /// The support scan lists exactly the nonzero outcomes (NaN included,
+    /// `-0.0` not), ascending, up to half of the plane, and refuses one
+    /// past the cut.
+    #[test]
+    fn gather_support_lists_nonzero_outcomes_up_to_half() {
+        let (mut support, mut values) = (Vec::new(), Vec::new());
+        let mut plane = vec![0.0; 256];
+        for (x, p) in [
+            (3, 0.5),
+            (64, f64::NAN),
+            (65, -0.0),
+            (200, 1e-300),
+            (255, 2.0),
+        ] {
+            plane[x] = p;
+        }
+        assert!(gather_support(&plane, &mut support, &mut values));
+        assert_eq!(support, [3, 64, 200, 255]);
+        let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u64> = [0.5, f64::NAN, 1e-300, 2.0]
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(bits, want);
+
+        let mut half: Vec<f64> = (0..256).map(|x| (x % 2) as f64).collect();
+        assert!(gather_support(&half, &mut support, &mut values));
+        assert_eq!(support.len(), 128);
+        half[0] = 1.0;
+        assert!(!gather_support(&half, &mut support, &mut values));
+    }
+
     #[test]
     fn borrowed_and_owned_locals_sweep_the_same_bits() {
         let global = global3();
@@ -599,5 +840,6 @@ mod tests {
         let c = r.clone();
         assert_eq!(c.cached_key_tables(), 1);
         assert!(c.partials.is_empty() && c.marg.is_empty() && c.totals.is_empty());
+        assert!(c.support.is_empty() && c.values.is_empty());
     }
 }

@@ -3,11 +3,13 @@
 //!
 //! Up to 12 qubits a global fits in a single chunk, where the kernel
 //! must match the naive sequential reference **exactly** (`==` on `f64`,
-//! not within a tolerance) for every input, qubit count 2–10, window
-//! size and round count. The 13- and 14-qubit multi-chunk cases
-//! re-associate the marginal reduction in chunk order: they agree with
-//! the reference within floating-point tolerance, and their exact output
-//! bits are pinned by digest so the chunk-ordered reduction cannot drift.
+//! not within a tolerance) for every input, qubit count 2–12, window
+//! size and round count — over dense priors and over shot-sampled ones,
+//! which the engine sweeps over their nonzero outcomes only. The 13- and
+//! 14-qubit multi-chunk cases re-associate the marginal reduction in
+//! chunk order: they agree with the reference within floating-point
+//! tolerance, and their exact output bits are pinned by digest so the
+//! chunk-ordered reduction cannot drift.
 
 use mitigation::{reconstruct, Pmf, ReconstructionConfig, Reconstructor};
 use proptest::prelude::*;
@@ -143,6 +145,37 @@ fn assert_fresh_and_cached_match_reference(global: &Pmf, locals: &[Pmf]) {
     }
 }
 
+/// The PMF of `shots` draws over `n` qubits: every draw lands on
+/// `raw mod 2^n`, so at most `shots` outcomes are nonzero, as in a
+/// Global measured with that many shots.
+fn sampled_global(n: usize, draws: &[usize]) -> Pmf {
+    let mut counts = vec![0.0; 1 << n];
+    for &raw in draws {
+        counts[raw % (1 << n)] += 1.0;
+    }
+    Pmf::new((0..n).collect(), counts)
+}
+
+/// A deterministic skewed 1,024-shot draw over `n` qubits, as
+/// [`sampled_global`] counts it. Clearing the bits of `never` keeps those
+/// qubits reading 0.
+fn skewed_draws(n: usize, never: usize) -> Vec<usize> {
+    (0..1024usize)
+        .map(|i| {
+            let h = i.wrapping_mul(2654435761) ^ (i >> 3).wrapping_mul(40503);
+            (h & (h >> 7) & ((1 << n) - 1)) & !never
+        })
+        .collect()
+}
+
+/// Whether the engine sweeps `global` over its listed support: a single
+/// chunk of at least one 64-outcome mask word, at most half nonzero.
+fn takes_sparse_path(global: &Pmf) -> bool {
+    let dim = global.probs().len();
+    let nonzero = global.probs().iter().filter(|&&p| p != 0.0).count();
+    (64..=1 << 12).contains(&dim) && 2 * nonzero <= dim
+}
+
 /// A deterministic n-qubit global over `qubits` with every outcome
 /// weighted differently.
 fn hashed_global(qubits: Vec<usize>) -> Pmf {
@@ -255,6 +288,36 @@ proptest! {
         prop_assert_eq!(reference.probs(), fresh.probs(), "naive vs fresh");
         let cached = engine.reconstruct(&global, &locals, config);
         prop_assert_eq!(reference.probs(), cached.probs(), "naive vs key-cached");
+    }
+
+    /// Shot-sampled priors — at most 1,024 draws over 2–12 qubits, so
+    /// that the share of nonzero outcomes lands on both sides of the
+    /// sparse-sweep cut — swept by sliding windows of 1–3 qubits whose
+    /// evidence may hold zero bins: bit for bit against the reference,
+    /// fresh and key-cached, for rounds 0–3.
+    #[test]
+    fn sampled_priors_are_bit_identical(
+        n in 2usize..=12,
+        window in 1usize..=3,
+        draws in prop::collection::vec(0usize..1 << 12, 1..=1024),
+        local_seed in prop::collection::vec(0.0..1.0f64, 8),
+        zero_mask in prop::collection::vec(0.0..1.0f64, 8),
+    ) {
+        let global = sampled_global(n, &draws);
+        let locals: Vec<Pmf> = window_subsets(n, window)
+            .into_iter()
+            .enumerate()
+            .map(|(i, sub)| {
+                let mut probs: Vec<f64> = (0..1usize << sub.len())
+                    .map(|j| if zero_mask[(i + j) % 8] < 0.2 { 0.0 } else { local_seed[(i + j) % 8] })
+                    .collect();
+                if probs.iter().sum::<f64>() <= 0.0 {
+                    probs[0] = 1.0;
+                }
+                Pmf::new(sub, probs)
+            })
+            .collect();
+        assert_fresh_and_cached_match_reference(&global, &locals);
     }
 
     /// The compatibility wrapper `reconstruct()` is the one-shot engine.
@@ -402,7 +465,7 @@ mod deferred_normalization {
     /// The first local over `qubits`, from a fixed deterministic family,
     /// whose update of `prior` owes a normalize (`owes`) or lands on
     /// unit mass (`!owes`).
-    fn local_owing(prior: &Pmf, qubits: &[usize], owes: bool) -> Pmf {
+    pub(super) fn local_owing(prior: &Pmf, qubits: &[usize], owes: bool) -> Pmf {
         (1..500)
             .map(|salt: usize| {
                 let probs = (0..1usize << qubits.len())
@@ -489,4 +552,161 @@ mod deferred_normalization {
             assert!(sequential.tvd(&got) < 1e-12, "rounds {rounds}");
         }
     }
+}
+
+/// Updates over a 10-qubit 1,024-shot prior, which the engine sweeps over
+/// its nonzero outcomes only: a skipped update, an owed normalize,
+/// evidence that empties listed outcomes partway through a sweep, and the
+/// inputs that hand the sweep back to every outcome. Each matches the
+/// reference bit for bit.
+mod sampled_priors {
+    use super::deferred_normalization::local_owing;
+    use super::*;
+
+    /// A sampled prior whose qubit 0 never reads 1.
+    fn prior() -> Pmf {
+        let global = sampled_global(10, &skewed_draws(10, 1));
+        assert!(takes_sparse_path(&global));
+        global
+    }
+
+    #[test]
+    fn skipped_update() {
+        let global = prior();
+        let incompatible = Pmf::new(vec![0], vec![0.0, 1.0]);
+        let locals = vec![
+            salted_local(vec![3, 4], 0),
+            incompatible,
+            salted_local(vec![8, 9], 1),
+        ];
+        assert_fresh_and_cached_match_reference(&global, &locals);
+    }
+
+    #[test]
+    fn owed_normalize() {
+        let global = prior();
+        let owing = local_owing(&global, &[2, 5], true);
+        let unit = local_owing(&global, &[7], false);
+        assert_fresh_and_cached_match_reference(&global, &[owing, unit]);
+    }
+
+    /// Evidence with an empty bin zeroes every listed outcome in it; the
+    /// later updates still read those outcomes, as `0.0`.
+    #[test]
+    fn zero_evidence_bin_empties_listed_outcomes() {
+        let global = prior();
+        let emptying = Pmf::new(vec![1, 2], vec![0.0, 0.5, 0.3, 0.2]);
+        let locals = vec![
+            emptying,
+            salted_local(vec![2, 3], 0),
+            salted_local(vec![1], 1),
+        ];
+        let out = naive_reconstruct(&global, &locals, ReconstructionConfig::default());
+        let emptied = global
+            .probs()
+            .iter()
+            .zip(out.probs())
+            .filter(|&(&p, &q)| p != 0.0 && q == 0.0)
+            .count();
+        assert!(emptied > 0, "the evidence empties listed outcomes");
+        assert_fresh_and_cached_match_reference(&global, &locals);
+    }
+
+    /// The bits of `a` and `b`, with every NaN read as one value.
+    fn assert_same_bits(a: &[f64], b: &[f64]) {
+        let canon = |p: &f64| if p.is_nan() { u64::MAX } else { p.to_bits() };
+        let (a, b): (Vec<u64>, Vec<u64>) =
+            (a.iter().map(canon).collect(), b.iter().map(canon).collect());
+        assert_eq!(a, b);
+    }
+
+    /// A negative epsilon makes the ratio of an empty window bin infinite
+    /// or NaN, which turns every unlisted zero into NaN: the sweep must
+    /// reach every outcome from that update on.
+    #[test]
+    fn non_finite_ratio_reaches_every_outcome() {
+        let global = prior();
+        let locals = vec![salted_local(vec![4, 5], 0), salted_local(vec![0, 6], 1)];
+        let config = ReconstructionConfig {
+            epsilon: -1.0,
+            rounds: 2,
+        };
+        let want = naive_reconstruct(&global, &locals, config);
+        assert!(want.probs().iter().all(|p| p.is_nan()));
+        let got = Reconstructor::new().reconstruct(&global, &locals, config);
+        assert_same_bits(got.probs(), want.probs());
+    }
+
+    /// Evidence of `-0.0` on a supported bin gives that bin the ratio
+    /// `-0.0`, which turns every `+0.0` outcome of the bin into `-0.0`.
+    #[test]
+    fn negative_zero_evidence_reaches_every_outcome() {
+        let global = prior();
+        let locals = vec![
+            Pmf::new(vec![2, 3], vec![-0.0, 0.5, 0.3, 0.2]),
+            salted_local(vec![5, 6], 0),
+        ];
+        let config = ReconstructionConfig::default();
+        let want = naive_reconstruct(&global, &locals, config);
+        assert!(want
+            .probs()
+            .iter()
+            .any(|p| p.to_bits() == (-0.0f64).to_bits()));
+        let got = Reconstructor::new().reconstruct(&global, &locals, config);
+        assert_same_bits(got.probs(), want.probs());
+    }
+
+    /// A prior edited to hold a huge negative value whose update cancels
+    /// the mass to zero or below: the owed normalize turns every unlisted
+    /// zero into NaN or `-0.0`, so it must reach every outcome.
+    #[test]
+    fn cancelled_mass_reaches_every_outcome() {
+        let mut global = prior();
+        let x = (0..1 << 10)
+            .find(|&x| x & 2 == 0 && global.prob(x) != 0.0)
+            .expect("a listed outcome with qubit 1 reading 0");
+        global.probs_mut()[x] = -1e17;
+        let locals = vec![
+            Pmf::new(vec![1], vec![0.5, 0.5]),
+            salted_local(vec![8, 9], 0),
+        ];
+        let config = ReconstructionConfig::default();
+        let want = naive_reconstruct(&global, &locals, config);
+        let unlisted = (0..1 << 10)
+            .find(|&x| global.prob(x) == 0.0)
+            .expect("an unlisted outcome");
+        assert_ne!(want.probs()[unlisted].to_bits(), 0.0f64.to_bits());
+        let got = Reconstructor::new().reconstruct(&global, &locals, config);
+        assert_same_bits(got.probs(), want.probs());
+    }
+}
+
+/// A 13-qubit 1,024-shot prior: far sparser than the cut, but two chunks,
+/// so the engine keeps the chunk-ordered dense kernel. The output matches
+/// the chunked reference bit for bit, and its bits are pinned by digest.
+#[test]
+fn sampled_multi_chunk_prior_keeps_the_chunked_kernel() {
+    let n = 13;
+    let global = sampled_global(n, &skewed_draws(n, 0));
+    let nonzero = global.probs().iter().filter(|&&p| p != 0.0).count();
+    assert!(2 * nonzero <= 1 << n);
+    let locals = vec![
+        Pmf::new(vec![12], vec![0.7, 0.3]),
+        Pmf::new(vec![0, 1], vec![0.4, 0.1, 0.2, 0.3]),
+        Pmf::new(vec![11, 12], vec![0.3, 0.3, 0.2, 0.2]),
+        Pmf::new(vec![3, 7, 12], (1..=8).rev().map(f64::from).collect()),
+    ];
+    let config = ReconstructionConfig {
+        epsilon: 1e-9,
+        rounds: 2,
+    };
+    let got = Reconstructor::new().reconstruct(&global, &locals, config);
+    let mut want = global.clone();
+    for _ in 0..config.rounds {
+        for local in &locals {
+            naive_update(&mut want, local, config.epsilon, 2);
+        }
+    }
+    assert_eq!(got.probs(), want.probs());
+    assert_eq!(bit_digest(got.probs()), 0x3c4e_45fc_e047_f339);
 }

@@ -601,12 +601,13 @@ mod tests {
         let bases = [ps("ZZI"), ps("XZY"), ps("ZZZ"), ps("IXX")];
 
         let mut seq = make_exec();
-        let mut expected: Vec<Pmf> = Vec::new();
-        expected.push(seq.run_prepared_all(&st, &bases[0]));
-        expected.push(seq.run_prepared(&st, &bases[1]));
-        expected.push(seq.run_prepared_all(&st2, &bases[2]));
-        expected.push(seq.run_prepared(&st2, &bases[3]));
-        expected.push(seq.run_prepared(&st, &bases[0]));
+        let expected: Vec<Pmf> = vec![
+            seq.run_prepared_all(&st, &bases[0]),
+            seq.run_prepared(&st, &bases[1]),
+            seq.run_prepared_all(&st2, &bases[2]),
+            seq.run_prepared(&st2, &bases[3]),
+            seq.run_prepared(&st, &bases[0]),
+        ];
 
         let mut batched = make_exec();
         let got = batched.run_batch(&[

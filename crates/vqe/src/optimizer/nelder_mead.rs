@@ -198,7 +198,7 @@ mod tests {
             p.iter().sum::<f64>()
         });
         // dim+1 simplex evaluations plus at least the reflection.
-        assert!(r.evals >= 3 + 1);
+        assert!(r.evals > 3);
         assert_eq!(r.evals, calls);
     }
 

@@ -9,6 +9,10 @@ use super::{BatchObjective, Optimizer, StepResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Evaluates the objective at the `+` and `-` perturbed points of one
+/// SPSA iteration, returning both values.
+type PairEval<'a> = dyn FnMut(&[f64], &[f64]) -> (f64, f64) + 'a;
+
 /// SPSA with the standard gain schedules `aₖ = a/(A+k+1)^α` and
 /// `cₖ = c/(k+1)^γ`, plus an optional first-step calibration of `a` that
 /// targets an initial update magnitude — which makes the tuner robust to
@@ -88,11 +92,7 @@ impl Spsa {
     /// objective calls) and [`Optimizer::step_batch`] (one batched
     /// dispatch). The perturbation stream is drawn before either
     /// evaluation, so both entry points consume identical randomness.
-    fn gradient_step(
-        &mut self,
-        params: &mut [f64],
-        eval_pair: &mut dyn FnMut(&[f64], &[f64]) -> (f64, f64),
-    ) -> StepResult {
+    fn gradient_step(&mut self, params: &mut [f64], eval_pair: &mut PairEval<'_>) -> StepResult {
         let k = self.k as f64;
         let ck = self.c / (k + 1.0).powf(self.gamma);
         let delta: Vec<f64> = (0..params.len())
