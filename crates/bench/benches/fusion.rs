@@ -7,11 +7,6 @@
 //!   against a precompiled [`qsim::CircuitPlan`] on one thread.
 //! - `plan_compile` / `plan_rebind`: what a cache miss and a cache hit
 //!   cost on top of execution (rebind is the per-VQE-iteration price).
-//! - `entangler_*_blocked` vs `entangler_*_pergate`: entangler-block
-//!   fusion (adjacent same-pair two-qubit gates and their rotation
-//!   sandwiches collapsed into 4×4 `Block4` sweeps) against the same
-//!   plan with per-gate two-qubit sweeps
-//!   ([`qsim::CircuitPlan::compile_unblocked`]).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qsim::{Circuit, CircuitPlan, Statevector};
@@ -49,39 +44,6 @@ fn bench_fusion(c: &mut Criterion) {
                 b.iter(|| {
                     let mut st = Statevector::zero(n);
                     st.apply_plan(&fused);
-                    std::hint::black_box(st.amplitudes()[0])
-                })
-            });
-        }
-    }
-    // Entangler-block fusion: the blocked plan against the same
-    // fused-and-folded plan with per-gate two-qubit sweeps, isolating
-    // what the 4x4 block kernels buy on the ansatz shapes.
-    for (label, entanglement) in [
-        ("full", Entanglement::Full),
-        ("linear", Entanglement::Linear),
-    ] {
-        for n in [10usize, 12] {
-            let circuit = ansatz_circuit(n, entanglement);
-            let blocked = CircuitPlan::compile(&circuit);
-            let pergate = CircuitPlan::compile_unblocked(&circuit);
-            println!(
-                "bench fusion entangler_{label}_{n}q: {} pergate ops -> {} blocked ({} blocks)",
-                pergate.op_count(),
-                blocked.op_count(),
-                blocked.block_count()
-            );
-            g.bench_function(format!("entangler_{label}_{n}q_blocked_serial"), |b| {
-                b.iter(|| {
-                    let mut st = Statevector::zero(n);
-                    st.apply_plan(&blocked);
-                    std::hint::black_box(st.amplitudes()[0])
-                })
-            });
-            g.bench_function(format!("entangler_{label}_{n}q_pergate_serial"), |b| {
-                b.iter(|| {
-                    let mut st = Statevector::zero(n);
-                    st.apply_plan(&pergate);
                     std::hint::black_box(st.amplitudes()[0])
                 })
             });

@@ -4,7 +4,7 @@
 //! rolling window of runs `bench_diff --trend` keeps in
 //! `BENCH_HISTORY.jsonl` and judges new runs against (see
 //! [`bench_history_window`]). Invalid values are reported once on stderr
-//! through [`parallel::warn_once`] and treated as unset.
+//! through [`warn_once`] and treated as unset.
 
 use std::sync::OnceLock;
 
@@ -43,7 +43,7 @@ pub fn bench_history_window() -> usize {
         let raw = std::env::var(BENCH_HISTORY_WINDOW_ENV).ok();
         let (window, warnings) = resolve(raw.as_deref());
         for w in &warnings {
-            parallel::warn_once(&format!("bench: {w}"));
+            warn_once(&format!("bench: {w}"));
         }
         window.unwrap_or(DEFAULT_BENCH_HISTORY_WINDOW)
     })
@@ -54,7 +54,7 @@ pub fn bench_history_window() -> usize {
 /// (no environment access), so rejection behavior is unit-testable.
 fn resolve(raw: Option<&str>) -> (Option<usize>, Vec<String>) {
     let mut warnings = Vec::new();
-    let window = match parallel::config::parse_count(BENCH_HISTORY_WINDOW_ENV, raw, &mut warnings) {
+    let window = match parse_count(BENCH_HISTORY_WINDOW_ENV, raw, &mut warnings) {
         Some(n) if n > MAX_BENCH_HISTORY_WINDOW => {
             warnings.push(format!(
                 "{BENCH_HISTORY_WINDOW_ENV}={n} exceeds the cap of \
@@ -65,6 +65,45 @@ fn resolve(raw: Option<&str>) -> (Option<usize>, Vec<String>) {
         other => other,
     };
     (window, warnings)
+}
+
+/// Parses one count variable. `None`/empty means "not set" (no warning);
+/// unparsable or zero values produce a warning and count as unset.
+fn parse_count(name: &str, raw: Option<&str>, warnings: &mut Vec<String>) -> Option<usize> {
+    let raw = raw?.trim();
+    if raw.is_empty() {
+        return None;
+    }
+    match raw.parse::<usize>() {
+        Ok(0) => {
+            warnings.push(format!("{name}=0 is not a valid count; using the default"));
+            None
+        }
+        Ok(n) => Some(n),
+        Err(_) => {
+            warnings.push(format!("{name}={raw:?} is not a number; using the default"));
+            None
+        }
+    }
+}
+
+/// Prints `message` to stderr at most once per process per distinct
+/// message, so a warning path that fires repeatedly cannot spam stderr.
+///
+/// Returns `true` when the message was printed (first sighting), `false`
+/// when it was suppressed as a duplicate.
+fn warn_once(message: &str) -> bool {
+    use std::collections::BTreeSet;
+    use std::sync::Mutex;
+    static SEEN: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
+    let fresh = SEEN
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .insert(message.to_string());
+    if fresh {
+        eprintln!("{message}");
+    }
+    fresh
 }
 
 #[cfg(test)]
@@ -86,5 +125,13 @@ mod tests {
         let (window, w) = resolve(Some("soon"));
         assert_eq!(window, None);
         assert_eq!(w.len(), 1);
+    }
+
+    #[test]
+    fn warn_once_deduplicates_per_message() {
+        assert!(warn_once("config-test: first unique warning"));
+        assert!(!warn_once("config-test: first unique warning"));
+        assert!(warn_once("config-test: second unique warning"));
+        assert!(!warn_once("config-test: second unique warning"));
     }
 }

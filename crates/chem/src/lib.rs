@@ -30,12 +30,10 @@
 
 mod generator;
 mod molecule;
-mod qaoa;
 mod spin;
 mod tfim;
 
 pub use generator::molecular_hamiltonian;
 pub use molecule::{table2, temporal_workloads, MoleculeSpec};
-pub use qaoa::{maxcut_hamiltonian, random_graph};
 pub use spin::{heisenberg_chain, xy_chain};
 pub use tfim::{tfim_chain, tfim_paper};

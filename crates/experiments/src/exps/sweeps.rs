@@ -63,8 +63,8 @@ pub fn fig16(opts: &Options) {
         // "minimal circuit overheads" regime implies.
         let budget = budget_for(&mk(1), no_sparsity(), iters / 4);
         let trials = opts.trials().max(3);
-        let without = run_trials(|s| mk(s), no_sparsity(), &budgeted(budget), trials);
-        let with_sp = run_trials(|s| mk(s), adaptive(), &budgeted(budget), trials);
+        let without = run_trials(mk, no_sparsity(), &budgeted(budget), trials);
+        let with_sp = run_trials(mk, adaptive(), &budgeted(budget), trials);
         crate::exps::tuning::write_series_pub(
             opts,
             "fig16",

@@ -1,8 +1,11 @@
-//! Shared experiment harness: workload construction and trial running on
-//! the workspace's `parallel` utilities.
+//! Shared experiment harness: workload construction and trial running,
+//! fanned out over scoped threads by [`parallel_map`].
 
+use crate::config::num_threads;
 use chem::{molecular_hamiltonian, MoleculeSpec};
 use qnoise::DeviceModel;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use varsaw::{run_method, Method, MethodOutcome, RunSetup, TemporalPolicy};
 use vqe::{EfficientSu2, Entanglement, VqeConfig};
 
@@ -89,12 +92,53 @@ pub fn mean_converged(outcomes: &[MethodOutcome], tail: f64) -> f64 {
     sum / outcomes.len() as f64
 }
 
-// The scoped-thread parallel map this harness originally carried now
-// lives in the workspace-wide `parallel` crate (the statevector engine
-// shares its machinery); re-exported here so experiment modules keep
-// their import path. Worker count follows `parallel::num_threads`
-// (the `VARSAW_NUM_THREADS` environment variable).
-pub use parallel::parallel_map;
+/// Order-preserving parallel map: applies `f` to every item on up to
+/// [`num_threads`] scoped worker threads and collects the results in
+/// input order.
+///
+/// Workers are spawned per call (there is no pool) and joined before it
+/// returns, so callers parallelize coarse units of work — whole VQE
+/// trials — rather than loop iterations. Items are claimed through an
+/// atomic cursor, so uneven per-item costs balance. With one worker or
+/// one item this is a sequential map with no thread spawns; the calling
+/// thread is always one of the workers. A panic in any worker
+/// propagates.
+///
+/// # Examples
+///
+/// ```
+/// let doubled = experiments::harness::parallel_map((0..100).collect::<Vec<_>>(), |&x| x * 2);
+/// assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+/// ```
+pub fn parallel_map<T: Sync, R: Send>(items: Vec<T>, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let n = items.len();
+    let workers = num_threads().min(n);
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let slots: Vec<Mutex<&mut Option<R>>> = results.iter_mut().map(Mutex::new).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let r = f(&items[i]);
+        **slots[i].lock().expect("slot lock") = Some(r);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
+    drop(slots);
+    results
+        .into_iter()
+        .map(|r| r.expect("all slots filled"))
+        .collect()
+}
 
 /// The paper's default VarSaw temporal policy for experiments.
 pub fn adaptive() -> Method {

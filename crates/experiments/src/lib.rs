@@ -4,7 +4,8 @@
 //! Each experiment id accepted by the `experiments` binary (`table1`…
 //! `table5`, `fig6`…`fig19`, the ablations, or `all`) maps to a function
 //! in [`exps`]; [`harness`] holds the shared setup/trial plumbing and the
-//! `--full` scaling knobs, and [`report`] renders aligned text tables and
+//! `--full` scaling knobs, [`config`] the trial fan-out's worker count
+//! (`VARSAW_NUM_THREADS`), and [`report`] renders aligned text tables and
 //! CSV files.
 //!
 //! # Example
@@ -18,6 +19,7 @@
 //! assert!(rendered.contains("baseline") && rendered.contains("varsaw"));
 //! ```
 
+pub mod config;
 pub mod exps;
 pub mod harness;
 pub mod report;

@@ -134,12 +134,6 @@ impl Circuit {
     /// anticipated here, so [`CircuitStats::fused_ops`] is an upper bound
     /// on the sweeps a compiled [`crate::CircuitPlan`] executes.
     ///
-    /// `fusible_pairs` mirrors the entangler-block coalescer greedily:
-    /// two-qubit gates that repeat the pair of an *open* block — one not
-    /// yet closed by an overlapping two-qubit gate on another pair —
-    /// each count once (single-qubit gates never close a block; the
-    /// compiler holds them for absorption).
-    ///
     /// ```
     /// use qsim::Circuit;
     /// let mut c = Circuit::new(2);
@@ -149,14 +143,11 @@ impl Circuit {
     /// assert_eq!(s.max_run, 2);
     /// assert_eq!(s.fusible_gates, 2);
     /// assert_eq!(s.fused_ops(), 3);
-    /// assert_eq!(s.fusible_pairs, 0);
     /// ```
     pub fn stats(&self) -> CircuitStats {
         let mut level = vec![0usize; self.num_qubits];
         let mut run = vec![0usize; self.num_qubits];
         let mut run_lengths = vec![0usize; self.num_qubits];
-        // Per-qubit pair of the open entangler block the qubit belongs to.
-        let mut open_pair: Vec<Option<(usize, usize)>> = vec![None; self.num_qubits];
         let mut stats = CircuitStats {
             num_qubits: self.num_qubits,
             gate_count: self.gates.len(),
@@ -164,7 +155,6 @@ impl Circuit {
             depth: 0,
             max_run: 0,
             fusible_gates: 0,
-            fusible_pairs: 0,
             run_lengths: Vec::new(),
         };
         let close_run = |q: usize, run: &mut [usize], stats: &mut CircuitStats| {
@@ -184,19 +174,6 @@ impl Circuit {
                 stats.two_qubit_gates += 1;
                 for &q in &qs {
                     close_run(q, &mut run, &mut stats);
-                }
-                let pair = (qs[0].min(qs[1]), qs[0].max(qs[1]));
-                if open_pair[pair.0] == Some(pair) && open_pair[pair.1] == Some(pair) {
-                    stats.fusible_pairs += 1;
-                } else {
-                    for &q in &qs {
-                        if let Some((a, b)) = open_pair[q].take() {
-                            open_pair[a] = None;
-                            open_pair[b] = None;
-                        }
-                    }
-                    open_pair[pair.0] = Some(pair);
-                    open_pair[pair.1] = Some(pair);
                 }
             } else {
                 let q = qs[0];
@@ -281,48 +258,17 @@ pub struct CircuitStats {
     /// Single-qubit gates that adjacent-run fusion eliminates (each run of
     /// length `k` collapses to one sweep, removing `k − 1`).
     pub fusible_gates: usize,
-    /// Two-qubit gates that entangler-block fusion absorbs into an
-    /// already-open block on the same qubit pair (each block of `k`
-    /// two-qubit gates contributes `k − 1`). A greedy mirror of the plan
-    /// compiler's coalescing pass — see [`CircuitStats::blocked_ops`]
-    /// for why it is an estimate.
-    pub fusible_pairs: usize,
     /// The longest single-qubit run per qubit (index = qubit).
     pub run_lengths: Vec<usize>,
 }
 
 impl CircuitStats {
     /// The number of state sweeps after adjacent-run fusion — a static
-    /// upper bound on a compiled plan's op count (diagonal folding
-    /// through entanglers can fuse further). The parallel dispatch
-    /// heuristics weigh the compiled plan's exact
-    /// [`op_count`](crate::CircuitPlan::op_count) — the quantity this
-    /// estimates without compiling — rather than the raw gate count.
+    /// upper bound on a compiled plan's
+    /// [`op_count`](crate::CircuitPlan::op_count) (diagonal folding
+    /// through entanglers can fuse further).
     pub fn fused_ops(&self) -> usize {
         self.gate_count - self.fusible_gates
-    }
-
-    /// The sweeps left after entangler-block fusion additionally collapses
-    /// same-pair two-qubit gates — an **estimate**, not a bound, of a
-    /// compiled plan's [`op_count`](crate::CircuitPlan::op_count).
-    ///
-    /// It drifts from the compiled count in both directions: rotation
-    /// sandwiches absorbed *into* blocks remove more sweeps than
-    /// `fusible_pairs` anticipates, while diagonal folding can reshape
-    /// the slot sequence so pairs this mirror counts never become
-    /// adjacent (e.g. `rz(0)`, `cz(0,1)`, `cx(1,2)`: the plan folds the
-    /// RZ through the CZ diagonal, leaving two lone entanglers).
-    ///
-    /// ```
-    /// use qsim::Circuit;
-    /// let mut c = Circuit::new(2);
-    /// c.cx(0, 1).cz(0, 1).ry(0, 0.3);
-    /// let s = c.stats();
-    /// assert_eq!(s.fusible_pairs, 1);
-    /// assert_eq!(s.blocked_ops(), 2);
-    /// ```
-    pub fn blocked_ops(&self) -> usize {
-        self.fused_ops().saturating_sub(self.fusible_pairs)
     }
 }
 
@@ -403,22 +349,6 @@ mod tests {
         c.s(0).cx(0, 1);
         let inv = c.inverse();
         assert_eq!(inv.gates(), &[Gate::Cx(0, 1), Gate::Sdg(0)]);
-    }
-
-    #[test]
-    fn stats_count_fusible_pairs_greedily() {
-        let mut c = Circuit::new(3);
-        // cz(0,1) repeats the open (0,1) pair (the ry holds, it does not
-        // close); cx(1,2) overlaps qubit 1 and closes it; the second
-        // cx(1,2) repeats the new open pair; swap(0,2) closes that.
-        c.cx(0, 1).ry(0, 0.1).cz(0, 1).cx(1, 2).cx(1, 2).swap(0, 2);
-        let s = c.stats();
-        assert_eq!(s.fusible_pairs, 2);
-        assert_eq!(s.blocked_ops(), 4);
-        // Lone entanglers on alternating pairs never pair up.
-        let mut alt = Circuit::new(3);
-        alt.cx(0, 1).cx(1, 2).cx(0, 1).cx(1, 2);
-        assert_eq!(alt.stats().fusible_pairs, 0);
     }
 
     #[test]

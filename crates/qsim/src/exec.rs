@@ -6,9 +6,8 @@
 //! # Exact arithmetic
 //!
 //! Each amplitude's new value is a pure elementwise function of its pair
-//! or quad ([`pair_update`], [`quad_update`], [`sparse2_update`]), the
-//! two-qubit sparse ops are exact swaps and negations, and no reduction
-//! is reordered. So the enumeration a sweep picks (contiguous lanes or
+//! ([`pair_update`]), the two-qubit ops are exact swaps and negations,
+//! and no reduction is reordered. So the enumeration a sweep picks (contiguous lanes or
 //! index spreading, see [`LANE_MIN_BIT`]) never changes its arithmetic:
 //! both forms produce the same bits.
 
@@ -30,83 +29,6 @@ pub(crate) fn state_bytes_for_qubits(num_qubits: usize) -> u128 {
 #[inline]
 pub(crate) fn pair_update(m: &[[C64; 2]; 2], a0: C64, a1: C64) -> (C64, C64) {
     (m[0][0] * a0 + m[0][1] * a1, m[1][0] * a0 + m[1][1] * a1)
-}
-
-/// New values of a pair-basis amplitude quad under a 4×4 block matrix
-/// (the dense [`PlanOp::Block4`](crate::plan::PlanOp::Block4) rule).
-///
-/// The accumulation tree is the fixed pairing `(t0 + t3) + (t1 + t2)`,
-/// not left-to-right; it is pinned because the prepared states (and so
-/// every seed-pinned energy) depend on it.
-#[inline]
-pub(crate) fn quad_update(m: &[[C64; 4]; 4], a: [C64; 4]) -> [C64; 4] {
-    let mut out = [C64::ZERO; 4];
-    for (o, row) in out.iter_mut().zip(m) {
-        *o = (row[0] * a[0] + row[3] * a[3]) + (row[1] * a[1] + row[2] * a[2]);
-    }
-    out
-}
-
-/// New values of a pair-basis amplitude quad under a row-sparse block
-/// matrix: row `r` reads only `a[cols[r][0]]` and `a[cols[r][1]]` (a row
-/// with one nonzero pads the second slot with a zero coefficient). Eight
-/// complex multiplies instead of sixteen — entangler blocks built from
-/// CX/CZ sandwiches are mostly this sparse.
-#[inline(always)]
-pub(crate) fn sparse2_update(
-    cols: &[[usize; 2]; 4],
-    vals: &[[C64; 2]; 4],
-    a: [C64; 4],
-) -> [C64; 4] {
-    let mut out = [C64::ZERO; 4];
-    for ((o, c), v) in out.iter_mut().zip(cols).zip(vals) {
-        *o = v[0] * a[c[0]] + v[1] * a[c[1]];
-    }
-    out
-}
-
-/// Per-pass classification of a bound
-/// [`PlanOp::Block4`](crate::plan::PlanOp::Block4) matrix by its nonzero
-/// pattern.
-///
-/// Entangler blocks frequently bind matrices that are at least half
-/// zeros (a CX times a `R ⊗ I` rotation sandwich has two nonzeros per
-/// row), so each execution pass scans the 16 entries once and picks the
-/// cheapest update rule. The classification is a pure function of the
-/// matrix values, so rebinding needs no bookkeeping: a rebound matrix is
-/// simply re-classified at its next pass.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum QuadKernel {
-    /// Full 16-multiply [`quad_update`].
-    Dense([[C64; 4]; 4]),
-    /// At most two nonzeros in every row: [`sparse2_update`].
-    Sparse2 {
-        cols: [[usize; 2]; 4],
-        vals: [[C64; 2]; 4],
-    },
-}
-
-impl QuadKernel {
-    /// Scans the matrix and picks the cheapest update rule that computes
-    /// it exactly.
-    pub(crate) fn of(m: &[[C64; 4]; 4]) -> Self {
-        let mut cols = [[0usize; 2]; 4];
-        let mut vals = [[C64::ZERO; 2]; 4];
-        for (r, row) in m.iter().enumerate() {
-            let mut k = 0;
-            for (c, &v) in row.iter().enumerate() {
-                if v != C64::ZERO {
-                    if k == 2 {
-                        return QuadKernel::Dense(*m);
-                    }
-                    cols[r][k] = c;
-                    vals[r][k] = v;
-                    k += 1;
-                }
-            }
-        }
-        QuadKernel::Sparse2 { cols, vals }
-    }
 }
 
 /// Calls `f` with the two contiguous stride-1 lanes of every qubit-`q`
@@ -241,65 +163,6 @@ pub(crate) fn apply_swap_local(amps: &mut [C64], lo: usize, hi: usize) {
             let i0 = insert_zero_bits(p, lo, hi);
             amps.swap(i0 | lomask, i0 | himask);
         }
-    }
-}
-
-/// Entangler-block sweep (4×4 matrix over pair `(lo, hi)`). The matrix is classified once per pass
-/// ([`QuadKernel`]) and the sweep is monomorphized over the resulting
-/// update rule, so the hot loop carries no per-quad dispatch.
-pub(crate) fn apply_block4_local(amps: &mut [C64], lo: usize, hi: usize, m: &[[C64; 4]; 4]) {
-    match QuadKernel::of(m) {
-        QuadKernel::Dense(m) => block4_sweep(amps, lo, hi, |a| quad_update(&m, a)),
-        QuadKernel::Sparse2 { cols, vals } => {
-            block4_sweep(amps, lo, hi, |a| sparse2_update(&cols, &vals, a))
-        }
-    }
-}
-
-/// Hybrid quad enumeration behind [`apply_block4_local`]: contiguous
-/// pair-basis lanes at `lo >= LANE_MIN_BIT`, streamed `hi`-half
-/// sub-blocks below. Both paths feed identical quads to `update` in
-/// identical order.
-fn block4_sweep(
-    amps: &mut [C64],
-    lo: usize,
-    hi: usize,
-    mut update: impl FnMut([C64; 4]) -> [C64; 4],
-) {
-    if lo >= LANE_MIN_BIT {
-        for_each_quad_lanes(amps, lo, hi, |s0, s1, s2, s3| {
-            for (((a0, a1), a2), a3) in s0
-                .iter_mut()
-                .zip(s1.iter_mut())
-                .zip(s2.iter_mut())
-                .zip(s3.iter_mut())
-            {
-                let out = update([*a0, *a1, *a2, *a3]);
-                *a0 = out[0];
-                *a1 = out[1];
-                *a2 = out[2];
-                *a3 = out[3];
-            }
-        });
-    } else {
-        // Low pair bit too small for worthwhile `lo` lanes: pair the two
-        // contiguous `hi` halves instead and stream aligned 2^(lo+1)
-        // sub-blocks through them, so every load sits next to the last.
-        let lomask = 1usize << lo;
-        for_each_pair_lanes(amps, hi, |sa, sb| {
-            for (ca, cb) in sa
-                .chunks_exact_mut(lomask << 1)
-                .zip(sb.chunks_exact_mut(lomask << 1))
-            {
-                for i0 in 0..lomask {
-                    let out = update([ca[i0], ca[i0 | lomask], cb[i0], cb[i0 | lomask]]);
-                    ca[i0] = out[0];
-                    ca[i0 | lomask] = out[1];
-                    cb[i0] = out[2];
-                    cb[i0 | lomask] = out[3];
-                }
-            }
-        });
     }
 }
 

@@ -199,10 +199,10 @@ mod tests {
     fn is_unitary(m: [[C64; 2]; 2]) -> bool {
         // m† m == I
         let mut prod = [[C64::ZERO; 2]; 2];
-        for i in 0..2 {
-            for j in 0..2 {
-                for k in 0..2 {
-                    prod[i][j] += m[k][i].conj() * m[k][j];
+        for (i, row) in prod.iter_mut().enumerate() {
+            for (j, cell) in row.iter_mut().enumerate() {
+                for mk in &m {
+                    *cell += mk[i].conj() * mk[j];
                 }
             }
         }

@@ -13,10 +13,9 @@
 //!   in the trial fan-out above this crate, not inside one state),
 //! - [`CircuitPlan`] / [`PlanCache`]: the circuit compiler — adjacent
 //!   single-qubit gates fuse into one matrix sweep (diagonal runs fold
-//!   through entanglers), same-pair entangler groups and their rotation
-//!   sandwiches collapse into single 4×4 block sweeps, and the
-//!   parameter-free analysis is cached by circuit structure so repeated
-//!   ansatz executions only rebind angles (see [`plan`]),
+//!   through entanglers), and the parameter-free analysis is cached by
+//!   circuit structure so repeated ansatz executions only rebind angles
+//!   (see [`plan`]),
 //! - [`sample_counts`]: seeded shot sampling, one uniform per shot,
 //! - [`lowest_eigenvalue`]: matrix-free Lanczos for exact reference
 //!   energies.
@@ -45,7 +44,6 @@ mod exec;
 mod gate;
 mod linalg;
 pub mod plan;
-mod qasm;
 mod sampler;
 mod state;
 
@@ -54,6 +52,5 @@ pub use complex::C64;
 pub use gate::Gate;
 pub use linalg::{lowest_eigenvalue, smallest_tridiagonal_eigenvalue, HermitianOp, LanczosResult};
 pub use plan::{CircuitPlan, PlanCache};
-pub use qasm::to_qasm;
 pub use sampler::sample_counts;
 pub use state::{CapacityError, Statevector};

@@ -210,62 +210,6 @@ pub fn smallest_tridiagonal_eigenvalue(alphas: &[f64], betas: &[f64]) -> f64 {
     0.5 * (lo + hi)
 }
 
-// --- 4×4 block-matrix helpers -------------------------------------------
-//
-// The entangler-block fusion pass (`crate::plan`) lowers adjacent
-// two-qubit ops on one qubit pair — plus the single-qubit rotation
-// sandwiches around them — into a single 4×4 unitary. The basis
-// convention everywhere is `s = 2·bit(hi) + bit(lo)` for the (sorted)
-// qubit pair `lo < hi`, matching [`kron2`]'s operand order
-// `kron2(on_hi, on_lo)`.
-
-/// 4×4 complex matrix product `a · b`, accumulated left to right
-/// (`((a·b)₀ + …)`), so every caller produces bit-identical entries.
-pub(crate) fn matmul4(a: &[[C64; 4]; 4], b: &[[C64; 4]; 4]) -> [[C64; 4]; 4] {
-    let mut out = [[C64::ZERO; 4]; 4];
-    for (i, row) in out.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            *cell =
-                ((a[i][0] * b[0][j] + a[i][1] * b[1][j]) + a[i][2] * b[2][j]) + a[i][3] * b[3][j];
-        }
-    }
-    out
-}
-
-/// Kronecker product of two single-qubit matrices: `kron2(a, b)[2i+k][2j+l]
-/// = a[i][j] · b[k][l]` — `a` acts on the *high* bit of the pair basis,
-/// `b` on the *low* bit.
-pub(crate) fn kron2(a: &[[C64; 2]; 2], b: &[[C64; 2]; 2]) -> [[C64; 4]; 4] {
-    let mut out = [[C64::ZERO; 4]; 4];
-    for i in 0..2 {
-        for j in 0..2 {
-            for k in 0..2 {
-                for l in 0..2 {
-                    out[2 * i + k][2 * j + l] = a[i][j] * b[k][l];
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The 2×2 identity, for [`kron2`] embeddings of one-qubit runs.
-pub(crate) fn identity2() -> [[C64; 2]; 2] {
-    [[C64::ONE, C64::ZERO], [C64::ZERO, C64::ONE]]
-}
-
-/// Transposes a 4×4 matrix. Only used by the block-path mutation check
-/// (a transposed block must be caught by the plan tests).
-pub(crate) fn transpose4(m: &[[C64; 4]; 4]) -> [[C64; 4]; 4] {
-    let mut out = [[C64::ZERO; 4]; 4];
-    for i in 0..4 {
-        for j in 0..4 {
-            out[i][j] = m[j][i];
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,9 +224,9 @@ mod tests {
             self.n
         }
         fn apply(&self, x: &[C64], y: &mut [C64]) {
-            for i in 0..self.n {
-                for j in 0..self.n {
-                    y[i] += self.m[i * self.n + j] * x[j];
+            for (yi, row) in y.iter_mut().zip(self.m.chunks_exact(self.n)) {
+                for (&a, &xj) in row.iter().zip(x) {
+                    *yi += a * xj;
                 }
             }
         }
@@ -358,152 +302,5 @@ mod tests {
         assert_eq!(a, b);
         let c = lowest_eigenvalue(&op, 100, 1e-12, 43);
         assert!((a.eigenvalue - c.eigenvalue).abs() < 1e-8);
-    }
-
-    // --- 4×4 block-matrix helpers ---
-
-    fn c(re: f64, im: f64) -> C64 {
-        C64::new(re, im)
-    }
-
-    fn cz4() -> [[C64; 4]; 4] {
-        let mut m = [[C64::ZERO; 4]; 4];
-        for (s, row) in m.iter_mut().enumerate() {
-            row[s] = if s == 3 { -C64::ONE } else { C64::ONE };
-        }
-        m
-    }
-
-    /// CX with control on the low bit, target on the high bit:
-    /// s = 2·bit(hi) + bit(lo), so basis states 1 (01) and 3 (11) swap.
-    fn cx4_control_lo() -> [[C64; 4]; 4] {
-        let mut m = [[C64::ZERO; 4]; 4];
-        m[0][0] = C64::ONE;
-        m[2][2] = C64::ONE;
-        m[1][3] = C64::ONE;
-        m[3][1] = C64::ONE;
-        m
-    }
-
-    fn ry2(theta: f64) -> [[C64; 2]; 2] {
-        let (s, co) = (theta / 2.0).sin_cos();
-        [
-            [C64::real(co), C64::real(-s)],
-            [C64::real(s), C64::real(co)],
-        ]
-    }
-
-    fn rz2(theta: f64) -> [[C64; 2]; 2] {
-        let (s, co) = (theta / 2.0).sin_cos();
-        [[c(co, -s), C64::ZERO], [C64::ZERO, c(co, s)]]
-    }
-
-    fn dagger4(m: &[[C64; 4]; 4]) -> [[C64; 4]; 4] {
-        let mut out = [[C64::ZERO; 4]; 4];
-        for i in 0..4 {
-            for j in 0..4 {
-                out[i][j] = m[j][i].conj();
-            }
-        }
-        out
-    }
-
-    fn assert_close4(a: &[[C64; 4]; 4], b: &[[C64; 4]; 4], tol: f64) {
-        for i in 0..4 {
-            for j in 0..4 {
-                let d = a[i][j] - b[i][j];
-                assert!(
-                    d.re.abs() <= tol && d.im.abs() <= tol,
-                    "entry ({i},{j}): {:?} vs {:?}",
-                    a[i][j],
-                    b[i][j]
-                );
-            }
-        }
-    }
-
-    fn identity4() -> [[C64; 4]; 4] {
-        kron2(&identity2(), &identity2())
-    }
-
-    #[test]
-    fn kron_of_identities_is_identity() {
-        let id = identity4();
-        for i in 0..4 {
-            for j in 0..4 {
-                let want = if i == j { C64::ONE } else { C64::ZERO };
-                assert_eq!(id[i][j], want);
-            }
-        }
-    }
-
-    #[test]
-    fn cz_is_diagonal_and_cx_squares_to_identity() {
-        let cz = cz4();
-        for i in 0..4 {
-            for j in 0..4 {
-                if i != j {
-                    assert_eq!(cz[i][j], C64::ZERO);
-                }
-            }
-        }
-        // CZ² = I and CX·CX = I.
-        assert_close4(&matmul4(&cz, &cz), &identity4(), 0.0);
-        let cx = cx4_control_lo();
-        assert_close4(&matmul4(&cx, &cx), &identity4(), 0.0);
-    }
-
-    #[test]
-    fn matmul_products_of_unitaries_stay_unitary() {
-        // A rotation sandwich around an entangler: U = (Rz⊗Ry)·CX·(Ry⊗Rz).
-        let pre = kron2(&ry2(0.37), &rz2(-1.2));
-        let post = kron2(&rz2(2.1), &ry2(0.55));
-        let u = matmul4(&post, &matmul4(&cx4_control_lo(), &pre));
-        assert_close4(&matmul4(&dagger4(&u), &u), &identity4(), 1e-12);
-    }
-
-    #[test]
-    fn sandwich_association_orders_agree() {
-        // (post·cx)·pre == post·(cx·pre) to numerical tolerance — the bind
-        // pass may accumulate in either grouping without changing physics.
-        let pre = kron2(&rz2(0.9), &ry2(-0.4));
-        let post = kron2(&ry2(1.7), &rz2(0.2));
-        let cz = cz4();
-        let a = matmul4(&matmul4(&post, &cz), &pre);
-        let b = matmul4(&post, &matmul4(&cz, &pre));
-        assert_close4(&a, &b, 1e-14);
-    }
-
-    #[test]
-    fn kron_against_known_gate_identity() {
-        // Rz⊗Rz is diagonal, and matches the product of the two
-        // single-qubit diagonals entry by entry.
-        let a = rz2(0.8);
-        let b = rz2(-0.3);
-        let k = kron2(&a, &b);
-        for i in 0..2 {
-            for kbit in 0..2 {
-                let s = 2 * i + kbit;
-                assert_eq!(k[s][s], a[i][i] * b[kbit][kbit]);
-                for t in 0..4 {
-                    if t != s {
-                        assert_eq!(k[s][t], C64::ZERO);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transpose4_flips_cx_direction() {
-        // CX is symmetric, so transpose is a no-op on it; a non-symmetric
-        // sandwich is not fixed by transposition (the mutation the
-        // plan tests rely on being visible).
-        let cx = cx4_control_lo();
-        assert_close4(&transpose4(&cx), &cx, 0.0);
-        let u = matmul4(&kron2(&ry2(0.5), &identity2()), &cx);
-        let t = transpose4(&u);
-        // Ry's off-diagonal is antisymmetric: (0,2) flips sign under ᵀ.
-        assert!(u[0][2] != t[0][2]);
     }
 }

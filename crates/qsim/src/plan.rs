@@ -19,13 +19,8 @@
 //!   (Rz/Z/S/S†/T/T†) commutes with CZ on either qubit and with the
 //!   *control* side of CX, so it is folded through the entangler and keeps
 //!   accumulating into the next rotation run instead of flushing.
-//! - **Entangler-block fusion.** Adjacent two-qubit ops on one qubit
-//!   pair — and the single-qubit rotation sandwiches around them — lower
-//!   into a single `PlanOp::Block4`: one dense 4×4 sweep in the pair
-//!   basis `s = 2·bit(hi) + bit(lo)` instead of one sweep per gate. Lone
-//!   entanglers keep their sparse kernels ([`CircuitPlan::block_count`]
-//!   reports how many blocks formed; [`CircuitPlan::compile_unblocked`]
-//!   skips the pass).
+//!
+//! Two-qubit gates keep their sparse kernels: one sweep per entangler.
 //!
 //! Fusing changes amplitude *bit patterns* (one rounded matrix product
 //! instead of two rounded sweeps), so fused-vs-unfused agreement is a
@@ -49,8 +44,8 @@
 //! let mut c = Circuit::new(2);
 //! c.ry(0, 0.3).rz(0, -0.7).ry(1, 0.1).rz(1, 0.2).cx(0, 1);
 //! let plan = CircuitPlan::compile(&c);
-//! // Both rotation runs and the CX collapse into one 4×4 block sweep.
-//! assert_eq!((plan.op_count(), plan.block_count()), (1, 1));
+//! // Each Ry·Rz run fuses into one 2×2 sweep, then the CX sweeps.
+//! assert_eq!(plan.op_count(), 3);
 //!
 //! let mut st = Statevector::zero(2);
 //! st.apply_plan(&plan);
@@ -60,7 +55,6 @@
 use crate::circuit::Circuit;
 use crate::complex::C64;
 use crate::gate::Gate;
-use crate::linalg::{identity2, kron2, matmul4, transpose4};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -76,13 +70,6 @@ pub(crate) enum PlanOp {
     Cz { lo: usize, hi: usize },
     /// SWAP, qubits sorted (`lo < hi`).
     Swap { lo: usize, hi: usize },
-    /// A fused entangler block on a sorted qubit pair: one dense 4×4
-    /// sweep over the pair basis `s = 2·bit(hi) + bit(lo)`.
-    Block4 {
-        lo: usize,
-        hi: usize,
-        m: [[C64; 4]; 4],
-    },
 }
 
 /// One slot of a [`PlanStructure`]: the parameter-free shape of a lowered
@@ -107,31 +94,6 @@ enum Slot {
         lo: usize,
         hi: usize,
     },
-    /// An entangler block: the parts — in application order — whose 4×4
-    /// matrices multiply into one [`PlanOp::Block4`] at bind time.
-    Block4 {
-        lo: usize,
-        hi: usize,
-        parts: Vec<BlockPart>,
-    },
-}
-
-/// One constituent of a [`Slot::Block4`], expressed relative to the
-/// block's sorted pair so binding needs no qubit lookups: runs embed via
-/// `kron2` on the side they act on, entanglers are constant matrices in
-/// the `s = 2·bit(hi) + bit(lo)` basis.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum BlockPart {
-    /// A single-qubit run on the pair's low qubit (source gate indices).
-    RunLo(Vec<u32>),
-    /// A single-qubit run on the pair's high qubit.
-    RunHi(Vec<u32>),
-    /// CX with the control on the low qubit.
-    CxLoControl,
-    /// CX with the control on the high qubit.
-    CxHiControl,
-    Cz,
-    Swap,
 }
 
 /// The parameter-free compilation of a circuit: fusion segmentation plus
@@ -187,143 +149,10 @@ fn structure_key(circuit: &Circuit) -> Vec<u64> {
     key
 }
 
-/// An in-progress entangler block during [`coalesce_blocks`]: the sorted
-/// qubit pair and the original slots absorbed so far.
-struct OpenBlock {
-    lo: usize,
-    hi: usize,
-    slots: Vec<Slot>,
-}
-
-/// The sorted qubit pair of a two-qubit slot, `None` for runs.
-fn slot_pair(slot: &Slot) -> Option<(usize, usize)> {
-    match *slot {
-        Slot::Run { .. } => None,
-        Slot::Cx { control, target } => Some((control.min(target), control.max(target))),
-        Slot::Cz { lo, hi } | Slot::Swap { lo, hi } => Some((lo, hi)),
-        Slot::Block4 { .. } => unreachable!("blocks are only built by this pass"),
-    }
-}
-
-/// Emits a finished block: groups of two or more slots lower to one
-/// [`Slot::Block4`]; a lone entangler keeps its original slot (its sparse
-/// kernel beats a dense 4×4 sweep).
-fn close_block(block: OpenBlock, out: &mut Vec<Slot>) {
-    if block.slots.len() < 2 {
-        out.extend(block.slots);
-        return;
-    }
-    let parts = block
-        .slots
-        .into_iter()
-        .map(|slot| match slot {
-            Slot::Run { q, gates } => {
-                if q == block.lo {
-                    BlockPart::RunLo(gates)
-                } else {
-                    BlockPart::RunHi(gates)
-                }
-            }
-            Slot::Cx { control, .. } => {
-                if control == block.lo {
-                    BlockPart::CxLoControl
-                } else {
-                    BlockPart::CxHiControl
-                }
-            }
-            Slot::Cz { .. } => BlockPart::Cz,
-            Slot::Swap { .. } => BlockPart::Swap,
-            Slot::Block4 { .. } => unreachable!("blocks never nest"),
-        })
-        .collect();
-    out.push(Slot::Block4 {
-        lo: block.lo,
-        hi: block.hi,
-        parts,
-    });
-}
-
-/// The entangler-block coalescing pass. Each two-qubit slot opens a block
-/// on its sorted pair; the block absorbs the held (not yet emitted)
-/// single-qubit runs on those qubits, every later run landing on the
-/// pair, and every later two-qubit slot on the *same* pair, and closes
-/// when a two-qubit slot touches exactly one of its qubits. Deferred
-/// slots only ever move past slots on disjoint qubits — an exact
-/// commutation, so blocked and unblocked plans compute the same unitary.
-///
-/// Lone entanglers and unattached runs come out unchanged; only groups
-/// of two or more slots pay for a dense 4×4 sweep.
-fn coalesce_blocks(slots: Vec<Slot>, num_qubits: usize) -> Vec<Slot> {
-    let mut out = Vec::with_capacity(slots.len());
-    // Invariants: at most one held run per qubit; open pairs are mutually
-    // disjoint; a held run's qubit never sits in an open pair.
-    let mut held: Vec<Option<Slot>> = (0..num_qubits).map(|_| None).collect();
-    let mut open: Vec<OpenBlock> = Vec::new();
-
-    for slot in slots {
-        match slot_pair(&slot) {
-            None => {
-                let Slot::Run { q, .. } = slot else {
-                    unreachable!()
-                };
-                if let Some(block) = open.iter_mut().find(|b| b.lo == q || b.hi == q) {
-                    block.slots.push(slot);
-                } else if let Some(prev) = held[q].replace(slot) {
-                    // Analysis never leaves two unattached runs on one
-                    // qubit, but emitting the older one first keeps the
-                    // order exact if it ever did.
-                    out.push(prev);
-                }
-            }
-            Some((lo, hi)) => {
-                if let Some(block) = open.iter_mut().find(|b| (b.lo, b.hi) == (lo, hi)) {
-                    block.slots.push(slot);
-                    continue;
-                }
-                // A pair overlapping an open block on one qubit closes it.
-                let mut i = 0;
-                while i < open.len() {
-                    let b = &open[i];
-                    if [b.lo, b.hi].iter().any(|&q| q == lo || q == hi) {
-                        close_block(open.remove(i), &mut out);
-                    } else {
-                        i += 1;
-                    }
-                }
-                let mut absorbed = Vec::new();
-                absorbed.extend(held[lo].take());
-                absorbed.extend(held[hi].take());
-                absorbed.push(slot);
-                open.push(OpenBlock {
-                    lo,
-                    hi,
-                    slots: absorbed,
-                });
-            }
-        }
-    }
-    // Leftovers are mutually disjoint (see the invariants), so emission
-    // order among them is free; qubit order keeps it deterministic.
-    out.extend(held.into_iter().flatten());
-    for block in open {
-        close_block(block, &mut out);
-    }
-    out
-}
-
 impl PlanStructure {
-    /// Runs the fusion analysis on `circuit`'s gate kinds and wiring,
-    /// then lowers entangler groups into 4×4 blocks.
+    /// Runs the fusion analysis (run fusion and diagonal folding) on
+    /// `circuit`'s gate kinds and wiring.
     fn analyze(circuit: &Circuit) -> PlanStructure {
-        let mut s = Self::analyze_unblocked(circuit);
-        s.slots = coalesce_blocks(std::mem::take(&mut s.slots), s.num_qubits);
-        s
-    }
-
-    /// Run fusion and diagonal folding only — the structure behind
-    /// [`CircuitPlan::compile_unblocked`], and the input the block
-    /// coalescing pass operates on.
-    fn analyze_unblocked(circuit: &Circuit) -> PlanStructure {
         // One slot per gate is the upper bound (no fusion at all).
         let mut slots: Vec<Slot> = Vec::with_capacity(circuit.gate_count());
         let mut pending: Vec<Option<Pending>> = Vec::new();
@@ -444,15 +273,6 @@ impl PlanStructure {
                 Slot::Cx { control, target } => PlanOp::Cx { control, target },
                 Slot::Cz { lo, hi } => PlanOp::Cz { lo, hi },
                 Slot::Swap { lo, hi } => PlanOp::Swap { lo, hi },
-                Slot::Block4 { lo, hi, ref parts } => {
-                    // Parts multiply left-to-right in application order
-                    // (later part on the left), mirroring run binding.
-                    let mut m = part_matrix(&parts[0], gates);
-                    for part in &parts[1..] {
-                        m = matmul4(&part_matrix(part, gates), &m);
-                    }
-                    PlanOp::Block4 { lo, hi, m }
-                }
             })
             .collect();
         CircuitPlan {
@@ -476,52 +296,6 @@ fn run_matrix(idxs: &[u32], gates: &[Gate]) -> [[C64; 2]; 2] {
         m = matmul2(&matrix_of(gates[i as usize]), &m);
     }
     m
-}
-
-/// CX with the control on the pair's low bit: in the block basis
-/// `s = 2·bit(hi) + bit(lo)`, states 1 and 3 swap.
-const CX_LO_CONTROL: [[C64; 4]; 4] = [
-    [C64::ONE, C64::ZERO, C64::ZERO, C64::ZERO],
-    [C64::ZERO, C64::ZERO, C64::ZERO, C64::ONE],
-    [C64::ZERO, C64::ZERO, C64::ONE, C64::ZERO],
-    [C64::ZERO, C64::ONE, C64::ZERO, C64::ZERO],
-];
-
-/// CX with the control on the pair's high bit: states 2 and 3 swap.
-const CX_HI_CONTROL: [[C64; 4]; 4] = [
-    [C64::ONE, C64::ZERO, C64::ZERO, C64::ZERO],
-    [C64::ZERO, C64::ONE, C64::ZERO, C64::ZERO],
-    [C64::ZERO, C64::ZERO, C64::ZERO, C64::ONE],
-    [C64::ZERO, C64::ZERO, C64::ONE, C64::ZERO],
-];
-
-/// CZ: `diag(1, 1, 1, −1)`.
-const CZ4: [[C64; 4]; 4] = [
-    [C64::ONE, C64::ZERO, C64::ZERO, C64::ZERO],
-    [C64::ZERO, C64::ONE, C64::ZERO, C64::ZERO],
-    [C64::ZERO, C64::ZERO, C64::ONE, C64::ZERO],
-    [C64::ZERO, C64::ZERO, C64::ZERO, C64::new(-1.0, 0.0)],
-];
-
-/// SWAP: states 1 and 2 swap.
-const SWAP4: [[C64; 4]; 4] = [
-    [C64::ONE, C64::ZERO, C64::ZERO, C64::ZERO],
-    [C64::ZERO, C64::ZERO, C64::ONE, C64::ZERO],
-    [C64::ZERO, C64::ONE, C64::ZERO, C64::ZERO],
-    [C64::ZERO, C64::ZERO, C64::ZERO, C64::ONE],
-];
-
-/// The 4×4 matrix of one block part in the pair basis
-/// `s = 2·bit(hi) + bit(lo)`.
-fn part_matrix(part: &BlockPart, gates: &[Gate]) -> [[C64; 4]; 4] {
-    match part {
-        BlockPart::RunLo(idxs) => kron2(&identity2(), &run_matrix(idxs, gates)),
-        BlockPart::RunHi(idxs) => kron2(&run_matrix(idxs, gates), &identity2()),
-        BlockPart::CxLoControl => CX_LO_CONTROL,
-        BlockPart::CxHiControl => CX_HI_CONTROL,
-        BlockPart::Cz => CZ4,
-        BlockPart::Swap => SWAP4,
-    }
 }
 
 /// 2×2 complex matrix product `a · b`.
@@ -557,14 +331,6 @@ impl CircuitPlan {
     pub fn compile_unfused(circuit: &Circuit) -> CircuitPlan {
         let _span = telemetry::span(telemetry::Stage::PlanCompile);
         Arc::new(PlanStructure::verbatim(circuit)).bind(circuit)
-    }
-
-    /// Compiles with run fusion and diagonal folding but **without** the
-    /// entangler-block pass — the per-gate 2q sweep baseline the blocked
-    /// plan is benchmarked (and mutation-tested) against.
-    pub fn compile_unblocked(circuit: &Circuit) -> CircuitPlan {
-        let _span = telemetry::span(telemetry::Stage::PlanCompile);
-        Arc::new(PlanStructure::analyze_unblocked(circuit)).bind(circuit)
     }
 
     /// Rebinds this plan's cached structure to a circuit with **the same
@@ -607,41 +373,6 @@ impl CircuitPlan {
     /// The number of gates in the source circuit.
     pub fn source_gate_count(&self) -> usize {
         self.structure.source_gates
-    }
-
-    /// The number of entangler blocks the coalescing pass formed — zero
-    /// for [`CircuitPlan::compile_unfused`] / [`compile_unblocked`]
-    /// plans.
-    ///
-    /// [`compile_unblocked`]: CircuitPlan::compile_unblocked
-    pub fn block_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, PlanOp::Block4 { .. }))
-            .count()
-    }
-
-    /// Returns a copy of this plan with every block matrix transposed —
-    /// a deliberately wrong plan the block-path tests use to prove their
-    /// assertions are non-vacuous. Not part of the public API surface.
-    #[doc(hidden)]
-    pub fn transpose_blocks_for_tests(&self) -> CircuitPlan {
-        let ops = self
-            .ops
-            .iter()
-            .map(|op| match *op {
-                PlanOp::Block4 { lo, hi, ref m } => PlanOp::Block4 {
-                    lo,
-                    hi,
-                    m: transpose4(m),
-                },
-                op => op,
-            })
-            .collect();
-        CircuitPlan {
-            structure: Arc::clone(&self.structure),
-            ops,
-        }
     }
 
     /// The lowered ops, for the execution kernels.
@@ -780,31 +511,26 @@ mod tests {
         let mut c = Circuit::new(2);
         c.ry(0, 0.1).cx(1, 0).ry(0, 0.2);
         // Ry | CX | Ry — the target-side run cannot cross CX, so the
-        // unblocked plan keeps three sweeps; the block pass then fuses
-        // the whole sandwich into one 4×4.
-        assert_eq!(CircuitPlan::compile_unblocked(&c).op_count(), 3);
-        let plan = CircuitPlan::compile(&c);
-        assert_eq!((plan.op_count(), plan.block_count()), (1, 1));
+        // plan keeps three sweeps.
+        assert_eq!(CircuitPlan::compile(&c).op_count(), 3);
     }
 
     #[test]
     fn diagonal_run_folds_through_cz() {
         let mut c = Circuit::new(2);
         c.rz(0, 0.4).cz(0, 1).ry(0, 0.9);
-        let plan = CircuitPlan::compile_unblocked(&c);
+        let plan = CircuitPlan::compile(&c);
         // CZ first, then the fused Rz·Ry run.
         assert_eq!(plan.op_count(), 2);
         assert!(matches!(plan.ops()[0], PlanOp::Cz { lo: 0, hi: 1 }));
         assert!(matches!(plan.ops()[1], PlanOp::OneQ { q: 0, .. }));
-        // Blocked: the CZ and the folded run make one 4×4 sweep.
-        assert_eq!(CircuitPlan::compile(&c).op_count(), 1);
     }
 
     #[test]
     fn diagonal_run_folds_through_cx_control_but_not_target() {
         let mut c = Circuit::new(2);
         c.rz(0, 0.4).rz(1, 0.5).cx(0, 1).ry(0, 0.9).ry(1, 1.0);
-        let plan = CircuitPlan::compile_unblocked(&c);
+        let plan = CircuitPlan::compile(&c);
         // Control-side Rz folds through and fuses with its Ry; the
         // target-side Rz must flush before CX.
         assert_eq!(plan.op_count(), 4);
@@ -816,25 +542,20 @@ mod tests {
                 target: 1
             }
         ));
-        // All four sweeps live on the (0,1) pair: one block.
-        let blocked = CircuitPlan::compile(&c);
-        assert_eq!((blocked.op_count(), blocked.block_count()), (1, 1));
     }
 
     #[test]
     fn non_diagonal_run_flushes_at_cz() {
         let mut c = Circuit::new(2);
         c.ry(0, 0.4).cz(0, 1).ry(0, 0.9);
-        assert_eq!(CircuitPlan::compile_unblocked(&c).op_count(), 3);
-        assert_eq!(CircuitPlan::compile(&c).op_count(), 1);
+        assert_eq!(CircuitPlan::compile(&c).op_count(), 3);
     }
 
     #[test]
     fn swap_flushes_both_runs() {
         let mut c = Circuit::new(2);
         c.rz(0, 0.4).rz(1, 0.5).swap(0, 1);
-        assert_eq!(CircuitPlan::compile_unblocked(&c).op_count(), 3);
-        assert_eq!(CircuitPlan::compile(&c).op_count(), 1);
+        assert_eq!(CircuitPlan::compile(&c).op_count(), 3);
     }
 
     #[test]
@@ -856,26 +577,13 @@ mod tests {
                 }
             }
         }
-        let unblocked = CircuitPlan::compile_unblocked(&c);
+        let plan = CircuitPlan::compile(&c);
         let stats = c.stats();
         assert_eq!(stats.gate_count, 2 * 2 * n + (n - 1));
         // Each per-qubit Ry·Rz pair fuses into one sweep (the mixed run is
         // non-diagonal, so nothing folds through the CX entangler here).
-        assert_eq!(unblocked.op_count(), 2 * n + (n - 1));
-        assert_eq!(unblocked.op_count(), stats.fused_ops());
-        // The block pass then absorbs every entangler's sandwich: the
-        // linear chain lowers to n−1 blocks plus the two runs (qubits 0
-        // and 1) that no second-layer entangler touches.
-        let blocked = CircuitPlan::compile(&c);
-        assert_eq!(blocked.block_count(), n - 1);
-        assert_eq!(blocked.op_count(), (n - 1) + 2);
-        // The stats mirror sees only lone entanglers here (a linear chain
-        // never repeats a pair), so `blocked_ops` degenerates to
-        // `fused_ops` — the documented drift: absorbed rotation
-        // sandwiches save sweeps the pair count cannot anticipate.
-        assert_eq!(stats.fusible_pairs, 0);
-        assert_eq!(stats.blocked_ops(), stats.fused_ops());
-        assert!(blocked.op_count() < stats.blocked_ops());
+        assert_eq!(plan.op_count(), 2 * n + (n - 1));
+        assert_eq!(plan.op_count(), stats.fused_ops());
     }
 
     #[test]
@@ -893,15 +601,11 @@ mod tests {
         for q in 0..n {
             c.ry(q, 0.2 + q as f64);
         }
-        let plan = CircuitPlan::compile_unblocked(&c);
+        let plan = CircuitPlan::compile(&c);
         // n fused Rz·Ry sweeps + (n-1) CZs, against 2n + (n-1) unfused
         // and stats' fold-blind estimate of 2n + (n-1) as well.
         assert_eq!(plan.op_count(), n + (n - 1));
         assert!(plan.op_count() < c.stats().fused_ops());
-        // Blocked: CZ(1,2) absorbs the runs on 1 and 2; CZ(0,1) stays a
-        // lone entangler and qubit 0's run stays a 2×2 sweep.
-        let blocked = CircuitPlan::compile(&c);
-        assert_eq!((blocked.op_count(), blocked.block_count()), (3, 1));
     }
 
     #[test]
@@ -944,21 +648,14 @@ mod tests {
         let rebound = plan.rebind(&make(-1.1, 0.2));
         let fresh = CircuitPlan::compile(&make(-1.1, 0.2));
         assert_eq!(rebound.op_count(), fresh.op_count());
-        assert!(fresh.block_count() > 0, "the sandwich must block");
-        let mut blocks = 0;
+        let mut runs = 0;
         for (r, f) in rebound.ops().iter().zip(fresh.ops()) {
-            match (r, f) {
-                (PlanOp::OneQ { m: mr, .. }, PlanOp::OneQ { m: mf, .. }) => {
-                    assert_eq!(mr, mf, "rebound matrices must be bit-identical");
-                }
-                (PlanOp::Block4 { m: mr, .. }, PlanOp::Block4 { m: mf, .. }) => {
-                    blocks += 1;
-                    assert_eq!(mr, mf, "rebound block matrices must be bit-identical");
-                }
-                _ => {}
+            if let (PlanOp::OneQ { m: mr, .. }, PlanOp::OneQ { m: mf, .. }) = (r, f) {
+                runs += 1;
+                assert_eq!(mr, mf, "rebound matrices must be bit-identical");
             }
         }
-        assert_eq!(blocks, fresh.block_count());
+        assert_eq!(runs, 3, "fused Ry·Rz plus the two lone Ry runs");
     }
 
     #[test]
@@ -1013,69 +710,7 @@ mod tests {
         cache.plan(&make(false));
         let plan = cache.plan(&make(true));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // The Ry run and the CZ block together.
-        assert_eq!(plan.op_count(), 1);
-    }
-
-    #[test]
-    fn lone_entanglers_never_block() {
-        // A bare CX chain has no sandwiches: a dense 4×4 per gate would
-        // only slow it down, so the pass leaves every op sparse.
-        let mut c = Circuit::new(4);
-        c.cx(0, 1).cx(1, 2).cx(2, 3);
-        let plan = CircuitPlan::compile(&c);
-        assert_eq!((plan.op_count(), plan.block_count()), (3, 0));
-    }
-
-    #[test]
-    fn adjacent_two_qubit_ops_on_one_pair_collapse() {
-        let mut c = Circuit::new(2);
-        c.cx(0, 1).cz(0, 1).cx(1, 0).swap(0, 1);
-        let plan = CircuitPlan::compile(&c);
-        assert_eq!((plan.op_count(), plan.block_count()), (1, 1));
-        let PlanOp::Block4 { lo: 0, hi: 1, m } = plan.ops()[0] else {
-            panic!("expected one block");
-        };
-        // CX·CZ·CX_rev·SWAP is a ±1 permutation-with-phase matrix: every
-        // row holds exactly one unit entry.
-        for row in &m {
-            let ones = row.iter().filter(|e| e.abs() > 0.5).count();
-            assert_eq!(ones, 1);
-        }
-    }
-
-    #[test]
-    fn block_pass_is_an_exact_reordering() {
-        // Deferred runs and blocks only move past disjoint-support slots,
-        // so blocked and unblocked plans agree to rounding (1e-12), and
-        // the transposed-blocks mutant visibly does not.
-        let mut c = Circuit::new(3);
-        c.ry(0, 0.3)
-            .ry(2, -0.8)
-            .cz(1, 2)
-            .rz(2, 0.5)
-            .cx(0, 1)
-            .ry(1, 1.1)
-            .swap(1, 2);
-        let blocked = CircuitPlan::compile(&c);
-        assert!(blocked.block_count() > 0);
-        let run = |plan: &CircuitPlan| {
-            let mut st = crate::Statevector::zero(3);
-            st.apply_plan(plan);
-            st
-        };
-        let a = run(&blocked);
-        let b = run(&CircuitPlan::compile_unblocked(&c));
-        for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
-            assert!((*x - *y).abs() < 1e-12);
-        }
-        let mutant = run(&blocked.transpose_blocks_for_tests());
-        let drift: f64 = mutant
-            .amplitudes()
-            .iter()
-            .zip(b.amplitudes())
-            .map(|(x, y)| (*x - *y).abs())
-            .fold(0.0, f64::max);
-        assert!(drift > 1e-6, "transposed blocks must be detectable");
+        // The Ry run and the CZ.
+        assert_eq!(plan.op_count(), 2);
     }
 }

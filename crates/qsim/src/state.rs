@@ -249,9 +249,6 @@ impl Statevector {
             }
             PlanOp::Cz { lo, hi } => exec::apply_cz_local(&mut self.amps, lo, hi),
             PlanOp::Swap { lo, hi } => exec::apply_swap_local(&mut self.amps, lo, hi),
-            PlanOp::Block4 { lo, hi, ref m } => {
-                exec::apply_block4_local(&mut self.amps, lo, hi, m);
-            }
         }
     }
 

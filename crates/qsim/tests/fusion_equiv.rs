@@ -8,11 +8,11 @@
 //! 2. **Rebind ≡ fresh compile, bitwise.** A cached structure rebound
 //!    with new rotation angles multiplies exactly the matrices a fresh
 //!    compile would, so the resulting states are bit-identical.
-//! 3. **Entangler blocks preserve the state.** Ansatz-shaped circuits
-//!    (rotation sandwiches around full / linear / circular entangler
-//!    maps) always lower to at least one `Block4`, the blocked plan
-//!    matches gate-by-gate execution to 1e-12, and rebinding a cached
-//!    blocked structure reproduces a fresh compile bit for bit.
+//! 3. **The paper's ansatz shape holds both.** EfficientSU2-shaped
+//!    circuits (rotation sandwiches around full / linear / circular
+//!    entangler maps, 2–12 qubits) compile to a plan that matches
+//!    gate-by-gate execution to 1e-12, and rebinding a cached ansatz
+//!    structure reproduces a fresh compile bit for bit.
 
 use proptest::prelude::*;
 use qsim::{Circuit, CircuitPlan, PlanCache, Statevector};
@@ -88,9 +88,8 @@ fn entangler_pairs(n: usize, map: u8) -> Vec<(usize, usize)> {
 
 /// An EfficientSU2-shaped circuit: `reps` repetitions of per-qubit Ry·Rz
 /// sandwiches followed by a CX entangler layer, plus a final rotation
-/// layer, with angles drawn from a seeded stream. The shape block fusion
-/// is built for: every entangler layer opens pair blocks that absorb the
-/// sandwiches around them.
+/// layer, with angles drawn from a seeded stream — the shape every VQE
+/// evaluation of the paper executes.
 fn su2_ansatz(n: usize, reps: usize, map: u8, seed: u64) -> Circuit {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c = Circuit::new(n);
@@ -164,11 +163,10 @@ proptest! {
         prop_assert_eq!(a.amplitudes(), b.amplitudes());
     }
 
-    /// Ansatz-shaped circuits always lower to entangler blocks, and the
-    /// blocked plan prepares the gate-by-gate state to 1e-12 for every
-    /// entanglement map.
+    /// Ansatz-shaped circuits compile to a plan that prepares the
+    /// gate-by-gate state to 1e-12 for every entanglement map.
     #[test]
-    fn ansatz_blocks_match_unfused_to_1e12(
+    fn ansatz_fused_matches_unfused_to_1e12(
         n in 2usize..=12,
         reps in 1usize..=3,
         map in 0u8..3,
@@ -176,16 +174,11 @@ proptest! {
     ) {
         let circuit = su2_ansatz(n, reps, map, seed);
         let plan = CircuitPlan::compile(&circuit);
-        prop_assert!(
-            plan.block_count() > 0,
-            "no blocks: {} qubits, {} reps, map {}, seed {}",
-            n, reps, map, seed
-        );
-        let mut blocked = Statevector::zero(n);
-        blocked.apply_plan(&plan);
+        let mut fused = Statevector::zero(n);
+        fused.apply_plan(&plan);
         let mut unfused = Statevector::zero(n);
         unfused.apply_circuit_unfused(&circuit);
-        for (i, (a, b)) in blocked
+        for (i, (a, b)) in fused
             .amplitudes()
             .iter()
             .zip(unfused.amplitudes())
@@ -199,11 +192,10 @@ proptest! {
         }
     }
 
-    /// A cached ansatz structure rebound with fresh angles rebinds its
-    /// block matrices too: bit-identical to a fresh compile of the
-    /// reangled circuit.
+    /// A cached ansatz structure rebound with fresh angles is
+    /// bit-identical to a fresh compile of the reangled circuit.
     #[test]
-    fn block4_rebind_matches_fresh_compile(
+    fn ansatz_rebind_matches_fresh_compile(
         n in 2usize..=10,
         map in 0u8..3,
         seed in 0u64..100_000,
@@ -213,9 +205,8 @@ proptest! {
 
         let mut cache = PlanCache::new();
         cache.plan(&first);
-        let rebound = cache.plan(&second); // structure hit, blocks rebound
+        let rebound = cache.plan(&second); // structure hit, runs rebound
         prop_assert_eq!(cache.hits(), 1);
-        prop_assert!(rebound.block_count() > 0);
 
         let fresh = CircuitPlan::compile(&second);
         let mut a = Statevector::zero(n);

@@ -21,9 +21,9 @@
 //!   from whatever other threads record concurrently.
 //!
 //! Even when compiled in, recording honors a runtime switch seeded from
-//! the `VARSAW_TELEMETRY` environment knob (read once through
-//! `parallel::config`) and adjustable with [`set_active`] — an
-//! instrumented build can still run cold.
+//! the `VARSAW_TELEMETRY` environment knob (read once per process) and
+//! adjustable with [`set_active`] — an instrumented build can still run
+//! cold.
 //!
 //! Spans at the chosen call sites are **disjoint by construction** (noise
 //! spans sit outside the sweep spans, and the marginal and energy spans
@@ -47,6 +47,9 @@
 //!     assert!(recorder.snapshot().is_empty());
 //! }
 //! ```
+
+#[cfg(any(feature = "enabled", test))]
+mod config;
 
 use std::fmt;
 
@@ -292,7 +295,7 @@ mod imp {
 
     fn active_flag() -> &'static AtomicBool {
         static ACTIVE: OnceLock<AtomicBool> = OnceLock::new();
-        ACTIVE.get_or_init(|| AtomicBool::new(parallel::telemetry_default()))
+        ACTIVE.get_or_init(|| AtomicBool::new(crate::config::recording_default()))
     }
 
     thread_local! {

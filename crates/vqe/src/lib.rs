@@ -1,7 +1,7 @@
 //! The VQA substrate of the VarSaw reproduction.
 //!
-//! Stands in for the Qiskit VQE framework plus the SPSA/ImFil tuners the
-//! paper drives it with (Sections 2.4, 5.1–5.2). Provides:
+//! Stands in for the Qiskit VQE framework plus the SPSA tuner the paper
+//! drives it with (Sections 2.4, 5.1–5.2). Provides:
 //!
 //! - [`EfficientSu2`] / [`Entanglement`]: the hardware-efficient ansatz
 //!   (full/linear/circular/asymmetric entanglement, depth `p`),
@@ -14,7 +14,7 @@
 //!   plane,
 //! - [`GroupedHamiltonian`]: the baseline's commutation-grouped
 //!   measurement circuits and energy estimation,
-//! - [`Spsa`] / [`ImFil`]: the classical optimizers,
+//! - [`Spsa`]: the classical optimizer, behind the [`Optimizer`] trait,
 //! - [`run_vqe`] / [`BaselineEvaluator`]: the tuning loop and the
 //!   unmitigated baseline of the paper's comparisons.
 //!
@@ -48,5 +48,5 @@ pub use ansatz::{EfficientSu2, Entanglement};
 pub use basis::basis_rotation;
 pub use energy::GroupedHamiltonian;
 pub use executor::{BatchJob, SimExecutor};
-pub use optimizer::{BatchObjective, ImFil, NelderMead, Optimizer, Spsa, StepResult};
+pub use optimizer::{BatchObjective, Optimizer, Spsa, StepResult};
 pub use runner::{run_vqe, BaselineEvaluator, EnergyEvaluator, VqeConfig, VqeTrace};

@@ -1,11 +1,7 @@
 //! Classical optimizers (the paper's "tuners", Section 5.1).
 
-mod imfil;
-mod nelder_mead;
 mod spsa;
 
-pub use imfil::ImFil;
-pub use nelder_mead::NelderMead;
 pub use spsa::Spsa;
 
 /// The outcome of one optimizer iteration.
@@ -58,6 +54,6 @@ pub trait Optimizer {
         self.step(params, &mut |p| objective.evaluate(p))
     }
 
-    /// A short human-readable name ("spsa", "imfil").
+    /// A short human-readable name ("spsa").
     fn name(&self) -> &str;
 }
