@@ -34,6 +34,19 @@ pub const MAX_THREADS: usize = 64;
 /// [module docs](self)); unset or empty values fall back to
 /// [`std::thread::available_parallelism`]. The result is clamped to
 /// `1..=`[`MAX_THREADS`].
+///
+/// # Examples
+///
+/// ```
+/// use experiments::config::{num_threads, MAX_THREADS, NUM_THREADS_ENV};
+///
+/// // A value above the cap is clamped (with a warning on stderr)...
+/// std::env::set_var(NUM_THREADS_ENV, "100000");
+/// assert_eq!(num_threads(), MAX_THREADS);
+/// // ...and cached: the environment is not read again.
+/// std::env::set_var(NUM_THREADS_ENV, "2");
+/// assert_eq!(num_threads(), MAX_THREADS);
+/// ```
 pub fn num_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {

@@ -1,5 +1,13 @@
 //! Shared experiment harness: workload construction and trial running,
 //! fanned out over scoped threads by [`parallel_map`].
+//!
+//! # Example
+//!
+//! ```
+//! // Square every input on up to `num_threads()` workers, in input order.
+//! let squares = experiments::harness::parallel_map((0..1000u64).collect(), |&x| x * x);
+//! assert_eq!(squares.iter().sum::<u64>(), (0..1000u64).map(|x| x * x).sum());
+//! ```
 
 use crate::config::num_threads;
 use chem::{molecular_hamiltonian, MoleculeSpec};
