@@ -1,18 +1,16 @@
 //! Criterion benchmarks for the computational kernels every experiment
-//! leans on: state-vector simulation, batched dispatch, Pauli algebra,
-//! noise channels, Bayesian reconstruction, energy assembly, grouping and
-//! the Lanczos eigensolver.
+//! leans on: state-vector simulation, Pauli algebra, noise channels,
+//! Bayesian reconstruction, energy assembly, grouping and the Lanczos
+//! eigensolver.
 
-use chem::{molecular_hamiltonian, tfim_chain, MoleculeSpec};
+use chem::{molecular_hamiltonian, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mitigation::{reconstruct, Pmf, ReconstructionConfig, Reconstructor};
 use pauli::{group_by_cover, PauliString};
-use qnoise::{apply_readout_errors, DeviceModel, ReadoutError};
+use qnoise::{apply_readout_errors, ReadoutError};
 use qsim::{Circuit, Statevector};
 use rand::{rngs::StdRng, SeedableRng};
-use vqe::{
-    BaselineEvaluator, EfficientSu2, EnergyEvaluator, Entanglement, GroupedHamiltonian, SimExecutor,
-};
+use vqe::{EfficientSu2, Entanglement, GroupedHamiltonian};
 
 fn ansatz_circuit(n: usize) -> Circuit {
     let a = EfficientSu2::new(n, 2, Entanglement::Full);
@@ -32,57 +30,6 @@ fn bench_statevector(c: &mut Criterion) {
             })
         });
     }
-    g.finish();
-}
-
-fn bench_batched_dispatch(c: &mut Criterion) {
-    // Eight SPSA-style probe evaluations of a 12-qubit TFIM objective.
-    // The sequential side submits one circuit dispatch at a time
-    // (`prepare` + `run_prepared_all` per measurement group); the batched
-    // side is `BaselineEvaluator::evaluate_batch`, which plans the whole
-    // family up front (shared compiled plans, scratch reuse, direct
-    // full-register reads) and reproduces the sequential results seed for
-    // seed — the ratio is pure per-dispatch overhead amortization.
-    let mut g = c.benchmark_group("dispatch");
-    let n = 12;
-    let h = tfim_chain(n, 1.0, 0.7, false);
-    let ansatz = EfficientSu2::new(n, 2, Entanglement::Linear);
-    let probes: Vec<Vec<f64>> = (0..8).map(|i| ansatz.initial_parameters(i)).collect();
-    let probe_refs: Vec<&[f64]> = probes.iter().map(|p| p.as_slice()).collect();
-    let grouped = GroupedHamiltonian::new(&h);
-    let mut seq_exec = SimExecutor::new(DeviceModel::mumbai_like(), 1024, 7);
-    let mut eval = BaselineEvaluator::new(
-        &h,
-        ansatz.clone(),
-        SimExecutor::new(DeviceModel::mumbai_like(), 1024, 7),
-    );
-    println!(
-        "bench dispatch spsa_probes_12q: {} measurement groups x 8 probes",
-        grouped.num_groups()
-    );
-    // Warm both plan caches so each side pays rebinds only.
-    eval.evaluate(&probes[0]);
-    let warm = seq_exec.prepare(&ansatz.circuit(&probes[0]));
-    grouped.measure(&mut seq_exec, &warm);
-
-    g.bench_function("spsa_probes_12q_8x_sequential", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for p in &probes {
-                let state = seq_exec.prepare(&ansatz.circuit(p));
-                let pmfs: Vec<Pmf> = grouped
-                    .groups()
-                    .iter()
-                    .map(|grp| seq_exec.run_prepared_all(&state, &grp.basis))
-                    .collect();
-                acc += grouped.energy_from_pmfs(&pmfs);
-            }
-            std::hint::black_box(acc)
-        })
-    });
-    g.bench_function("spsa_probes_12q_8x_batched", |b| {
-        b.iter(|| std::hint::black_box(eval.evaluate_batch(&probe_refs).iter().sum::<f64>()))
-    });
     g.finish();
 }
 
@@ -220,7 +167,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = kernels;
     config = config();
-    targets = bench_statevector, bench_batched_dispatch, bench_pauli_expectation, bench_energy,
+    targets = bench_statevector, bench_pauli_expectation, bench_energy,
         bench_grouping,
         bench_reconstruction, bench_noise_channel, bench_sampling, bench_lanczos
 }

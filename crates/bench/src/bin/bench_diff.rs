@@ -177,10 +177,7 @@ fn run_trend(opts: &Options) -> Result<u8, String> {
         current.extend(load(path)?);
     }
 
-    let history_text = match std::fs::read_to_string(history_path) {
-        Ok(text) => text,
-        Err(_) => String::new(),
-    };
+    let history_text = std::fs::read_to_string(history_path).unwrap_or_default();
     let no_history_yet = history_text.trim().is_empty();
     let history = match parse_history(&history_text) {
         Ok(runs) => runs,

@@ -10,21 +10,24 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--full" => opts.full = true,
-            "--out" => {
-                opts.out_dir = args.next().expect("--out needs a directory").into();
-            }
+            "--out" => match args.next() {
+                Some(dir) => opts.out_dir = dir.into(),
+                None => usage_error("--out needs a directory"),
+            },
             c if command.is_none() => command = Some(c.to_string()),
-            other => {
-                eprintln!("unexpected argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unexpected argument: {other}")),
         }
     }
     let Some(command) = command else {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        usage_error("missing experiment id");
     };
     run(&command, &opts);
+}
+
+/// Prints `msg` and the usage to stderr and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
 }
 
 const USAGE: &str = "usage: experiments <id> [--full] [--out DIR]
@@ -89,9 +92,6 @@ fn run(command: &str, opts: &Options) {
                 run(id, opts);
             }
         }
-        other => {
-            eprintln!("unknown experiment id: {other}\n{USAGE}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown experiment id: {other}")),
     }
 }

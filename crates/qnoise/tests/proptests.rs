@@ -74,9 +74,9 @@ proptest! {
         let swapped: Vec<f64> = (0..4).map(|x| dist[((x & 1) << 1) | (x >> 1)]).collect();
         let mut p2 = swapped;
         apply_readout_errors(&mut p2, &[b, a]);
-        for x in 0..4usize {
+        for (x, &px) in p1.iter().enumerate() {
             let sx = ((x & 1) << 1) | (x >> 1);
-            prop_assert!((p1[x] - p2[sx]).abs() < 1e-9);
+            prop_assert!((px - p2[sx]).abs() < 1e-9);
         }
     }
 

@@ -9,9 +9,9 @@ use crate::spatial::{DistinctCoverage, SpatialPlan};
 use crate::temporal::{GlobalScheduler, TemporalPolicy};
 use mitigation::{mbm_correct, sliding_windows, Pmf, ReconstructionConfig, Reconstructor};
 use pauli::{Hamiltonian, PauliString};
-use qsim::{Circuit, Statevector};
+use qsim::Statevector;
 use std::borrow::Borrow;
-use vqe::{BatchJob, EfficientSu2, EnergyEvaluator, GroupedHamiltonian, SimExecutor};
+use vqe::{EfficientSu2, EnergyEvaluator, GroupedHamiltonian, SimExecutor};
 
 /// The execute-and-mitigate plumbing shared by [`JigsawEvaluator`] and
 /// [`VarSawEvaluator`]: runs subset/Global circuits (optionally
@@ -49,13 +49,18 @@ impl MitigationPipeline {
         }
     }
 
-    /// Runs a whole measurement family (subset and Global circuits) as
-    /// one batched executor dispatch — exactly equivalent to running the
-    /// jobs one by one (see [`SimExecutor::run_batch`]), with MBM applied
-    /// to each result in order.
-    fn run_measurements(&mut self, jobs: &[BatchJob<'_>]) -> Vec<Pmf> {
-        let pmfs = self.executor.run_batch(jobs);
-        pmfs.into_iter().map(|pmf| self.correct(pmf)).collect()
+    /// Runs the Global circuit of `basis` on the prepared `state`,
+    /// reading the full register, with MBM applied when enabled.
+    fn run_global(&mut self, state: &Statevector, basis: &PauliString) -> Pmf {
+        let pmf = self.executor.run_prepared_all(state, basis);
+        self.correct(pmf)
+    }
+
+    /// Runs the subset circuit of `basis` on the prepared `state`,
+    /// reading only the basis support, with MBM applied when enabled.
+    fn run_subset(&mut self, state: &Statevector, basis: &PauliString) -> Pmf {
+        let pmf = self.executor.run_prepared(state, basis);
+        self.correct(pmf)
     }
 
     /// Bayesian reconstruction through the persistent engine, in place:
@@ -150,61 +155,27 @@ impl JigsawEvaluator {
     }
 }
 
-impl JigsawEvaluator {
-    /// One objective evaluation against an already-prepared ansatz
-    /// state: every group's Global and subset circuits dispatched as
-    /// **one** executor batch (in the same order sequential execution
-    /// would submit them, so sampling streams match run for run), then
-    /// per-group Bayesian reconstruction.
-    fn evaluate_prepared(&mut self, state: &Statevector) -> f64 {
-        let windows: Vec<Vec<PauliString>> = self
+impl EnergyEvaluator for JigsawEvaluator {
+    /// Prepares the ansatz state, then per group runs the Global and its
+    /// subset circuits and reconstructs the group's Output-PMF.
+    fn evaluate(&mut self, params: &[f64]) -> f64 {
+        let pipeline = &mut self.pipeline;
+        let state = pipeline.executor.prepare(&self.ansatz.circuit(params));
+        let pmfs: Vec<Pmf> = self
             .grouped
             .groups()
             .iter()
-            .map(|g| sliding_windows(&g.basis, self.window))
-            .collect();
-        let mut jobs: Vec<BatchJob<'_>> = Vec::new();
-        for (g, wins) in self.grouped.groups().iter().zip(&windows) {
-            jobs.push(BatchJob::global(state, &g.basis));
-            for w in wins {
-                jobs.push(BatchJob::subset(state, w));
-            }
-        }
-        let pipeline = &mut self.pipeline;
-        let mut results = pipeline.run_measurements(&jobs).into_iter();
-        let pmfs: Vec<Pmf> = windows
-            .iter()
-            .map(|wins| {
-                let mut output = results.next().expect("one Global per group");
-                let locals: Vec<Pmf> = wins
+            .map(|g| {
+                let mut output = pipeline.run_global(&state, &g.basis);
+                let locals: Vec<Pmf> = sliding_windows(&g.basis, self.window)
                     .iter()
-                    .map(|_| results.next().expect("one PMF per subset"))
+                    .map(|w| pipeline.run_subset(&state, w))
                     .collect();
                 pipeline.reconstruct(&mut output, &locals);
                 output
             })
             .collect();
         self.grouped.energy_from_pmfs(&pmfs)
-    }
-}
-
-impl EnergyEvaluator for JigsawEvaluator {
-    fn evaluate(&mut self, params: &[f64]) -> f64 {
-        let state = self.pipeline.executor.prepare(&self.ansatz.circuit(params));
-        self.evaluate_prepared(&state)
-    }
-
-    /// A probe family as one batch: ansatz states prepared together
-    /// against one cached plan ([`SimExecutor::prepare_batch`]), then
-    /// each probe's measurement family dispatched batched, in probe
-    /// order — exactly the sequential results, seed for seed.
-    fn evaluate_batch(&mut self, param_sets: &[&[f64]]) -> Vec<f64> {
-        let circuits: Vec<Circuit> = param_sets.iter().map(|p| self.ansatz.circuit(p)).collect();
-        let states = self.pipeline.executor.prepare_batch(&circuits);
-        states
-            .iter()
-            .map(|state| self.evaluate_prepared(state))
-            .collect()
     }
 
     fn circuits_executed(&self) -> u64 {
@@ -325,23 +296,20 @@ impl VarSawEvaluator {
     }
 }
 
-impl VarSawEvaluator {
-    /// One objective evaluation against an already-prepared ansatz state
-    /// (steps 1–3 of the type-level docs). The reduced subset family —
-    /// and, on Global iterations, the Global family — each go through
-    /// one batched executor dispatch in the order sequential execution
-    /// would submit them.
-    fn evaluate_prepared(&mut self, state: &Statevector) -> f64 {
+impl EnergyEvaluator for VarSawEvaluator {
+    /// Prepares the ansatz state, then runs steps 1–3 of the type-level
+    /// docs.
+    fn evaluate(&mut self, params: &[f64]) -> f64 {
         let pipeline = &mut self.pipeline;
+        let state = pipeline.executor.prepare(&self.ansatz.circuit(params));
 
-        // 1. Measurement Subsets: the reduced groups, one batch.
-        let subset_jobs: Vec<BatchJob<'_>> = self
+        // 1. Measurement Subsets: the reduced groups.
+        let subset_pmfs: Vec<Pmf> = self
             .plan
             .subset_groups()
             .iter()
-            .map(|g| BatchJob::subset(state, &g.basis))
+            .map(|g| pipeline.run_subset(&state, &g.basis))
             .collect();
-        let subset_pmfs: Vec<Pmf> = pipeline.run_measurements(&subset_jobs);
 
         // The Local-PMFs, marginalized out of the groups: each distinct
         // (group, window support) marginal once, shared by every basis
@@ -369,16 +337,12 @@ impl VarSawEvaluator {
             priors
         });
         let fresh: Option<Vec<Pmf>> = run_global.then(|| {
-            // The fresh Globals as one batch (reconstruction consumes no
-            // randomness, so batching them ahead of the per-group
-            // reconstructions leaves the sampling streams unchanged).
-            let global_jobs: Vec<BatchJob<'_>> = self
+            let mut globals: Vec<Pmf> = self
                 .grouped
                 .groups()
                 .iter()
-                .map(|g| BatchJob::global(state, &g.basis))
+                .map(|g| pipeline.run_global(&state, &g.basis))
                 .collect();
-            let mut globals = pipeline.run_measurements(&global_jobs);
             pipeline.reconstruct_covered(&mut globals, &coverage.windows, &marginals);
             globals
         });
@@ -401,26 +365,6 @@ impl VarSawEvaluator {
         self.priors = Some(outputs);
         self.scheduler.advance(run_global);
         energy
-    }
-}
-
-impl EnergyEvaluator for VarSawEvaluator {
-    fn evaluate(&mut self, params: &[f64]) -> f64 {
-        let state = self.pipeline.executor.prepare(&self.ansatz.circuit(params));
-        self.evaluate_prepared(&state)
-    }
-
-    /// A probe family with batched state preparation. The prior-chaining
-    /// and Global-scheduling state advance per probe, in order — exactly
-    /// as sequential evaluation would (preparation consumes no
-    /// randomness), so traces and scheduler decisions are unchanged.
-    fn evaluate_batch(&mut self, param_sets: &[&[f64]]) -> Vec<f64> {
-        let circuits: Vec<Circuit> = param_sets.iter().map(|p| self.ansatz.circuit(p)).collect();
-        let states = self.pipeline.executor.prepare_batch(&circuits);
-        states
-            .iter()
-            .map(|state| self.evaluate_prepared(state))
-            .collect()
     }
 
     fn circuits_executed(&self) -> u64 {
@@ -616,6 +560,60 @@ mod tests {
         assert_eq!(vs.scheduler().evaluations(), 12);
         let frac = vs.scheduler().global_fraction();
         assert!(frac < 1.0 && frac > 0.0, "fraction {frac}");
+    }
+
+    /// The contract every [`EnergyEvaluator::evaluate_batch`] caller
+    /// relies on: a probe family gives bit-for-bit the energies, circuit
+    /// count and RNG advancement of evaluating the probes one by one.
+    #[test]
+    fn evaluate_batch_matches_sequential_evaluates() {
+        fn check<E: EnergyEvaluator + Clone>(label: &str, eval: E, probes: &[Vec<f64>; 3]) {
+            let [a, b, next] = probes;
+            let mut batched = eval.clone();
+            let mut sequential = eval;
+            for round in 0..3 {
+                let got = batched.evaluate_batch(&[a, b]);
+                let want = [sequential.evaluate(a), sequential.evaluate(b)];
+                let bits = |e: &[f64]| e.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{label} round {round}");
+                assert_eq!(
+                    batched.circuits_executed(),
+                    sequential.circuits_executed(),
+                    "{label} round {round}"
+                );
+            }
+            assert_eq!(
+                batched.evaluate(next).to_bits(),
+                sequential.evaluate(next).to_bits(),
+                "{label}: RNG streams diverged"
+            );
+        }
+
+        let h = toy_hamiltonian();
+        let probes = [
+            ansatz().initial_parameters(11),
+            ansatz().initial_parameters(12),
+            ansatz().initial_parameters(13),
+        ];
+        let exec = || SimExecutor::new(DeviceModel::mumbai_like(), 256, 17);
+        check(
+            "baseline",
+            BaselineEvaluator::new(&h, ansatz(), exec()),
+            &probes,
+        );
+        check(
+            "jigsaw",
+            JigsawEvaluator::new(&h, ansatz(), 2, exec()),
+            &probes,
+        );
+        let adaptive = TemporalPolicy::Adaptive {
+            initial_interval: 2,
+        };
+        check(
+            "varsaw",
+            VarSawEvaluator::new(&h, ansatz(), 2, adaptive, exec()),
+            &probes,
+        );
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Hamiltonian energy estimation from grouped measurements.
 
-use crate::executor::SimExecutor;
 use mitigation::Pmf;
 use pauli::{expectations_from_probs, group_by_cover, Hamiltonian, MeasurementGroup, PauliTerm};
-use qsim::Statevector;
 
 /// A Hamiltonian partitioned into cover-based measurement groups — the
 /// baseline circuit set the paper's "Traditional VQA" executes every
@@ -103,25 +101,13 @@ impl GroupedHamiltonian {
         }
         energy
     }
-
-    /// Runs every group circuit on the executor against a prepared ansatz
-    /// state — measuring the full register, as Qiskit-style VQE does — and
-    /// returns the measured energy (the baseline VQA objective).
-    pub fn measure(&self, executor: &mut SimExecutor, state: &Statevector) -> f64 {
-        let pmfs: Vec<Pmf> = self
-            .groups
-            .iter()
-            .map(|g| executor.run_prepared_all(state, &g.basis))
-            .collect();
-        self.energy_from_pmfs(&pmfs)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BaselineEvaluator, EfficientSu2, EnergyEvaluator, Entanglement, SimExecutor};
     use qnoise::DeviceModel;
-    use qsim::Circuit;
 
     fn tfim() -> Hamiltonian {
         Hamiltonian::from_pairs(2, &[(0.5, "II"), (-1.0, "ZZ"), (-0.5, "XI"), (-0.5, "IX")])
@@ -140,25 +126,26 @@ mod tests {
     #[test]
     fn noiseless_measurement_matches_exact_expectation() {
         let h = tfim();
-        let grouped = GroupedHamiltonian::new(&h);
-        let mut exec = SimExecutor::exact(DeviceModel::noiseless(2), 1);
-        let mut st = Statevector::zero(2);
-        let mut c = Circuit::new(2);
-        c.ry(0, 0.8).cx(0, 1).rz(1, 0.3);
-        st.apply_circuit(&c);
-        let measured = grouped.measure(&mut exec, &st);
+        let ansatz = EfficientSu2::new(2, 1, Entanglement::Full);
+        let params = ansatz.initial_parameters(4);
+        let exec = SimExecutor::exact(DeviceModel::noiseless(2), 1);
+        let mut baseline = BaselineEvaluator::new(&h, ansatz, exec);
+        let measured = baseline.evaluate(&params);
+        let st = baseline.prepare(&params);
         assert!((measured - h.expectation(&st)).abs() < 1e-10);
-        assert_eq!(exec.circuits_executed(), grouped.num_groups() as u64);
+        let groups = baseline.grouped().num_groups() as u64;
+        assert_eq!(baseline.circuits_executed(), groups);
     }
 
     #[test]
     fn noisy_measurement_is_biased() {
-        // On |00⟩, Z-expectations shrink under symmetric readout noise.
+        // Zero angles prepare |00⟩, where Z-expectations shrink under
+        // symmetric readout noise.
         let h = Hamiltonian::from_pairs(2, &[(1.0, "ZZ")]);
-        let grouped = GroupedHamiltonian::new(&h);
-        let mut exec = SimExecutor::exact(DeviceModel::uniform(2, 0.1), 1);
-        let st = Statevector::zero(2);
-        let e = grouped.measure(&mut exec, &st);
+        let ansatz = EfficientSu2::new(2, 1, Entanglement::Full);
+        let params = vec![0.0; ansatz.num_parameters()];
+        let exec = SimExecutor::exact(DeviceModel::uniform(2, 0.1), 1);
+        let e = BaselineEvaluator::new(&h, ansatz, exec).evaluate(&params);
         // <ZZ> = (1-2p)² = 0.64 under 10% symmetric flips on both qubits.
         assert!((e - 0.64).abs() < 1e-10, "{e}");
     }

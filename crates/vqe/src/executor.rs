@@ -4,7 +4,7 @@ use crate::basis::basis_rotation;
 use mitigation::Pmf;
 use pauli::PauliString;
 use qnoise::{apply_depolarizing, apply_readout_errors, DeviceModel, ReadoutError};
-use qsim::{CapacityError, Circuit, CircuitPlan, PlanCache, Statevector};
+use qsim::{CapacityError, Circuit, PlanCache, Statevector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -58,6 +58,10 @@ pub struct SimExecutor {
     /// under `m`-way crosstalk, and stays empty until then. The device
     /// never changes after construction, so each width is computed once.
     readout_by_width: Vec<Vec<ReadoutError>>,
+    /// The plane a rotated measurement copies its prepared state into,
+    /// kept across measurements and reallocated only when the register
+    /// width changes.
+    scratch: Option<Statevector>,
 }
 
 impl SimExecutor {
@@ -76,6 +80,7 @@ impl SimExecutor {
             exact: false,
             plans: PlanCache::new(),
             readout_by_width: Vec::new(),
+            scratch: None,
         }
     }
 
@@ -91,6 +96,7 @@ impl SimExecutor {
             exact: true,
             plans: PlanCache::new(),
             readout_by_width: Vec::new(),
+            scratch: None,
         }
     }
 
@@ -138,44 +144,6 @@ impl SimExecutor {
         Ok(st)
     }
 
-    /// Prepares one state per circuit against the shared [`PlanCache`] —
-    /// the batched twin of [`SimExecutor::prepare`], and the front half
-    /// of a [`SimExecutor::run_batch`] dispatch. Circuits sharing one
-    /// structure (an SPSA ± probe pair, multi-start restarts, a subset
-    /// family) compile once and rebind per entry.
-    ///
-    /// Results are **identical** to calling `prepare` once per circuit,
-    /// in order — preparation consumes no randomness.
-    ///
-    /// ```
-    /// use qnoise::DeviceModel;
-    /// use qsim::Circuit;
-    /// use vqe::SimExecutor;
-    ///
-    /// let mut exec = SimExecutor::new(DeviceModel::noiseless(2), 16, 1);
-    /// let mut a = Circuit::new(2);
-    /// a.ry(0, 0.3).cx(0, 1);
-    /// let mut b = Circuit::new(2);
-    /// b.ry(0, -1.1).cx(0, 1); // same structure: plan-cache hit
-    /// let states = exec.prepare_batch(&[a, b]);
-    /// assert_eq!(states.len(), 2);
-    /// assert_eq!(exec.plan_cache_stats().2, 1); // one compile, one rebind
-    /// ```
-    pub fn prepare_batch(&mut self, circuits: &[Circuit]) -> Vec<Statevector> {
-        self.try_prepare_batch(circuits)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`SimExecutor::prepare_batch`], surfacing state-allocation failures
-    /// as a typed [`CapacityError`] (the first one encountered, in circuit
-    /// order) instead of panicking.
-    pub fn try_prepare_batch(
-        &mut self,
-        circuits: &[Circuit],
-    ) -> Result<Vec<Statevector>, CapacityError> {
-        circuits.iter().map(|c| self.try_prepare(c)).collect()
-    }
-
     /// Plan-cache statistics `(structures, hits, misses)` — how often
     /// simulations rebound a cached circuit structure instead of
     /// re-analyzing it.
@@ -196,11 +164,6 @@ impl SimExecutor {
     /// The number of circuits submitted so far.
     pub fn circuits_executed(&self) -> u64 {
         self.circuits_executed
-    }
-
-    /// Resets the circuit counter (e.g. between budgeted runs).
-    pub fn reset_circuits_executed(&mut self) {
-        self.circuits_executed = 0;
     }
 
     /// The calibrated (isolated, crosstalk-free) readout errors of the
@@ -234,13 +197,7 @@ impl SimExecutor {
             !measured.is_empty(),
             "cannot execute a measurement of the identity basis"
         );
-        let mut st = {
-            let _span = telemetry::span(telemetry::Stage::SweepSerial);
-            state.clone()
-        };
-        let plan = self.plans.plan(&basis_rotation(basis));
-        st.apply_plan(&plan);
-        self.finish(st.marginal_probabilities(&measured), measured)
+        self.measure(state, basis, measured)
     }
 
     /// Runs a measurement of `basis` on an already-prepared state,
@@ -256,137 +213,53 @@ impl SimExecutor {
     /// Panics if the basis acts on more qubits than the state or the device
     /// is too small.
     pub fn run_prepared_all(&mut self, state: &Statevector, basis: &PauliString) -> Pmf {
-        let mut st = {
-            let _span = telemetry::span(telemetry::Stage::SweepSerial);
-            state.clone()
-        };
+        self.measure(state, basis, (0..state.num_qubits()).collect())
+    }
+
+    /// The one measurement path behind [`SimExecutor::run_prepared`] and
+    /// [`SimExecutor::run_prepared_all`]: rotates `state` into `basis`,
+    /// reads the `measured` qubits (ascending) and runs noise and
+    /// sampling. Bit-identical to clone + rotate + marginal + noise; three
+    /// fast paths only skip work:
+    ///
+    /// - a basis with no rotation is read from `state` in place;
+    /// - any other basis copies `state` into the reused scratch plane;
+    /// - a full-register read is the direct probability pass, without the
+    ///   marginal bit-gather.
+    fn measure(&mut self, state: &Statevector, basis: &PauliString, measured: Vec<usize>) -> Pmf {
+        // The in-place read applies no plan, so nothing else would catch
+        // a rotation-free basis wider than the state.
+        assert!(
+            basis.num_qubits() <= state.num_qubits(),
+            "basis acts on {} qubits but state has {}",
+            basis.num_qubits(),
+            state.num_qubits()
+        );
         let plan = self.plans.plan(&basis_rotation(basis));
-        st.apply_plan(&plan);
-        let measured: Vec<usize> = (0..state.num_qubits()).collect();
-        self.finish(st.marginal_probabilities(&measured), measured)
-    }
-
-    /// Runs an explicit circuit from `|0…0⟩` (prepared like
-    /// [`SimExecutor::prepare`]) and measures `measured` in the
-    /// computational basis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `measured` is empty or out of range.
-    pub fn run_circuit(&mut self, circuit: &Circuit, measured: &[usize]) -> Pmf {
-        assert!(!measured.is_empty(), "no qubits to measure");
-        let st = self.prepare(circuit);
-        self.finish(st.marginal_probabilities(measured), measured.to_vec())
-    }
-
-    /// Runs a whole family of measurements — SPSA ± probes, a subset
-    /// family, the Globals of an iteration — as **one batched dispatch**,
-    /// returning one PMF per job in order.
-    ///
-    /// Results (and the executor's RNG stream, cost counter, and plan
-    /// cache) are **exactly** those of the equivalent sequence of
-    /// [`SimExecutor::run_prepared`] / [`SimExecutor::run_prepared_all`]
-    /// calls, seed for seed — regression-tested, so batching is always
-    /// safe. What changes is the cost: the batch is *planned* up front
-    /// (rotation plans bound through the cache, measured-qubit sets
-    /// resolved once), the deterministic statevector work runs with a
-    /// reused scratch plane, and full-register reads skip the generic
-    /// marginal bit-gather for the direct probability pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as the equivalent sequential
-    /// calls (identity bases, register/device size mismatches).
-    ///
-    /// ```
-    /// use qnoise::DeviceModel;
-    /// use qsim::Statevector;
-    /// use vqe::{BatchJob, SimExecutor};
-    ///
-    /// let mut exec = SimExecutor::new(DeviceModel::mumbai_like(), 256, 9);
-    /// let state = Statevector::zero(3);
-    /// let zz: pauli::PauliString = "ZZI".parse().unwrap();
-    /// let xx: pauli::PauliString = "IXX".parse().unwrap();
-    /// let pmfs = exec.run_batch(&[
-    ///     BatchJob::global(&state, &zz),
-    ///     BatchJob::subset(&state, &xx),
-    /// ]);
-    /// assert_eq!(pmfs.len(), 2);
-    /// assert_eq!(pmfs[1].qubits(), &[1, 2]);
-    /// assert_eq!(exec.circuits_executed(), 2);
-    /// ```
-    pub fn run_batch(&mut self, jobs: &[BatchJob<'_>]) -> Vec<Pmf> {
-        struct Planned {
-            plan: CircuitPlan,
-            measured: Vec<usize>,
-            /// Whether `measured` is the full register in index order —
-            /// `support()` is ascending, so length alone decides — which
-            /// unlocks the direct probability read.
-            full_register: bool,
-        }
-        let planned: Vec<Planned> = jobs
-            .iter()
-            .map(|job| {
-                let measured: Vec<usize> = if job.measure_all {
-                    (0..job.state.num_qubits()).collect()
-                } else {
-                    job.basis.support()
-                };
-                assert!(
-                    !measured.is_empty(),
-                    "cannot execute a measurement of the identity basis"
-                );
-                let full_register = measured.len() == job.state.num_qubits();
-                Planned {
-                    plan: self.plans.plan(&basis_rotation(job.basis)),
-                    measured,
-                    full_register,
-                }
-            })
-            .collect();
-
-        // Rotate and read one job: bit-identical to `run_prepared`'s
-        // clone + rotate + marginal (the full-register read and the
-        // in-place no-rotation read produce the same bits as the generic
-        // path; `scratch` only recycles the allocation).
-        let read = |job: &BatchJob<'_>, pl: &Planned, scratch: &mut Option<Statevector>| {
-            let rotated: &Statevector = if pl.plan.op_count() == 0 {
-                job.state
-            } else {
-                let st = {
-                    let _span = telemetry::span(telemetry::Stage::SweepSerial);
-                    match scratch {
-                        Some(st) if st.num_qubits() == job.state.num_qubits() => {
-                            st.amplitudes_mut().copy_from_slice(job.state.amplitudes());
-                            st
-                        }
-                        _ => scratch.insert(job.state.clone()),
+        let rotated: &Statevector = if plan.op_count() == 0 {
+            state
+        } else {
+            let st = {
+                let _span = telemetry::span(telemetry::Stage::SweepSerial);
+                match &mut self.scratch {
+                    Some(st) if st.num_qubits() == state.num_qubits() => {
+                        st.amplitudes_mut().copy_from_slice(state.amplitudes());
+                        st
                     }
-                };
-                st.apply_plan(&pl.plan);
-                st
+                    scratch => scratch.insert(state.clone()),
+                }
             };
-            if pl.full_register {
-                rotated.probabilities()
-            } else {
-                rotated.marginal_probabilities(&pl.measured)
-            }
+            st.apply_plan(&plan);
+            st
         };
-
-        let mut scratch: Option<Statevector> = None;
-        let probs: Vec<Vec<f64>> = jobs
-            .iter()
-            .zip(&planned)
-            .map(|(job, pl)| read(job, pl, &mut scratch))
-            .collect();
-
-        // Noise + sampling consume the RNG in job order: sequential by
-        // construction, exactly as N single runs would.
-        probs
-            .into_iter()
-            .zip(planned)
-            .map(|(p, pl)| self.finish(p, pl.measured))
-            .collect()
+        // `measured` is ascending and duplicate-free, so its length alone
+        // says whether it is the whole register in index order.
+        let probs = if measured.len() == state.num_qubits() {
+            rotated.probabilities()
+        } else {
+            rotated.marginal_probabilities(&measured)
+        };
+        self.finish(probs, measured)
     }
 
     /// The readout errors an `m`-qubit measurement sees: measured logical
@@ -430,39 +303,6 @@ impl SimExecutor {
             let _span = telemetry::span(telemetry::Stage::NoiseSampling);
             let counts = qsim::sample_counts(&probs, self.shots, &mut self.rng);
             Pmf::new(measured, counts.iter().map(|&c| c as f64).collect())
-        }
-    }
-}
-
-/// One measurement of a batched dispatch: a prepared state and the Pauli
-/// basis to measure it in — see [`SimExecutor::run_batch`].
-#[derive(Clone, Copy, Debug)]
-pub struct BatchJob<'a> {
-    state: &'a Statevector,
-    basis: &'a PauliString,
-    measure_all: bool,
-}
-
-impl<'a> BatchJob<'a> {
-    /// Measure only the basis' support, on the best physical qubits —
-    /// the subset-circuit shape, equivalent to
-    /// [`SimExecutor::run_prepared`].
-    pub fn subset(state: &'a Statevector, basis: &'a PauliString) -> Self {
-        BatchJob {
-            state,
-            basis,
-            measure_all: false,
-        }
-    }
-
-    /// Measure every qubit of the state (identity basis positions read
-    /// in the computational basis) — the Global-circuit shape,
-    /// equivalent to [`SimExecutor::run_prepared_all`].
-    pub fn global(state: &'a Statevector, basis: &'a PauliString) -> Self {
-        BatchJob {
-            state,
-            basis,
-            measure_all: true,
         }
     }
 }
@@ -541,8 +381,6 @@ mod tests {
         exec.run_prepared(&st, &ps("ZI"));
         exec.run_prepared(&st, &ps("IZ"));
         assert_eq!(exec.circuits_executed(), 2);
-        exec.reset_circuits_executed();
-        assert_eq!(exec.circuits_executed(), 0);
     }
 
     #[test]
@@ -571,12 +409,10 @@ mod tests {
     }
 
     #[test]
-    fn run_circuit_measures_computational_basis() {
-        let mut exec = SimExecutor::exact(DeviceModel::noiseless(2), 1);
-        let mut c = Circuit::new(2);
-        c.x(1);
-        let pmf = exec.run_circuit(&c, &[1]);
-        assert_eq!(pmf.prob(1), 1.0);
+    #[should_panic(expected = "basis acts on 3 qubits but state has 2")]
+    fn wider_basis_rejected() {
+        let mut exec = SimExecutor::exact(DeviceModel::noiseless(3), 1);
+        exec.run_prepared_all(&Statevector::zero(2), &ps("ZZZ"));
     }
 
     #[test]
@@ -586,75 +422,107 @@ mod tests {
         exec.run_prepared(&Statevector::zero(2), &ps("II"));
     }
 
-    /// The seed-for-seed regression the batched dispatch is specified
-    /// by: `run_batch` must reproduce N sequential `run_prepared` /
-    /// `run_prepared_all` calls exactly — PMFs, RNG stream, and cost
-    /// counter.
-    #[test]
-    fn run_batch_matches_sequential_runs_seed_for_seed() {
-        let make_exec = || SimExecutor::new(DeviceModel::mumbai_like(), 512, 21);
-        let mut c = Circuit::new(3);
-        c.h(0).cx(0, 1).ry(2, 0.6).cx(1, 2);
-        let mut st = Statevector::zero(3);
-        st.apply_circuit(&c);
-        let st2 = Statevector::zero(3);
-        let bases = [ps("ZZI"), ps("XZY"), ps("ZZZ"), ps("IXX")];
+    /// What every measurement path must reproduce bit for bit: a fresh
+    /// clone of the state, rotated through the cached basis plan, the
+    /// generic marginal read, then noise and sampling.
+    fn reference(
+        exec: &mut SimExecutor,
+        state: &Statevector,
+        basis: &PauliString,
+        all: bool,
+    ) -> Pmf {
+        let measured: Vec<usize> = if all {
+            (0..state.num_qubits()).collect()
+        } else {
+            basis.support()
+        };
+        let mut st = state.clone();
+        st.apply_plan(&exec.plans.plan(&basis_rotation(basis)));
+        exec.finish(st.marginal_probabilities(&measured), measured)
+    }
 
-        let mut seq = make_exec();
-        let expected: Vec<Pmf> = vec![
-            seq.run_prepared_all(&st, &bases[0]),
-            seq.run_prepared(&st, &bases[1]),
-            seq.run_prepared_all(&st2, &bases[2]),
-            seq.run_prepared(&st2, &bases[3]),
-            seq.run_prepared(&st, &bases[0]),
-        ];
-
-        let mut batched = make_exec();
-        let got = batched.run_batch(&[
-            BatchJob::global(&st, &bases[0]),
-            BatchJob::subset(&st, &bases[1]),
-            BatchJob::global(&st2, &bases[2]),
-            BatchJob::subset(&st2, &bases[3]),
-            BatchJob::subset(&st, &bases[0]),
-        ]);
-
-        assert_eq!(got.len(), expected.len());
-        for (g, e) in got.iter().zip(&expected) {
-            assert_eq!(g.qubits(), e.qubits());
-            assert_eq!(g.probs(), e.probs(), "batched PMF must match exactly");
+    /// Runs `jobs` (state index, basis, full register?) through the
+    /// public paths on one clone of `exec` and through [`reference`] on
+    /// another; PMFs, circuit counts, plan-cache counters and the RNG
+    /// stream must all agree exactly.
+    fn assert_paths_match_reference(
+        exec: SimExecutor,
+        states: &[Statevector],
+        jobs: &[(usize, &str, bool)],
+    ) {
+        let mut fast = exec.clone();
+        let mut slow = exec;
+        for &(i, basis, all) in jobs {
+            let basis = ps(basis);
+            let got = if all {
+                fast.run_prepared_all(&states[i], &basis)
+            } else {
+                fast.run_prepared(&states[i], &basis)
+            };
+            let want = reference(&mut slow, &states[i], &basis, all);
+            assert_eq!(got.qubits(), want.qubits(), "{basis} all={all}");
+            let bits = |p: &Pmf| p.probs().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{basis} all={all}");
         }
-        assert_eq!(batched.circuits_executed(), seq.circuits_executed());
-        // The RNG streams stayed in lockstep: one more run still agrees.
+        assert_eq!(fast.circuits_executed(), slow.circuits_executed());
+        assert_eq!(fast.plan_cache_stats(), slow.plan_cache_stats());
+        let (i, basis, _) = jobs[0];
         assert_eq!(
-            batched.run_prepared(&st, &bases[1]).probs(),
-            seq.run_prepared(&st, &bases[1]).probs()
+            fast.run_prepared_all(&states[i], &ps(basis)).probs(),
+            reference(&mut slow, &states[i], &ps(basis), true).probs(),
+            "RNG streams diverged"
+        );
+    }
+
+    fn entangled(n: usize) -> Statevector {
+        let mut c = Circuit::new(n);
+        c.h(0).ry(1, 0.6);
+        for q in 0..n - 1 {
+            c.cx(q, q + 1).rz(q + 1, 0.3 * q as f64);
+        }
+        let mut st = Statevector::zero(n);
+        st.apply_circuit(&c);
+        st
+    }
+
+    /// Rotated and rotation-free bases at subset and full width, with the
+    /// scratch plane reused across two register widths (3 → 4 → 3).
+    const JOBS: &[(usize, &str, bool)] = &[
+        (0, "ZZI", true),
+        (0, "XZY", false),
+        (0, "ZIZ", false),
+        (1, "IXYZ", false),
+        (1, "ZZZZ", false),
+        (1, "XIIZ", true),
+        (0, "IXX", false),
+        (0, "YYX", true),
+        (0, "ZZZ", true),
+    ];
+
+    #[test]
+    fn measurement_paths_match_the_reference_seed_for_seed() {
+        let states = [entangled(3), entangled(4)];
+        assert_paths_match_reference(
+            SimExecutor::new(DeviceModel::mumbai_like(), 512, 21),
+            &states,
+            JOBS,
         );
     }
 
     #[test]
-    fn run_batch_matches_sequential_in_exact_mode() {
-        let mut c = Circuit::new(3);
-        c.ry(0, 0.4).cx(0, 2);
-        let mut st = Statevector::zero(3);
-        st.apply_circuit(&c);
-        let mut seq = SimExecutor::exact(DeviceModel::uniform(3, 0.05), 1);
-        let mut batched = seq.clone();
-        let bases = [ps("ZIZ"), ps("XYZ")];
-        let expected = [
-            seq.run_prepared_all(&st, &bases[0]),
-            seq.run_prepared(&st, &bases[1]),
-        ];
-        let got = batched.run_batch(&[
-            BatchJob::global(&st, &bases[0]),
-            BatchJob::subset(&st, &bases[1]),
-        ]);
-        for (g, e) in got.iter().zip(&expected) {
-            assert_eq!(g.probs(), e.probs());
-        }
+    fn measurement_paths_match_the_reference_in_exact_mode() {
+        let states = [entangled(3), entangled(4)];
+        let dev = DeviceModel::new(
+            "exact",
+            vec![ReadoutError::symmetric(0.05); 4],
+            qnoise::CrosstalkModel::new(0.2),
+            0.01,
+        );
+        assert_paths_match_reference(SimExecutor::exact(dev, 1), &states, JOBS);
     }
 
     #[test]
-    fn prepare_batch_matches_sequential_prepares() {
+    fn prepares_of_one_structure_rebind_one_cached_plan() {
         let circuits: Vec<Circuit> = [0.3f64, -1.1, 2.4]
             .iter()
             .map(|&t| {
@@ -663,11 +531,14 @@ mod tests {
                 c
             })
             .collect();
-        let mut exec = SimExecutor::new(DeviceModel::noiseless(3), 16, 1);
-        let batch = exec.prepare_batch(&circuits);
-        let mut seq_exec = SimExecutor::new(DeviceModel::noiseless(3), 16, 1);
-        for (c, b) in circuits.iter().zip(&batch) {
-            assert_eq!(seq_exec.prepare(c).amplitudes(), b.amplitudes());
+        let fresh = SimExecutor::new(DeviceModel::noiseless(3), 16, 1);
+        let mut exec = fresh.clone();
+        for c in &circuits {
+            // A rebound plan prepares exactly what a fresh compile does.
+            assert_eq!(
+                exec.prepare(c).amplitudes(),
+                fresh.clone().prepare(c).amplitudes()
+            );
         }
         // One structure: one compile, two rebinds.
         assert_eq!(exec.plan_cache_stats(), (1, 2, 1));

@@ -7,11 +7,10 @@
 //!   (full/linear/circular/asymmetric entanglement, depth `p`),
 //! - [`basis_rotation`]: measurement-basis changes (Fig.5),
 //! - [`SimExecutor`]: noisy execution with best-qubit mapping, measurement
-//!   crosstalk, circuit-cost metering, and batched dispatch
-//!   ([`SimExecutor::prepare_batch`] / [`SimExecutor::run_batch`]) that
-//!   evaluates whole parameter-set and measurement families against one
-//!   cached circuit plan; states are simulated serially on the dense
-//!   plane,
+//!   crosstalk and circuit-cost metering; states are simulated serially
+//!   on the dense plane against a cache of compiled circuit plans, and
+//!   every measurement runs through one path
+//!   ([`SimExecutor::run_prepared`] / [`SimExecutor::run_prepared_all`]),
 //! - [`GroupedHamiltonian`]: the baseline's commutation-grouped
 //!   measurement circuits and energy estimation,
 //! - [`Spsa`]: the classical optimizer, behind the [`Optimizer`] trait,
@@ -47,6 +46,6 @@ mod runner;
 pub use ansatz::{EfficientSu2, Entanglement};
 pub use basis::basis_rotation;
 pub use energy::GroupedHamiltonian;
-pub use executor::{BatchJob, SimExecutor};
+pub use executor::SimExecutor;
 pub use optimizer::{BatchObjective, Optimizer, Spsa, StepResult};
 pub use runner::{run_vqe, BaselineEvaluator, EnergyEvaluator, VqeConfig, VqeTrace};

@@ -17,20 +17,22 @@ pub struct StepResult {
 
 /// An objective that can evaluate several probe points in one dispatch.
 ///
-/// The batched entry point exists for objectives backed by a quantum
-/// executor: probe points of one optimizer iteration (SPSA's symmetric ±
-/// pair, a restart population) share circuit structure, so evaluating
-/// them as one batch hits one compiled plan and amortizes per-call
-/// planning (see `SimExecutor::run_batch`). Implementations **must**
-/// make `evaluate_batch` exactly equivalent to sequential `evaluate`
-/// calls in order — same values, same internal RNG advancement — so
-/// optimizers can batch blindly.
+/// Probe points of one optimizer iteration (SPSA's symmetric ± pair, a
+/// restart population) arrive together, so a caller can time or meter
+/// them as one family. Implementations **must** make `evaluate_batch`
+/// exactly equivalent to sequential `evaluate` calls in order — same
+/// values, same internal RNG advancement — so optimizers can batch
+/// blindly. The default loop is the workspace's only implementation: the
+/// [`crate::run_vqe`] adapter forwards to
+/// [`crate::EnergyEvaluator::evaluate_batch`], which the paper-run
+/// benchmark (`paperbench`) implements to time and meter each probe
+/// family.
 pub trait BatchObjective {
     /// Measures the objective at one parameter vector.
     fn evaluate(&mut self, params: &[f64]) -> f64;
 
     /// Measures the objective at several parameter vectors, in order.
-    /// The default simply loops; batch-capable objectives override it.
+    /// The default simply loops.
     fn evaluate_batch(&mut self, param_sets: &[&[f64]]) -> Vec<f64> {
         param_sets.iter().map(|p| self.evaluate(p)).collect()
     }

@@ -136,8 +136,8 @@ impl Optimizer for Spsa {
     }
 
     /// SPSA's two probes are symmetric perturbations of one parameter
-    /// vector — the canonical batch: one `evaluate_batch` dispatch
-    /// evaluates both against one compiled circuit plan. Bit-identical
+    /// vector — the canonical batch: one `evaluate_batch` call evaluates
+    /// both. Bit-identical
     /// to [`Optimizer::step`] whenever the objective honors the
     /// [`BatchObjective`] equivalence contract.
     fn step_batch(&mut self, params: &mut [f64], objective: &mut dyn BatchObjective) -> StepResult {

@@ -1,11 +1,11 @@
 //! The VQE tuning loop.
 
 use crate::energy::GroupedHamiltonian;
-use crate::executor::{BatchJob, SimExecutor};
+use crate::executor::SimExecutor;
 use crate::optimizer::{BatchObjective, Optimizer};
-use mitigation::{mbm_correct, Pmf};
+use mitigation::mbm_correct;
 use pauli::Hamiltonian;
-use qsim::{Circuit, Statevector};
+use qsim::Statevector;
 
 use crate::ansatz::EfficientSu2;
 
@@ -94,11 +94,9 @@ pub trait EnergyEvaluator {
     ///
     /// Implementations **must** be exactly equivalent to sequential
     /// [`EnergyEvaluator::evaluate`] calls (same values, same RNG
-    /// advancement, same cost metering); the default simply loops.
-    /// Executor-backed evaluators override this to dispatch the whole
-    /// family through [`SimExecutor::prepare_batch`] /
-    /// [`SimExecutor::run_batch`], which shares one compiled plan per
-    /// circuit structure across the batch.
+    /// advancement, same cost metering). This default loop is the
+    /// workspace's only implementation; the paper-run benchmark
+    /// (`paperbench`) implements it to time and meter each probe family.
     fn evaluate_batch(&mut self, param_sets: &[&[f64]]) -> Vec<f64> {
         param_sets.iter().map(|p| self.evaluate(p)).collect()
     }
@@ -172,56 +170,22 @@ impl BaselineEvaluator {
     }
 }
 
-impl BaselineEvaluator {
-    /// Applies matrix-based mitigation when enabled.
-    fn correct(&mut self, pmf: Pmf) -> Pmf {
-        if self.mbm {
-            let cal = self.executor.calibration(pmf.num_qubits());
-            mbm_correct(&pmf, &cal)
-        } else {
-            pmf
-        }
-    }
-
-    /// The measured energy of one prepared state: every group circuit
-    /// dispatched as one executor batch (identical to running them one
-    /// by one — see [`SimExecutor::run_batch`]).
-    fn measure_prepared(&mut self, state: &Statevector) -> f64 {
-        let jobs: Vec<BatchJob<'_>> = self
-            .grouped
-            .groups()
-            .iter()
-            // Measure the full register, as Qiskit-style VQE does.
-            .map(|g| BatchJob::global(state, &g.basis))
-            .collect();
-        let pmfs: Vec<Pmf> = self
-            .executor
-            .run_batch(&jobs)
-            .into_iter()
-            .map(|pmf| self.correct(pmf))
-            .collect();
-        self.grouped.energy_from_pmfs(&pmfs)
-    }
-}
-
 impl EnergyEvaluator for BaselineEvaluator {
+    /// Prepares the ansatz state, then runs every group circuit on the
+    /// full register, as Qiskit-style VQE does, MBM-correcting each PMF
+    /// when enabled.
     fn evaluate(&mut self, params: &[f64]) -> f64 {
         let state = self.prepare(params);
-        self.measure_prepared(&state)
-    }
-
-    /// The SPSA ± pair (or any probe family) as one batch: ansatz states
-    /// prepared through [`SimExecutor::prepare_batch`] against one cached
-    /// plan, then each state's group circuits through the batched
-    /// measurement dispatch, in probe order — exactly the sequential
-    /// results, seed for seed.
-    fn evaluate_batch(&mut self, param_sets: &[&[f64]]) -> Vec<f64> {
-        let circuits: Vec<Circuit> = param_sets.iter().map(|p| self.ansatz.circuit(p)).collect();
-        let states = self.executor.prepare_batch(&circuits);
-        states
-            .iter()
-            .map(|state| self.measure_prepared(state))
-            .collect()
+        let mut pmfs = Vec::with_capacity(self.grouped.num_groups());
+        for g in self.grouped.groups() {
+            let pmf = self.executor.run_prepared_all(&state, &g.basis);
+            pmfs.push(if self.mbm {
+                mbm_correct(&pmf, &self.executor.calibration(pmf.num_qubits()))
+            } else {
+                pmf
+            });
+        }
+        self.grouped.energy_from_pmfs(&pmfs)
     }
 
     fn circuits_executed(&self) -> u64 {

@@ -1,7 +1,7 @@
 //! End-to-end coverage of the fallible allocation path: [`SimExecutor`]
 //! must surface a state that does not fit on its dense plane as a typed
-//! [`qsim::CapacityError`] through `try_prepare` / `try_prepare_batch`,
-//! never by aborting the process.
+//! [`qsim::CapacityError`] through `try_prepare`, never by aborting the
+//! process.
 
 use qnoise::DeviceModel;
 use qsim::Circuit;
@@ -40,20 +40,6 @@ fn every_tier_surfaces_capacity_errors_as_typed_values() {
         .try_prepare(&small())
         .unwrap_or_else(|e| panic!("small circuit refused: {e}"));
     assert_eq!(state.num_qubits(), 3);
-}
-
-#[test]
-fn batch_surfaces_the_first_capacity_error_in_circuit_order() {
-    let mut exec = executor();
-    let err = exec
-        .try_prepare_batch(&[small(), oversized(), small()])
-        .expect_err("batch with an oversized member must be refused");
-    assert_eq!(err.num_qubits(), TOO_BIG);
-    // And an all-fitting batch still succeeds afterwards.
-    let states = exec
-        .try_prepare_batch(&[small(), small()])
-        .unwrap_or_else(|e| panic!("fitting batch refused: {e}"));
-    assert_eq!(states.len(), 2);
 }
 
 #[test]
