@@ -85,7 +85,7 @@ fn bench_reconstruction(c: &mut Criterion) {
     // is what the VQE evaluators actually pay from iteration two on — a
     // persistent `Reconstructor` whose key tables and scratch survive.
     // The key-cached H6-10 rows, over exact and over shot-sampled
-    // Globals, and the multi-chunk row live in `benches/reconstruction.rs`.
+    // Globals, and the 16-qubit row live in `benches/reconstruction.rs`.
     let n = 8usize;
     let circuit = ansatz_circuit(n);
     let mut st = Statevector::zero(n);

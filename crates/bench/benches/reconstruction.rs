@@ -4,7 +4,8 @@
 //! run, multi-round sweeps, one H6-10 basis as VarSaw reconstructs it,
 //! every H6-10 basis as one VarSaw evaluation reconstructs them — over
 //! exact, dense Globals and over 1,024-shot sampled ones, as a paper run
-//! measures them — and a 16-qubit sweep over a multi-chunk grid.
+//! measures them — and a sweep over a 16-qubit global, past every paper
+//! workload's size.
 
 use chem::{molecular_hamiltonian, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -213,8 +214,8 @@ fn bench_sampled_all_bases(c: &mut Criterion) {
     });
 }
 
-fn bench_multi_chunk(c: &mut Criterion) {
-    // 16 qubits: 65536 outcomes over 16 chunks, reduced in chunk order.
+fn bench_16q(c: &mut Criterion) {
+    // 16 qubits: 65536 outcomes, each sum one chain in outcome order.
     let (global, locals) = synthetic(16);
     let cfg = ReconstructionConfig::default();
     let mut engine = Reconstructor::new();
@@ -234,6 +235,6 @@ criterion_group! {
     name = reconstruction;
     config = config();
     targets = bench_oneshot, bench_cached, bench_all_bases, bench_sampled_all_bases,
-        bench_multi_chunk
+        bench_16q
 }
 criterion_main!(reconstruction);

@@ -23,8 +23,8 @@
 //! window outcomes is skipped as a whole (reweighting would annihilate
 //! all mass).
 //!
-//! The functions here are one-shot conveniences; the engine underneath,
-//! with its cached projection-key tables and preallocated scratch, is
+//! [`reconstruct`] is a one-shot convenience; the engine underneath, with
+//! its cached projection-key tables and preallocated scratch, is
 //! [`Reconstructor`](crate::Reconstructor).
 
 use crate::pmf::Pmf;
@@ -56,19 +56,6 @@ impl Default for ReconstructionConfig {
             rounds: 1,
         }
     }
-}
-
-/// Applies one Bayesian update of `global` by the evidence `local`.
-///
-/// One-shot wrapper over [`Reconstructor::update`]; callers updating
-/// repeatedly with the same window geometry should hold a
-/// [`Reconstructor`] instead to reuse its cached projection-key tables.
-///
-/// # Panics
-///
-/// Panics if some qubit of `local` is not measured by `global`.
-pub fn bayesian_update(global: &mut Pmf, local: &Pmf, epsilon: f64) {
-    Reconstructor::new().update(global, local, epsilon);
 }
 
 /// JigSaw's full reconstruction: starts from the Global-PMF and applies the
@@ -104,13 +91,18 @@ pub fn reconstruct(global: &Pmf, locals: &[Pmf], config: ReconstructionConfig) -
 mod tests {
     use super::*;
 
+    /// A single Bayesian update with support threshold `epsilon`.
+    fn one_update(epsilon: f64) -> ReconstructionConfig {
+        ReconstructionConfig { epsilon, rounds: 1 }
+    }
+
     /// A noisy 2-qubit Bell distribution and a clean local on qubit 0.
     #[test]
     fn update_pulls_marginal_toward_local() {
         // Global says q0 is 0 with prob 0.6; local evidence says 0.9.
-        let mut global = Pmf::new(vec![0, 1], vec![0.3, 0.2, 0.3, 0.2]);
+        let global = Pmf::new(vec![0, 1], vec![0.3, 0.2, 0.3, 0.2]);
         let local = Pmf::new(vec![0], vec![0.9, 0.1]);
-        bayesian_update(&mut global, &local, 1e-12);
+        let global = reconstruct(&global, &[local], one_update(1e-12));
         let m = global.marginal(&[0]);
         assert!((m.prob(0) - 0.9).abs() < 1e-6, "{}", m.prob(0));
         // Conditional structure preserved: P(q1 | q0=0) unchanged (was 0.5/0.5).
@@ -179,9 +171,9 @@ mod tests {
     fn zero_prior_mass_is_not_resurrected() {
         // The global assigns zero to outcome 0b11 region; a local insisting
         // on q0=1 cannot move mass there beyond epsilon effects.
-        let mut global = Pmf::new(vec![0, 1], vec![0.5, 0.0, 0.5, 0.0]);
+        let global = Pmf::new(vec![0, 1], vec![0.5, 0.0, 0.5, 0.0]);
         let local = Pmf::new(vec![0], vec![0.2, 0.8]);
-        bayesian_update(&mut global, &local, 1e-9);
+        let global = reconstruct(&global, &[local], one_update(1e-9));
         assert!(global.prob(0b01) < 1e-6);
         assert!(global.prob(0b11) < 1e-6);
     }

@@ -2,14 +2,13 @@
 //!
 //! Implements the prior work the paper builds on:
 //!
-//! - [`Pmf`] / [`Counts`]: outcome distributions and shot counts over
-//!   measured-qubit subsets (the Global-/Local-/Output-PMFs of Fig.3),
-//! - [`sliding_windows`] / [`JigsawPlan`]: JigSaw's Circuits with Partial
-//!   Measurement (Das et al., MICRO'21),
-//! - [`reconstruct`] / [`bayesian_update`]: JigSaw's Bayesian
-//!   reconstruction, with [`Reconstructor`] as the reusable engine
-//!   underneath (cached projection-key tables, allocation-free fused
-//!   sweeps),
+//! - [`Pmf`]: outcome distributions over measured-qubit subsets (the
+//!   Global-/Local-/Output-PMFs of Fig.3),
+//! - [`sliding_windows`]: JigSaw's Circuits with Partial Measurement (Das
+//!   et al., MICRO'21),
+//! - [`reconstruct`]: JigSaw's Bayesian reconstruction, with
+//!   [`Reconstructor`] as the reusable engine underneath (cached
+//!   projection-key tables, allocation-free sweeps),
 //! - [`mbm_correct`]: IBM-style matrix-based complete measurement
 //!   mitigation (combined with VarSaw in the paper's Section 6.8).
 //!
@@ -26,17 +25,13 @@
 //! ```
 
 mod bayes;
-mod counts;
-mod jigsaw;
 mod mbm;
 mod pmf;
 mod recon;
 mod window;
 
-pub use bayes::{bayesian_update, reconstruct, ReconstructionConfig};
-pub use counts::Counts;
-pub use jigsaw::JigsawPlan;
+pub use bayes::{reconstruct, ReconstructionConfig};
 pub use mbm::mbm_correct;
 pub use pmf::Pmf;
 pub use recon::Reconstructor;
-pub use window::{jigsaw_subset_count, sliding_windows};
+pub use window::sliding_windows;

@@ -30,7 +30,8 @@ impl Pmf {
     /// # Panics
     ///
     /// Panics if `probs.len() != 2^qubits.len()`, a qubit repeats, a
-    /// probability is negative, or the total mass is zero.
+    /// probability is not finite and non-negative (negative, infinite or
+    /// NaN), or the total mass is zero.
     pub fn new(qubits: Vec<usize>, probs: Vec<f64>) -> Self {
         assert_eq!(
             probs.len(),
@@ -42,10 +43,16 @@ impl Pmf {
         for (i, &q) in qubits.iter().enumerate() {
             assert!(!qubits[..i].contains(&q), "qubit {q} repeated");
         }
-        assert!(
-            probs.iter().all(|&p| p >= 0.0),
-            "negative probability in PMF"
-        );
+        // The fold does not short-circuit, so it vectorizes; the offending
+        // entry is looked up only to name it in the panic.
+        let valid = |p: f64| (0.0..=f64::MAX).contains(&p);
+        if !probs.iter().fold(true, |ok, &p| ok & valid(p)) {
+            let p = probs
+                .iter()
+                .find(|&&p| !valid(p))
+                .expect("an invalid entry");
+            panic!("PMF probability {p} is not finite and non-negative");
+        }
         let total: f64 = probs.iter().sum();
         assert!(total > 0.0, "PMF has zero total mass");
         let mut pmf = Pmf { qubits, probs };
@@ -114,25 +121,9 @@ impl Pmf {
         self.qubits.iter().position(|&x| x == q)
     }
 
-    /// Projects an outcome of this PMF onto the outcome of a qubit subset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some qubit of `sub` is not measured by this PMF.
-    pub fn project_outcome(&self, outcome: usize, sub: &[usize]) -> usize {
-        let mut key = 0usize;
-        for (j, &q) in sub.iter().enumerate() {
-            let pos = self
-                .position_of(q)
-                .unwrap_or_else(|| panic!("qubit {q} not in PMF"));
-            key |= ((outcome >> pos) & 1) << j;
-        }
-        key
-    }
-
     /// The bit positions of each qubit of `sub` within this PMF's outcome
-    /// indices — the projection [`project_outcome`](Pmf::project_outcome)
-    /// performs, resolved once instead of per outcome.
+    /// indices: bit `j` of the projection of outcome `x` onto `sub` is bit
+    /// `positions[j]` of `x`.
     ///
     /// # Panics
     ///
@@ -153,8 +144,8 @@ impl Pmf {
     /// Panics if some qubit of `sub` is not measured by this PMF or `sub`
     /// repeats a qubit.
     pub fn marginal(&self, sub: &[usize]) -> Pmf {
-        // Resolve the bit positions once; per-outcome `project_outcome`
-        // would rescan the qubit list for every one of the 2^n outcomes.
+        // Resolve the bit positions once rather than rescanning the qubit
+        // list for every one of the 2^n outcomes.
         let positions = self.projection_positions(sub);
         let mut probs = vec![0.0; 1usize << sub.len()];
         for (x, &p) in self.probs.iter().enumerate() {
@@ -276,6 +267,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "probability inf is not finite and non-negative")]
+    fn infinite_probability_rejected() {
+        Pmf::new(vec![0], vec![f64::INFINITY, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability NaN is not finite and non-negative")]
+    fn nan_probability_rejected() {
+        Pmf::new(vec![0], vec![1.0, f64::NAN]);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability -0.5 is not finite and non-negative")]
+    fn negative_probability_rejected() {
+        Pmf::new(vec![0], vec![-0.5, 1.0]);
+    }
+
+    #[test]
     #[should_panic(expected = "zero total mass")]
     fn zero_mass_rejected() {
         Pmf::new(vec![0], vec![0.0, 0.0]);
@@ -285,14 +294,5 @@ mod tests {
     #[should_panic(expected = "not in PMF")]
     fn marginal_of_unmeasured_qubit_panics() {
         Pmf::uniform(vec![0, 1]).marginal(&[2]);
-    }
-
-    #[test]
-    fn project_outcome_extracts_bits() {
-        let pmf = Pmf::uniform(vec![5, 2, 9]);
-        // outcome 0b011 → q5=1, q2=1, q9=0.
-        // Projecting onto [9, 5]: bit 0 ← q9 = 0, bit 1 ← q5 = 1.
-        assert_eq!(pmf.project_outcome(0b011, &[9, 5]), 0b10);
-        assert_eq!(pmf.project_outcome(0b011, &[2]), 1);
     }
 }

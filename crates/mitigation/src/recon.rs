@@ -18,43 +18,35 @@
 //!   vectorizable pass in outcome order. No intermediate [`Pmf`]s,
 //!   marginals, or ratio vectors are constructed per call.
 //! - **Bin-ordered marginals.** Pass A does not walk the outcomes in
-//!   order. Each table carries, per chunk, the outcomes grouped by window
-//!   bin and ascending inside each bin, and Pass A sums every bin through
-//!   that order as its own register chain, interleaving up to four bins.
-//!   A `K`-outcome window thus waits on `2^n / K` dependent adds per bin,
+//!   order. Each table carries the outcomes grouped by window bin and
+//!   ascending inside each bin, and Pass A sums every bin through that
+//!   order as its own register chain, interleaving up to four bins. A
+//!   `K`-outcome window thus waits on `2^n / K` dependent adds per bin,
 //!   not `2^n`, while each bin still adds the same values in the same
 //!   order as a textbook scatter `marg[key(x)] += p[x]`. Pass B's mass is
 //!   one chain over all outcomes in order; it sets the floor of an update.
-//! - **Chunk-ordered reduction.** The outcome range is split into
-//!   fixed-size chunks; each chunk accumulates its own partial marginal
-//!   histogram and partial mass, and the partials are summed in chunk
-//!   order.
 //! - **Sparse priors.** A Global sampled with 1,024 shots has at most
 //!   1,024 nonzero outcomes, and a sweep chained from it keeps them. When
-//!   at most half of a single-chunk output's outcomes are nonzero, the
-//!   sweep lists them once, ascending, with their values in compact
-//!   scratch (a 64-outcome nonzero mask per word, walked with
+//!   at most half of an output's outcomes are nonzero, the sweep lists
+//!   them once, ascending, with their values in compact scratch (a
+//!   64-outcome nonzero mask per word in reused scratch, walked with
 //!   `trailing_zeros`), runs every update of every round over that list
-//!   and scatters the values back at the end. Pass A sums each bin over
-//!   the list in ascending order, in one masked register accumulator per
-//!   bin for 2- and 4-outcome windows; Pass B's mass is one chain over the
-//!   list; the normalize divides the listed values only. Denser outputs
-//!   (exact-mode and MBM-corrected PMFs), outputs under 64 outcomes and
-//!   multi-chunk globals keep the bin-ordered kernel. The cut is an internal constant of the observed
-//!   density, like the chunk size, not an option.
+//!   and scatters the values back at the end. Pass A sums each bin
+//!   over the list in ascending order, in one masked register accumulator
+//!   per bin for 2- and 4-outcome windows; Pass B's mass is one chain over
+//!   the list; the normalize divides the listed values only. Denser
+//!   outputs (exact-mode and MBM-corrected PMFs) and outputs under 64
+//!   outcomes keep the bin-ordered kernel. The cut is an internal constant
+//!   of the observed density, not an option.
 //!
 //! # Bit-identical results
 //!
-//! Fresh and key-cached sweeps produce bit-identical output PMFs. The
-//! chunk grid is a pure function of the problem shape (outcome count and
-//! window size), so the floating-point reduction order is fixed. For
-//! globals that fit in a single chunk (up to 12 qubits, every paper
-//! workload) the kernel is bit-identical to a textbook sequential
-//! implementation with a separate normalize pass per update; beyond that
-//! the chunk-ordered reduction re-associates sums and agreement is within
-//! floating-point tolerance instead, with the exact bits pinned by
-//! digest. The property and edge tests in `tests/recon_equiv.rs` assert
-//! both.
+//! Every sum of an update — each marginal bin and the post-update mass —
+//! runs in ascending outcome order from `0.0`, so at every size the
+//! kernel is bit-identical to a textbook sequential implementation with a
+//! separate normalize pass per update, and fresh and key-cached sweeps
+//! give the same bits. The property and edge tests in
+//! `tests/recon_equiv.rs` assert both.
 //!
 //! The sparse sweep gives the same bits because zero stays zero. An
 //! outcome that is `±0.0` in the prior stays so under the textbook update
@@ -70,34 +62,17 @@ use crate::bayes::ReconstructionConfig;
 use crate::pmf::Pmf;
 use std::borrow::Borrow;
 
-/// Outcomes per partition chunk. Fixed, so the chunk grid — and with it
-/// the floating-point reduction order — depends only on the problem
-/// shape. Globals at or below this size run single-chunk, where the
-/// kernel matches a textbook sequential update bit for bit.
-const CHUNK_OUTCOMES: usize = 1 << 12;
-
 /// A cached projection-key table for one (global, local) signature.
 ///
 /// `keys[x]` is the window outcome (bin) that global outcome `x` projects
-/// to. `order` lists the outcomes of each chunk grouped by bin, ascending
-/// inside each bin: bin `j` of chunk `c` is
-/// `order[starts[c·k + j]..starts[c·k + j + 1]]`, for `k` window outcomes.
+/// to. `order` lists the outcomes grouped by bin, ascending inside each
+/// bin: bin `j` is `order[j·2ⁿ/k..(j + 1)·2ⁿ/k]`, for `k` window outcomes.
 #[derive(Clone, Debug)]
 struct KeyTable {
     global: Vec<usize>,
     local: Vec<usize>,
     keys: Vec<u32>,
     order: Vec<u32>,
-    starts: Vec<u32>,
-}
-
-/// The number of chunks the outcome range splits into for a window of
-/// `k` outcomes: `dim / CHUNK_OUTCOMES`, capped so the per-chunk partial
-/// histograms never outweigh the outcome array itself (relevant only for
-/// windows spanning most of the register). All quantities are powers of
-/// two, so chunks always divide `dim` exactly.
-fn chunk_count(dim: usize, k: usize) -> usize {
-    (dim / CHUNK_OUTCOMES).max(1).min((dim / k).max(1))
 }
 
 /// Grows a scratch buffer to at least `len` slots.
@@ -108,80 +83,50 @@ fn ensure(buf: &mut Vec<f64>, len: usize) {
 }
 
 /// The bin order of the (global, local) signature whose window bits sit
-/// at `positions` of a `dim`-outcome global. Returns the order and the
-/// `n_chunks·k + 1` bin starts (see [`KeyTable`]).
+/// at `positions` of a `dim`-outcome global (see [`KeyTable`]).
 ///
-/// Within a chunk, bin `j`'s outcomes are the chunk's high bits, `j`'s
-/// window bits and every subset of the chunk's free (non-window) low
-/// bits; `y = (y − free) & free` walks those subsets in ascending order.
-/// A bin whose window bits above the chunk boundary disagree with the
-/// chunk's is empty there.
-fn bin_order(positions: &[usize], dim: usize) -> (Vec<u32>, Vec<u32>) {
-    let k = 1usize << positions.len();
-    let n_chunks = chunk_count(dim, k);
-    let low = dim / n_chunks - 1;
+/// Bin `j`'s outcomes are `j`'s window bits and every subset of the free
+/// (non-window) bits; `y = (y − free) & free` walks those subsets in
+/// ascending order.
+fn bin_order(positions: &[usize], dim: usize) -> Vec<u32> {
     let window = positions.iter().fold(0, |m, &pos| m | 1 << pos);
-    let free = low & !window;
+    let free = (dim - 1) & !window;
     let mut order = Vec::with_capacity(dim);
-    let mut starts = Vec::with_capacity(n_chunks * k + 1);
-    for prefix in (0..dim).step_by(low + 1) {
-        for j in 0..k {
-            starts.push(order.len() as u32);
-            let bits = positions
-                .iter()
-                .enumerate()
-                .fold(0, |x, (b, &pos)| x | ((j >> b) & 1) << pos);
-            if (bits ^ prefix) & window & !low != 0 {
-                continue;
+    for j in 0..1usize << positions.len() {
+        let head = positions
+            .iter()
+            .enumerate()
+            .fold(0, |x, (b, &pos)| x | ((j >> b) & 1) << pos);
+        let mut y = 0usize;
+        loop {
+            order.push((head | y) as u32);
+            if y == free {
+                break;
             }
-            let head = prefix | (bits & low);
-            let mut y = 0usize;
-            loop {
-                order.push((head | y) as u32);
-                if y == free {
-                    break;
-                }
-                y = y.wrapping_sub(free) & free;
-            }
+            y = y.wrapping_sub(free) & free;
         }
     }
-    starts.push(dim as u32);
-    (order, starts)
+    order
 }
 
-/// Pass A over one chunk: sums each window bin of the chunk into `part`,
-/// reading the bin's outcomes of `plane` through `order`, where bin `j`
-/// is `order[starts[j]..starts[j + 1]]`. Each bin is one chain of adds in
-/// ascending outcome order, starting from `0.0`. Bins of equal length run
-/// interleaved, up to four chains at once; a chunk whose bins differ in
-/// length (a window bit above the chunk boundary leaves some bins empty)
-/// sums them one after another.
-fn bin_sums(plane: &[f64], order: &[u32], starts: &[u32], part: &mut [f64]) {
-    let len = (starts[1] - starts[0]) as usize;
-    if starts.windows(2).any(|w| (w[1] - w[0]) as usize != len) {
-        for (s, w) in part.iter_mut().zip(starts.windows(2)) {
-            let mut acc = 0.0;
-            for &x in &order[w[0] as usize..w[1] as usize] {
-                acc += plane[x as usize];
-            }
-            *s = acc;
-        }
-        return;
-    }
-    let first = starts[0] as usize;
-    let bins = &order[first..first + part.len() * len];
-    match part.len() {
-        1 => interleaved::<1>(plane, bins, len, part),
-        2 => interleaved::<2>(plane, bins, len, part),
-        _ => interleaved::<4>(plane, bins, len, part),
+/// Pass A: sums each window bin into `marg`, reading the bin's outcomes
+/// of `plane` through `order` (see [`KeyTable`]). Each bin is one chain of
+/// adds in ascending outcome order, starting from `0.0`; up to four
+/// chains run interleaved.
+fn bin_sums(plane: &[f64], order: &[u32], marg: &mut [f64]) {
+    let len = order.len() / marg.len();
+    match marg.len() {
+        1 => interleaved::<1>(plane, order, len, marg),
+        2 => interleaved::<2>(plane, order, len, marg),
+        _ => interleaved::<4>(plane, order, len, marg),
     }
 }
 
-/// [`bin_sums`] over equal bins of `len` outcomes each, `L` bins at a time
-/// with one register accumulator per bin. `part.len()` is a multiple of
-/// `L` (window sizes are powers of two).
-fn interleaved<const L: usize>(plane: &[f64], bins: &[u32], len: usize, part: &mut [f64]) {
-    for (lanes, out) in bins.chunks_exact(L * len).zip(part.chunks_exact_mut(L)) {
+/// [`bin_sums`] over bins of `len` outcomes each, `L` bins at a time with
+/// one register accumulator per bin. `marg.len()` is a multiple of `L`
+/// (window sizes are powers of two).
+fn interleaved<const L: usize>(plane: &[f64], order: &[u32], len: usize, marg: &mut [f64]) {
+    for (lanes, out) in order.chunks_exact(L * len).zip(marg.chunks_exact_mut(L)) {
         let lane: [&[u32]; L] = std::array::from_fn(|j| &lanes[j * len..(j + 1) * len]);
         let mut acc = [0.0; L];
         for i in 0..len {
@@ -268,27 +213,34 @@ fn owes_normalize(total: f64) -> bool {
 /// Lists the nonzero outcomes of `plane` in ascending order into
 /// `support` and their values into `values`, when at most half of the
 /// outcomes are nonzero; returns whether it did. `plane` holds a whole
-/// number of 64-outcome words and at most [`CHUNK_OUTCOMES`].
+/// number of 64-outcome words; `masks` is scratch for one nonzero mask
+/// per word.
 ///
-/// The scan builds one nonzero mask per 64-outcome word, eight outcomes
-/// at a time (a shape the compiler turns into vector compares), and walks
-/// each mask with `trailing_zeros`: a sparse plane costs a compare per
-/// outcome plus a step per listed one.
-fn gather_support(plane: &[f64], support: &mut Vec<u32>, values: &mut Vec<f64>) -> bool {
-    let mut masks = [0u64; CHUNK_OUTCOMES / 64];
-    let masks = &mut masks[..plane.len() / 64];
+/// The scan builds each word's mask eight outcomes at a time (a shape the
+/// compiler turns into vector compares) and stops as soon as the count is
+/// past the cut, so a dense plane writes nothing but masks. The listing
+/// walks each mask with `trailing_zeros`: a sparse plane costs a compare
+/// per outcome plus a step per listed one.
+fn gather_support(
+    plane: &[f64],
+    masks: &mut Vec<u64>,
+    support: &mut Vec<u32>,
+    values: &mut Vec<f64>,
+) -> bool {
+    masks.clear();
     let mut listed = 0;
-    for (mask, word) in masks.iter_mut().zip(plane.chunks_exact(64)) {
+    for word in plane.chunks_exact(64) {
+        let mut mask = 0u64;
         for (i, eight) in word.chunks_exact(8).enumerate() {
             let eight: &[f64; 8] = eight.try_into().expect("chunks of eight");
             let byte = (0..8).fold(0, |m, j| m | u64::from(eight[j] != 0.0) << j);
-            *mask |= byte << (8 * i);
+            mask |= byte << (8 * i);
         }
-        // A dense plane stops the scan as soon as it is past the cut.
         listed += mask.count_ones() as usize;
         if 2 * listed > plane.len() {
             return false;
         }
+        masks.push(mask);
     }
     support.resize(listed, 0);
     values.resize(listed, 0.0);
@@ -317,17 +269,15 @@ fn gather_support(plane: &[f64], support: &mut Vec<u32>, values: &mut Vec<f64>) 
 /// with the same measurement geometry — `varsaw`'s evaluators keep one
 /// across all VQE iterations, so every sweep after the first runs with
 /// zero key-table construction and zero scratch allocation. The one-shot
-/// [`crate::reconstruct`] / [`crate::bayesian_update`] functions are thin
-/// wrappers over a temporary instance.
+/// [`crate::reconstruct`] is a thin wrapper over a temporary instance.
 ///
-/// Fresh and key-cached sweeps are **bit-identical**: the chunk grid is a
-/// pure function of the problem shape (outcome count and window size), so
-/// the floating-point reduction order is fixed. An output with at most
-/// half of its outcomes nonzero — a shot-sampled Global and everything
-/// chained from it — is swept over its nonzero outcomes only, with the
-/// same bits (see the module docs). See the "reconstruction hot path"
-/// section of `ARCHITECTURE.md` and the property tests in
-/// `tests/recon_equiv.rs`.
+/// Sweeps are **bit-identical** to a textbook sequential reconstruction,
+/// fresh or key-cached: every sum runs in ascending outcome order. An
+/// output with at most half of its outcomes nonzero — a shot-sampled
+/// Global and everything chained from it — is swept over its nonzero
+/// outcomes only, with the same bits (see the module docs). See the
+/// "reconstruction hot path" section of `ARCHITECTURE.md` and the
+/// property tests in `tests/recon_equiv.rs`.
 ///
 /// # Examples
 ///
@@ -347,14 +297,14 @@ pub struct Reconstructor {
     tables: Vec<KeyTable>,
     /// Table index per local of the sweep in progress (reused scratch).
     picked: Vec<usize>,
-    // Sweep scratch: per-chunk partial histograms and masses, the
-    // reduced marginal and the per-window-outcome ratios.
-    partials: Vec<f64>,
+    // Sweep scratch: the window marginal and the per-window-outcome
+    // ratios.
     marg: Vec<f64>,
     ratio: Vec<f64>,
-    totals: Vec<f64>,
-    // Sparse-sweep scratch: the prior's nonzero outcomes, ascending, and
-    // their values while the sweep runs over them.
+    // Sparse-sweep scratch: the nonzero mask of each 64-outcome word, the
+    // prior's nonzero outcomes, ascending, and their values while the
+    // sweep runs over them.
+    masks: Vec<u64>,
     support: Vec<u32>,
     values: Vec<f64>,
 }
@@ -381,12 +331,6 @@ impl Reconstructor {
         self.tables.len()
     }
 
-    /// Drops all cached key tables (e.g. after a workload change to a
-    /// disjoint set of measurement geometries).
-    pub fn clear_key_cache(&mut self) {
-        self.tables.clear();
-    }
-
     /// JigSaw's full reconstruction: starts from the Global-PMF and
     /// applies the Bayesian update for every Local-PMF, returning the
     /// Output-PMF. Equivalent to [`crate::reconstruct`] but reusing this
@@ -404,21 +348,6 @@ impl Reconstructor {
         let mut out = global.clone();
         self.sweep(&mut out, locals, config);
         out
-    }
-
-    /// Applies one Bayesian update of `global` by the evidence `local`,
-    /// in place. Equivalent to [`crate::bayesian_update`] but reusing
-    /// this engine's cached key tables and scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some qubit of `local` is not measured by `global`.
-    pub fn update(&mut self, global: &mut Pmf, local: &Pmf, epsilon: f64) {
-        self.sweep(
-            global,
-            std::slice::from_ref(local),
-            ReconstructionConfig { epsilon, rounds: 1 },
-        );
     }
 
     /// Runs `config.rounds` sweeps of Bayesian updates over `locals`,
@@ -444,7 +373,6 @@ impl Reconstructor {
             return;
         }
         let _span = telemetry::span(telemetry::Stage::Reconstruction);
-        let dim = output.probs().len();
 
         self.picked.clear();
         for local in locals {
@@ -452,29 +380,24 @@ impl Reconstructor {
             self.picked.push(idx);
         }
 
-        let (mut k_max, mut chunks_max, mut partial_max) = (0, 0, 0);
-        for local in locals {
-            let k = local.borrow().probs().len();
-            let n_chunks = chunk_count(dim, k);
-            k_max = k_max.max(k);
-            chunks_max = chunks_max.max(n_chunks);
-            partial_max = partial_max.max(n_chunks * k);
-        }
+        let k_max = locals
+            .iter()
+            .map(|local| local.borrow().probs().len())
+            .max()
+            .unwrap_or(0);
         ensure(&mut self.marg, k_max);
         ensure(&mut self.ratio, k_max);
-        ensure(&mut self.partials, partial_max);
-        ensure(&mut self.totals, chunks_max);
 
         let plane = output.probs_mut();
         let epsilon = config.epsilon;
         let updates = config.rounds * locals.len();
-        // A single-chunk output of at least one mask word with at most
-        // half of its outcomes nonzero runs over those outcomes only (see
-        // "Sparse priors" above); the dense kernel takes every other
-        // output, and whatever the sparse sweep hands back.
+        // An output of at least one mask word with at most half of its
+        // outcomes nonzero runs over those outcomes only (see "Sparse
+        // priors" above); the dense kernel takes every other output, and
+        // whatever the sparse sweep hands back.
         let mut next = 0;
-        if (64..=CHUNK_OUTCOMES).contains(&dim)
-            && gather_support(plane, &mut self.support, &mut self.values)
+        if plane.len() >= 64
+            && gather_support(plane, &mut self.masks, &mut self.support, &mut self.values)
         {
             next = self.sparse_updates(plane, locals, epsilon, updates);
         }
@@ -489,47 +412,20 @@ impl Reconstructor {
     /// normalize, each over every outcome.
     fn dense_update(&mut self, plane: &mut [f64], lp: &[f64], t: usize, epsilon: f64) {
         let table = &self.tables[t];
-        let dim = plane.len();
-        let keys = &table.keys[..dim];
-        let k = lp.len();
-        let n_chunks = chunk_count(dim, k);
-        let chunk_len = dim / n_chunks;
-        let partials = &mut self.partials[..n_chunks * k];
-        let marg = &mut self.marg[..k];
-        let ratio = &mut self.ratio[..k];
-        let totals = &mut self.totals[..n_chunks];
+        let marg = &mut self.marg[..lp.len()];
+        let ratio = &mut self.ratio[..lp.len()];
 
-        // Pass A: per-chunk partial marginal histograms, summed bin by
-        // bin in bin order, reduced in chunk order.
-        for (c, part) in partials.chunks_exact_mut(k).enumerate() {
-            let starts = &table.starts[c * k..=(c + 1) * k];
-            bin_sums(plane, &table.order, starts, part);
-        }
-        for (j, m) in marg.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for c in 0..n_chunks {
-                s += partials[c * k + j];
-            }
-            *m = s;
-        }
+        // Pass A: the window marginal, summed bin by bin in bin order.
+        bin_sums(plane, &table.order, marg);
         if !guarded_ratios(marg, lp, epsilon, ratio) {
             return;
         }
 
-        // Pass B: reweight, accumulating per-chunk masses that are
-        // reduced in chunk order.
-        for (c, t) in totals.iter_mut().enumerate() {
-            let range = c * chunk_len..(c + 1) * chunk_len;
-            let mut sum = 0.0;
-            for (p, &key) in plane[range.clone()].iter_mut().zip(&keys[range]) {
-                *p *= ratio[key as usize];
-                sum += *p;
-            }
-            *t = sum;
-        }
+        // Pass B: reweight, accumulating the mass as one chain.
         let mut total = 0.0;
-        for &t in totals.iter() {
-            total += t;
+        for (p, &key) in plane.iter_mut().zip(&table.keys) {
+            *p *= ratio[key as usize];
+            total += *p;
         }
 
         // The normalize, in outcome order, mirroring `Pmf::normalize`'s
@@ -638,13 +534,12 @@ impl Reconstructor {
                 key
             })
             .collect();
-        let (order, starts) = bin_order(&positions, keys.len());
+        let order = bin_order(&positions, keys.len());
         self.tables.push(KeyTable {
             global: global.qubits().to_vec(),
             local: local.qubits().to_vec(),
             keys,
             order,
-            starts,
         });
         self.tables.len() - 1
     }
@@ -678,8 +573,6 @@ mod tests {
             ReconstructionConfig::default(),
         );
         assert_eq!(r.cached_key_tables(), 3);
-        r.clear_key_cache();
-        assert_eq!(r.cached_key_tables(), 0);
     }
 
     #[test]
@@ -710,20 +603,9 @@ mod tests {
         assert_eq!(out.probs(), global.probs());
     }
 
-    #[test]
-    fn chunk_grid_is_worker_independent() {
-        assert_eq!(chunk_count(1 << 10, 4), 1);
-        assert_eq!(chunk_count(1 << 12, 4), 1);
-        assert_eq!(chunk_count(1 << 13, 4), 2);
-        assert_eq!(chunk_count(1 << 16, 4), 16);
-        // Huge windows cap the grid so partials never outweigh the plane.
-        assert_eq!(chunk_count(1 << 16, 1 << 14), 4);
-        assert_eq!(chunk_count(1 << 16, 1 << 16), 1);
-    }
-
-    /// Every bin-order table lists each chunk's outcomes exactly once,
-    /// grouped by window bin and ascending inside each bin, for single-
-    /// and multi-chunk globals, high, descending and wide windows.
+    /// Every bin-order table lists each outcome exactly once, grouped by
+    /// window bin and ascending inside each bin, for globals of 3–14
+    /// qubits, high, descending and wide windows.
     #[test]
     fn bin_order_groups_each_chunk_by_key() {
         let shapes: [(usize, &[usize]); 8] = [
@@ -740,37 +622,27 @@ mod tests {
             let dim = 1usize << n;
             let global = Pmf::new((0..n).collect(), vec![1.0; dim]);
             let mut r = Reconstructor::new();
-            r.update(&mut global.clone(), &global.marginal(window), 1e-9);
+            r.reconstruct(
+                &global,
+                &[global.marginal(window)],
+                ReconstructionConfig::default(),
+            );
             let t = &r.tables[0];
-            let k = 1usize << window.len();
-            let n_chunks = chunk_count(dim, k);
-            let chunk_len = dim / n_chunks;
+            let len = dim >> window.len();
             assert_eq!(t.order.len(), dim, "{n} {window:?}");
-            assert_eq!(t.starts.len(), n_chunks * k + 1, "{n} {window:?}");
-            assert_eq!(t.starts[n_chunks * k] as usize, dim);
-            for c in 0..n_chunks {
-                let chunk = c * chunk_len..(c + 1) * chunk_len;
-                assert_eq!(t.starts[c * k] as usize, chunk.start, "{n} {window:?}");
-                let mut seen = vec![false; chunk_len];
-                for j in 0..k {
-                    let bin =
-                        &t.order[t.starts[c * k + j] as usize..t.starts[c * k + j + 1] as usize];
-                    assert!(
-                        bin.windows(2).all(|w| w[0] < w[1]),
-                        "{n} {window:?} bin {j}"
-                    );
-                    for &x in bin {
-                        let x = x as usize;
-                        assert!(chunk.contains(&x), "{n} {window:?}: {x} outside chunk {c}");
-                        assert_eq!(t.keys[x] as usize, j, "{n} {window:?}: {x} in bin {j}");
-                        assert!(!std::mem::replace(&mut seen[x - chunk.start], true));
-                    }
-                }
+            let mut seen = vec![false; dim];
+            for (j, bin) in t.order.chunks_exact(len).enumerate() {
                 assert!(
-                    seen.iter().all(|&s| s),
-                    "{n} {window:?}: chunk {c} incomplete"
+                    bin.windows(2).all(|w| w[0] < w[1]),
+                    "{n} {window:?} bin {j}"
                 );
+                for &x in bin {
+                    let x = x as usize;
+                    assert_eq!(t.keys[x] as usize, j, "{n} {window:?}: {x} in bin {j}");
+                    assert!(!std::mem::replace(&mut seen[x], true));
+                }
             }
+            assert!(seen.iter().all(|&s| s), "{n} {window:?}: incomplete");
         }
     }
 
@@ -779,7 +651,7 @@ mod tests {
     /// past the cut.
     #[test]
     fn gather_support_lists_nonzero_outcomes_up_to_half() {
-        let (mut support, mut values) = (Vec::new(), Vec::new());
+        let (mut masks, mut support, mut values) = (Vec::new(), Vec::new(), Vec::new());
         let mut plane = vec![0.0; 256];
         for (x, p) in [
             (3, 0.5),
@@ -790,7 +662,12 @@ mod tests {
         ] {
             plane[x] = p;
         }
-        assert!(gather_support(&plane, &mut support, &mut values));
+        assert!(gather_support(
+            &plane,
+            &mut masks,
+            &mut support,
+            &mut values
+        ));
         assert_eq!(support, [3, 64, 200, 255]);
         let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
         let want: Vec<u64> = [0.5, f64::NAN, 1e-300, 2.0]
@@ -800,10 +677,15 @@ mod tests {
         assert_eq!(bits, want);
 
         let mut half: Vec<f64> = (0..256).map(|x| (x % 2) as f64).collect();
-        assert!(gather_support(&half, &mut support, &mut values));
+        assert!(gather_support(&half, &mut masks, &mut support, &mut values));
         assert_eq!(support.len(), 128);
         half[0] = 1.0;
-        assert!(!gather_support(&half, &mut support, &mut values));
+        assert!(!gather_support(
+            &half,
+            &mut masks,
+            &mut support,
+            &mut values
+        ));
     }
 
     #[test]
@@ -836,10 +718,10 @@ mod tests {
             &[global.marginal(&[0, 1])],
             ReconstructionConfig::default(),
         );
-        assert!(!r.partials.is_empty());
+        assert!(!r.marg.is_empty());
         let c = r.clone();
         assert_eq!(c.cached_key_tables(), 1);
-        assert!(c.partials.is_empty() && c.marg.is_empty() && c.totals.is_empty());
-        assert!(c.support.is_empty() && c.values.is_empty());
+        assert!(c.marg.is_empty() && c.ratio.is_empty());
+        assert!(c.masks.is_empty() && c.support.is_empty() && c.values.is_empty());
     }
 }

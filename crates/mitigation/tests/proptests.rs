@@ -1,8 +1,6 @@
 //! Property-based tests for the mitigation substrate.
 
-use mitigation::{
-    bayesian_update, mbm_correct, reconstruct, sliding_windows, Pmf, ReconstructionConfig,
-};
+use mitigation::{mbm_correct, reconstruct, sliding_windows, Pmf, ReconstructionConfig};
 use pauli::{Pauli, PauliString};
 use proptest::prelude::*;
 use qnoise::{apply_readout_errors, ReadoutError};
@@ -25,8 +23,8 @@ proptest! {
     /// marginal when the prior has full support.
     #[test]
     fn bayes_imposes_local_marginal(global in arb_pmf(vec![0, 1, 2]), local in arb_pmf(vec![1])) {
-        let mut out = global.clone();
-        bayesian_update(&mut out, &local, 1e-12);
+        let config = ReconstructionConfig { epsilon: 1e-12, rounds: 1 };
+        let out = reconstruct(&global, std::slice::from_ref(&local), config);
         prop_assert!((out.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
         let m = out.marginal(&[1]);
         prop_assert!((m.prob(0) - local.prob(0)).abs() < 1e-6);

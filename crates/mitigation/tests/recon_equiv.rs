@@ -1,15 +1,11 @@
 //! Property test: the `Reconstructor` engine is bit-identical to a
 //! textbook sequential Bayesian reconstruction, fresh and key-cached.
 //!
-//! Up to 12 qubits a global fits in a single chunk, where the kernel
-//! must match the naive sequential reference **exactly** (`==` on `f64`,
-//! not within a tolerance) for every input, qubit count 2–12, window
-//! size and round count — over dense priors and over shot-sampled ones,
-//! which the engine sweeps over their nonzero outcomes only. The 13- and
-//! 14-qubit multi-chunk cases re-associate the marginal reduction in
-//! chunk order: they agree with the reference within floating-point
-//! tolerance, and their exact output bits are pinned by digest so the
-//! chunk-ordered reduction cannot drift.
+//! The kernel must match the naive sequential reference **exactly**
+//! (`==` on `f64`, not within a tolerance) for every input, qubit count
+//! 2–14, window size and round count — over dense priors and over
+//! shot-sampled ones, which the engine sweeps over their nonzero outcomes
+//! only.
 
 use mitigation::{reconstruct, Pmf, ReconstructionConfig, Reconstructor};
 use proptest::prelude::*;
@@ -22,7 +18,7 @@ fn naive_reconstruct(global: &Pmf, locals: &[Pmf], config: ReconstructionConfig)
     let mut out = global.clone();
     for _ in 0..config.rounds {
         for local in locals {
-            naive_update(&mut out, local, config.epsilon, 1);
+            naive_update(&mut out, local, config.epsilon);
         }
     }
     out
@@ -30,13 +26,9 @@ fn naive_reconstruct(global: &Pmf, locals: &[Pmf], config: ReconstructionConfig)
 
 /// One textbook Bayesian update of `out` by `local`: marginal, guarded
 /// ratios, reweight, then a separate normalize pass. Returns the
-/// post-reweight mass, or `None` when the update is skipped.
-///
-/// With `chunks == 1` every sum runs sequentially over the outcomes.
-/// With more, the outcome range splits into `chunks` equal chunks; each
-/// chunk's sums run sequentially and the chunk sums are added in chunk
-/// order — the engine's documented multi-chunk reduction.
-fn naive_update(out: &mut Pmf, local: &Pmf, epsilon: f64, chunks: usize) -> Option<f64> {
+/// post-reweight mass, or `None` when the update is skipped. Every sum
+/// runs sequentially over the outcomes.
+fn naive_update(out: &mut Pmf, local: &Pmf, epsilon: f64) -> Option<f64> {
     let positions = out.projection_positions(local.qubits());
     let key = |x: usize| -> usize {
         positions
@@ -46,16 +38,9 @@ fn naive_update(out: &mut Pmf, local: &Pmf, epsilon: f64, chunks: usize) -> Opti
             .sum()
     };
     let k = local.probs().len();
-    let chunk_len = out.probs().len() / chunks;
     let mut marg = vec![0.0; k];
-    for (c, probs) in out.probs().chunks(chunk_len).enumerate() {
-        let mut part = vec![0.0; k];
-        for (i, &p) in probs.iter().enumerate() {
-            part[key(c * chunk_len + i)] += p;
-        }
-        for (m, p) in marg.iter_mut().zip(&part) {
-            *m += p;
-        }
+    for (x, &p) in out.probs().iter().enumerate() {
+        marg[key(x)] += p;
     }
     let mut unsupported = 0.0;
     let mut supported_evidence = 0.0;
@@ -81,13 +66,9 @@ fn naive_update(out: &mut Pmf, local: &Pmf, epsilon: f64, chunks: usize) -> Opti
         .collect();
     let probs = out.probs_mut();
     let mut total = 0.0;
-    for (c, chunk) in probs.chunks_mut(chunk_len).enumerate() {
-        let mut sum = 0.0;
-        for (i, p) in chunk.iter_mut().enumerate() {
-            *p *= ratio[key(c * chunk_len + i)];
-            sum += *p;
-        }
-        total += sum;
+    for (x, p) in probs.iter_mut().enumerate() {
+        *p *= ratio[key(x)];
+        total += *p;
     }
     if (total - 1.0).abs() > 1e-15 {
         for p in probs.iter_mut() {
@@ -95,14 +76,6 @@ fn naive_update(out: &mut Pmf, local: &Pmf, epsilon: f64, chunks: usize) -> Opti
         }
     }
     Some(total)
-}
-
-/// FNV-1a over the output's `f64` bit patterns: a compact pin of every
-/// bit of a reconstruction.
-fn bit_digest(probs: &[f64]) -> u64 {
-    probs.iter().fold(0xcbf2_9ce4_8422_2325, |h, p| {
-        (h ^ p.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// Weights in `[0, 1)` with a sprinkling of exact zeros (from the mask),
@@ -168,12 +141,12 @@ fn skewed_draws(n: usize, never: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Whether the engine sweeps `global` over its listed support: a single
-/// chunk of at least one 64-outcome mask word, at most half nonzero.
+/// Whether the engine sweeps `global` over its listed support: at least
+/// one 64-outcome mask word, at most half nonzero.
 fn takes_sparse_path(global: &Pmf) -> bool {
     let dim = global.probs().len();
     let nonzero = global.probs().iter().filter(|&&p| p != 0.0).count();
-    (64..=1 << 12).contains(&dim) && 2 * nonzero <= dim
+    dim >= 64 && 2 * nonzero <= dim
 }
 
 /// A deterministic n-qubit global over `qubits` with every outcome
@@ -366,11 +339,10 @@ fn varsaw_shaped_mixed_width_sweeps_are_bit_identical() {
     assert_fresh_and_cached_match_reference(&global, &locals);
 }
 
-/// Consecutive locals with *different* chunk grids: a 13-qubit window
-/// caps its grid at 2 chunks while a 2-qubit window gets 4. The output
-/// bits are pinned by digest.
+/// A 13-qubit window next to 2-qubit ones over a 14-qubit global: bins
+/// of two outcomes and bins of 4,096 in one sweep.
 #[test]
-fn mixed_window_chunk_grids_are_bit_identical() {
+fn wide_and_narrow_windows_over_14_qubits_are_bit_identical() {
     let n = 14;
     let dim = 1usize << n;
     let probs: Vec<f64> = (0..dim)
@@ -384,19 +356,12 @@ fn mixed_window_chunk_grids_are_bit_identical() {
         Pmf::new(vec![0, 1], vec![0.4, 0.1, 0.2, 0.3]),
         Pmf::new(vec![12, 13], vec![0.3, 0.3, 0.2, 0.2]),
     ];
-    let config = ReconstructionConfig {
-        epsilon: 1e-9,
-        rounds: 2,
-    };
-    let out = Reconstructor::new().reconstruct(&global, &locals, config);
-    assert_eq!(bit_digest(out.probs()), 0x85b5_d0b5_d8e1_f419);
+    assert_fresh_and_cached_match_reference(&global, &locals);
 }
 
-/// 13 qubits splits into two chunks: the output bits are pinned by
-/// digest, while the naive sequential reference — whose marginal sums are
-/// not chunk-associated — agrees within floating-point tolerance.
+/// Every sliding 2-qubit window over a dense 13-qubit global.
 #[test]
-fn multi_chunk_sweeps_match_pinned_bits() {
+fn thirteen_qubit_sweeps_are_bit_identical() {
     let n = 13;
     let dim = 1usize << n;
     let probs: Vec<f64> = (0..dim)
@@ -409,18 +374,7 @@ fn multi_chunk_sweeps_match_pinned_bits() {
             Pmf::new(vec![s, s + 1], probs)
         })
         .collect();
-    let config = ReconstructionConfig {
-        epsilon: 1e-9,
-        rounds: 2,
-    };
-    let serial = Reconstructor::new().reconstruct(&global, &locals, config);
-    assert_eq!(bit_digest(serial.probs()), 0xb811_8910_70eb_439c);
-    let reference = naive_reconstruct(&global, &locals, config);
-    assert!(
-        reference.tvd(&serial) < 1e-12,
-        "multi-chunk reduction drifted: tvd {}",
-        reference.tvd(&serial)
-    );
+    assert_fresh_and_cached_match_reference(&global, &locals);
 }
 
 /// Edge cases of the normalization: an update whose mass misses 1 owes a
@@ -459,7 +413,7 @@ mod deferred_normalization {
     /// `None` when the update is skipped.
     fn owes_normalize(prior: &Pmf, local: &Pmf) -> Option<bool> {
         let mut out = prior.clone();
-        naive_update(&mut out, local, EPSILON, 1).map(|total| (total - 1.0).abs() > 1e-15)
+        naive_update(&mut out, local, EPSILON).map(|total| (total - 1.0).abs() > 1e-15)
     }
 
     /// The first local over `qubits`, from a fixed deterministic family,
@@ -496,7 +450,7 @@ mod deferred_normalization {
         let global = global_q0_zero();
         let owing = local_owing(&global, &[3, 4], true);
         let mut after = global.clone();
-        naive_update(&mut after, &owing, EPSILON, 1);
+        naive_update(&mut after, &owing, EPSILON);
         assert_eq!(owes_normalize(&after, &incompatible()), None, "skipped");
         let next = Pmf::new(vec![8, 9], vec![0.1, 0.2, 0.3, 0.4]);
         assert_matches_reference(&global, &[owing, incompatible(), next]);
@@ -514,18 +468,15 @@ mod deferred_normalization {
         let global = global_q0_zero();
         let unit = local_owing(&global, &[5, 6], false);
         let mut after = global.clone();
-        naive_update(&mut after, &unit, EPSILON, 1);
+        naive_update(&mut after, &unit, EPSILON);
         let owing = local_owing(&after, &[8], true);
         assert_matches_reference(&global, &[unit, owing]);
     }
 
-    /// Windows of 2, 4 and 8 outcomes in one sweep over a 13-qubit global
-    /// that splits into two chunks, high-bit windows (bins left empty in
-    /// a chunk) included. Multi-chunk sums are
-    /// chunk-ordered, so the exact reference is the chunked one; the
-    /// sequential reference agrees within floating-point tolerance.
+    /// Windows of 2, 4 and 8 outcomes in one sweep over a dense 13-qubit
+    /// global, high-bit windows included.
     #[test]
-    fn mixed_window_sizes_over_a_multi_chunk_global() {
+    fn mixed_window_sizes_over_a_13_qubit_global() {
         let n = 13;
         let probs: Vec<f64> = (0..1usize << n)
             .map(|x| ((x * 2654435761) % 1000 + 1) as f64)
@@ -539,18 +490,7 @@ mod deferred_normalization {
             Pmf::new(vec![0], vec![0.45, 0.55]),
             Pmf::new(vec![3, 7, 12], (1..=8).rev().map(f64::from).collect()),
         ];
-        for rounds in 1..=2 {
-            let got = Reconstructor::new().reconstruct(&global, &locals, config(rounds));
-            let mut want = global.clone();
-            for _ in 0..rounds {
-                for local in &locals {
-                    naive_update(&mut want, local, EPSILON, 2);
-                }
-            }
-            assert_eq!(got.probs(), want.probs(), "rounds {rounds}");
-            let sequential = naive_reconstruct(&global, &locals, config(rounds));
-            assert!(sequential.tvd(&got) < 1e-12, "rounds {rounds}");
-        }
+        assert_fresh_and_cached_match_reference(&global, &locals);
     }
 }
 
@@ -681,32 +621,18 @@ mod sampled_priors {
     }
 }
 
-/// A 13-qubit 1,024-shot prior: far sparser than the cut, but two chunks,
-/// so the engine keeps the chunk-ordered dense kernel. The output matches
-/// the chunked reference bit for bit, and its bits are pinned by digest.
+/// A 13-qubit 1,024-shot prior, far sparser than the cut: the engine
+/// sweeps it over its nonzero outcomes, with the reference's bits.
 #[test]
-fn sampled_multi_chunk_prior_keeps_the_chunked_kernel() {
+fn sampled_13_qubit_prior_takes_the_sparse_path() {
     let n = 13;
     let global = sampled_global(n, &skewed_draws(n, 0));
-    let nonzero = global.probs().iter().filter(|&&p| p != 0.0).count();
-    assert!(2 * nonzero <= 1 << n);
+    assert!(takes_sparse_path(&global));
     let locals = vec![
         Pmf::new(vec![12], vec![0.7, 0.3]),
         Pmf::new(vec![0, 1], vec![0.4, 0.1, 0.2, 0.3]),
         Pmf::new(vec![11, 12], vec![0.3, 0.3, 0.2, 0.2]),
         Pmf::new(vec![3, 7, 12], (1..=8).rev().map(f64::from).collect()),
     ];
-    let config = ReconstructionConfig {
-        epsilon: 1e-9,
-        rounds: 2,
-    };
-    let got = Reconstructor::new().reconstruct(&global, &locals, config);
-    let mut want = global.clone();
-    for _ in 0..config.rounds {
-        for local in &locals {
-            naive_update(&mut want, local, config.epsilon, 2);
-        }
-    }
-    assert_eq!(got.probs(), want.probs());
-    assert_eq!(bit_digest(got.probs()), 0x3c4e_45fc_e047_f339);
+    assert_fresh_and_cached_match_reference(&global, &locals);
 }
