@@ -10,8 +10,9 @@
 //! baseline (see [`bench::compare_runs`]). **Trend mode** judges the
 //! concatenation of the current artifacts against a rolling
 //! `BENCH_HISTORY.jsonl` — one line per past run — using the rolling
-//! median ± scaled MAD of the last `--window` runs (default from
-//! `VARSAW_BENCH_HISTORY_WINDOW`, see [`bench::trend_regressions`]);
+//! median ± scaled MAD of the last `--window` runs (default
+//! [`bench::DEFAULT_BENCH_HISTORY_WINDOW`], see
+//! [`bench::trend_regressions`]);
 //! `--append` folds the current run into the history afterwards, so CI
 //! can re-archive the file.
 //!
@@ -53,7 +54,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         trend: false,
         append: false,
-        window: bench::bench_history_window(),
+        window: bench::DEFAULT_BENCH_HISTORY_WINDOW,
         max_ratio: 2.0,
         paths: Vec::new(),
     };

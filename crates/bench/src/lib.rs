@@ -9,8 +9,8 @@
 //! [`compare_runs`] flags kernels whose mean regressed past a ratio
 //! threshold (see the `bench_diff` binary). On top of the pairwise
 //! check sits the rolling-history trend gate: `BENCH_HISTORY.jsonl`
-//! accumulates one line per archived run ([`append_history`], window
-//! from `VARSAW_BENCH_HISTORY_WINDOW` via [`bench_history_window`]), and
+//! accumulates one line per archived run ([`append_history`], by
+//! default the last [`DEFAULT_BENCH_HISTORY_WINDOW`] runs), and
 //! [`trend_regressions`] judges the current run against the rolling
 //! median ± scaled MAD of that history — robust to a single noisy
 //! baseline run in a way the pairwise check cannot be.
@@ -28,12 +28,11 @@
 //! c.bench_function("doc/noop", |b| b.iter(|| std::hint::black_box(1 + 1)));
 //! ```
 
-mod config;
-
-pub use config::{
-    bench_history_window, BENCH_HISTORY_WINDOW_ENV, DEFAULT_BENCH_HISTORY_WINDOW,
-    MAX_BENCH_HISTORY_WINDOW,
-};
+/// The rolling window of runs `bench_diff --trend` keeps in
+/// `BENCH_HISTORY.jsonl` and judges new runs against, unless `--window`
+/// says otherwise: enough depth for a stable median ± MAD band without
+/// letting months-old hardware drift vote.
+pub const DEFAULT_BENCH_HISTORY_WINDOW: usize = 20;
 
 /// One benchmark record from a `BENCH_*.json` artifact, as written by the
 /// criterion shim (`{"id", "mean_ns", "best_ns", "samples"}`).

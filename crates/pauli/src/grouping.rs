@@ -27,13 +27,6 @@ pub struct MeasurementGroup {
     pub members: Vec<usize>,
 }
 
-impl MeasurementGroup {
-    /// The qubits this group's circuit measures.
-    pub fn measured_qubits(&self) -> Vec<usize> {
-        self.basis.support()
-    }
-}
-
 /// Groups `strings` into cover-based measurement groups.
 ///
 /// Deterministic: strings are visited in decreasing weight (ties broken by
@@ -228,12 +221,6 @@ mod tests {
                 assert!(g.basis.covers(&terms[m]));
             }
         }
-    }
-
-    #[test]
-    fn measured_qubits_match_basis_support() {
-        let groups = group_by_cover(&parse_all(&["ZIZI"]));
-        assert_eq!(groups[0].measured_qubits(), vec![0, 2]);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Hamiltonians as sparse sums of Pauli terms.
 
-use crate::string::PauliString;
 use crate::term::PauliTerm;
 use qsim::{HermitianOp, Statevector, C64};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A Hermitian operator expressed as a real-weighted sum of Pauli strings —
@@ -107,30 +105,6 @@ impl Hamiltonian {
             .iter()
             .filter(|t| !t.string().is_identity())
             .collect()
-    }
-
-    /// Combines duplicate strings, dropping terms whose combined
-    /// coefficient is below `tol` in magnitude. Keeps first-occurrence
-    /// order.
-    pub fn simplify(&self, tol: f64) -> Hamiltonian {
-        let mut index: HashMap<&PauliString, usize> = HashMap::new();
-        let mut combined: Vec<(f64, &PauliString)> = Vec::new();
-        for t in &self.terms {
-            match index.get(t.string()) {
-                Some(&i) => combined[i].0 += t.coeff(),
-                None => {
-                    index.insert(t.string(), combined.len());
-                    combined.push((t.coeff(), t.string()));
-                }
-            }
-        }
-        let mut out = Hamiltonian::new(self.num_qubits);
-        for (c, s) in combined {
-            if c.abs() > tol {
-                out.push(PauliTerm::new(c, s.clone()));
-            }
-        }
-        out
     }
 
     /// The 1-norm of the coefficients, an upper bound on the spectral
@@ -256,14 +230,6 @@ mod tests {
         let h = Hamiltonian::from_pairs(2, &[(3.5, "II"), (1.0, "ZZ"), (-1.5, "II")]);
         assert_eq!(h.identity_offset(), 2.0);
         assert_eq!(h.measurable_terms().len(), 1);
-    }
-
-    #[test]
-    fn simplify_combines_duplicates() {
-        let h = Hamiltonian::from_pairs(2, &[(1.0, "ZZ"), (0.5, "ZZ"), (1.0, "XI"), (-1.0, "XI")]);
-        let s = h.simplify(1e-12);
-        assert_eq!(s.num_terms(), 1);
-        assert_eq!(s.terms()[0].coeff(), 1.5);
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl PauliTerm {
     pub fn string(&self) -> &PauliString {
         &self.string
     }
-
-    /// Consumes the term and returns its parts.
-    pub fn into_parts(self) -> (f64, PauliString) {
-        (self.coeff, self.string)
-    }
 }
 
 impl fmt::Display for PauliTerm {
@@ -84,13 +79,5 @@ mod tests {
     fn display_includes_sign() {
         let t = PauliTerm::parse(-0.5, "ZZ").unwrap();
         assert_eq!(t.to_string(), "-0.500000 ZZ");
-    }
-
-    #[test]
-    fn into_parts_round_trips() {
-        let t = PauliTerm::parse(2.0, "XY").unwrap();
-        let (c, s) = t.into_parts();
-        assert_eq!(c, 2.0);
-        assert_eq!(s.to_string(), "XY");
     }
 }

@@ -27,8 +27,7 @@ use std::fmt;
 /// let dev = DeviceModel::mumbai_like();
 /// assert_eq!(dev.num_qubits(), 27);
 /// let best = dev.best_qubits(2);
-/// let worst_avg = dev.readout(dev.worst_qubit()).average();
-/// assert!(dev.readout(best[0]).average() <= worst_avg);
+/// assert!(dev.readout(best[0]).average() <= dev.readout(best[1]).average());
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct DeviceModel {
@@ -183,18 +182,6 @@ impl DeviceModel {
         order
     }
 
-    /// The physical qubit with the highest average readout error.
-    pub fn worst_qubit(&self) -> usize {
-        (0..self.num_qubits())
-            .max_by(|&a, &b| {
-                self.readout[a]
-                    .average()
-                    .partial_cmp(&self.readout[b].average())
-                    .expect("error rates are not NaN")
-            })
-            .expect("device has at least one qubit")
-    }
-
     /// The device-average readout error.
     pub fn average_readout_error(&self) -> f64 {
         self.readout.iter().map(|e| e.average()).sum::<f64>() / self.num_qubits() as f64
@@ -273,7 +260,6 @@ mod tests {
         for w in best.windows(2) {
             assert!(dev.readout(w[0]).average() <= dev.readout(w[1]).average());
         }
-        assert_eq!(dev.worst_qubit(), *best.last().unwrap());
     }
 
     #[test]

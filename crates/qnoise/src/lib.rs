@@ -24,13 +24,11 @@
 //! assert!(probs[0] > 0.9); // small error on the best qubits
 //! ```
 
-mod calibration;
 mod channel;
 mod crosstalk;
 mod device;
 mod readout;
 
-pub use calibration::{calibrate_device, fit_readout_errors};
 pub use channel::{apply_depolarizing, apply_readout_errors};
 pub use crosstalk::CrosstalkModel;
 pub use device::DeviceModel;

@@ -85,16 +85,6 @@ impl ReadoutError {
     pub fn confusion(&self) -> [[f64; 2]; 2] {
         [[1.0 - self.p10, self.p01], [self.p10, 1.0 - self.p01]]
     }
-
-    /// Applies the channel to one sampled bit.
-    pub fn flip_bit<R: rand::Rng + ?Sized>(&self, bit: bool, rng: &mut R) -> bool {
-        let p = if bit { self.p01 } else { self.p10 };
-        if rng.random::<f64>() < p {
-            !bit
-        } else {
-            bit
-        }
-    }
 }
 
 impl fmt::Display for ReadoutError {
@@ -106,8 +96,6 @@ impl fmt::Display for ReadoutError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn confusion_columns_are_stochastic() {
@@ -133,17 +121,6 @@ mod tests {
     #[should_panic(expected = "must lie in [0, 0.5]")]
     fn rejects_out_of_range() {
         ReadoutError::new(0.6, 0.1);
-    }
-
-    #[test]
-    fn flip_statistics_match_probabilities() {
-        let e = ReadoutError::new(0.2, 0.0);
-        let mut rng = StdRng::seed_from_u64(5);
-        let flips = (0..10_000).filter(|_| e.flip_bit(false, &mut rng)).count();
-        let rate = flips as f64 / 10_000.0;
-        assert!((rate - 0.2).abs() < 0.02, "rate {rate}");
-        // A true 1 never flips with p01 = 0.
-        assert!(e.flip_bit(true, &mut rng));
     }
 
     #[test]

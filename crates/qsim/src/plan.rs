@@ -102,7 +102,6 @@ enum Slot {
 #[derive(Debug)]
 pub struct PlanStructure {
     num_qubits: usize,
-    source_gates: usize,
     slots: Vec<Slot>,
     key: Vec<u64>,
 }
@@ -221,7 +220,6 @@ impl PlanStructure {
 
         PlanStructure {
             num_qubits: circuit.num_qubits(),
-            source_gates: circuit.gate_count(),
             slots,
             key: structure_key(circuit),
         }
@@ -252,7 +250,6 @@ impl PlanStructure {
             .collect();
         PlanStructure {
             num_qubits: circuit.num_qubits(),
-            source_gates: circuit.gate_count(),
             slots,
             key: structure_key(circuit),
         }
@@ -368,11 +365,6 @@ impl CircuitPlan {
     /// costs.
     pub fn op_count(&self) -> usize {
         self.ops.len()
-    }
-
-    /// The number of gates in the source circuit.
-    pub fn source_gate_count(&self) -> usize {
-        self.structure.source_gates
     }
 
     /// The lowered ops, for the execution kernels.

@@ -115,29 +115,6 @@ impl Statevector {
         Ok(Statevector { num_qubits, amps })
     }
 
-    /// Builds a state from raw amplitudes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is not a power of two or the state is not
-    /// normalized to within `1e-6`.
-    pub fn from_amplitudes(amps: Vec<C64>) -> Self {
-        let n = amps.len();
-        assert!(
-            n.is_power_of_two(),
-            "amplitude count must be a power of two"
-        );
-        let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
-        assert!(
-            (norm - 1.0).abs() < 1e-6,
-            "state not normalized (norm² = {norm})"
-        );
-        Statevector {
-            num_qubits: n.trailing_zeros() as usize,
-            amps,
-        }
-    }
-
     /// The number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
@@ -470,17 +447,5 @@ mod tests {
         let mut b = Statevector::zero(1);
         b.apply_gate(Gate::X(0));
         assert!(a.fidelity(&b).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "not normalized")]
-    fn from_amplitudes_checks_norm() {
-        Statevector::from_amplitudes(vec![C64::ONE, C64::ONE]);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn from_amplitudes_checks_length() {
-        Statevector::from_amplitudes(vec![C64::ONE, C64::ZERO, C64::ZERO]);
     }
 }

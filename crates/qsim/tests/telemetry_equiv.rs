@@ -1,16 +1,30 @@
 //! Telemetry transparency oracle for the statevector engine.
 //!
-//! Spans are observations, never participants: with a recorder installed
-//! and recording active, the fused, recompiled-fused and unfused
+//! Spans are observations, never participants: with recording active,
+//! the fused, recompiled-fused and unfused
 //! reference paths of the serial engine must produce exactly the bits
 //! they produce with telemetry compiled out. These are the same equivalence assertions the
 //! fusion oracle makes — re-run here under instrumentation so a timing
 //! regression can never hide a numerics regression (and vice versa).
+//!
+//! Both tests read the process-global stage totals, so they run one at a
+//! time under [`recording_lock`] and count only what their own region
+//! adds ([`telemetry::TelemetrySnapshot::since`]).
 
 use qsim::{Circuit, CircuitPlan, PlanCache, Statevector};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests of this file, which share the global stage
+/// totals, and pins the runtime switch on.
+fn recording_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    telemetry::set_active(true);
+    guard
+}
 
 /// A layered ansatz-shaped circuit: rotation layers interleaved with CX
-/// chains, deep enough to exercise run fusion and entangler blocking.
+/// chains, deep enough to exercise run fusion.
 fn layered(n: usize, depth: usize) -> Circuit {
     let mut c = Circuit::new(n);
     for d in 0..depth {
@@ -27,9 +41,9 @@ fn layered(n: usize, depth: usize) -> Circuit {
 
 #[test]
 fn spans_do_not_perturb_fused_execution() {
-    telemetry::set_active(true);
-    let recorder = telemetry::Recorder::new();
-    let _guard = recorder.install();
+    let _lock = recording_lock();
+    #[cfg(feature = "telemetry")]
+    let before = telemetry::global_snapshot();
 
     let c = layered(8, 4);
     let fused = CircuitPlan::compile(&c);
@@ -42,7 +56,7 @@ fn spans_do_not_perturb_fused_execution() {
     let mut reference = Statevector::zero(8);
     reference.apply_plan(&unfused);
 
-    // One plan, compiled twice: bit-identical by contract, spans installed.
+    // One plan, compiled twice: bit-identical by contract, spans live.
     assert_eq!(serial.amplitudes(), recompiled.amplitudes());
     // Fused vs unfused: same tolerance the fusion oracle grants.
     for (a, b) in serial.amplitudes().iter().zip(reference.amplitudes()) {
@@ -52,11 +66,11 @@ fn spans_do_not_perturb_fused_execution() {
     let squares: Vec<f64> = serial.amplitudes().iter().map(|a| a.norm_sqr()).collect();
     assert_eq!(serial.probabilities(), squares);
 
-    // With the feature compiled in, the recorder must actually have seen
-    // the stages the paths above pass through.
+    // With the feature compiled in, the global totals must actually have
+    // seen the stages the paths above pass through.
     #[cfg(feature = "telemetry")]
     {
-        let snap = recorder.snapshot();
+        let snap = telemetry::global_snapshot().since(&before);
         assert!(snap.stat(telemetry::Stage::PlanCompile).count >= 3);
         assert!(snap.stat(telemetry::Stage::SweepSerial).count >= 4);
     }
@@ -64,9 +78,9 @@ fn spans_do_not_perturb_fused_execution() {
 
 #[test]
 fn spans_do_not_perturb_plan_cache_rebinds() {
-    telemetry::set_active(true);
-    let recorder = telemetry::Recorder::new();
-    let _guard = recorder.install();
+    let _lock = recording_lock();
+    #[cfg(feature = "telemetry")]
+    let before = telemetry::global_snapshot();
 
     let mut cache = PlanCache::new();
     let a = cache.plan(&layered(6, 3));
@@ -81,7 +95,7 @@ fn spans_do_not_perturb_plan_cache_rebinds() {
 
     #[cfg(feature = "telemetry")]
     {
-        let snap = recorder.snapshot();
+        let snap = telemetry::global_snapshot().since(&before);
         assert_eq!(snap.stat(telemetry::Stage::PlanCompile).count, 1);
         // Every plan() binds: one rebind per call.
         assert_eq!(snap.stat(telemetry::Stage::PlanRebind).count, 2);

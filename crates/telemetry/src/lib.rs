@@ -1,8 +1,8 @@
 //! Stage-attributed telemetry for the VarSaw reproduction's hot paths.
 //!
-//! The workspace's speed claims (fusion ratios, batched dispatch, the
-//! sampler and reconstruction kernels) all rest on "where did the time
-//! go" questions, so the hot paths carry instrumentation points with a
+//! The workspace's speed claims (plan fusion, the sampler and
+//! reconstruction kernels) all rest on "where did the time go"
+//! questions, so the hot paths carry instrumentation points with a
 //! **fixed stage taxonomy** ([`Stage`]): plan compilation vs rebinding,
 //! the statevector sweeps, noise sampling, Bayesian reconstruction,
 //! VarSaw's Local-PMF marginals and energy assembly.
@@ -12,18 +12,13 @@
 //! it), [`span`] returns a zero-sized guard and the optimizer deletes
 //! the call sites — the instrumented binaries are the uninstrumented
 //! ones. With the feature on, spans time themselves with
-//! [`std::time::Instant`] and accumulate into lock-free per-stage
-//! atomics:
+//! [`std::time::Instant`] and accumulate into one process-global set of
+//! lock-free per-stage atomics, read with [`global_snapshot`]; two
+//! snapshots bracket a region with [`TelemetrySnapshot::since`].
 //!
-//! - a **process-global** accumulator, read with [`global_snapshot`];
-//! - an optional **scoped [`Recorder`]** installed on the current thread
-//!   ([`Recorder::install`]), which attributes one thread's stages apart
-//!   from whatever other threads record concurrently.
-//!
-//! Even when compiled in, recording honors a runtime switch seeded from
-//! the `VARSAW_TELEMETRY` environment knob (read once per process) and
-//! adjustable with [`set_active`] — an instrumented build can still run
-//! cold.
+//! Even when compiled in, recording honors a runtime switch, on by
+//! default and flipped with [`set_active`] — an instrumented build can
+//! still run cold.
 //!
 //! Spans at the chosen call sites are **disjoint by construction** (noise
 //! spans sit outside the sweep spans, and the marginal and energy spans
@@ -33,23 +28,20 @@
 //! reports the fraction of an iteration attributed to named stages.
 //!
 //! ```
-//! use telemetry::{Recorder, Stage};
+//! use telemetry::Stage;
 //!
-//! let recorder = Recorder::new();
+//! let before = telemetry::global_snapshot();
 //! {
-//!     let _guard = recorder.install();
 //!     let _span = telemetry::span(Stage::SweepSerial);
 //!     // ... statevector work ...
 //! }
+//! let delta = telemetry::global_snapshot().since(&before);
 //! if telemetry::compiled() {
-//!     assert_eq!(recorder.snapshot().stat(Stage::SweepSerial).count, 1);
+//!     assert_eq!(delta.stat(Stage::SweepSerial).count, 1);
 //! } else {
-//!     assert!(recorder.snapshot().is_empty());
+//!     assert!(delta.is_empty());
 //! }
 //! ```
-
-#[cfg(any(feature = "enabled", test))]
-mod config;
 
 use std::fmt;
 
@@ -70,11 +62,11 @@ pub enum Stage {
     SweepSerial,
     /// Never recorded. Kept only because `paperbench/src/main.rs` and
     /// `BENCHMARK.json` name it; a benchmark change drops it (ROADMAP.md,
-    /// "One execution engine", Sequencing).
+    /// "Benchmark housekeeping").
     SweepThreaded,
     /// Never recorded. Kept only because `paperbench/src/main.rs` names
-    /// it; a benchmark change drops it (ROADMAP.md, "One execution
-    /// engine", Sequencing).
+    /// it; a benchmark change drops it (ROADMAP.md, "Benchmark
+    /// housekeeping").
     SweepSharded,
     /// Distribution-level noise: depolarizing and readout confusion
     /// application, plus shot sampling.
@@ -228,13 +220,6 @@ impl TelemetrySnapshot {
         }
         out
     }
-
-    #[cfg(feature = "enabled")]
-    fn add(&mut self, stage: Stage, count: u64, ns: u64) {
-        let i = stage.index();
-        self.counts[i] = self.counts[i].saturating_add(count);
-        self.nanos[i] = self.nanos[i].saturating_add(ns);
-    }
 }
 
 /// Whether the instrumentation was compiled in (the `enabled` feature).
@@ -247,84 +232,33 @@ pub const fn compiled() -> bool {
 #[cfg(feature = "enabled")]
 mod imp {
     use super::{Stage, TelemetrySnapshot};
-    use std::cell::RefCell;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, OnceLock};
     use std::time::{Duration, Instant};
 
     /// Lock-free per-stage accumulators: one `(count, nanos)` atomic pair
     /// per stage. Relaxed ordering everywhere — totals are statistics,
     /// not synchronization.
-    #[derive(Debug, Default)]
-    pub(super) struct Cells {
-        counts: [AtomicU64; Stage::COUNT],
-        nanos: [AtomicU64; Stage::COUNT],
-    }
+    static COUNTS: [AtomicU64; Stage::COUNT] = [const { AtomicU64::new(0) }; Stage::COUNT];
+    static NANOS: [AtomicU64; Stage::COUNT] = [const { AtomicU64::new(0) }; Stage::COUNT];
 
-    impl Cells {
-        fn add(&self, stage: Stage, count: u64, ns: u64) {
-            let i = stage.index();
-            self.counts[i].fetch_add(count, Ordering::Relaxed);
-            self.nanos[i].fetch_add(ns, Ordering::Relaxed);
-        }
-
-        fn snapshot(&self) -> TelemetrySnapshot {
-            let mut out = TelemetrySnapshot::empty();
-            for (i, stage) in Stage::ALL.into_iter().enumerate() {
-                out.add(
-                    stage,
-                    self.counts[i].load(Ordering::Relaxed),
-                    self.nanos[i].load(Ordering::Relaxed),
-                );
-            }
-            out
-        }
-
-        fn clear(&self) {
-            for i in 0..Stage::COUNT {
-                self.counts[i].store(0, Ordering::Relaxed);
-                self.nanos[i].store(0, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn global() -> &'static Cells {
-        static GLOBAL: OnceLock<Cells> = OnceLock::new();
-        GLOBAL.get_or_init(Cells::default)
-    }
-
-    fn active_flag() -> &'static AtomicBool {
-        static ACTIVE: OnceLock<AtomicBool> = OnceLock::new();
-        ACTIVE.get_or_init(|| AtomicBool::new(crate::config::recording_default()))
-    }
-
-    thread_local! {
-        static CURRENT: RefCell<Option<Arc<Cells>>> = const { RefCell::new(None) };
-    }
+    static ACTIVE: AtomicBool = AtomicBool::new(true);
 
     /// Whether recording is live right now: compiled in **and** the
-    /// runtime switch is on (`VARSAW_TELEMETRY`, adjustable via
-    /// [`set_active`]).
+    /// runtime switch is on (the default; see [`set_active`]).
     pub fn active() -> bool {
-        active_flag().load(Ordering::Relaxed)
+        ACTIVE.load(Ordering::Relaxed)
     }
 
-    /// Flips the runtime recording switch (overrides the environment
-    /// default for the rest of the process). No-op without the
-    /// `enabled` feature.
+    /// Flips the runtime recording switch for the rest of the process.
+    /// No-op without the `enabled` feature.
     pub fn set_active(on: bool) {
-        active_flag().store(on, Ordering::Relaxed);
+        ACTIVE.store(on, Ordering::Relaxed);
     }
 
-    fn record(stage: Stage, count: u64, ns: u64) {
-        global().add(stage, count, ns);
-        // `try_with` so a span dropped during thread teardown (after the
-        // thread-local was destroyed) degrades to global-only recording.
-        let _ = CURRENT.try_with(|cur| {
-            if let Some(cells) = cur.borrow().as_ref() {
-                cells.add(stage, count, ns);
-            }
-        });
+    fn record(stage: Stage, ns: u64) {
+        let i = stage.index();
+        COUNTS[i].fetch_add(1, Ordering::Relaxed);
+        NANOS[i].fetch_add(ns, Ordering::Relaxed);
     }
 
     fn saturating_ns(d: Duration) -> u64 {
@@ -332,8 +266,8 @@ mod imp {
     }
 
     /// A live span: times the region from construction to drop and
-    /// accumulates into the global cells plus the installed [`Recorder`]
-    /// (if any). Zero-sized and inert without the `enabled` feature.
+    /// accumulates into the global cells. Zero-sized and inert without
+    /// the `enabled` feature.
     #[must_use = "a span records the time until it is dropped; bind it to a variable"]
     #[derive(Debug)]
     pub struct Span {
@@ -351,71 +285,18 @@ mod imp {
     impl Drop for Span {
         fn drop(&mut self) {
             if let Some((stage, start)) = self.live.take() {
-                record(stage, 1, saturating_ns(start.elapsed()));
+                record(stage, saturating_ns(start.elapsed()));
             }
-        }
-    }
-
-    /// A scoped accumulator: while [`installed`](Recorder::install) on a
-    /// thread, every recording on that thread lands here *in addition
-    /// to* the global cells. Cloning shares the accumulator.
-    #[derive(Clone, Debug, Default)]
-    pub struct Recorder {
-        cells: Arc<Cells>,
-    }
-
-    impl Recorder {
-        /// A fresh, empty recorder.
-        pub fn new() -> Self {
-            Recorder::default()
-        }
-
-        /// Installs this recorder as the calling thread's current sink
-        /// until the guard drops (the previous sink, if any, is
-        /// restored — installation nests).
-        pub fn install(&self) -> RecorderGuard {
-            let prev = CURRENT.with(|cur| cur.replace(Some(Arc::clone(&self.cells))));
-            RecorderGuard { prev }
-        }
-
-        /// The totals recorded through this recorder so far.
-        pub fn snapshot(&self) -> TelemetrySnapshot {
-            self.cells.snapshot()
-        }
-
-        /// Resets every stage to zero.
-        pub fn clear(&self) {
-            self.cells.clear();
-        }
-    }
-
-    /// Restores the thread's previous recorder when dropped — see
-    /// [`Recorder::install`].
-    #[must_use = "dropping the guard immediately uninstalls the recorder"]
-    #[derive(Debug)]
-    pub struct RecorderGuard {
-        prev: Option<Arc<Cells>>,
-    }
-
-    impl Drop for RecorderGuard {
-        fn drop(&mut self) {
-            let prev = self.prev.take();
-            let _ = CURRENT.try_with(|cur| {
-                *cur.borrow_mut() = prev;
-            });
         }
     }
 
     /// The process-global accumulated totals.
     pub fn global_snapshot() -> TelemetrySnapshot {
-        global().snapshot()
-    }
-
-    /// Zeroes the process-global accumulators (tests and the
-    /// experiments harness bracket regions with this plus
-    /// [`global_snapshot`]).
-    pub fn reset_global() {
-        global().clear();
+        let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        TelemetrySnapshot {
+            counts: COUNTS.each_ref().map(load),
+            nanos: NANOS.each_ref().map(load),
+        }
     }
 }
 
@@ -448,54 +329,14 @@ mod imp {
         Span
     }
 
-    /// A scoped accumulator. Zero-sized and inert without the `enabled`
-    /// feature: snapshots are always empty.
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Recorder;
-
-    impl Recorder {
-        /// A fresh recorder (inert).
-        #[inline(always)]
-        pub fn new() -> Self {
-            Recorder
-        }
-
-        /// Installs this recorder on the calling thread (inert).
-        #[inline(always)]
-        pub fn install(&self) -> RecorderGuard {
-            RecorderGuard
-        }
-
-        /// The totals recorded through this recorder: always empty.
-        #[inline(always)]
-        pub fn snapshot(&self) -> TelemetrySnapshot {
-            TelemetrySnapshot::empty()
-        }
-
-        /// Resets every stage to zero (inert).
-        #[inline(always)]
-        pub fn clear(&self) {}
-    }
-
-    /// Restores the thread's previous recorder when dropped (inert).
-    #[must_use = "dropping the guard immediately uninstalls the recorder"]
-    #[derive(Debug)]
-    pub struct RecorderGuard;
-
     /// The process-global accumulated totals: always empty.
     #[inline(always)]
     pub fn global_snapshot() -> TelemetrySnapshot {
         TelemetrySnapshot::empty()
     }
-
-    /// Zeroes the process-global accumulators (inert).
-    #[inline(always)]
-    pub fn reset_global() {}
 }
 
-pub use imp::{
-    active, global_snapshot, reset_global, set_active, span, Recorder, RecorderGuard, Span,
-};
+pub use imp::{active, global_snapshot, set_active, span, Span};
 
 #[cfg(test)]
 mod tests {
@@ -565,14 +406,12 @@ mod tests {
 
     #[test]
     fn noop_mode_records_nothing() {
-        // Either mode: the recorder API is callable; in no-op mode it
-        // stays empty, in enabled mode the span must land in both the
-        // recorder and the global cells.
+        // Either mode: the span API is callable; in no-op mode nothing
+        // lands in the global cells, in enabled mode each span lands
+        // there exactly once.
         let _lock = recording_lock();
-        let recorder = Recorder::new();
         let before = global_snapshot();
         {
-            let _guard = recorder.install();
             let _span = span(Stage::SweepSerial);
             std::hint::black_box(());
         }
@@ -580,16 +419,13 @@ mod tests {
             let _span = span(Stage::Reconstruction);
             std::hint::black_box(());
         }
-        let recorded = recorder.snapshot();
+        let delta = global_snapshot().since(&before);
         if compiled() {
-            assert_eq!(recorded.stat(Stage::SweepSerial).count, 1);
-            // The second span ran outside the guard, so only the global
-            // cells see it.
-            assert_eq!(recorded.stat(Stage::Reconstruction).count, 0);
-            let delta = global_snapshot().since(&before);
+            assert_eq!(delta.stat(Stage::SweepSerial).count, 1);
             assert_eq!(delta.stat(Stage::Reconstruction).count, 1);
+            assert_eq!(delta.total_count(), 2);
         } else {
-            assert!(recorded.is_empty());
+            assert!(delta.is_empty());
             assert!(global_snapshot().is_empty());
         }
     }
@@ -599,36 +435,19 @@ mod tests {
     fn runtime_switch_gates_recording() {
         let _lock = recording_lock();
         set_active(false);
-        let recorder = Recorder::new();
+        let before = global_snapshot();
         {
-            let _guard = recorder.install();
             let _span = span(Stage::SweepSerial);
         }
-        assert!(recorder.snapshot().is_empty(), "switched-off span recorded");
+        assert!(
+            global_snapshot().since(&before).is_empty(),
+            "switched-off span recorded"
+        );
         set_active(true);
         {
-            let _guard = recorder.install();
             let _span = span(Stage::SweepSerial);
         }
-        assert_eq!(recorder.snapshot().stat(Stage::SweepSerial).count, 1);
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn install_nests_and_restores() {
-        let _lock = recording_lock();
-        let outer = Recorder::new();
-        let inner = Recorder::new();
-        let _outer_guard = outer.install();
-        {
-            let _inner_guard = inner.install();
-            let _span = span(Stage::NoiseSampling);
-        }
-        // Inner guard dropped: the outer recorder is current again.
-        let _span = span(Stage::PlanRebind);
-        drop(_span);
-        assert_eq!(inner.snapshot().stat(Stage::NoiseSampling).count, 1);
-        assert_eq!(inner.snapshot().stat(Stage::PlanRebind).count, 0);
-        assert_eq!(outer.snapshot().stat(Stage::PlanRebind).count, 1);
+        let delta = global_snapshot().since(&before);
+        assert_eq!(delta.stat(Stage::SweepSerial).count, 1);
     }
 }

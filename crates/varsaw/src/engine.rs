@@ -23,7 +23,6 @@ use vqe::{EfficientSu2, EnergyEvaluator, GroupedHamiltonian, SimExecutor};
 #[derive(Clone, Debug)]
 struct MitigationPipeline {
     executor: SimExecutor,
-    recon: ReconstructionConfig,
     reconstructor: Reconstructor,
     mbm: bool,
 }
@@ -33,7 +32,6 @@ impl MitigationPipeline {
     fn new(executor: SimExecutor) -> Self {
         MitigationPipeline {
             executor,
-            recon: ReconstructionConfig::default(),
             reconstructor: Reconstructor::new(),
             mbm: false,
         }
@@ -67,7 +65,8 @@ impl MitigationPipeline {
     /// `prior` becomes the Output-PMF. The locals may be owned or
     /// borrowed.
     fn reconstruct<L: Borrow<Pmf>>(&mut self, prior: &mut Pmf, locals: &[L]) {
-        self.reconstructor.sweep(prior, locals, self.recon);
+        self.reconstructor
+            .sweep(prior, locals, ReconstructionConfig::default());
     }
 
     /// Reconstructs every basis's output in place from the coverage
@@ -130,12 +129,6 @@ impl JigsawEvaluator {
     /// Enables matrix-based mitigation on every measured PMF.
     pub fn with_mbm(mut self, enabled: bool) -> Self {
         self.pipeline.mbm = enabled;
-        self
-    }
-
-    /// Overrides the reconstruction configuration.
-    pub fn with_reconstruction(mut self, recon: ReconstructionConfig) -> Self {
-        self.pipeline.recon = recon;
         self
     }
 
@@ -271,12 +264,6 @@ impl VarSawEvaluator {
     /// Enables matrix-based mitigation on every measured PMF.
     pub fn with_mbm(mut self, enabled: bool) -> Self {
         self.pipeline.mbm = enabled;
-        self
-    }
-
-    /// Overrides the reconstruction configuration.
-    pub fn with_reconstruction(mut self, recon: ReconstructionConfig) -> Self {
-        self.pipeline.recon = recon;
         self
     }
 

@@ -43,8 +43,6 @@ mod spatial;
 mod temporal;
 
 pub use engine::{JigsawEvaluator, VarSawEvaluator};
-pub use run::{
-    percent_gap_recovered, run_method, run_method_with, Method, MethodOutcome, RunSetup,
-};
+pub use run::{percent_gap_recovered, run_method, Method, MethodOutcome, RunSetup};
 pub use spatial::{SpatialPlan, SpatialStats, WindowCoverage};
 pub use temporal::{GlobalScheduler, TemporalPolicy};

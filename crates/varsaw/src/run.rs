@@ -6,9 +6,7 @@ use crate::temporal::TemporalPolicy;
 use pauli::Hamiltonian;
 use qnoise::DeviceModel;
 use std::fmt;
-use vqe::{
-    run_vqe, BaselineEvaluator, EfficientSu2, Optimizer, SimExecutor, Spsa, VqeConfig, VqeTrace,
-};
+use vqe::{run_vqe, BaselineEvaluator, EfficientSu2, SimExecutor, Spsa, VqeConfig, VqeTrace};
 
 /// The execution method of a VQE run — the paper's comparison axis
 /// (Section 5.3).
@@ -50,14 +48,6 @@ pub struct RunSetup {
     pub seed: u64,
     /// Whether matrix-based mitigation is applied on top (Section 6.8).
     pub mbm: bool,
-    /// Independent SPSA restarts per run (multi-start). Each restart
-    /// draws fresh initial parameters, tuner perturbations and sampling
-    /// streams from a salted seed; the restart with the lowest
-    /// tail-averaged energy wins. `1` (the default) reproduces a single
-    /// legacy run exactly. SPSA on a non-convex VQA landscape can land in
-    /// a local minimum for an unlucky (init, perturbation) seed pair, so
-    /// practitioners hedge with a small multi-start.
-    pub restarts: usize,
 }
 
 impl RunSetup {
@@ -76,20 +66,7 @@ impl RunSetup {
             window: 2,
             seed,
             mbm: false,
-            restarts: 1,
         }
-    }
-
-    /// Sets the number of SPSA multi-start restarts (see
-    /// [`RunSetup::restarts`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `restarts == 0`.
-    pub fn with_restarts(mut self, restarts: usize) -> Self {
-        assert!(restarts > 0, "need at least one restart");
-        self.restarts = restarts;
-        self
     }
 }
 
@@ -107,11 +84,7 @@ pub struct MethodOutcome {
     pub global_fraction: Option<f64>,
 }
 
-/// Runs one VQE experiment with the chosen method and a fresh SPSA tuner,
-/// with [`RunSetup::restarts`]-way multi-start: each restart salts the
-/// seeds of its initial parameters, tuner and sampling, and the restart
-/// with the lowest tail-averaged energy is returned. With the default
-/// `restarts = 1` this is exactly one legacy run.
+/// Runs one VQE experiment with the chosen method and a fresh SPSA tuner.
 ///
 /// All randomness (initial parameters, tuner perturbations, shot sampling)
 /// derives from `setup.seed`, so runs are reproducible; vary the seed for
@@ -134,53 +107,15 @@ pub struct MethodOutcome {
 /// assert!(outcome.global_fraction.unwrap() <= 1.0);
 /// ```
 pub fn run_method(setup: &RunSetup, method: Method, config: &VqeConfig) -> MethodOutcome {
-    // Fraction of the trace averaged when ranking restarts — the same
-    // noise-robust tail estimate the experiments report.
-    const RESTART_TAIL: f64 = 0.1;
-
-    assert!(setup.restarts > 0, "need at least one restart");
-    let mut best: Option<(f64, MethodOutcome)> = None;
-    for restart in 0..setup.restarts as u64 {
-        // Golden-ratio salt: restart 0 reproduces the legacy seed
-        // derivation exactly, later restarts decorrelate all three
-        // streams at once.
-        let salt = restart.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let executor = SimExecutor::new(
-            setup.device.clone(),
-            setup.shots,
-            setup.seed ^ 0x5A5A ^ salt,
-        );
-        let init = setup.ansatz.initial_parameters(setup.seed ^ 0x1234 ^ salt);
-        let mut tuner = Spsa::new(setup.seed ^ 0x0B57 ^ salt);
-        let outcome = run_method_with(setup, method, config, executor, init, &mut tuner);
-        let score = if outcome.trace.iterations() == 0 {
-            f64::INFINITY
-        } else {
-            outcome.trace.converged_energy(RESTART_TAIL)
-        };
-        if best.as_ref().is_none_or(|(s, _)| score < *s) {
-            best = Some((score, outcome));
-        }
-    }
-    best.expect("at least one restart ran").1
-}
-
-/// [`run_method`] with caller-provided executor, initial parameters and
-/// tuner — the hook the ansatz/depth/optimizer sweeps use.
-pub fn run_method_with(
-    setup: &RunSetup,
-    method: Method,
-    config: &VqeConfig,
-    executor: SimExecutor,
-    initial_params: Vec<f64>,
-    tuner: &mut dyn Optimizer,
-) -> MethodOutcome {
+    let executor = SimExecutor::new(setup.device.clone(), setup.shots, setup.seed ^ 0x5A5A);
+    let init = setup.ansatz.initial_parameters(setup.seed ^ 0x1234);
+    let tuner = &mut Spsa::new(setup.seed ^ 0x0B57);
     match method {
         Method::Baseline => {
             let mut eval =
                 BaselineEvaluator::new(&setup.hamiltonian, setup.ansatz.clone(), executor)
                     .with_mbm(setup.mbm);
-            let trace = run_vqe(&mut eval, tuner, initial_params, config);
+            let trace = run_vqe(&mut eval, tuner, init, config);
             MethodOutcome {
                 method,
                 trace,
@@ -196,7 +131,7 @@ pub fn run_method_with(
                 executor,
             )
             .with_mbm(setup.mbm);
-            let trace = run_vqe(&mut eval, tuner, initial_params, config);
+            let trace = run_vqe(&mut eval, tuner, init, config);
             MethodOutcome {
                 method,
                 trace,
@@ -213,7 +148,7 @@ pub fn run_method_with(
                 executor,
             )
             .with_mbm(setup.mbm);
-            let trace = run_vqe(&mut eval, tuner, initial_params, config);
+            let trace = run_vqe(&mut eval, tuner, init, config);
             MethodOutcome {
                 method,
                 trace,
@@ -311,43 +246,6 @@ mod tests {
             vs.trace.iterations(),
             js.trace.iterations()
         );
-    }
-
-    #[test]
-    fn multi_start_is_no_worse_than_a_single_run() {
-        let s = setup();
-        let config = VqeConfig {
-            max_iterations: 12,
-            max_circuits: None,
-        };
-        let single = run_method(&s, Method::Baseline, &config);
-        let multi = run_method(&s.clone().with_restarts(3), Method::Baseline, &config);
-        // Restart 0 of the multi-start IS the single run, so best-of-3
-        // can only match or beat its tail energy.
-        assert!(
-            multi.trace.converged_energy(0.1) <= single.trace.converged_energy(0.1) + 1e-12,
-            "multi {} vs single {}",
-            multi.trace.converged_energy(0.1),
-            single.trace.converged_energy(0.1)
-        );
-    }
-
-    #[test]
-    fn multi_start_is_reproducible() {
-        let s = setup().with_restarts(2);
-        let config = VqeConfig {
-            max_iterations: 6,
-            max_circuits: None,
-        };
-        let a = run_method(&s, Method::VarSaw(TemporalPolicy::default()), &config);
-        let b = run_method(&s, Method::VarSaw(TemporalPolicy::default()), &config);
-        assert_eq!(a.trace.energies, b.trace.energies);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one restart")]
-    fn zero_restarts_rejected() {
-        setup().with_restarts(0);
     }
 
     #[test]

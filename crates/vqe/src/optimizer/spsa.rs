@@ -13,10 +13,24 @@ use rand::{Rng, SeedableRng};
 /// SPSA iteration, returning both values.
 type PairEval<'a> = dyn FnMut(&[f64], &[f64]) -> (f64, f64) + 'a;
 
+/// Perturbation size `c` of the gain `cₖ = c/(k+1)^γ`.
+const C: f64 = 0.2;
+/// Step-gain decay exponent `α`.
+const ALPHA: f64 = 0.602;
+/// Perturbation decay exponent `γ`.
+const GAMMA: f64 = 0.101;
+/// Stability constant `A` of the step gain `aₖ = a/(A+k+1)^α`.
+const STABILITY: f64 = 20.0;
+/// Size of the first update of every parameter, radians; `a` is
+/// calibrated on the first step to meet it.
+const FIRST_STEP: f64 = 0.15;
+
 /// SPSA with the standard gain schedules `aₖ = a/(A+k+1)^α` and
-/// `cₖ = c/(k+1)^γ`, plus an optional first-step calibration of `a` that
-/// targets an initial update magnitude — which makes the tuner robust to
-/// the widely varying coefficient norms of molecular Hamiltonians.
+/// `cₖ = c/(k+1)^γ` (`α = 0.602`, `γ = 0.101`, `c = 0.2`, `A = 20`).
+/// The base gain `a` is calibrated on the first step so that the first
+/// update moves every parameter by 0.15 rad, which makes the tuner
+/// robust to the widely varying coefficient norms of molecular
+/// Hamiltonians.
 ///
 /// # Examples
 ///
@@ -35,51 +49,21 @@ type PairEval<'a> = dyn FnMut(&[f64], &[f64]) -> (f64, f64) + 'a;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Spsa {
-    a: f64,
-    c: f64,
-    alpha: f64,
-    gamma: f64,
-    stability: f64,
-    target_first_step: Option<f64>,
+    /// The calibrated base step gain `a` (`None` before the first step).
+    a: Option<f64>,
     k: usize,
     rng: StdRng,
 }
 
 impl Spsa {
-    /// SPSA with standard coefficients (`α = 0.602`, `γ = 0.101`,
-    /// `c = 0.2`, `A = 20`) and first-step calibration targeting an initial
-    /// parameter update of 0.15 rad.
+    /// SPSA with the standard coefficients, its perturbations drawn from
+    /// `seed`.
     pub fn new(seed: u64) -> Self {
         Spsa {
-            a: 0.2,
-            c: 0.2,
-            alpha: 0.602,
-            gamma: 0.101,
-            stability: 20.0,
-            target_first_step: Some(0.15),
+            a: None,
             k: 0,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Sets the base step gain `a` and disables calibration.
-    pub fn with_a(mut self, a: f64) -> Self {
-        self.a = a;
-        self.target_first_step = None;
-        self
-    }
-
-    /// Sets the perturbation size `c`.
-    pub fn with_c(mut self, c: f64) -> Self {
-        self.c = c;
-        self
-    }
-
-    /// Sets the calibration target for the first update magnitude
-    /// (radians), or disables calibration with `None`.
-    pub fn with_calibration(mut self, target: Option<f64>) -> Self {
-        self.target_first_step = target;
-        self
     }
 
     /// The number of completed iterations.
@@ -94,7 +78,7 @@ impl Spsa {
     /// evaluation, so both entry points consume identical randomness.
     fn gradient_step(&mut self, params: &mut [f64], eval_pair: &mut PairEval<'_>) -> StepResult {
         let k = self.k as f64;
-        let ck = self.c / (k + 1.0).powf(self.gamma);
+        let ck = C / (k + 1.0).powf(GAMMA);
         let delta: Vec<f64> = (0..params.len())
             .map(|_| if self.rng.random::<bool>() { 1.0 } else { -1.0 })
             .collect();
@@ -111,12 +95,13 @@ impl Spsa {
         // Gradient estimate gᵢ = diff / (2·ck·δᵢ).
         let grad_scale = diff / (2.0 * ck);
 
-        if let Some(target) = self.target_first_step.take() {
-            // Calibrate `a` so the first update magnitude is ≈ target.
+        // Calibrate `a` so the first update moves each parameter by
+        // FIRST_STEP.
+        let a = *self.a.get_or_insert_with(|| {
             let gmag = grad_scale.abs().max(1e-9);
-            self.a = target * (self.stability + 1.0).powf(self.alpha) / gmag;
-        }
-        let ak = self.a / (self.stability + k + 1.0).powf(self.alpha);
+            FIRST_STEP * (STABILITY + 1.0).powf(ALPHA) / gmag
+        });
+        let ak = a / (STABILITY + k + 1.0).powf(ALPHA);
         for i in 0..params.len() {
             params[i] -= ak * grad_scale / delta[i];
         }
