@@ -1,16 +1,18 @@
 //! Criterion benchmarks for the computational kernels every experiment
-//! leans on: state-vector simulation, Pauli algebra, noise channels,
-//! Bayesian reconstruction, energy assembly, grouping and the Lanczos
-//! eigensolver.
+//! leans on: state-vector simulation, subset reads, Pauli algebra, noise
+//! channels, Bayesian reconstruction, energy assembly, grouping and the
+//! Lanczos eigensolver.
 
 use chem::{molecular_hamiltonian, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mitigation::{reconstruct, Pmf, ReconstructionConfig, Reconstructor};
 use pauli::{group_by_cover, PauliString};
+use qnoise::DeviceModel;
 use qnoise::{apply_readout_errors, ReadoutError};
 use qsim::{Circuit, Statevector};
 use rand::{rngs::StdRng, SeedableRng};
-use vqe::{EfficientSu2, Entanglement, GroupedHamiltonian};
+use varsaw::SpatialPlan;
+use vqe::{EfficientSu2, Entanglement, GroupedHamiltonian, SimExecutor, SubsetReads};
 
 fn ansatz_circuit(n: usize) -> Circuit {
     let a = EfficientSu2::new(n, 2, Entanglement::Full);
@@ -27,6 +29,40 @@ fn bench_statevector(c: &mut Criterion) {
                 let mut st = Statevector::zero(n);
                 st.apply_circuit(&circuit);
                 std::hint::black_box(st.probabilities()[0])
+            })
+        });
+    }
+    g.finish();
+}
+
+fn bench_subset_reads(c: &mut Criterion) {
+    // One VarSaw evaluation's subset reads: at window 2, 63 circuits over
+    // 7 supports on H2O-8 and 81 over 9 on H6-10; at window 4 on LiH-6,
+    // Fig.19's shape, the 4-qubit circuits are wider than a density read
+    // and rotate, so the row watches both sides of the width crossover.
+    // Each iteration loads the reduced density matrices once and reads
+    // every circuit. The executor is exact, so the row times the reads and
+    // the readout channel, not the shot draw.
+    let mut g = c.benchmark_group("subset_reads");
+    for (label, name, qubits, window) in [
+        ("h2o_8", "H2O", 8, 2),
+        ("h6_10", "H6", 10, 2),
+        ("lih_6_window4", "LiH", 6, 4),
+    ] {
+        let spec = MoleculeSpec::find(name, qubits).unwrap();
+        let plan = SpatialPlan::new(&molecular_hamiltonian(&spec), window);
+        let mut reads = SubsetReads::new(plan.subset_groups().iter().map(|g| &g.basis));
+        let mut st = Statevector::zero(qubits);
+        st.apply_circuit(&ansatz_circuit(qubits));
+        let mut exec = SimExecutor::exact(DeviceModel::mumbai_like(), 7);
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                let loaded = reads.load(&st);
+                let mut acc = 0.0;
+                for i in 0..plan.subset_groups().len() {
+                    acc += exec.run_subset(&loaded, i).probs()[0];
+                }
+                std::hint::black_box(acc)
             })
         });
     }
@@ -167,7 +203,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = kernels;
     config = config();
-    targets = bench_statevector, bench_pauli_expectation, bench_energy,
+    targets = bench_statevector, bench_subset_reads, bench_pauli_expectation, bench_energy,
         bench_grouping,
         bench_reconstruction, bench_noise_channel, bench_sampling, bench_lanczos
 }

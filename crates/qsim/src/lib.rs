@@ -53,4 +53,4 @@ pub use gate::Gate;
 pub use linalg::{lowest_eigenvalue, smallest_tridiagonal_eigenvalue, HermitianOp, LanczosResult};
 pub use plan::{CircuitPlan, PlanCache};
 pub use sampler::sample_counts;
-pub use state::{CapacityError, Statevector};
+pub use state::{CapacityError, Statevector, MAX_REDUCED_QUBITS};

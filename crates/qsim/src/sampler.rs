@@ -37,8 +37,8 @@ const LINEAR_MAX: usize = 16;
 ///
 /// # Panics
 ///
-/// Panics if `probs` is empty, contains a negative entry, or sums to zero
-/// or to a non-finite value.
+/// Panics if `probs` is empty, contains a negative or NaN entry, or sums
+/// to zero or to a non-finite value.
 ///
 /// # Examples
 ///
@@ -88,7 +88,10 @@ impl Sampler {
         // a plain loop of adds and stores.
         if !probs.iter().fold(true, |ok, &p| ok & (p >= 0.0)) {
             let bad = probs.iter().find(|&&p| p < 0.0 || p.is_nan());
-            panic!("negative probability {}", bad.unwrap());
+            panic!(
+                "probability {} is not finite and non-negative",
+                bad.unwrap()
+            );
         }
         let n = probs.len();
         let mut cdf = vec![0.0; n];
@@ -393,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "negative probability")]
+    #[should_panic(expected = "probability -0.5 is not finite and non-negative")]
     fn negative_probability_panics() {
         sample_counts(&[0.5, -0.5], 1, &mut StdRng::seed_from_u64(0));
     }
@@ -401,7 +404,7 @@ mod tests {
     /// A NaN rotation angle turns every outcome probability NaN; the
     /// sampler must refuse it rather than draw from a garbage CDF.
     #[test]
-    #[should_panic(expected = "negative probability NaN")]
+    #[should_panic(expected = "probability NaN is not finite and non-negative")]
     fn nan_probability_panics() {
         sample_counts(&[f64::NAN, 0.5], 1, &mut StdRng::seed_from_u64(0));
     }

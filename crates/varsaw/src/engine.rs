@@ -11,7 +11,10 @@ use mitigation::{mbm_correct, sliding_windows, Pmf, ReconstructionConfig, Recons
 use pauli::{Hamiltonian, PauliString};
 use qsim::Statevector;
 use std::borrow::Borrow;
-use vqe::{EfficientSu2, EnergyEvaluator, GroupedHamiltonian, SimExecutor};
+use std::ops::Range;
+use vqe::{
+    EfficientSu2, EnergyEvaluator, GroupedHamiltonian, LoadedReads, SimExecutor, SubsetReads,
+};
 
 /// The execute-and-mitigate plumbing shared by [`JigsawEvaluator`] and
 /// [`VarSawEvaluator`]: runs subset/Global circuits (optionally
@@ -54,10 +57,10 @@ impl MitigationPipeline {
         self.correct(pmf)
     }
 
-    /// Runs the subset circuit of `basis` on the prepared `state`,
-    /// reading only the basis support, with MBM applied when enabled.
-    fn run_subset(&mut self, state: &Statevector, basis: &PauliString) -> Pmf {
-        let pmf = self.executor.run_prepared(state, basis);
+    /// Runs subset circuit `i` of `loaded`, reading only its support,
+    /// with MBM applied when enabled.
+    fn run_subset(&mut self, loaded: &LoadedReads<'_>, i: usize) -> Pmf {
+        let pmf = self.executor.run_subset(loaded, i);
         self.correct(pmf)
     }
 
@@ -95,7 +98,10 @@ impl MitigationPipeline {
 pub struct JigsawEvaluator {
     ansatz: EfficientSu2,
     grouped: GroupedHamiltonian,
-    window: usize,
+    /// Every group's sliding-window subset circuits, group after group.
+    reads: SubsetReads,
+    /// Per group, its circuits' indices in `reads`.
+    group_reads: Vec<Range<usize>>,
     pipeline: MitigationPipeline,
 }
 
@@ -118,10 +124,25 @@ impl JigsawEvaluator {
             "ansatz/Hamiltonian qubit mismatch"
         );
         assert!(window > 0, "window size must be positive");
+        let grouped = GroupedHamiltonian::new(hamiltonian);
+        let windows: Vec<Vec<PauliString>> = grouped
+            .groups()
+            .iter()
+            .map(|g| sliding_windows(&g.basis, window))
+            .collect();
+        let group_reads = windows
+            .iter()
+            .scan(0, |end, w| {
+                let start = *end;
+                *end += w.len();
+                Some(start..*end)
+            })
+            .collect();
         JigsawEvaluator {
             ansatz,
-            grouped: GroupedHamiltonian::new(hamiltonian),
-            window,
+            reads: SubsetReads::new(windows.iter().flatten()),
+            grouped,
+            group_reads,
             pipeline: MitigationPipeline::new(executor),
         }
     }
@@ -135,11 +156,7 @@ impl JigsawEvaluator {
     /// Circuits executed per objective evaluation: one Global plus all
     /// subsets for every basis group.
     pub fn circuits_per_evaluation(&self) -> usize {
-        self.grouped
-            .groups()
-            .iter()
-            .map(|g| 1 + sliding_windows(&g.basis, self.window).len())
-            .sum()
+        self.grouped.num_groups() + self.reads.len()
     }
 
     /// The grouped Hamiltonian.
@@ -150,19 +167,22 @@ impl JigsawEvaluator {
 
 impl EnergyEvaluator for JigsawEvaluator {
     /// Prepares the ansatz state, then per group runs the Global and its
-    /// subset circuits and reconstructs the group's Output-PMF.
+    /// subset circuits and reconstructs the group's Output-PMF. The subset
+    /// reads of every group share one load of the state.
     fn evaluate(&mut self, params: &[f64]) -> f64 {
         let pipeline = &mut self.pipeline;
         let state = pipeline.executor.prepare(&self.ansatz.circuit(params));
+        let loaded = self.reads.load(&state);
         let pmfs: Vec<Pmf> = self
             .grouped
             .groups()
             .iter()
-            .map(|g| {
+            .zip(&self.group_reads)
+            .map(|(g, reads)| {
                 let mut output = pipeline.run_global(&state, &g.basis);
-                let locals: Vec<Pmf> = sliding_windows(&g.basis, self.window)
-                    .iter()
-                    .map(|w| pipeline.run_subset(&state, w))
+                let locals: Vec<Pmf> = reads
+                    .clone()
+                    .map(|i| pipeline.run_subset(&loaded, i))
                     .collect();
                 pipeline.reconstruct(&mut output, &locals);
                 output
@@ -198,9 +218,10 @@ pub struct VarSawEvaluator {
     /// The previous evaluation's Output-PMFs, one per basis group (`None`
     /// before the first evaluation).
     priors: Option<Vec<Pmf>>,
-    /// The plan's coverage deduplicated into distinct marginals, built on
-    /// the first evaluation (`None` before it).
-    coverage: Option<DistinctCoverage>,
+    /// The plan's subset circuits, in [`SpatialPlan::subset_groups`] order.
+    reads: SubsetReads,
+    /// The plan's coverage deduplicated into distinct marginals.
+    coverage: DistinctCoverage,
     pipeline: MitigationPipeline,
 }
 
@@ -244,19 +265,16 @@ impl VarSawEvaluator {
             "ansatz/Hamiltonian qubit mismatch"
         );
         let grouped = GroupedHamiltonian::new(hamiltonian);
-        let plan = SpatialPlan::with_coefficient_floor(hamiltonian, window, floor);
-        // Both derive their bases from the same cover-grouping; keep the
-        // invariant explicit.
-        for (g, b) in grouped.groups().iter().zip(plan.bases()) {
-            assert_eq!(&g.basis, b, "grouping/bases order drifted");
-        }
+        let bases = grouped.groups().iter().map(|g| g.basis.clone()).collect();
+        let plan = SpatialPlan::with_bases(hamiltonian, bases, window, floor);
         VarSawEvaluator {
             ansatz,
             grouped,
+            reads: SubsetReads::new(plan.subset_groups().iter().map(|g| &g.basis)),
+            coverage: plan.distinct_coverage(),
             plan,
             scheduler: GlobalScheduler::new(temporal),
             priors: None,
-            coverage: None,
             pipeline: MitigationPipeline::new(executor),
         }
     }
@@ -290,28 +308,24 @@ impl EnergyEvaluator for VarSawEvaluator {
         let pipeline = &mut self.pipeline;
         let state = pipeline.executor.prepare(&self.ansatz.circuit(params));
 
-        // 1. Measurement Subsets: the reduced groups.
-        let subset_pmfs: Vec<Pmf> = self
-            .plan
-            .subset_groups()
-            .iter()
-            .map(|g| pipeline.run_subset(&state, &g.basis))
+        // 1. Measurement Subsets: the reduced groups, all read from one
+        // load of the state.
+        let loaded = self.reads.load(&state);
+        let subset_pmfs: Vec<Pmf> = (0..self.plan.subset_groups().len())
+            .map(|i| pipeline.run_subset(&loaded, i))
             .collect();
 
         // The Local-PMFs, marginalized out of the groups: each distinct
         // (group, window support) marginal once, shared by every basis
         // window that reads it.
-        let (coverage, marginals) = {
+        let coverage = &self.coverage;
+        let marginals: Vec<Pmf> = {
             let _span = telemetry::span(telemetry::Stage::Marginal);
-            let coverage = self
-                .coverage
-                .get_or_insert_with(|| self.plan.distinct_coverage());
-            let marginals: Vec<Pmf> = coverage
+            coverage
                 .entries
                 .iter()
                 .map(|(group, support)| subset_pmfs[*group].marginal(support))
-                .collect();
-            (&*coverage, marginals)
+                .collect()
         };
 
         // 2./3. Reconstruction with fresh Globals and/or chained priors,
@@ -601,6 +615,31 @@ mod tests {
             VarSawEvaluator::new(&h, ansatz(), 2, adaptive, exec()),
             &probes,
         );
+    }
+
+    /// The evaluator plans from its own grouping; the plan must be the one
+    /// the public constructor groups for itself, floor or no floor.
+    #[test]
+    fn evaluator_plan_matches_the_public_plan() {
+        let h = toy_hamiltonian();
+        for floor in [0.0, 0.7] {
+            let vs = VarSawEvaluator::with_coefficient_floor(
+                &h,
+                ansatz(),
+                2,
+                floor,
+                TemporalPolicy::EveryIteration,
+                SimExecutor::exact(DeviceModel::noiseless(3), 1),
+            );
+            let public = SpatialPlan::with_coefficient_floor(&h, 2, floor);
+            let plan = vs.plan();
+            assert_eq!(plan.bases(), public.bases());
+            assert_eq!(plan.subset_groups(), public.subset_groups());
+            assert_eq!(plan.stats(), public.stats());
+            for b in 0..plan.bases().len() {
+                assert_eq!(plan.coverage(b), public.coverage(b), "floor {floor}");
+            }
+        }
     }
 
     #[test]

@@ -137,20 +137,35 @@ impl SpatialPlan {
     /// Panics if `window == 0`, `floor < 0`, or the Hamiltonian has no
     /// measurable terms.
     pub fn with_coefficient_floor(hamiltonian: &Hamiltonian, window: usize, floor: f64) -> Self {
-        assert!(window > 0, "window size must be positive");
-        assert!(floor >= 0.0, "coefficient floor must be nonnegative");
-        let terms = hamiltonian.measurable_terms();
-        let strings: Vec<PauliString> = terms.iter().map(|t| t.string().clone()).collect();
-        assert!(
-            !strings.is_empty(),
-            "Hamiltonian has no measurable terms to plan for"
-        );
-
         // Baseline bases: trivial qubit commutation over the terms (Eq.2).
-        let bases: Vec<PauliString> = group_by_cover(&strings)
+        let strings: Vec<PauliString> = hamiltonian
+            .measurable_terms()
+            .iter()
+            .map(|t| t.string().clone())
+            .collect();
+        let bases = group_by_cover(&strings)
             .into_iter()
             .map(|g| g.basis)
             .collect();
+        Self::with_bases(hamiltonian, bases, window, floor)
+    }
+
+    /// [`SpatialPlan::with_coefficient_floor`] over baseline `bases`
+    /// already grouped from the Hamiltonian's measurable terms by
+    /// `group_by_cover`, for a caller that grouped them anyway.
+    pub(crate) fn with_bases(
+        hamiltonian: &Hamiltonian,
+        bases: Vec<PauliString>,
+        window: usize,
+        floor: f64,
+    ) -> Self {
+        assert!(window > 0, "window size must be positive");
+        assert!(floor >= 0.0, "coefficient floor must be nonnegative");
+        let terms = hamiltonian.measurable_terms();
+        assert!(
+            !terms.is_empty(),
+            "Hamiltonian has no measurable terms to plan for"
+        );
 
         // VarSaw subset pool: windows of every *important* Pauli string,
         // deduplicated.
@@ -200,7 +215,7 @@ impl SpatialPlan {
             .collect();
 
         let stats = SpatialStats {
-            hamiltonian_terms: strings.len(),
+            hamiltonian_terms: terms.len(),
             baseline_circuits: bases.len(),
             jigsaw_subsets,
             varsaw_subsets: subset_groups.len(),

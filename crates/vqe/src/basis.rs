@@ -1,7 +1,7 @@
 //! Measurement-basis changes.
 
 use pauli::{Pauli, PauliString};
-use qsim::Circuit;
+use qsim::{Circuit, Gate};
 
 /// The basis-rotation circuit that maps a Pauli measurement basis onto
 /// computational-basis (Z) measurements: `H` for X positions, `S†·H` for Y
@@ -20,18 +20,25 @@ use qsim::Circuit;
 /// ```
 pub fn basis_rotation(basis: &PauliString) -> Circuit {
     let mut c = Circuit::new(basis.num_qubits());
-    for (q, p) in basis.paulis().iter().enumerate() {
-        match p {
-            Pauli::I | Pauli::Z => {}
-            Pauli::X => {
-                c.h(q);
-            }
-            Pauli::Y => {
-                c.sdg(q).h(q);
-            }
+    for (q, &p) in basis.paulis().iter().enumerate() {
+        for gate in basis_change(p, q) {
+            c.push(gate);
         }
     }
     c
+}
+
+/// The gates, in application order, that turn a measurement of `p` on
+/// qubit `q` into a Z measurement: `H` for X, `S†` then `H` for Y, none
+/// for Z or identity. [`basis_rotation`] and the executor's density reads
+/// both build their basis changes from it.
+pub(crate) fn basis_change(p: Pauli, q: usize) -> impl Iterator<Item = Gate> {
+    let gates: &[fn(usize) -> Gate] = match p {
+        Pauli::I | Pauli::Z => &[],
+        Pauli::X => &[Gate::H],
+        Pauli::Y => &[Gate::Sdg, Gate::H],
+    };
+    gates.iter().map(move |gate| gate(q))
 }
 
 #[cfg(test)]

@@ -1,12 +1,205 @@
 //! Noisy circuit execution with cost accounting.
 
-use crate::basis::basis_rotation;
+use crate::basis::{basis_change, basis_rotation};
 use mitigation::Pmf;
-use pauli::PauliString;
+use pauli::{Pauli, PauliString};
 use qnoise::{apply_depolarizing, apply_readout_errors, DeviceModel, ReadoutError};
-use qsim::{CapacityError, Circuit, PlanCache, Statevector};
+use qsim::{CapacityError, Circuit, PlanCache, Statevector, C64, MAX_REDUCED_QUBITS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
+
+/// The measurement geometry of a fixed list of subset circuits: their
+/// distinct supports, and per circuit the support it reads and the
+/// rotation it reads it in. Built once per evaluator; every evaluation
+/// then [loads](SubsetReads::load) a prepared state, which builds each
+/// support's reduced density matrix in one pass over the state, and
+/// [`SimExecutor::run_subset`] serves every circuit from those matrices.
+///
+/// A circuit wider than [`MAX_REDUCED_QUBITS`], the width crossover of
+/// density reads, is read by rotating a copy of the state instead, like a
+/// Global.
+///
+/// # Examples
+///
+/// ```
+/// use qnoise::DeviceModel;
+/// use qsim::Statevector;
+/// use vqe::{SimExecutor, SubsetReads};
+///
+/// let bases: Vec<pauli::PauliString> =
+///     ["ZZI", "XYI", "IIX"].iter().map(|s| s.parse().unwrap()).collect();
+/// let mut reads = SubsetReads::new(&bases);
+/// assert_eq!((reads.len(), reads.num_supports()), (3, 2));
+///
+/// let mut exec = SimExecutor::new(DeviceModel::mumbai_like(), 1024, 7);
+/// let state = Statevector::zero(3);
+/// let loaded = reads.load(&state);
+/// let pmf = exec.run_subset(&loaded, 1);
+/// assert_eq!(pmf.qubits(), &[0, 1]);
+/// assert_eq!(exec.circuits_executed(), 1);
+/// ```
+#[derive(Clone, Debug)]
+pub struct SubsetReads {
+    /// The distinct supports read from density matrices, in first-use
+    /// order.
+    supports: Vec<Vec<usize>>,
+    /// One per circuit, in construction order.
+    reads: Vec<SubsetRead>,
+    /// The widest basis: a loaded state needs at least this many qubits.
+    num_qubits: usize,
+    /// The supports' density matrices one after another, filled by
+    /// [`SubsetReads::load`] and kept across loads.
+    densities: Vec<C64>,
+    /// Where each support's matrix starts in `densities`.
+    offsets: Vec<usize>,
+}
+
+#[derive(Clone, Debug)]
+enum SubsetRead {
+    /// Outcome probabilities `diag(U ρ U†)` of support `support`; `rotation`
+    /// is `U`, row-major.
+    Density { support: usize, rotation: Vec<C64> },
+    /// Wider than [`MAX_REDUCED_QUBITS`]: rotate a copy of the state.
+    Rotate(PauliString),
+}
+
+impl SubsetReads {
+    /// The geometry of one subset circuit per basis, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a basis is all-identity.
+    pub fn new<'a>(bases: impl IntoIterator<Item = &'a PauliString>) -> Self {
+        let mut supports = Vec::new();
+        let mut index: HashMap<Vec<usize>, usize> = HashMap::new();
+        let mut num_qubits = 0;
+        let reads = bases
+            .into_iter()
+            .map(|basis| {
+                assert!(
+                    !basis.is_identity(),
+                    "cannot execute a measurement of the identity basis"
+                );
+                num_qubits = num_qubits.max(basis.num_qubits());
+                let support = basis.support();
+                if support.len() > MAX_REDUCED_QUBITS {
+                    return SubsetRead::Rotate(basis.clone());
+                }
+                let rotation = rotation(support.iter().map(|&q| basis.paulis()[q]));
+                let support = *index.entry(support).or_insert_with_key(|s| {
+                    supports.push(s.clone());
+                    supports.len() - 1
+                });
+                SubsetRead::Density { support, rotation }
+            })
+            .collect();
+        let offsets = supports
+            .iter()
+            .scan(0, |end, s| {
+                let start = *end;
+                *end += 1 << (2 * s.len());
+                Some(start)
+            })
+            .collect();
+        SubsetReads {
+            supports,
+            reads,
+            num_qubits,
+            densities: Vec::new(),
+            offsets,
+        }
+    }
+
+    /// The number of subset circuits.
+    pub fn len(&self) -> usize {
+        self.reads.len()
+    }
+
+    /// Whether there are no subset circuits.
+    pub fn is_empty(&self) -> bool {
+        self.reads.is_empty()
+    }
+
+    /// The number of distinct supports read from density matrices: the
+    /// passes over the state one [`SubsetReads::load`] makes.
+    pub fn num_supports(&self) -> usize {
+        self.supports.len()
+    }
+
+    /// Builds the reduced density matrix of every support from `state`,
+    /// one pass over the state per support, and binds them to it for
+    /// [`SimExecutor::run_subset`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a basis acts on more qubits than the state.
+    pub fn load<'a>(&'a mut self, state: &'a Statevector) -> LoadedReads<'a> {
+        assert!(
+            self.num_qubits <= state.num_qubits(),
+            "basis acts on {} qubits but state has {}",
+            self.num_qubits,
+            state.num_qubits()
+        );
+        state.reduced_density_matrices(&self.supports, &mut self.densities);
+        LoadedReads { state, reads: self }
+    }
+}
+
+/// [`SubsetReads`] whose density matrices hold one prepared state: what
+/// [`SimExecutor::run_subset`] reads from.
+#[derive(Clone, Copy, Debug)]
+pub struct LoadedReads<'a> {
+    state: &'a Statevector,
+    reads: &'a SubsetReads,
+}
+
+/// `U = ⊗ⱼ uⱼ`, row-major, where `uⱼ` is the product of the
+/// [`basis_change`] gates of `paulis[j]` (bit `j` of a row or column index
+/// is qubit `j`): `H` for X, `H·S†` for Y, `1` for Z.
+fn rotation(paulis: impl Iterator<Item = Pauli>) -> Vec<C64> {
+    let (mut u, mut d) = (vec![C64::ONE], 1);
+    for p in paulis {
+        let one = [[C64::ONE, C64::ZERO], [C64::ZERO, C64::ONE]];
+        let m = basis_change(p, 0).fold(one, |m, gate| {
+            let g = gate.matrix().expect("basis changes are single-qubit gates");
+            std::array::from_fn(|i| std::array::from_fn(|j| g[i][0] * m[0][j] + g[i][1] * m[1][j]))
+        });
+        // `m ⊗ u`: the new qubit is the highest index bit.
+        let mut next = vec![C64::ZERO; 4 * d * d];
+        for (k, row) in next.chunks_exact_mut(2 * d).enumerate() {
+            for (a, entry) in row.iter_mut().enumerate() {
+                *entry = m[k / d][a / d] * u[(k % d) * d + a % d];
+            }
+        }
+        (u, d) = (next, 2 * d);
+    }
+    u
+}
+
+/// `diag(U ρ U†)` for `dim × dim` row-major `U` and `ρ`, each negative
+/// entry raised to zero: a true zero can come out slightly negative. A NaN
+/// stays NaN, so a NaN state still panics in the sampler or `Pmf::new`.
+fn rotated_diagonal(rotation: &[C64], rho: &[C64], dim: usize) -> Vec<f64> {
+    rotation
+        .chunks_exact(dim)
+        .map(|u| {
+            let p: f64 = rho
+                .chunks_exact(dim)
+                .zip(u)
+                .map(|(rho_a, &u_a)| {
+                    let t: C64 = rho_a.iter().zip(u).map(|(&r, &ub)| r * ub.conj()).sum();
+                    (u_a * t).re
+                })
+                .sum();
+            if p < 0.0 {
+                0.0
+            } else {
+                p
+            }
+        })
+        .collect()
+}
 
 /// Executes measurement circuits on a simulated noisy device, metering the
 /// number of circuits submitted — the paper's quantum-computational Cost
@@ -48,10 +241,11 @@ pub struct SimExecutor {
     rng: StdRng,
     circuits_executed: u64,
     exact: bool,
-    /// Compiled-plan cache keyed by circuit structure: SPSA evaluations,
-    /// subset/Global measurement rotations and MBM circuits all share the
+    /// Compiled-plan cache keyed by circuit structure: SPSA evaluations
+    /// and the rotations of Globals and wide subsets all share the
     /// handful of shapes a VQE run executes, so after the first iteration
     /// every simulation rebinds a cached plan instead of re-analyzing.
+    /// Density reads need no plan.
     plans: PlanCache,
     /// Effective readout errors per measured width `m`, filled on first
     /// use: entry `m` holds the errors of the device's `m` best qubits
@@ -183,7 +377,8 @@ impl SimExecutor {
 
     /// Runs a measurement of `basis` on an already-prepared state: appends
     /// the basis rotation, measures the basis support, applies the noise
-    /// model, and returns the (logical-qubit-labelled) outcome PMF.
+    /// model, and returns the (logical-qubit-labelled) outcome PMF. This is
+    /// [`SimExecutor::run_subset`] on a one-circuit [`SubsetReads`].
     ///
     /// Identity bases measure nothing and are rejected.
     ///
@@ -192,12 +387,36 @@ impl SimExecutor {
     /// Panics if the basis is all-identity, acts on more qubits than the
     /// state, or the device has fewer qubits than the measurement needs.
     pub fn run_prepared(&mut self, state: &Statevector, basis: &PauliString) -> Pmf {
-        let measured = basis.support();
-        assert!(
-            !measured.is_empty(),
-            "cannot execute a measurement of the identity basis"
-        );
-        self.measure(state, basis, measured)
+        self.run_subset(&SubsetReads::new([basis]).load(state), 0)
+    }
+
+    /// Runs subset circuit `i` of `loaded`: reads the circuit's support in
+    /// its basis, applies the noise model and returns the outcome PMF, as
+    /// [`SimExecutor::run_prepared`] does for the circuit's basis. A read
+    /// of at most [`MAX_REDUCED_QUBITS`] qubits is `diag(U ρ U†)` of its
+    /// support's reduced density matrix `ρ`, where `U` is the basis
+    /// change, each negative entry raised to zero; it agrees with rotating the
+    /// state to about `1e-16`. A wider read rotates a copy of the state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range or the device has fewer qubits than
+    /// the circuit measures.
+    pub fn run_subset(&mut self, loaded: &LoadedReads<'_>, i: usize) -> Pmf {
+        let reads = loaded.reads;
+        match &reads.reads[i] {
+            SubsetRead::Rotate(basis) => self.measure(loaded.state, basis, basis.support()),
+            SubsetRead::Density { support, rotation } => {
+                let qubits = &reads.supports[*support];
+                let dim = 1 << qubits.len();
+                let rho = &reads.densities[reads.offsets[*support]..][..dim * dim];
+                let probs = {
+                    let _span = telemetry::span(telemetry::Stage::SweepSerial);
+                    rotated_diagonal(rotation, rho, dim)
+                };
+                self.finish(probs, qubits.clone())
+            }
+        }
     }
 
     /// Runs a measurement of `basis` on an already-prepared state,
@@ -216,16 +435,22 @@ impl SimExecutor {
         self.measure(state, basis, (0..state.num_qubits()).collect())
     }
 
-    /// The one measurement path behind [`SimExecutor::run_prepared`] and
-    /// [`SimExecutor::run_prepared_all`]: rotates `state` into `basis`,
-    /// reads the `measured` qubits (ascending) and runs noise and
-    /// sampling. Bit-identical to clone + rotate + marginal + noise; three
-    /// fast paths only skip work:
+    /// The rotate-and-read path behind [`SimExecutor::run_prepared_all`]
+    /// (Globals) and the subset reads too wide for a density matrix:
+    /// rotates `state` into `basis`, reads the `measured` qubits
+    /// (ascending) and runs noise and sampling. Bit-identical to clone +
+    /// rotate + marginal + noise; three fast paths only skip work:
     ///
     /// - a basis with no rotation is read from `state` in place;
     /// - any other basis copies `state` into the reused scratch plane;
     /// - a full-register read is the direct probability pass, without the
     ///   marginal bit-gather.
+    ///
+    /// Subset reads of at most [`MAX_REDUCED_QUBITS`] qubits, the width
+    /// crossover, never come here: [`SimExecutor::run_subset`] serves
+    /// them as `diag(U ρ U†)` of their support's reduced density matrix,
+    /// each negative entry raised to 0, without the plan lookup, the copy or a
+    /// pass over the state per circuit.
     fn measure(&mut self, state: &Statevector, basis: &PauliString, measured: Vec<usize>) -> Pmf {
         // The in-place read applies no plan, so nothing else would catch
         // a rotation-free basis wider than the state.
@@ -422,33 +647,44 @@ mod tests {
         exec.run_prepared(&Statevector::zero(2), &ps("II"));
     }
 
-    /// What every measurement path must reproduce bit for bit: a fresh
-    /// clone of the state, rotated through the cached basis plan, the
-    /// generic marginal read, then noise and sampling.
+    /// What every measurement path must reproduce: a fresh clone of the
+    /// state, rotated into the basis, the generic marginal read, then
+    /// noise and sampling. Globals and subsets wider than a density read
+    /// rotate through the cached basis plan, as the executor does; the
+    /// narrower subsets compile their rotation outside the cache, because
+    /// the density path never touches it.
     fn reference(
         exec: &mut SimExecutor,
         state: &Statevector,
         basis: &PauliString,
         all: bool,
     ) -> Pmf {
+        let rotation = basis_rotation(basis);
         let measured: Vec<usize> = if all {
             (0..state.num_qubits()).collect()
         } else {
             basis.support()
         };
+        let plan = if all || measured.len() > MAX_REDUCED_QUBITS {
+            exec.plans.plan(&rotation)
+        } else {
+            qsim::CircuitPlan::compile(&rotation)
+        };
         let mut st = state.clone();
-        st.apply_plan(&exec.plans.plan(&basis_rotation(basis)));
+        st.apply_plan(&plan);
         exec.finish(st.marginal_probabilities(&measured), measured)
     }
 
     /// Runs `jobs` (state index, basis, full register?) through the
     /// public paths on one clone of `exec` and through [`reference`] on
-    /// another; PMFs, circuit counts, plan-cache counters and the RNG
-    /// stream must all agree exactly.
+    /// another. Circuit counts, plan-cache counters, the RNG stream and
+    /// Global PMFs must agree exactly; subset PMFs within `subset_tol`,
+    /// and bit for bit when it is zero.
     fn assert_paths_match_reference(
         exec: SimExecutor,
         states: &[Statevector],
         jobs: &[(usize, &str, bool)],
+        subset_tol: f64,
     ) {
         let mut fast = exec.clone();
         let mut slow = exec;
@@ -461,8 +697,14 @@ mod tests {
             };
             let want = reference(&mut slow, &states[i], &basis, all);
             assert_eq!(got.qubits(), want.qubits(), "{basis} all={all}");
-            let bits = |p: &Pmf| p.probs().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "{basis} all={all}");
+            if all || subset_tol == 0.0 {
+                let bits = |p: &Pmf| p.probs().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{basis} all={all}");
+            } else {
+                for (g, w) in got.probs().iter().zip(want.probs()) {
+                    assert!((g - w).abs() <= subset_tol, "{basis}: {g} vs {w}");
+                }
+            }
         }
         assert_eq!(fast.circuits_executed(), slow.circuits_executed());
         assert_eq!(fast.plan_cache_stats(), slow.plan_cache_stats());
@@ -487,12 +729,14 @@ mod tests {
 
     /// Rotated and rotation-free bases at subset and full width, with the
     /// scratch plane reused across two register widths (3 → 4 → 3).
+    /// The 4-qubit subsets are wider than a density read and rotate.
     const JOBS: &[(usize, &str, bool)] = &[
         (0, "ZZI", true),
         (0, "XZY", false),
         (0, "ZIZ", false),
         (1, "IXYZ", false),
         (1, "ZZZZ", false),
+        (1, "YXZX", false),
         (1, "XIIZ", true),
         (0, "IXX", false),
         (0, "YYX", true),
@@ -506,6 +750,7 @@ mod tests {
             SimExecutor::new(DeviceModel::mumbai_like(), 512, 21),
             &states,
             JOBS,
+            0.0,
         );
     }
 
@@ -518,7 +763,78 @@ mod tests {
             qnoise::CrosstalkModel::new(0.2),
             0.01,
         );
-        assert_paths_match_reference(SimExecutor::exact(dev, 1), &states, JOBS);
+        assert_paths_match_reference(SimExecutor::exact(dev, 1), &states, JOBS, 1e-14);
+    }
+
+    /// Circuits sharing supports, read from one load, give bit for bit
+    /// the PMFs, circuit count and RNG stream of reading each circuit on
+    /// its own; the 4-qubit circuit rotates.
+    #[test]
+    fn shared_subset_reads_match_one_circuit_reads() {
+        let bases: Vec<PauliString> = ["XZII", "IYXI", "ZYII", "IIZX", "XZII", "XXYZ", "IZZI"]
+            .iter()
+            .map(|b| ps(b))
+            .collect();
+        let mut reads = SubsetReads::new(&bases);
+        assert_eq!((reads.len(), reads.num_supports()), (7, 3));
+        let state = entangled(4);
+        let mut shared = SimExecutor::new(DeviceModel::mumbai_like(), 256, 3);
+        let mut single = shared.clone();
+        let loaded = reads.load(&state);
+        for (i, basis) in bases.iter().enumerate() {
+            let got = shared.run_subset(&loaded, i);
+            let want = single.run_prepared(&state, basis);
+            assert_eq!(got, want, "{basis}");
+        }
+        assert_eq!(shared.circuits_executed(), 7);
+        assert_eq!(
+            shared.run_prepared(&state, &bases[1]),
+            single.run_prepared(&state, &bases[1]),
+            "RNG streams diverged"
+        );
+    }
+
+    /// `Ry(π/2)|0⟩ ⊗ Ry(π/2)|0⟩` is `|++⟩`, so read in XX only outcome
+    /// `00` has mass; `U ρ U†` puts outcome `10` at about `-3e-33`, which
+    /// `Pmf::new` would reject unclamped.
+    #[test]
+    fn density_reads_clamp_a_zero_mass_outcome_at_zero() {
+        let mut c = Circuit::new(2);
+        c.ry(0, std::f64::consts::FRAC_PI_2)
+            .ry(1, std::f64::consts::FRAC_PI_2);
+        let mut st = Statevector::zero(2);
+        st.apply_circuit(&c);
+        let mut exec = SimExecutor::exact(DeviceModel::noiseless(2), 1);
+        let pmf = exec.run_prepared(&st, &ps("XX"));
+        assert_eq!(pmf.probs()[0b10], 0.0);
+        assert!((pmf.probs()[0b00] - 1.0).abs() < 1e-15);
+    }
+
+    /// A NaN angle makes every amplitude, and so every entry of `ρ`, NaN.
+    /// The clamp keeps it NaN, so the read panics instead of depolarizing
+    /// an all-zero vector into a uniform PMF.
+    fn nan_state() -> Statevector {
+        let mut c = Circuit::new(3);
+        c.h(0).ry(1, f64::NAN).cx(1, 2);
+        let mut st = Statevector::zero(3);
+        st.apply_circuit(&c);
+        st
+    }
+
+    #[test]
+    #[should_panic(expected = "probability NaN is not finite and non-negative")]
+    fn density_reads_of_a_nan_state_panic_in_the_sampler() {
+        let bases = [ps("XYI"), ps("IZZ")];
+        let mut reads = SubsetReads::new(&bases);
+        let st = nan_state();
+        let loaded = reads.load(&st);
+        SimExecutor::new(DeviceModel::mumbai_like(), 64, 1).run_subset(&loaded, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability NaN is not finite and non-negative")]
+    fn density_reads_of_a_nan_state_panic_in_exact_mode() {
+        SimExecutor::exact(DeviceModel::mumbai_like(), 1).run_prepared(&nan_state(), &ps("ZZI"));
     }
 
     #[test]

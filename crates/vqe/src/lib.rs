@@ -9,8 +9,10 @@
 //! - [`SimExecutor`]: noisy execution with best-qubit mapping, measurement
 //!   crosstalk and circuit-cost metering; states are simulated serially
 //!   on the dense plane against a cache of compiled circuit plans, and
-//!   every measurement runs through one path
-//!   ([`SimExecutor::run_prepared`] / [`SimExecutor::run_prepared_all`]),
+//!   Global circuits rotate the state and read it
+//!   ([`SimExecutor::run_prepared_all`]), while subset circuits are read
+//!   from the reduced density matrices of their supports
+//!   ([`SubsetReads`], [`SimExecutor::run_subset`]),
 //! - [`GroupedHamiltonian`]: the baseline's commutation-grouped
 //!   measurement circuits and energy estimation,
 //! - [`Spsa`]: the classical optimizer, behind the [`Optimizer`] trait,
@@ -46,6 +48,6 @@ mod runner;
 pub use ansatz::{EfficientSu2, Entanglement};
 pub use basis::basis_rotation;
 pub use energy::GroupedHamiltonian;
-pub use executor::SimExecutor;
+pub use executor::{LoadedReads, SimExecutor, SubsetReads};
 pub use optimizer::{BatchObjective, Optimizer, Spsa, StepResult};
 pub use runner::{run_vqe, BaselineEvaluator, EnergyEvaluator, VqeConfig, VqeTrace};

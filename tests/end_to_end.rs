@@ -180,3 +180,53 @@ fn spatial_plan_matches_executed_subset_costs() {
     let globals = plan.stats().baseline_circuits as u64;
     assert_eq!(out.trace.total_circuits(), 12 * subsets + globals);
 }
+
+/// A 64-bit FNV-1a digest of an energy trace's exact bits, the digest
+/// the paper-run benchmark reports per seed.
+fn digest(energies: &[f64]) -> u64 {
+    energies
+        .iter()
+        .flat_map(|e| e.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Sampled paper runs stay bit-identical across refactors of the
+/// measurement path: six SPSA iterations of VarSaw on H2O-8 and of JigSaw
+/// on LiH-6 (EfficientSU2 reps 2, `mumbai_like`, 1024 shots, seed 7) must
+/// reproduce these energy-trace digests. Both were captured before subset
+/// circuits were read from reduced density matrices, when every subset
+/// read rotated a copy of the full state and marginalized it; the reduced
+/// density path moves outcome probabilities by ulps only, which no shot
+/// draw of these runs sees.
+#[test]
+fn sampled_runs_keep_their_energy_trace_bits() {
+    let config = VqeConfig {
+        max_iterations: 6,
+        max_circuits: None,
+    };
+    let cases = [
+        (
+            "H2O",
+            8,
+            Method::VarSaw(TemporalPolicy::default()),
+            0x12a0_8ba6_418c_4dcc,
+        ),
+        ("LiH", 6, Method::Jigsaw, 0xdede_9725_04f6_cb69),
+    ];
+    for (molecule, qubits, method, want) in cases {
+        let spec = MoleculeSpec::find(molecule, qubits).expect("registry");
+        let ansatz = EfficientSu2::new(qubits, 2, Entanglement::Full);
+        let setup = RunSetup::new(
+            molecular_hamiltonian(&spec),
+            ansatz,
+            DeviceModel::mumbai_like(),
+            7,
+        );
+        let trace = run_method(&setup, method, &config).trace;
+        assert_eq!(trace.iterations(), 6);
+        let got = digest(&trace.energies);
+        assert_eq!(got, want, "{method} on {molecule}-{qubits}: {got:#018x}");
+    }
+}
