@@ -5,8 +5,8 @@
 //!
 //! - `*_unfused_serial` vs `*_fused_serial`: gate-by-gate legacy execution
 //!   against a precompiled [`qsim::CircuitPlan`] on one thread.
-//! - `plan_compile` / `plan_rebind`: what a cache miss and a cache hit
-//!   cost on top of execution (rebind is the per-VQE-iteration price).
+//! - `plan_compile_full_10q`: what compiling the main-evaluation ansatz
+//!   costs on top of executing it, paid once per evaluation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qsim::{Circuit, CircuitPlan, Statevector};
@@ -26,12 +26,10 @@ fn bench_fusion(c: &mut Criterion) {
         for n in [10usize, 12] {
             let circuit = ansatz_circuit(n, entanglement);
             let fused = CircuitPlan::compile(&circuit);
-            let unfused = CircuitPlan::compile_unfused(&circuit);
             println!(
-                "bench fusion efficient_su2_{label}_{n}q: {} gates -> {} fused ops ({} unfused)",
+                "bench fusion efficient_su2_{label}_{n}q: {} gates -> {} fused ops",
                 circuit.gate_count(),
-                fused.op_count(),
-                unfused.op_count()
+                fused.op_count()
             );
             g.bench_function(format!("efficient_su2_{label}_{n}q_unfused_serial"), |b| {
                 b.iter(|| {
@@ -49,15 +47,10 @@ fn bench_fusion(c: &mut Criterion) {
             });
         }
     }
-    // Compilation overhead: a cache miss (full analysis) and a cache hit
-    // (rebind: matrix products only) on the main-evaluation shape.
+    // Compilation overhead on the main-evaluation shape.
     let circuit = ansatz_circuit(10, Entanglement::Full);
-    let plan = CircuitPlan::compile(&circuit);
     g.bench_function("plan_compile_full_10q", |b| {
         b.iter(|| std::hint::black_box(CircuitPlan::compile(&circuit).op_count()))
-    });
-    g.bench_function("plan_rebind_full_10q", |b| {
-        b.iter(|| std::hint::black_box(plan.rebind(&circuit).op_count()))
     });
     g.finish();
 }

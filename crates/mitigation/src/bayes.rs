@@ -25,7 +25,7 @@
 //!
 //! [`reconstruct`] is a one-shot convenience; the engine underneath, with
 //! its cached projection-key tables and preallocated scratch, is
-//! [`Reconstructor`](crate::Reconstructor).
+//! [`Reconstructor`].
 
 use crate::pmf::Pmf;
 use crate::recon::Reconstructor;

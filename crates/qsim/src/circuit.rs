@@ -19,7 +19,6 @@ use std::fmt;
 /// let mut c = Circuit::new(2);
 /// c.h(0).cx(0, 1);
 /// assert_eq!(c.gate_count(), 2);
-/// assert_eq!(c.depth(), 2);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Circuit {
@@ -116,79 +115,6 @@ impl Circuit {
         }
     }
 
-    /// Circuit depth: the number of layers when gates are greedily packed
-    /// into layers of disjoint qubits. Computed by the one-pass
-    /// [`Circuit::stats`] scan.
-    pub fn depth(&self) -> usize {
-        self.stats().depth
-    }
-
-    /// Structural statistics in one pass: gate and depth counts plus the
-    /// per-qubit single-qubit *run lengths* underlying the gate-fusion
-    /// model (a run is a maximal stretch of adjacent single-qubit gates
-    /// on one qubit, uninterrupted by a two-qubit gate touching it) —
-    /// how to size a circuit's execution cost without compiling it.
-    ///
-    /// `fusible_gates` counts conservatively: diagonal runs that the plan
-    /// compiler additionally folds through CZ / CX controls are not
-    /// anticipated here, so [`CircuitStats::fused_ops`] is an upper bound
-    /// on the sweeps a compiled [`crate::CircuitPlan`] executes.
-    ///
-    /// ```
-    /// use qsim::Circuit;
-    /// let mut c = Circuit::new(2);
-    /// c.ry(0, 0.1).rz(0, 0.2).ry(1, 0.3).rz(1, 0.4).cx(0, 1);
-    /// let s = c.stats();
-    /// assert_eq!(s.gate_count, 5);
-    /// assert_eq!(s.max_run, 2);
-    /// assert_eq!(s.fusible_gates, 2);
-    /// assert_eq!(s.fused_ops(), 3);
-    /// ```
-    pub fn stats(&self) -> CircuitStats {
-        let mut level = vec![0usize; self.num_qubits];
-        let mut run = vec![0usize; self.num_qubits];
-        let mut run_lengths = vec![0usize; self.num_qubits];
-        let mut stats = CircuitStats {
-            num_qubits: self.num_qubits,
-            gate_count: self.gates.len(),
-            two_qubit_gates: 0,
-            depth: 0,
-            max_run: 0,
-            fusible_gates: 0,
-            run_lengths: Vec::new(),
-        };
-        let close_run = |q: usize, run: &mut [usize], stats: &mut CircuitStats| {
-            if run[q] > 1 {
-                stats.fusible_gates += run[q] - 1;
-            }
-            run[q] = 0;
-        };
-        for g in &self.gates {
-            let qs = g.qubits();
-            let l = qs.iter().map(|&q| level[q]).max().unwrap_or(0) + 1;
-            for &q in &qs {
-                level[q] = l;
-            }
-            stats.depth = stats.depth.max(l);
-            if g.is_two_qubit() {
-                stats.two_qubit_gates += 1;
-                for &q in &qs {
-                    close_run(q, &mut run, &mut stats);
-                }
-            } else {
-                let q = qs[0];
-                run[q] += 1;
-                run_lengths[q] = run_lengths[q].max(run[q]);
-                stats.max_run = stats.max_run.max(run[q]);
-            }
-        }
-        for q in 0..self.num_qubits {
-            close_run(q, &mut run, &mut stats);
-        }
-        stats.run_lengths = run_lengths;
-        stats
-    }
-
     // --- fluent builder helpers -------------------------------------------
 
     /// Appends a Hadamard gate on `q`.
@@ -241,37 +167,6 @@ impl Circuit {
     }
 }
 
-/// One-pass structural statistics of a [`Circuit`] — see
-/// [`Circuit::stats`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CircuitStats {
-    /// The number of qubits of the circuit's register.
-    pub num_qubits: usize,
-    /// Total gates.
-    pub gate_count: usize,
-    /// Gates acting on two qubits.
-    pub two_qubit_gates: usize,
-    /// Greedy layer depth (same as [`Circuit::depth`]).
-    pub depth: usize,
-    /// The longest single-qubit run on any qubit.
-    pub max_run: usize,
-    /// Single-qubit gates that adjacent-run fusion eliminates (each run of
-    /// length `k` collapses to one sweep, removing `k − 1`).
-    pub fusible_gates: usize,
-    /// The longest single-qubit run per qubit (index = qubit).
-    pub run_lengths: Vec<usize>,
-}
-
-impl CircuitStats {
-    /// The number of state sweeps after adjacent-run fusion — a static
-    /// upper bound on a compiled plan's
-    /// [`op_count`](crate::CircuitPlan::op_count) (diagonal folding
-    /// through entanglers can fuse further).
-    pub fn fused_ops(&self) -> usize {
-        self.gate_count - self.fusible_gates
-    }
-}
-
 impl fmt::Display for Circuit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -318,19 +213,6 @@ mod tests {
     #[should_panic(expected = "repeats qubit")]
     fn repeated_qubit_in_two_qubit_gate_panics() {
         Circuit::new(3).cx(1, 1);
-    }
-
-    #[test]
-    fn depth_packs_disjoint_gates() {
-        let mut c = Circuit::new(4);
-        // Layer 1: h0, h1, h2, h3. Layer 2: cx(0,1), cx(2,3). Layer 3: cx(1,2).
-        c.h(0).h(1).h(2).h(3).cx(0, 1).cx(2, 3).cx(1, 2);
-        assert_eq!(c.depth(), 3);
-    }
-
-    #[test]
-    fn depth_of_empty_circuit_is_zero() {
-        assert_eq!(Circuit::new(3).depth(), 0);
     }
 
     #[test]

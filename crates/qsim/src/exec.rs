@@ -14,8 +14,7 @@
 use crate::complex::C64;
 
 /// The dense-plane byte footprint of an `n`-qubit register, saturating
-/// for register sizes beyond any allocatable plane. The single source
-/// behind [`crate::CircuitStats::state_bytes`] and
+/// for register sizes beyond any allocatable plane. The source behind
 /// [`crate::CapacityError::bytes`].
 pub(crate) fn state_bytes_for_qubits(num_qubits: usize) -> u128 {
     (std::mem::size_of::<C64>() as u128)

@@ -11,11 +11,10 @@
 //!   marginals — the crate's one execution engine, serial on the calling
 //!   thread (the paper's circuits have at most 10 qubits; threads pay off
 //!   in the trial fan-out above this crate, not inside one state),
-//! - [`CircuitPlan`] / [`PlanCache`]: the circuit compiler — adjacent
-//!   single-qubit gates fuse into one matrix sweep (diagonal runs fold
-//!   through entanglers), and the parameter-free analysis is cached by
-//!   circuit structure so repeated ansatz executions only rebind angles
-//!   (see [`plan`]),
+//! - [`CircuitPlan`]: the circuit compiler — one scan in which adjacent
+//!   single-qubit gates fuse into one matrix sweep and diagonal runs fold
+//!   through entanglers; every circuit is compiled where it is run (see
+//!   [`plan`]),
 //! - [`sample_counts`]: seeded shot sampling, one uniform per shot,
 //! - [`lowest_eigenvalue`]: matrix-free Lanczos for exact reference
 //!   energies.
@@ -47,10 +46,10 @@ pub mod plan;
 mod sampler;
 mod state;
 
-pub use circuit::{Circuit, CircuitStats};
+pub use circuit::Circuit;
 pub use complex::C64;
 pub use gate::Gate;
 pub use linalg::{lowest_eigenvalue, smallest_tridiagonal_eigenvalue, HermitianOp, LanczosResult};
-pub use plan::{CircuitPlan, PlanCache};
+pub use plan::CircuitPlan;
 pub use sampler::sample_counts;
 pub use state::{CapacityError, Statevector, MAX_REDUCED_QUBITS};

@@ -1,12 +1,10 @@
-//! Circuit compilation: gate fusion and structure-cached execution plans.
+//! Circuit compilation: gate fusion in one pass over the gate list.
 //!
 //! # Why a compilation layer
 //!
-//! A VQE run executes the *same* ansatz circuit thousands of times — SPSA
-//! perturbation pairs, subset evaluations, MBM circuits — with identical
-//! structure and only rotated parameters. Executing the raw gate list
-//! walks the full amplitude array once per gate; EfficientSU2's adjacent
-//! Ry·Rz rotation layers alone double the number of full-state sweeps.
+//! Executing the raw gate list walks the full amplitude array once per
+//! gate; EfficientSU2's adjacent Ry·Rz rotation layers alone double the
+//! number of full-state sweeps.
 //!
 //! [`CircuitPlan::compile`] scans a [`Circuit`] once and lowers it to a
 //! flat op list:
@@ -26,15 +24,14 @@
 //! instead of two rounded sweeps), so fused-vs-unfused agreement is a
 //! `1e-12`-tolerance property, not bitwise (see `tests/fusion_equiv.rs`).
 //!
-//! # Plan caching
+//! # Cost
 //!
-//! Fusion analysis depends only on the circuit's *structure* — gate kinds
-//! and qubit wiring, never rotation angles. [`PlanCache`] memoizes the
-//! analysis ([`PlanStructure`]) under a parameter-free key, so a VQE
-//! iteration rebinding new angles into a known ansatz shape pays only the
-//! matrix products ([`CircuitPlan::rebind`]), not a re-scan. The cache is
-//! routed through `vqe::SimExecutor` (and thus the `varsaw` evaluators'
-//! mitigation pipeline), so SPSA, subset, and MBM circuits all hit it.
+//! Each pending run carries its running product, so a compile is one scan
+//! with one 2×2 product per fused gate and no allocation per gate. On a
+//! 2-core x86-64 host, compiling the 10-qubit EfficientSU2 (full
+//! entanglement, reps 2; the `fusion/plan_compile_full_10q` bench) took
+//! 1.3–3.1 µs, against 75–140 µs to run the plan. So every circuit is
+//! compiled where it is run, and nothing is cached.
 //!
 //! # Examples
 //!
@@ -55,8 +52,6 @@
 use crate::circuit::Circuit;
 use crate::complex::C64;
 use crate::gate::Gate;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// One lowered operation of a compiled plan. Two-qubit symmetric gates
 /// store sorted qubits so the execution kernels never re-sort.
@@ -72,227 +67,16 @@ pub(crate) enum PlanOp {
     Swap { lo: usize, hi: usize },
 }
 
-/// One slot of a [`PlanStructure`]: the parameter-free shape of a lowered
-/// op. `Run` records *which* source gates fuse, not their matrices, so the
-/// structure can be rebound to any circuit with the same key.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Slot {
-    /// Indices into the source gate list, in application order.
-    Run {
-        q: usize,
-        gates: Vec<u32>,
-    },
-    Cx {
-        control: usize,
-        target: usize,
-    },
-    Cz {
-        lo: usize,
-        hi: usize,
-    },
-    Swap {
-        lo: usize,
-        hi: usize,
-    },
-}
-
-/// The parameter-free compilation of a circuit: fusion segmentation plus
-/// the structure key it was derived from. Shared (via [`Arc`]) between a
-/// [`PlanCache`] and every plan rebound from it.
-#[derive(Debug)]
-pub struct PlanStructure {
-    num_qubits: usize,
-    slots: Vec<Slot>,
-    key: Vec<u64>,
-}
-
 /// A run of single-qubit gates pending fusion on one qubit.
-struct Pending {
-    gates: Vec<u32>,
+#[derive(Clone, Copy)]
+struct Run {
+    /// The product of the run's matrices, latest gate on the left. A
+    /// one-gate run is that gate's matrix verbatim, so unfusible circuits
+    /// keep their exact gate-by-gate amplitudes.
+    m: [[C64; 2]; 2],
     /// Whether every gate in the run is diagonal — the condition for
     /// folding the run through CZ and CX controls.
     diagonal: bool,
-}
-
-/// Encodes a gate's kind and wiring (never its angle) as one key word.
-/// Qubit indices fit in 24 bits (dense states cap at 30 qubits). The
-/// symmetric gates (CZ, SWAP) encode sorted qubits, so `cz(0, 1)` and
-/// `cz(1, 0)` — the same gate — share one cache entry.
-fn structure_code(g: Gate) -> u64 {
-    let (tag, a, b): (u64, usize, usize) = match g {
-        Gate::H(q) => (1, q, 0),
-        Gate::X(q) => (2, q, 0),
-        Gate::Y(q) => (3, q, 0),
-        Gate::Z(q) => (4, q, 0),
-        Gate::S(q) => (5, q, 0),
-        Gate::Sdg(q) => (6, q, 0),
-        Gate::T(q) => (7, q, 0),
-        Gate::Tdg(q) => (8, q, 0),
-        Gate::Rx(q, _) => (9, q, 0),
-        Gate::Ry(q, _) => (10, q, 0),
-        Gate::Rz(q, _) => (11, q, 0),
-        Gate::Cx(c, t) => (12, c, t),
-        Gate::Cz(x, y) => (13, x.min(y), x.max(y)),
-        Gate::Swap(x, y) => (14, x.min(y), x.max(y)),
-    };
-    (tag << 48) | ((a as u64) << 24) | b as u64
-}
-
-/// The cache key of a circuit: qubit count followed by one
-/// [`structure_code`] per gate. Equal keys imply identical fusion
-/// segmentation, so a cached [`PlanStructure`] can be rebound.
-fn structure_key(circuit: &Circuit) -> Vec<u64> {
-    let mut key = Vec::with_capacity(circuit.gate_count() + 1);
-    key.push(circuit.num_qubits() as u64);
-    key.extend(circuit.gates().iter().map(|&g| structure_code(g)));
-    key
-}
-
-impl PlanStructure {
-    /// Runs the fusion analysis (run fusion and diagonal folding) on
-    /// `circuit`'s gate kinds and wiring.
-    fn analyze(circuit: &Circuit) -> PlanStructure {
-        // One slot per gate is the upper bound (no fusion at all).
-        let mut slots: Vec<Slot> = Vec::with_capacity(circuit.gate_count());
-        let mut pending: Vec<Option<Pending>> = Vec::new();
-        pending.resize_with(circuit.num_qubits(), || None);
-
-        // Emits qubit `q`'s pending run (runs on distinct qubits commute,
-        // so callers flushing several qubits may pick any fixed order).
-        let flush = |q: usize, pending: &mut [Option<Pending>], slots: &mut Vec<Slot>| {
-            if let Some(run) = pending[q].take() {
-                slots.push(Slot::Run {
-                    q,
-                    gates: run.gates,
-                });
-            }
-        };
-        // Flushes `q` only if its pending run cannot commute through a
-        // diagonal two-qubit interaction.
-        let flush_non_diagonal =
-            |q: usize, pending: &mut [Option<Pending>], slots: &mut Vec<Slot>| {
-                if pending[q].as_ref().is_some_and(|run| !run.diagonal) {
-                    flush(q, pending, slots);
-                }
-            };
-
-        for (i, &g) in circuit.gates().iter().enumerate() {
-            match g {
-                Gate::Cx(control, target) => {
-                    // A diagonal run on the control commutes with CX; the
-                    // target side mixes |0⟩/|1⟩, so its run always flushes.
-                    flush_non_diagonal(control, &mut pending, &mut slots);
-                    flush(target, &mut pending, &mut slots);
-                    slots.push(Slot::Cx { control, target });
-                }
-                Gate::Cz(a, b) => {
-                    // CZ is diagonal: diagonal runs on either qubit fold
-                    // straight through it.
-                    flush_non_diagonal(a.min(b), &mut pending, &mut slots);
-                    flush_non_diagonal(a.max(b), &mut pending, &mut slots);
-                    slots.push(Slot::Cz {
-                        lo: a.min(b),
-                        hi: a.max(b),
-                    });
-                }
-                Gate::Swap(a, b) => {
-                    flush(a.min(b), &mut pending, &mut slots);
-                    flush(a.max(b), &mut pending, &mut slots);
-                    slots.push(Slot::Swap {
-                        lo: a.min(b),
-                        hi: a.max(b),
-                    });
-                }
-                g => {
-                    let q = g.qubits()[0];
-                    let run = pending[q].get_or_insert_with(|| Pending {
-                        gates: Vec::new(),
-                        diagonal: true,
-                    });
-                    run.gates.push(i as u32);
-                    run.diagonal &= g.is_diagonal();
-                }
-            }
-        }
-        for q in 0..circuit.num_qubits() {
-            flush(q, &mut pending, &mut slots);
-        }
-
-        PlanStructure {
-            num_qubits: circuit.num_qubits(),
-            slots,
-            key: structure_key(circuit),
-        }
-    }
-
-    /// One slot per gate, no fusion, no reordering — the structure behind
-    /// [`CircuitPlan::compile_unfused`].
-    fn verbatim(circuit: &Circuit) -> PlanStructure {
-        let slots = circuit
-            .gates()
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| match g {
-                Gate::Cx(control, target) => Slot::Cx { control, target },
-                Gate::Cz(a, b) => Slot::Cz {
-                    lo: a.min(b),
-                    hi: a.max(b),
-                },
-                Gate::Swap(a, b) => Slot::Swap {
-                    lo: a.min(b),
-                    hi: a.max(b),
-                },
-                g => Slot::Run {
-                    q: g.qubits()[0],
-                    gates: vec![i as u32],
-                },
-            })
-            .collect();
-        PlanStructure {
-            num_qubits: circuit.num_qubits(),
-            slots,
-            key: structure_key(circuit),
-        }
-    }
-
-    /// Binds `circuit`'s concrete gate matrices into this structure's
-    /// slots. Caller guarantees the structure keys match.
-    fn bind(self: &Arc<Self>, circuit: &Circuit) -> CircuitPlan {
-        let gates = circuit.gates();
-        let ops = self
-            .slots
-            .iter()
-            .map(|slot| match *slot {
-                Slot::Run { q, gates: ref idxs } => PlanOp::OneQ {
-                    q,
-                    m: run_matrix(idxs, gates),
-                },
-                Slot::Cx { control, target } => PlanOp::Cx { control, target },
-                Slot::Cz { lo, hi } => PlanOp::Cz { lo, hi },
-                Slot::Swap { lo, hi } => PlanOp::Swap { lo, hi },
-            })
-            .collect();
-        CircuitPlan {
-            structure: Arc::clone(self),
-            ops,
-        }
-    }
-}
-
-fn matrix_of(g: Gate) -> [[C64; 2]; 2] {
-    g.matrix().expect("run slots hold single-qubit gates only")
-}
-
-/// Binds a run's 2×2 matrix. A single-gate run uses the gate matrix
-/// verbatim, so unfusible circuits keep their exact legacy amplitudes;
-/// longer runs multiply left-to-right in application order (later gate
-/// on the left).
-fn run_matrix(idxs: &[u32], gates: &[Gate]) -> [[C64; 2]; 2] {
-    let mut m = matrix_of(gates[idxs[0] as usize]);
-    for &i in &idxs[1..] {
-        m = matmul2(&matrix_of(gates[i as usize]), &m);
-    }
-    m
 }
 
 /// 2×2 complex matrix product `a · b`.
@@ -306,59 +90,94 @@ fn matmul2(a: &[[C64; 2]; 2], b: &[[C64; 2]; 2]) -> [[C64; 2]; 2] {
     out
 }
 
-/// A compiled, parameter-bound execution plan: the flat op list
+/// A compiled execution plan: the flat op list
 /// [`crate::Statevector::apply_plan`] executes. See the
 /// [module docs](self) for what compilation does.
 #[derive(Clone, Debug)]
 pub struct CircuitPlan {
-    structure: Arc<PlanStructure>,
+    num_qubits: usize,
     ops: Vec<PlanOp>,
 }
 
 impl CircuitPlan {
-    /// Compiles `circuit` with fusion and diagonal folding.
+    /// Compiles `circuit` with fusion and diagonal folding, in one scan.
     pub fn compile(circuit: &Circuit) -> CircuitPlan {
         let _span = telemetry::span(telemetry::Stage::PlanCompile);
-        Arc::new(PlanStructure::analyze(circuit)).bind(circuit)
-    }
+        let n = circuit.num_qubits();
+        // One op per gate is the upper bound (no fusion at all).
+        let mut ops: Vec<PlanOp> = Vec::with_capacity(circuit.gate_count());
+        let mut pending: Vec<Option<Run>> = vec![None; n];
 
-    /// Lowers `circuit` one-op-per-gate with no fusion or reordering —
-    /// the reference the fused path is equivalence-tested against, and
-    /// the "unfused" side of the `statevector_fusion` benchmark pair.
-    pub fn compile_unfused(circuit: &Circuit) -> CircuitPlan {
-        let _span = telemetry::span(telemetry::Stage::PlanCompile);
-        Arc::new(PlanStructure::verbatim(circuit)).bind(circuit)
-    }
+        // Emits qubit `q`'s pending run (runs on distinct qubits commute,
+        // so callers flushing several qubits may pick any fixed order).
+        let flush = |q: usize, pending: &mut [Option<Run>], ops: &mut Vec<PlanOp>| {
+            if let Some(run) = pending[q].take() {
+                ops.push(PlanOp::OneQ { q, m: run.m });
+            }
+        };
+        // Flushes `q` only if its pending run cannot commute through a
+        // diagonal two-qubit interaction.
+        let flush_non_diagonal = |q: usize, pending: &mut [Option<Run>], ops: &mut Vec<PlanOp>| {
+            if pending[q].is_some_and(|run| !run.diagonal) {
+                flush(q, pending, ops);
+            }
+        };
 
-    /// Rebinds this plan's cached structure to a circuit with **the same
-    /// structure** (gate kinds and wiring) but possibly different rotation
-    /// angles — the per-iteration fast path of a [`PlanCache`] hit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `circuit`'s structure key differs from the plan's.
-    ///
-    /// ```
-    /// use qsim::{Circuit, CircuitPlan};
-    /// let mut a = Circuit::new(1);
-    /// a.ry(0, 0.1).rz(0, 0.2);
-    /// let mut b = Circuit::new(1);
-    /// b.ry(0, -1.3).rz(0, 0.9);
-    /// let rebound = CircuitPlan::compile(&a).rebind(&b);
-    /// assert_eq!(rebound.op_count(), 1);
-    /// ```
-    pub fn rebind(&self, circuit: &Circuit) -> CircuitPlan {
-        assert_eq!(
-            self.structure.key,
-            structure_key(circuit),
-            "rebind requires an identical circuit structure"
-        );
-        self.structure.bind(circuit)
+        for &g in circuit.gates() {
+            match g {
+                Gate::Cx(control, target) => {
+                    // A diagonal run on the control commutes with CX; the
+                    // target side mixes |0⟩/|1⟩, so its run always flushes.
+                    flush_non_diagonal(control, &mut pending, &mut ops);
+                    flush(target, &mut pending, &mut ops);
+                    ops.push(PlanOp::Cx { control, target });
+                }
+                Gate::Cz(a, b) => {
+                    // CZ is diagonal: diagonal runs on either qubit fold
+                    // straight through it.
+                    let (lo, hi) = (a.min(b), a.max(b));
+                    flush_non_diagonal(lo, &mut pending, &mut ops);
+                    flush_non_diagonal(hi, &mut pending, &mut ops);
+                    ops.push(PlanOp::Cz { lo, hi });
+                }
+                Gate::Swap(a, b) => {
+                    let (lo, hi) = (a.min(b), a.max(b));
+                    flush(lo, &mut pending, &mut ops);
+                    flush(hi, &mut pending, &mut ops);
+                    ops.push(PlanOp::Swap { lo, hi });
+                }
+                Gate::H(q)
+                | Gate::X(q)
+                | Gate::Y(q)
+                | Gate::Z(q)
+                | Gate::S(q)
+                | Gate::Sdg(q)
+                | Gate::T(q)
+                | Gate::Tdg(q)
+                | Gate::Rx(q, _)
+                | Gate::Ry(q, _)
+                | Gate::Rz(q, _) => {
+                    let m = g.matrix().expect("single-qubit gates have a matrix");
+                    let diagonal = g.is_diagonal();
+                    pending[q] = Some(match pending[q] {
+                        None => Run { m, diagonal },
+                        Some(run) => Run {
+                            m: matmul2(&m, &run.m),
+                            diagonal: run.diagonal && diagonal,
+                        },
+                    });
+                }
+            }
+        }
+        for q in 0..n {
+            flush(q, &mut pending, &mut ops);
+        }
+        CircuitPlan { num_qubits: n, ops }
     }
 
     /// The number of qubits the plan acts on.
     pub fn num_qubits(&self) -> usize {
-        self.structure.num_qubits
+        self.num_qubits
     }
 
     /// The number of lowered ops — the full-state sweeps one execution
@@ -370,81 +189,6 @@ impl CircuitPlan {
     /// The lowered ops, for the execution kernels.
     pub(crate) fn ops(&self) -> &[PlanOp] {
         &self.ops
-    }
-}
-
-/// Memoizes fusion analysis by circuit structure (gate kinds + wiring,
-/// parameters excluded), so repeated executions of one ansatz shape pay
-/// only matrix rebinding. Cheap to clone state-wise: structures are
-/// [`Arc`]-shared.
-///
-/// ```
-/// use qsim::{Circuit, PlanCache};
-///
-/// let mut cache = PlanCache::new();
-/// let make = |theta: f64| {
-///     let mut c = Circuit::new(2);
-///     c.ry(0, theta).rz(0, 2.0 * theta).cx(0, 1);
-///     c
-/// };
-/// cache.plan(&make(0.1));
-/// cache.plan(&make(0.7)); // same structure, new angles
-/// assert_eq!((cache.hits(), cache.misses()), (1, 1));
-/// assert_eq!(cache.len(), 1);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct PlanCache {
-    structures: HashMap<Vec<u64>, Arc<PlanStructure>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl PlanCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        PlanCache::default()
-    }
-
-    /// The plan for `circuit`, rebinding a cached structure when one
-    /// matches and compiling (and caching) otherwise.
-    pub fn plan(&mut self, circuit: &Circuit) -> CircuitPlan {
-        let key = structure_key(circuit);
-        if let Some(structure) = self.structures.get(&key) {
-            self.hits += 1;
-            let _span = telemetry::span(telemetry::Stage::PlanRebind);
-            return structure.bind(circuit);
-        }
-        self.misses += 1;
-        let structure = {
-            let _span = telemetry::span(telemetry::Stage::PlanCompile);
-            Arc::new(PlanStructure::analyze(circuit))
-        };
-        let plan = {
-            let _span = telemetry::span(telemetry::Stage::PlanRebind);
-            structure.bind(circuit)
-        };
-        self.structures.insert(key, structure);
-        plan
-    }
-
-    /// The number of distinct circuit structures cached.
-    pub fn len(&self) -> usize {
-        self.structures.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.structures.is_empty()
-    }
-
-    /// Structure-cache hits so far (rebinds that skipped analysis).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Structure-cache misses so far (full compilations).
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -569,13 +313,11 @@ mod tests {
                 }
             }
         }
-        let plan = CircuitPlan::compile(&c);
-        let stats = c.stats();
-        assert_eq!(stats.gate_count, 2 * 2 * n + (n - 1));
+        assert_eq!(c.gate_count(), 19);
         // Each per-qubit Ry·Rz pair fuses into one sweep (the mixed run is
-        // non-diagonal, so nothing folds through the CX entangler here).
-        assert_eq!(plan.op_count(), 2 * n + (n - 1));
-        assert_eq!(plan.op_count(), stats.fused_ops());
+        // non-diagonal, so nothing folds through the CX entangler here):
+        // 8 rotation sweeps and 3 CXs.
+        assert_eq!(CircuitPlan::compile(&c).op_count(), 11);
     }
 
     #[test]
@@ -593,116 +335,24 @@ mod tests {
         for q in 0..n {
             c.ry(q, 0.2 + q as f64);
         }
-        let plan = CircuitPlan::compile(&c);
-        // n fused Rz·Ry sweeps + (n-1) CZs, against 2n + (n-1) unfused
-        // and stats' fold-blind estimate of 2n + (n-1) as well.
-        assert_eq!(plan.op_count(), n + (n - 1));
-        assert!(plan.op_count() < c.stats().fused_ops());
+        // 3 fused Rz·Ry sweeps and 2 CZs, against 8 unfused ops: without
+        // the fold, each Rz would flush as its own sweep before the CZs.
+        assert_eq!(c.gate_count(), 8);
+        assert_eq!(CircuitPlan::compile(&c).op_count(), 5);
     }
 
     #[test]
-    fn unfused_plan_is_one_op_per_gate() {
-        let mut c = Circuit::new(2);
-        c.ry(0, 0.3).rz(0, -0.8).cx(0, 1).cz(1, 0).swap(0, 1);
-        let plan = CircuitPlan::compile_unfused(&c);
-        assert_eq!(plan.op_count(), c.gate_count());
-        assert!(matches!(plan.ops()[3], PlanOp::Cz { lo: 0, hi: 1 }));
-    }
-
-    #[test]
-    fn cache_hits_on_rebound_parameters_only() {
-        let make = |t: f64, wiring: bool| {
-            let mut c = Circuit::new(2);
-            c.ry(0, t).rz(0, 2.0 * t);
-            if wiring {
-                c.cx(0, 1);
-            } else {
-                c.cx(1, 0);
-            }
-            c
-        };
-        let mut cache = PlanCache::new();
-        cache.plan(&make(0.1, true));
-        cache.plan(&make(0.9, true)); // parameters differ: hit
-        cache.plan(&make(0.1, false)); // wiring differs: miss
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn rebind_matches_fresh_compile() {
-        let make = |a: f64, b: f64| {
+    fn symmetric_gates_lower_to_sorted_qubits() {
+        for flip in [false, true] {
             let mut c = Circuit::new(3);
-            c.ry(0, a).rz(0, b).cx(0, 1).ry(1, a - b).ry(2, a + b);
-            c
-        };
-        let plan = CircuitPlan::compile(&make(0.3, 0.7));
-        let rebound = plan.rebind(&make(-1.1, 0.2));
-        let fresh = CircuitPlan::compile(&make(-1.1, 0.2));
-        assert_eq!(rebound.op_count(), fresh.op_count());
-        let mut runs = 0;
-        for (r, f) in rebound.ops().iter().zip(fresh.ops()) {
-            if let (PlanOp::OneQ { m: mr, .. }, PlanOp::OneQ { m: mf, .. }) = (r, f) {
-                runs += 1;
-                assert_eq!(mr, mf, "rebound matrices must be bit-identical");
-            }
-        }
-        assert_eq!(runs, 3, "fused Ry·Rz plus the two lone Ry runs");
-    }
-
-    #[test]
-    #[should_panic(expected = "identical circuit structure")]
-    fn rebind_rejects_different_structure() {
-        let mut a = Circuit::new(1);
-        a.ry(0, 0.1);
-        let mut b = Circuit::new(1);
-        b.rz(0, 0.1);
-        CircuitPlan::compile(&a).rebind(&b);
-    }
-
-    #[test]
-    fn structure_code_distinguishes_kind_and_wiring_not_angle() {
-        assert_eq!(
-            structure_code(Gate::Ry(3, 0.1)),
-            structure_code(Gate::Ry(3, -2.9))
-        );
-        assert_ne!(
-            structure_code(Gate::Ry(3, 0.1)),
-            structure_code(Gate::Rz(3, 0.1))
-        );
-        assert_ne!(
-            structure_code(Gate::Cx(0, 1)),
-            structure_code(Gate::Cx(1, 0))
-        );
-        // CZ and SWAP are symmetric: argument order must not split the
-        // cache (the compiler sorts their slots anyway).
-        assert_eq!(
-            structure_code(Gate::Cz(0, 1)),
-            structure_code(Gate::Cz(1, 0))
-        );
-        assert_eq!(
-            structure_code(Gate::Swap(2, 5)),
-            structure_code(Gate::Swap(5, 2))
-        );
-    }
-
-    #[test]
-    fn symmetric_gate_argument_order_hits_the_cache() {
-        let make = |flip: bool| {
-            let mut c = Circuit::new(2);
-            c.ry(0, 0.3);
             if flip {
-                c.cz(1, 0);
+                c.cz(2, 0).swap(1, 0);
             } else {
-                c.cz(0, 1);
+                c.cz(0, 2).swap(0, 1);
             }
-            c
-        };
-        let mut cache = PlanCache::new();
-        cache.plan(&make(false));
-        let plan = cache.plan(&make(true));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // The Ry run and the CZ.
-        assert_eq!(plan.op_count(), 2);
+            let plan = CircuitPlan::compile(&c);
+            assert!(matches!(plan.ops()[0], PlanOp::Cz { lo: 0, hi: 2 }));
+            assert!(matches!(plan.ops()[1], PlanOp::Swap { lo: 0, hi: 1 }));
+        }
     }
 }

@@ -209,8 +209,7 @@ impl Statevector {
     }
 
     /// Executes a compiled plan on the calling thread. Callers that run
-    /// one circuit structure many times should compile (or cache — see
-    /// [`crate::PlanCache`]) the plan once and use this.
+    /// one circuit many times can compile the plan once and use this.
     ///
     /// # Panics
     ///

@@ -3,8 +3,8 @@
 //! The workspace's speed claims (plan fusion, the sampler and
 //! reconstruction kernels) all rest on "where did the time go"
 //! questions, so the hot paths carry instrumentation points with a
-//! **fixed stage taxonomy** ([`Stage`]): plan compilation vs rebinding,
-//! the statevector sweeps, noise sampling, Bayesian reconstruction,
+//! **fixed stage taxonomy** ([`Stage`]): plan compilation, the
+//! statevector sweeps, noise sampling, Bayesian reconstruction,
 //! VarSaw's Local-PMF marginals and energy assembly.
 //!
 //! Instrumentation is **feature-gated**: without this crate's `enabled`
@@ -53,9 +53,11 @@ use std::fmt;
 /// stray string label.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Full fusion analysis of a circuit structure (plan-cache miss).
+    /// Compiling one circuit (`qsim::CircuitPlan::compile`).
     PlanCompile,
-    /// Rebinding parameters into a cached structure (plan-cache hit).
+    /// Never recorded. Kept only because `paperbench/src/main.rs` and
+    /// `BENCHMARK.json` name it; a benchmark change drops it (ROADMAP.md,
+    /// "Benchmark housekeeping").
     PlanRebind,
     /// Dense statevector pass on the calling thread: gate sweeps,
     /// marginal/probability reads, and state copies.

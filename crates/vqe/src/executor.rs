@@ -4,7 +4,7 @@ use crate::basis::{basis_change, basis_rotation};
 use mitigation::Pmf;
 use pauli::{Pauli, PauliString};
 use qnoise::{apply_depolarizing, apply_readout_errors, DeviceModel, ReadoutError};
-use qsim::{CapacityError, Circuit, PlanCache, Statevector, C64, MAX_REDUCED_QUBITS};
+use qsim::{CapacityError, Circuit, CircuitPlan, Statevector, C64, MAX_REDUCED_QUBITS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -241,12 +241,6 @@ pub struct SimExecutor {
     rng: StdRng,
     circuits_executed: u64,
     exact: bool,
-    /// Compiled-plan cache keyed by circuit structure: SPSA evaluations
-    /// and the rotations of Globals and wide subsets all share the
-    /// handful of shapes a VQE run executes, so after the first iteration
-    /// every simulation rebinds a cached plan instead of re-analyzing.
-    /// Density reads need no plan.
-    plans: PlanCache,
     /// Effective readout errors per measured width `m`, filled on first
     /// use: entry `m` holds the errors of the device's `m` best qubits
     /// under `m`-way crosstalk, and stays empty until then. The device
@@ -272,7 +266,6 @@ impl SimExecutor {
             rng: StdRng::seed_from_u64(seed),
             circuits_executed: 0,
             exact: false,
-            plans: PlanCache::new(),
             readout_by_width: Vec::new(),
             scratch: None,
         }
@@ -288,7 +281,6 @@ impl SimExecutor {
             rng: StdRng::seed_from_u64(seed),
             circuits_executed: 0,
             exact: true,
-            plans: PlanCache::new(),
             readout_by_width: Vec::new(),
             scratch: None,
         }
@@ -296,9 +288,8 @@ impl SimExecutor {
 
     /// Simulates `circuit` from `|0…0⟩` on the dense plane, without
     /// measuring or metering cost — the state-preparation step evaluators
-    /// run before their measurement circuits. It hits the executor's
-    /// [`PlanCache`]: a VQE iteration rebinding new angles into a known
-    /// ansatz shape skips fusion re-analysis entirely.
+    /// run before their measurement circuits. Bit-identical to
+    /// [`Statevector::apply_circuit`] on [`Statevector::zero`].
     ///
     /// ```
     /// use qnoise::DeviceModel;
@@ -332,17 +323,9 @@ impl SimExecutor {
     /// assert_eq!(err.num_qubits(), 33);
     /// ```
     pub fn try_prepare(&mut self, circuit: &Circuit) -> Result<Statevector, CapacityError> {
-        let plan = self.plans.plan(circuit);
-        let mut st = Statevector::try_zero(plan.num_qubits())?;
-        st.apply_plan(&plan);
+        let mut st = Statevector::try_zero(circuit.num_qubits())?;
+        st.apply_circuit(circuit);
         Ok(st)
-    }
-
-    /// Plan-cache statistics `(structures, hits, misses)` — how often
-    /// simulations rebound a cached circuit structure instead of
-    /// re-analyzing it.
-    pub fn plan_cache_stats(&self) -> (usize, u64, u64) {
-        (self.plans.len(), self.plans.hits(), self.plans.misses())
     }
 
     /// The device model.
@@ -449,7 +432,7 @@ impl SimExecutor {
     /// Subset reads of at most [`MAX_REDUCED_QUBITS`] qubits, the width
     /// crossover, never come here: [`SimExecutor::run_subset`] serves
     /// them as `diag(U ρ U†)` of their support's reduced density matrix,
-    /// each negative entry raised to 0, without the plan lookup, the copy or a
+    /// each negative entry raised to 0, without the compile, the copy or a
     /// pass over the state per circuit.
     fn measure(&mut self, state: &Statevector, basis: &PauliString, measured: Vec<usize>) -> Pmf {
         // The in-place read applies no plan, so nothing else would catch
@@ -460,7 +443,7 @@ impl SimExecutor {
             basis.num_qubits(),
             state.num_qubits()
         );
-        let plan = self.plans.plan(&basis_rotation(basis));
+        let plan = CircuitPlan::compile(&basis_rotation(basis));
         let rotated: &Statevector = if plan.op_count() == 0 {
             state
         } else {
@@ -649,10 +632,7 @@ mod tests {
 
     /// What every measurement path must reproduce: a fresh clone of the
     /// state, rotated into the basis, the generic marginal read, then
-    /// noise and sampling. Globals and subsets wider than a density read
-    /// rotate through the cached basis plan, as the executor does; the
-    /// narrower subsets compile their rotation outside the cache, because
-    /// the density path never touches it.
+    /// noise and sampling.
     fn reference(
         exec: &mut SimExecutor,
         state: &Statevector,
@@ -665,21 +645,16 @@ mod tests {
         } else {
             basis.support()
         };
-        let plan = if all || measured.len() > MAX_REDUCED_QUBITS {
-            exec.plans.plan(&rotation)
-        } else {
-            qsim::CircuitPlan::compile(&rotation)
-        };
         let mut st = state.clone();
-        st.apply_plan(&plan);
+        st.apply_circuit(&rotation);
         exec.finish(st.marginal_probabilities(&measured), measured)
     }
 
     /// Runs `jobs` (state index, basis, full register?) through the
     /// public paths on one clone of `exec` and through [`reference`] on
-    /// another. Circuit counts, plan-cache counters, the RNG stream and
-    /// Global PMFs must agree exactly; subset PMFs within `subset_tol`,
-    /// and bit for bit when it is zero.
+    /// another. Circuit counts, the RNG stream and Global PMFs must agree
+    /// exactly; subset PMFs within `subset_tol`, and bit for bit when it
+    /// is zero.
     fn assert_paths_match_reference(
         exec: SimExecutor,
         states: &[Statevector],
@@ -707,7 +682,6 @@ mod tests {
             }
         }
         assert_eq!(fast.circuits_executed(), slow.circuits_executed());
-        assert_eq!(fast.plan_cache_stats(), slow.plan_cache_stats());
         let (i, basis, _) = jobs[0];
         assert_eq!(
             fast.run_prepared_all(&states[i], &ps(basis)).probs(),
@@ -838,26 +812,20 @@ mod tests {
     }
 
     #[test]
-    fn prepares_of_one_structure_rebind_one_cached_plan() {
-        let circuits: Vec<Circuit> = [0.3f64, -1.1, 2.4]
-            .iter()
-            .map(|&t| {
-                let mut c = Circuit::new(3);
-                c.ry(0, t).rz(1, 2.0 * t).cx(0, 1).cx(1, 2);
-                c
-            })
-            .collect();
-        let fresh = SimExecutor::new(DeviceModel::noiseless(3), 16, 1);
-        let mut exec = fresh.clone();
-        for c in &circuits {
-            // A rebound plan prepares exactly what a fresh compile does.
-            assert_eq!(
-                exec.prepare(c).amplitudes(),
-                fresh.clone().prepare(c).amplitudes()
-            );
+    fn prepare_matches_apply_circuit_bitwise() {
+        let mut exec = SimExecutor::new(DeviceModel::noiseless(3), 16, 1);
+        for t in [0.3f64, -1.1, 2.4] {
+            let mut c = Circuit::new(3);
+            c.ry(0, t)
+                .rz(1, 2.0 * t)
+                .cx(0, 1)
+                .rz(0, -t)
+                .ry(1, t)
+                .cx(1, 2);
+            let mut want = Statevector::zero(3);
+            want.apply_circuit(&c);
+            assert_eq!(exec.prepare(&c).amplitudes(), want.amplitudes());
         }
-        // One structure: one compile, two rebinds.
-        assert_eq!(exec.plan_cache_stats(), (1, 2, 1));
     }
 
     #[test]

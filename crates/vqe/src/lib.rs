@@ -8,7 +8,7 @@
 //! - [`basis_rotation`]: measurement-basis changes (Fig.5),
 //! - [`SimExecutor`]: noisy execution with best-qubit mapping, measurement
 //!   crosstalk and circuit-cost metering; states are simulated serially
-//!   on the dense plane against a cache of compiled circuit plans, and
+//!   on the dense plane, each circuit compiled where it runs, and
 //!   Global circuits rotate the state and read it
 //!   ([`SimExecutor::run_prepared_all`]), while subset circuits are read
 //!   from the reduced density matrices of their supports

@@ -163,8 +163,7 @@ impl BaselineEvaluator {
         &self.grouped
     }
 
-    /// Prepares the ansatz state for `params` through the executor
-    /// (hitting its plan cache).
+    /// Prepares the ansatz state for `params` through the executor.
     pub fn prepare(&mut self, params: &[f64]) -> Statevector {
         self.executor.prepare(&self.ansatz.circuit(params))
     }
