@@ -5,7 +5,7 @@
 
 use chem::{molecular_hamiltonian, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use mitigation::{reconstruct, Pmf, ReconstructionConfig, Reconstructor};
+use mitigation::{reconstruct, Pmf, Reconstructor};
 use pauli::{group_by_cover, PauliString};
 use qnoise::DeviceModel;
 use qnoise::{apply_readout_errors, ReadoutError};
@@ -130,22 +130,14 @@ fn bench_reconstruction(c: &mut Criterion) {
     let global = Pmf::new(qubits.clone(), st.probabilities());
     let locals: Vec<Pmf> = (0..n - 1).map(|w| global.marginal(&[w, w + 1])).collect();
     c.bench_function("reconstruction/bayesian_8q_7windows", |b| {
-        b.iter(|| {
-            std::hint::black_box(reconstruct(
-                &global,
-                &locals,
-                ReconstructionConfig::default(),
-            ))
-        })
+        b.iter(|| std::hint::black_box(reconstruct(&global, &locals)))
     });
     let mut engine = Reconstructor::new();
     c.bench_function("reconstruction/bayesian_8q_7windows_cached", |b| {
         b.iter(|| {
-            std::hint::black_box(engine.reconstruct(
-                &global,
-                &locals,
-                ReconstructionConfig::default(),
-            ))
+            let mut out = global.clone();
+            engine.sweep(&mut out, &locals);
+            std::hint::black_box(out)
         })
     });
 }

@@ -1,15 +1,15 @@
 //! Benchmarks for the Bayesian-reconstruction engine, CI-archived as
 //! `BENCH_reconstruction.json` (see the bench-smoke job): the one-shot
-//! compatibility path, the key-cached persistent path the VQE evaluators
-//! run, multi-round sweeps, one H6-10 basis as VarSaw reconstructs it,
-//! every H6-10 basis as one VarSaw evaluation reconstructs them — over
-//! exact, dense Globals and over 1,024-shot sampled ones, as a paper run
-//! measures them — and a sweep over a 16-qubit global, past every paper
-//! workload's size.
+//! path, the key-cached persistent path the VQE evaluators run (one clone
+//! and one sweep per row iteration), one H6-10 basis as VarSaw
+//! reconstructs it, every H6-10 basis as one VarSaw evaluation
+//! reconstructs them — over exact, dense Globals and over 1,024-shot
+//! sampled ones, as a paper run measures them — and a sweep over a
+//! 16-qubit global, past every paper workload's size.
 
 use chem::{molecular_hamiltonian, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
-use mitigation::{reconstruct, Pmf, ReconstructionConfig, Reconstructor};
+use mitigation::{reconstruct, Pmf, Reconstructor};
 use qsim::{sample_counts, Statevector};
 use rand::{rngs::StdRng, SeedableRng};
 use varsaw::SpatialPlan;
@@ -144,16 +144,18 @@ fn synthetic(n: usize) -> (Pmf, Vec<Pmf>) {
     (global, locals)
 }
 
+/// `global` swept once by `locals` through the persistent `engine`: the
+/// clone + sweep each key-cached row times.
+fn swept(engine: &mut Reconstructor, global: &Pmf, locals: &[Pmf]) -> Pmf {
+    let mut out = global.clone();
+    engine.sweep(&mut out, locals);
+    out
+}
+
 fn bench_oneshot(c: &mut Criterion) {
     let (global, locals) = jigsaw_8q();
     c.bench_function("reconstruction/oneshot_8q_7windows", |b| {
-        b.iter(|| {
-            std::hint::black_box(reconstruct(
-                &global,
-                &locals,
-                ReconstructionConfig::default(),
-            ))
-        })
+        b.iter(|| std::hint::black_box(reconstruct(&global, &locals)))
     });
 }
 
@@ -161,41 +163,21 @@ fn bench_cached(c: &mut Criterion) {
     let (global, locals) = jigsaw_8q();
     let mut engine = Reconstructor::new();
     c.bench_function("reconstruction/cached_8q_7windows", |b| {
-        b.iter(|| {
-            std::hint::black_box(engine.reconstruct(
-                &global,
-                &locals,
-                ReconstructionConfig::default(),
-            ))
-        })
-    });
-    let rounds4 = ReconstructionConfig {
-        epsilon: 1e-9,
-        rounds: 4,
-    };
-    c.bench_function("reconstruction/cached_rounds4_8q_7windows", |b| {
-        b.iter(|| std::hint::black_box(engine.reconstruct(&global, &locals, rounds4)))
+        b.iter(|| std::hint::black_box(swept(&mut engine, &global, &locals)))
     });
     let (global, locals) = h6_basis_10q();
     c.bench_function("reconstruction/cached_10q_h6_basis", |b| {
-        b.iter(|| {
-            std::hint::black_box(engine.reconstruct(
-                &global,
-                &locals,
-                ReconstructionConfig::default(),
-            ))
-        })
+        b.iter(|| std::hint::black_box(swept(&mut engine, &global, &locals)))
     });
 }
 
 fn bench_all_bases(c: &mut Criterion) {
     let cases = h6_all_bases_10q();
-    let cfg = ReconstructionConfig::default();
     let mut engine = Reconstructor::new();
     c.bench_function("reconstruction/h6_10_all_bases_cached", |b| {
         b.iter(|| {
             for (global, locals) in &cases {
-                std::hint::black_box(engine.reconstruct(global, locals, cfg));
+                std::hint::black_box(swept(&mut engine, global, locals));
             }
         })
     });
@@ -203,12 +185,11 @@ fn bench_all_bases(c: &mut Criterion) {
 
 fn bench_sampled_all_bases(c: &mut Criterion) {
     let cases = h6_all_bases_10q_sampled(1024);
-    let cfg = ReconstructionConfig::default();
     let mut engine = Reconstructor::new();
     c.bench_function("reconstruction/sampled_10q_h6_all_bases", |b| {
         b.iter(|| {
             for (global, locals) in &cases {
-                std::hint::black_box(engine.reconstruct(global, locals, cfg));
+                std::hint::black_box(swept(&mut engine, global, locals));
             }
         })
     });
@@ -217,10 +198,9 @@ fn bench_sampled_all_bases(c: &mut Criterion) {
 fn bench_16q(c: &mut Criterion) {
     // 16 qubits: 65536 outcomes, each sum one chain in outcome order.
     let (global, locals) = synthetic(16);
-    let cfg = ReconstructionConfig::default();
     let mut engine = Reconstructor::new();
     c.bench_function("reconstruction/serial_16q_15windows", |b| {
-        b.iter(|| std::hint::black_box(engine.reconstruct(&global, &locals, cfg)))
+        b.iter(|| std::hint::black_box(swept(&mut engine, &global, &locals)))
     });
 }
 

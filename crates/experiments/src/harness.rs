@@ -169,10 +169,12 @@ pub fn max_sparsity() -> Method {
 mod tests {
     use super::*;
 
+    // More items than any worker count, so the multi-worker path runs
+    // whenever the host has more than one core.
     #[test]
     fn parallel_map_preserves_order() {
-        let out = parallel_map((0..50).collect(), |&x| x * 2);
-        assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
+        let out = parallel_map((0..200).collect(), |&x| x * 2);
+        assert_eq!(out, (0..200).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -23,22 +23,3 @@ pub mod config;
 pub mod exps;
 pub mod harness;
 pub mod report;
-
-#[cfg(test)]
-mod tests {
-    use crate::harness::parallel_map;
-
-    // More items than any worker count, so the multi-worker path runs
-    // whenever the host has more than one core.
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..200).collect(), |&x: &i32| x * x);
-        assert_eq!(out, (0..200).map(|x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_empty_is_empty() {
-        let out: Vec<i32> = parallel_map(Vec::<i32>::new(), |&x| x);
-        assert!(out.is_empty());
-    }
-}

@@ -55,15 +55,12 @@ impl Pmf {
         }
         let total: f64 = probs.iter().sum();
         assert!(total > 0.0, "PMF has zero total mass");
-        let mut pmf = Pmf { qubits, probs };
-        pmf.normalize_with(total);
-        pmf
-    }
-
-    /// The uniform distribution over `qubits`.
-    pub fn uniform(qubits: Vec<usize>) -> Self {
-        let n = 1usize << qubits.len();
-        Pmf::new(qubits, vec![1.0 / n as f64; n])
+        // Already-unit mass is left untouched.
+        let mut probs = probs;
+        if (total - 1.0).abs() > 1e-15 {
+            probs.iter_mut().for_each(|p| *p /= total);
+        }
+        Pmf { qubits, probs }
     }
 
     /// The measured qubits, in index-bit order.
@@ -76,8 +73,9 @@ impl Pmf {
         &self.probs
     }
 
-    /// Mutable access to the probabilities. Callers should
-    /// [`normalize`](Pmf::normalize) afterwards.
+    /// Mutable access to the probabilities. Nothing renormalizes or
+    /// validates them afterwards: keeping them a distribution is the
+    /// caller's job.
     pub fn probs_mut(&mut self) -> &mut [f64] {
         &mut self.probs
     }
@@ -96,28 +94,9 @@ impl Pmf {
         self.qubits.len()
     }
 
-    /// Rescales to unit mass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the total mass is zero.
-    pub fn normalize(&mut self) {
-        let total: f64 = self.probs.iter().sum();
-        assert!(total > 0.0, "cannot normalize a zero PMF");
-        self.normalize_with(total);
-    }
-
-    /// Rescales to unit mass given the already-summed positive `total`,
-    /// leaving already-unit mass untouched.
-    fn normalize_with(&mut self, total: f64) {
-        if (total - 1.0).abs() > 1e-15 {
-            self.probs.iter_mut().for_each(|p| *p /= total);
-        }
-    }
-
     /// The bit position of global qubit `q` within this PMF's outcome
     /// indices, if `q` is measured here.
-    pub fn position_of(&self, q: usize) -> Option<usize> {
+    fn position_of(&self, q: usize) -> Option<usize> {
         self.qubits.iter().position(|&x| x == q)
     }
 
@@ -255,12 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_is_uniform() {
-        let u = Pmf::uniform(vec![4, 5, 6]);
-        assert!(u.probs().iter().all(|&p| (p - 0.125).abs() < 1e-15));
-    }
-
-    #[test]
     #[should_panic(expected = "repeated")]
     fn repeated_qubit_rejected() {
         Pmf::new(vec![1, 1], vec![0.25; 4]);
@@ -293,6 +266,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "not in PMF")]
     fn marginal_of_unmeasured_qubit_panics() {
-        Pmf::uniform(vec![0, 1]).marginal(&[2]);
+        Pmf::new(vec![0, 1], vec![0.25; 4]).marginal(&[2]);
     }
 }

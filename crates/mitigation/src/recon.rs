@@ -1,12 +1,36 @@
-//! The Bayesian-reconstruction engine: allocation-free and key-cached.
+//! JigSaw's Bayesian reconstruction, and the allocation-free, key-cached
+//! engine that runs it.
 //!
-//! [`reconstruct`](crate::reconstruct) is the second-hottest kernel in the
-//! workspace (`reconstruction/bayesian_8q_7windows`): both VQE evaluators
-//! re-run it per basis group per tuner iteration, yet the expensive parts
-//! of each update — resolving where every local qubit sits inside the
-//! global outcome index and projecting all `2^n` outcomes onto the window
-//! — depend only on the *(global-qubits, local-qubits)* geometry, which
-//! never changes across iterations. [`Reconstructor`] exploits that:
+//! The third step of JigSaw (Fig.3): the low-fidelity, high-correlation
+//! Global-PMF is reweighted by each high-fidelity Local-PMF, once. For a
+//! window `w` the update is
+//!
+//! `P'(x) ∝ P(x) · L(x|w) / margw(P)(x|w)`
+//!
+//! — the probability of every full outcome `x` is rescaled so that the
+//! marginal over `w` matches the local observation while the conditional
+//! structure of the prior (the qubit-qubit correlations captured by the
+//! global run) is preserved. This is Bayesian updating with the local
+//! distributions as evidence. VarSaw repeats it across evaluations by
+//! sweeping last evaluation's Output-PMF as the next prior (Fig.11), never
+//! inside one sweep.
+//!
+//! Where the prior runs out of support, the update is Bayes *conditioned
+//! on the support*: window outcomes whose prior marginal mass is at or
+//! below a fixed threshold of `1e-9` keep their mass exactly, and the
+//! local evidence is renormalized over the supported outcomes. A naive
+//! `local/(marginal+ε)` ratio would amplify near-zero prior mass by up to
+//! `local/ε` and fully resurrect it within a sweep or two; freezing the
+//! unsupported mass keeps it invariant across arbitrarily many chained
+//! sweeps. An update whose evidence lands *entirely* on unsupported window
+//! outcomes is skipped as a whole (reweighting would annihilate all mass).
+//!
+//! [`reconstruct`] is the one-shot entry point. Both VQE evaluators re-run
+//! reconstruction per basis group per tuner iteration, yet the expensive
+//! parts of each update — resolving where every local qubit sits inside
+//! the global outcome index and projecting all `2^n` outcomes onto the
+//! window — depend only on the *(global-qubits, local-qubits)* geometry,
+//! which never changes across iterations. [`Reconstructor`] exploits that:
 //!
 //! - **Key caching.** The `2^n`-entry projection-key table and the bin
 //!   order (below) of every (global, local) signature are computed once
@@ -30,14 +54,14 @@
 //!   at most half of an output's outcomes are nonzero, the sweep lists
 //!   them once, ascending, with their values in compact scratch (a
 //!   64-outcome nonzero mask per word in reused scratch, walked with
-//!   `trailing_zeros`), runs every update of every round over that list
-//!   and scatters the values back at the end. Pass A sums each bin
-//!   over the list in ascending order, in one masked register accumulator
-//!   per bin for 2- and 4-outcome windows; Pass B's mass is one chain over
-//!   the list; the normalize divides the listed values only. Denser
-//!   outputs (exact-mode and MBM-corrected PMFs) and outputs under 64
-//!   outcomes keep the bin-ordered kernel. The cut is an internal constant
-//!   of the observed density, not an option.
+//!   `trailing_zeros`), runs every update over that list and scatters
+//!   the values back at the end. Pass A sums each bin over the list in
+//!   ascending order, in one masked register accumulator per bin for 2-
+//!   and 4-outcome windows; Pass B's mass is one chain over the list; the
+//!   normalize divides the listed values only. Denser outputs
+//!   (exact-mode and MBM-corrected PMFs) and outputs under 64 outcomes
+//!   keep the bin-ordered kernel. The cut is an internal constant of the
+//!   observed density, not an option.
 //!
 //! # Bit-identical results
 //!
@@ -54,13 +78,49 @@
 //! positive mass. Every sum starts from `+0.0`, so no partial sum is ever
 //! `-0.0`, and adding `±0.0` to any other value leaves it unchanged:
 //! skipping those outcomes changes no rounding. An update whose ratios or
-//! owed mass break that premise (only possible with a negative epsilon or
-//! a plane edited to hold negative values) hands the sweep back to the
-//! dense kernel from that update on.
+//! owed mass break that premise hands the sweep back to the dense kernel
+//! from that update on: subnormal evidence whose support scale overflows
+//! to ∞ gets there, and so does a plane edited to hold negative values.
 
-use crate::bayes::ReconstructionConfig;
 use crate::pmf::Pmf;
 use std::borrow::Borrow;
+
+/// The support threshold guarding the local/marginal ratio: window
+/// outcomes whose prior marginal mass is at or below it keep their mass
+/// exactly (see the module docs).
+const EPSILON: f64 = 1e-9;
+
+/// JigSaw's full reconstruction: starts from the Global-PMF and applies the
+/// Bayesian update for every Local-PMF once, returning the Output-PMF.
+///
+/// One-shot: it builds the key tables of a temporary [`Reconstructor`].
+/// Callers reconstructing repeatedly with the same window geometry (every
+/// VQE evaluator) should hold a [`Reconstructor`] and
+/// [`sweep`](Reconstructor::sweep) instead, reusing its cached tables and
+/// scratch.
+///
+/// # Panics
+///
+/// Panics if a local PMF measures a qubit the global does not.
+///
+/// # Examples
+///
+/// When the locals agree with the global's own marginals, the
+/// reconstruction is a no-op:
+///
+/// ```
+/// use mitigation::{reconstruct, Pmf};
+///
+/// let global = Pmf::new(vec![0, 1, 2], vec![0.4, 0.1, 0.05, 0.05, 0.1, 0.05, 0.05, 0.2]);
+/// let locals = vec![global.marginal(&[0, 1]), global.marginal(&[1, 2])];
+/// let out = reconstruct(&global, &locals);
+/// assert!(out.tvd(&global) < 1e-6);
+/// ```
+pub fn reconstruct(global: &Pmf, locals: &[Pmf]) -> Pmf {
+    let mut out = global.clone();
+    Reconstructor::new().sweep(&mut out, locals);
+    out
+}
 
 /// A cached projection-key table for one (global, local) signature.
 ///
@@ -143,17 +203,17 @@ fn interleaved<const L: usize>(plane: &[f64], order: &[u32], len: usize, marg: &
 /// the update is skipped.
 ///
 /// The update is Bayes conditioned on the prior's support: window
-/// outcomes whose prior marginal is at or below `epsilon` keep their mass
-/// *exactly* (ratio 1 with the evidence renormalized around them), so
-/// near-zero prior mass is neither amplified by up to local/epsilon nor
-/// eroded by normalization drift, however many rounds run. If the prior
+/// outcomes whose prior marginal is at or below [`EPSILON`] keep their
+/// mass *exactly* (ratio 1 with the evidence renormalized around them), so
+/// near-zero prior mass is neither amplified by up to local/[`EPSILON`]
+/// nor eroded by normalization drift, however many sweeps chain. If the prior
 /// supports no outcome carrying local evidence the update is skipped —
 /// reweighting would annihilate all mass.
-fn guarded_ratios(marg: &[f64], lp: &[f64], epsilon: f64, ratio: &mut [f64]) -> bool {
+fn guarded_ratios(marg: &[f64], lp: &[f64], ratio: &mut [f64]) -> bool {
     let mut unsupported = 0.0;
     let mut supported_evidence = 0.0;
     for (&m, &l) in marg.iter().zip(lp) {
-        if m > epsilon {
+        if m > EPSILON {
             supported_evidence += l;
         } else {
             unsupported += m;
@@ -164,7 +224,7 @@ fn guarded_ratios(marg: &[f64], lp: &[f64], epsilon: f64, ratio: &mut [f64]) -> 
     }
     let scale = (1.0 - unsupported) / supported_evidence;
     for ((r, &m), &l) in ratio.iter_mut().zip(marg).zip(lp) {
-        *r = if m > epsilon { l * scale / m } else { 1.0 };
+        *r = if m > EPSILON { l * scale / m } else { 1.0 };
     }
     true
 }
@@ -204,8 +264,8 @@ fn masked_lanes<const K: usize>(support: &[u32], values: &[f64], keys: &[u32], m
     marg.copy_from_slice(&acc);
 }
 
-/// Whether a post-update mass of `total` owes a normalize, mirroring
-/// `Pmf::normalize`'s skip of already-unit mass.
+/// Whether a post-update mass of `total` owes a normalize: like
+/// [`Pmf::new`], the update leaves a mass within `1e-15` of 1 untouched.
 fn owes_normalize(total: f64) -> bool {
     (total - 1.0).abs() > 1e-15
 }
@@ -269,7 +329,7 @@ fn gather_support(
 /// with the same measurement geometry — `varsaw`'s evaluators keep one
 /// across all VQE iterations, so every sweep after the first runs with
 /// zero key-table construction and zero scratch allocation. The one-shot
-/// [`crate::reconstruct`] is a thin wrapper over a temporary instance.
+/// [`reconstruct`] sweeps a clone of its global with a temporary instance.
 ///
 /// Sweeps are **bit-identical** to a textbook sequential reconstruction,
 /// fresh or key-cached: every sum runs in ascending outcome order. An
@@ -282,13 +342,13 @@ fn gather_support(
 /// # Examples
 ///
 /// ```
-/// use mitigation::{Pmf, Reconstructor, ReconstructionConfig};
+/// use mitigation::{Pmf, Reconstructor};
 ///
-/// let global = Pmf::new(vec![0, 1], vec![0.35, 0.15, 0.15, 0.35]);
+/// let mut output = Pmf::new(vec![0, 1], vec![0.35, 0.15, 0.15, 0.35]);
 /// let local = Pmf::new(vec![0], vec![0.95, 0.05]);
 /// let mut engine = Reconstructor::new();
-/// let out = engine.reconstruct(&global, &[local], ReconstructionConfig::default());
-/// assert!(out.marginal(&[0]).prob(0) > 0.9);
+/// engine.sweep(&mut output, &[local]);
+/// assert!(output.marginal(&[0]).prob(0) > 0.9);
 /// // The projection-key table is now cached for later iterations.
 /// assert_eq!(engine.cached_key_tables(), 1);
 /// ```
@@ -331,27 +391,9 @@ impl Reconstructor {
         self.tables.len()
     }
 
-    /// JigSaw's full reconstruction: starts from the Global-PMF and
-    /// applies the Bayesian update for every Local-PMF, returning the
-    /// Output-PMF. Equivalent to [`crate::reconstruct`] but reusing this
-    /// engine's cached key tables and scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a local PMF measures a qubit the global does not.
-    pub fn reconstruct(
-        &mut self,
-        global: &Pmf,
-        locals: &[Pmf],
-        config: ReconstructionConfig,
-    ) -> Pmf {
-        let mut out = global.clone();
-        self.sweep(&mut out, locals, config);
-        out
-    }
-
-    /// Runs `config.rounds` sweeps of Bayesian updates over `locals`,
-    /// mutating `output` in place. `rounds: 0` leaves it untouched.
+    /// Applies the Bayesian update of each of `locals` once, in order,
+    /// mutating `output` in place into the Output-PMF. No locals leave it
+    /// untouched.
     ///
     /// The locals may be owned or borrowed (`&[Pmf]` or `&[&Pmf]`), so a
     /// caller whose Local-PMFs are shared between several outputs — VarSaw
@@ -363,13 +405,8 @@ impl Reconstructor {
     ///
     /// Panics if a local measures a qubit `output` does not, or `output`
     /// measures 32 qubits or more.
-    pub fn sweep<L: Borrow<Pmf>>(
-        &mut self,
-        output: &mut Pmf,
-        locals: &[L],
-        config: ReconstructionConfig,
-    ) {
-        if config.rounds == 0 || locals.is_empty() {
+    pub fn sweep<L: Borrow<Pmf>>(&mut self, output: &mut Pmf, locals: &[L]) {
+        if locals.is_empty() {
             return;
         }
         let _span = telemetry::span(telemetry::Stage::Reconstruction);
@@ -389,8 +426,6 @@ impl Reconstructor {
         ensure(&mut self.ratio, k_max);
 
         let plane = output.probs_mut();
-        let epsilon = config.epsilon;
-        let updates = config.rounds * locals.len();
         // An output of at least one mask word with at most half of its
         // outcomes nonzero runs over those outcomes only (see "Sparse
         // priors" above); the dense kernel takes every other output, and
@@ -399,25 +434,24 @@ impl Reconstructor {
         if plane.len() >= 64
             && gather_support(plane, &mut self.masks, &mut self.support, &mut self.values)
         {
-            next = self.sparse_updates(plane, locals, epsilon, updates);
+            next = self.sparse_updates(plane, locals);
         }
-        for u in next..updates {
-            let i = u % locals.len();
-            self.dense_update(plane, locals[i].borrow().probs(), self.picked[i], epsilon);
+        for (i, local) in locals.iter().enumerate().skip(next) {
+            self.dense_update(plane, local.borrow().probs(), self.picked[i]);
         }
     }
 
     /// One Bayesian update of the whole `plane` by the evidence `lp`
     /// through key table `t`: bin-ordered Pass A, Pass B and the owed
     /// normalize, each over every outcome.
-    fn dense_update(&mut self, plane: &mut [f64], lp: &[f64], t: usize, epsilon: f64) {
+    fn dense_update(&mut self, plane: &mut [f64], lp: &[f64], t: usize) {
         let table = &self.tables[t];
         let marg = &mut self.marg[..lp.len()];
         let ratio = &mut self.ratio[..lp.len()];
 
         // Pass A: the window marginal, summed bin by bin in bin order.
         bin_sums(plane, &table.order, marg);
-        if !guarded_ratios(marg, lp, epsilon, ratio) {
+        if !guarded_ratios(marg, lp, ratio) {
             return;
         }
 
@@ -428,8 +462,7 @@ impl Reconstructor {
             total += *p;
         }
 
-        // The normalize, in outcome order, mirroring `Pmf::normalize`'s
-        // skip of already-unit mass.
+        // The normalize, in outcome order, skipping already-unit mass.
         if owes_normalize(total) {
             for p in plane.iter_mut() {
                 *p /= total;
@@ -437,13 +470,12 @@ impl Reconstructor {
         }
     }
 
-    /// Runs updates `0..updates` of the sweep (update `u` applies local
-    /// `u mod locals.len()`) over the compact support that
-    /// [`gather_support`] listed, then scatters the values back into
-    /// `plane`. Returns the first update still owed to
-    /// [`dense_update`](Self::dense_update): `updates`, unless an update
-    /// would turn an unlisted zero into something else, in which case
-    /// the plane is handed to the dense kernel from there on.
+    /// Runs the sweep's updates, one per local in order, over the compact
+    /// support that [`gather_support`] listed, then scatters the values
+    /// back into `plane`. Returns the index of the first local still owed
+    /// to [`dense_update`](Self::dense_update): `locals.len()`, unless an
+    /// update would turn an unlisted zero into something else, in which
+    /// case the plane is handed to the dense kernel from there on.
     ///
     /// Pass A sums each bin over its listed outcomes in ascending order,
     /// starting from `0.0`; Pass B reweights and sums the mass as one
@@ -452,13 +484,7 @@ impl Reconstructor {
     /// never `-0.0`, and adding `±0.0` to anything else changes nothing,
     /// so dropping them changes no partial sum: the results are the dense
     /// kernel's, bit for bit.
-    fn sparse_updates<L: Borrow<Pmf>>(
-        &mut self,
-        plane: &mut [f64],
-        locals: &[L],
-        epsilon: f64,
-        updates: usize,
-    ) -> usize {
+    fn sparse_updates<L: Borrow<Pmf>>(&mut self, plane: &mut [f64], locals: &[L]) -> usize {
         let support = &self.support;
         let values = &mut self.values[..support.len()];
         let scatter = |plane: &mut [f64], values: &[f64]| {
@@ -466,22 +492,21 @@ impl Reconstructor {
                 plane[x as usize] = v;
             }
         };
-        for u in 0..updates {
-            let i = u % locals.len();
-            let lp = locals[i].borrow().probs();
-            let keys = &self.tables[self.picked[i]].keys[..plane.len()];
+        for (i, (local, &t)) in locals.iter().zip(&self.picked).enumerate() {
+            let lp = local.borrow().probs();
+            let keys = &self.tables[t].keys[..plane.len()];
             let marg = &mut self.marg[..lp.len()];
             let ratio = &mut self.ratio[..lp.len()];
 
             support_sums(support, values, keys, marg);
-            if !guarded_ratios(marg, lp, epsilon, ratio) {
+            if !guarded_ratios(marg, lp, ratio) {
                 continue;
             }
             // `±0.0 · r` keeps its bits only for a finite `r` with a
             // clear sign bit; any other ratio must reach every outcome.
             if !ratio.iter().all(|r| r.is_finite() && r.is_sign_positive()) {
                 scatter(plane, values);
-                return u;
+                return i;
             }
 
             // Pass B: reweight, summing the mass as one chain.
@@ -498,7 +523,7 @@ impl Reconstructor {
                     for p in plane.iter_mut() {
                         *p /= total;
                     }
-                    return u + 1;
+                    return i + 1;
                 }
                 for v in values.iter_mut() {
                     *v /= total;
@@ -506,7 +531,7 @@ impl Reconstructor {
             }
         }
         scatter(plane, values);
-        updates
+        locals.len()
     }
 
     /// The cached key-table index for the (global, local) signature,
@@ -556,22 +581,139 @@ mod tests {
         )
     }
 
+    /// `global` swept once by `locals` through `engine`.
+    fn swept(engine: &mut Reconstructor, global: &Pmf, locals: &[Pmf]) -> Pmf {
+        let mut out = global.clone();
+        engine.sweep(&mut out, locals);
+        out
+    }
+
+    /// A noisy 2-qubit Bell distribution and a clean local on qubit 0.
+    #[test]
+    fn update_pulls_marginal_toward_local() {
+        // Global says q0 is 0 with prob 0.6; local evidence says 0.9.
+        let global = Pmf::new(vec![0, 1], vec![0.3, 0.2, 0.3, 0.2]);
+        let local = Pmf::new(vec![0], vec![0.9, 0.1]);
+        let global = reconstruct(&global, &[local]);
+        let m = global.marginal(&[0]);
+        assert!((m.prob(0) - 0.9).abs() < 1e-6, "{}", m.prob(0));
+        // Conditional structure preserved: P(q1 | q0=0) unchanged (was 0.5/0.5).
+        assert!((global.prob(0b00) - 0.45).abs() < 1e-6);
+        assert!((global.prob(0b10) - 0.45).abs() < 1e-6);
+    }
+
+    #[test]
+    fn fixpoint_when_local_matches_marginal() {
+        let global = global3();
+        let local = global.marginal(&[1, 2]);
+        let out = reconstruct(&global, &[local]);
+        assert!(out.tvd(&global) < 1e-7);
+    }
+
+    #[test]
+    fn reconstruction_recovers_readout_corrupted_ghz() {
+        // Ideal GHZ over 3 qubits; global corrupted by heavy symmetric
+        // readout noise; locals are clean pairwise marginals. The output
+        // should be much closer to the ideal than the global was.
+        let ideal = Pmf::new(vec![0, 1, 2], {
+            let mut v = vec![0.0; 8];
+            v[0] = 0.5;
+            v[7] = 0.5;
+            v
+        });
+        let mut noisy_probs: Vec<f64> = ideal.probs().to_vec();
+        qnoise::apply_readout_errors(
+            &mut noisy_probs,
+            &[qnoise::ReadoutError::symmetric(0.15); 3],
+        );
+        let global = Pmf::new(vec![0, 1, 2], noisy_probs);
+        let locals = vec![ideal.marginal(&[0, 1]), ideal.marginal(&[1, 2])];
+        let out = reconstruct(&global, &locals);
+        assert!(
+            out.tvd(&ideal) < global.tvd(&ideal) * 0.5,
+            "reconstruction tvd {} vs noisy {}",
+            out.tvd(&ideal),
+            global.tvd(&ideal)
+        );
+        assert!(out.fidelity(&ideal) > global.fidelity(&ideal));
+    }
+
+    #[test]
+    fn empty_locals_leave_prior_unchanged() {
+        let global = Pmf::new(vec![0, 1], vec![0.4, 0.1, 0.1, 0.4]);
+        let out = reconstruct(&global, &[]);
+        assert_eq!(out, global);
+        let mut engine = Reconstructor::new();
+        let mut swept = global.clone();
+        engine.sweep::<Pmf>(&mut swept, &[]);
+        assert_eq!(swept, global);
+        assert_eq!(engine.cached_key_tables(), 0);
+    }
+
+    #[test]
+    fn zero_prior_mass_is_not_resurrected() {
+        // The global assigns zero to outcome 0b11 region; a local insisting
+        // on q0=1 cannot move mass there beyond threshold effects.
+        let global = Pmf::new(vec![0, 1], vec![0.5, 0.0, 0.5, 0.0]);
+        let local = Pmf::new(vec![0], vec![0.2, 0.8]);
+        let global = reconstruct(&global, &[local]);
+        assert!(global.prob(0b01) < 1e-6);
+        assert!(global.prob(0b11) < 1e-6);
+    }
+
+    #[test]
+    fn near_zero_prior_mass_is_not_resurrected_across_chained_sweeps() {
+        // Regression for the epsilon-ratio blowup: with the old
+        // `(local+ε)/(marg+ε)` update, a prior marginal of ~2e-12 was
+        // amplified by ~local/ε ≈ 8e8 in one update and fully resurrected
+        // to the local's 0.8 by the next. The support guard keeps it
+        // within normalization drift of zero across 8 chained sweeps, as
+        // VarSaw chains an Output-PMF into the next evaluation's prior.
+        let mut out = Pmf::new(vec![0, 1], vec![0.5, 1e-12, 0.5, 1e-12]);
+        let locals = [Pmf::new(vec![0], vec![0.2, 0.8])];
+        let mut engine = Reconstructor::new();
+        for _ in 0..8 {
+            engine.sweep(&mut out, &locals);
+        }
+        let resurrected = out.marginal(&[0]).prob(1);
+        assert!(resurrected < 1e-6, "resurrected mass {resurrected}");
+    }
+
+    #[test]
+    fn chained_sweeps_tighten_consistency() {
+        let global = Pmf::new(vec![0, 1], vec![0.4, 0.1, 0.1, 0.4]);
+        let locals = vec![
+            Pmf::new(vec![0], vec![0.8, 0.2]),
+            Pmf::new(vec![1], vec![0.3, 0.7]),
+        ];
+        // One sweep gets the *last applied* marginal right.
+        let once = reconstruct(&global, &locals);
+        let m1_once = once.marginal(&[1]);
+        assert!((m1_once.prob(1) - 0.7).abs() < 1e-6);
+        // After 8 chained sweeps both marginals are (nearly) satisfied.
+        let mut engine = Reconstructor::new();
+        let mut many = global.clone();
+        for _ in 0..8 {
+            engine.sweep(&mut many, &locals);
+        }
+        let m0 = many.marginal(&[0]);
+        let m1 = many.marginal(&[1]);
+        assert!((m0.prob(0) - 0.8).abs() < 0.02);
+        assert!((m1.prob(1) - 0.7).abs() < 0.02);
+    }
+
     #[test]
     fn key_tables_cached_by_signature() {
         let global = global3();
         let locals = vec![global.marginal(&[0, 1]), global.marginal(&[1, 2])];
         let mut r = Reconstructor::new();
-        r.reconstruct(&global, &locals, ReconstructionConfig::default());
+        swept(&mut r, &global, &locals);
         assert_eq!(r.cached_key_tables(), 2);
         // Same geometry: no new tables.
-        r.reconstruct(&global, &locals, ReconstructionConfig::default());
+        swept(&mut r, &global, &locals);
         assert_eq!(r.cached_key_tables(), 2);
         // A new window geometry adds exactly one.
-        r.reconstruct(
-            &global,
-            &[global.marginal(&[0, 2])],
-            ReconstructionConfig::default(),
-        );
+        swept(&mut r, &global, &[global.marginal(&[0, 2])]);
         assert_eq!(r.cached_key_tables(), 3);
     }
 
@@ -582,11 +724,10 @@ mod tests {
             Pmf::new(vec![0, 1], vec![0.4, 0.3, 0.2, 0.1]),
             Pmf::new(vec![1, 2], vec![0.1, 0.2, 0.3, 0.4]),
         ];
-        let cfg = ReconstructionConfig::default();
         let mut engine = Reconstructor::new();
-        let first = engine.reconstruct(&global, &locals, cfg);
-        let prekeyed = engine.reconstruct(&global, &locals, cfg);
-        let fresh = Reconstructor::new().reconstruct(&global, &locals, cfg);
+        let first = swept(&mut engine, &global, &locals);
+        let prekeyed = swept(&mut engine, &global, &locals);
+        let fresh = reconstruct(&global, &locals);
         assert_eq!(first.probs(), prekeyed.probs());
         assert_eq!(first.probs(), fresh.probs());
     }
@@ -598,8 +739,7 @@ mod tests {
         // documented no-op instead of annihilating all mass.
         let global = Pmf::new(vec![0, 1], vec![0.6, 0.0, 0.4, 0.0]);
         let local = Pmf::new(vec![0], vec![0.0, 1.0]);
-        let out =
-            Reconstructor::new().reconstruct(&global, &[local], ReconstructionConfig::default());
+        let out = reconstruct(&global, &[local]);
         assert_eq!(out.probs(), global.probs());
     }
 
@@ -622,11 +762,7 @@ mod tests {
             let dim = 1usize << n;
             let global = Pmf::new((0..n).collect(), vec![1.0; dim]);
             let mut r = Reconstructor::new();
-            r.reconstruct(
-                &global,
-                &[global.marginal(window)],
-                ReconstructionConfig::default(),
-            );
+            swept(&mut r, &global, &[global.marginal(window)]);
             let t = &r.tables[0];
             let len = dim >> window.len();
             assert_eq!(t.order.len(), dim, "{n} {window:?}");
@@ -697,14 +833,10 @@ mod tests {
             Pmf::new(vec![2, 1], vec![0.1, 0.2, 0.3, 0.4]),
         ];
         let borrowed: Vec<&Pmf> = locals.iter().collect();
-        let cfg = ReconstructionConfig {
-            epsilon: 1e-9,
-            rounds: 2,
-        };
         let mut r = Reconstructor::new();
         let (mut owned, mut shared) = (global.clone(), global.clone());
-        r.sweep(&mut owned, &locals, cfg);
-        r.sweep(&mut shared, &borrowed, cfg);
+        r.sweep(&mut owned, &locals);
+        r.sweep(&mut shared, &borrowed);
         assert_eq!(owned.probs(), shared.probs());
         assert_ne!(owned.probs(), global.probs());
     }
@@ -713,11 +845,7 @@ mod tests {
     fn clone_keeps_tables_but_not_scratch() {
         let global = global3();
         let mut r = Reconstructor::new();
-        r.reconstruct(
-            &global,
-            &[global.marginal(&[0, 1])],
-            ReconstructionConfig::default(),
-        );
+        swept(&mut r, &global, &[global.marginal(&[0, 1])]);
         assert!(!r.marg.is_empty());
         let c = r.clone();
         assert_eq!(c.cached_key_tables(), 1);

@@ -1,6 +1,6 @@
 //! Property-based tests for the mitigation substrate.
 
-use mitigation::{mbm_correct, reconstruct, sliding_windows, Pmf, ReconstructionConfig};
+use mitigation::{mbm_correct, reconstruct, sliding_windows, Pmf};
 use pauli::{Pauli, PauliString};
 use proptest::prelude::*;
 use qnoise::{apply_readout_errors, ReadoutError};
@@ -23,8 +23,7 @@ proptest! {
     /// marginal when the prior has full support.
     #[test]
     fn bayes_imposes_local_marginal(global in arb_pmf(vec![0, 1, 2]), local in arb_pmf(vec![1])) {
-        let config = ReconstructionConfig { epsilon: 1e-12, rounds: 1 };
-        let out = reconstruct(&global, std::slice::from_ref(&local), config);
+        let out = reconstruct(&global, std::slice::from_ref(&local));
         prop_assert!((out.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
         let m = out.marginal(&[1]);
         prop_assert!((m.prob(0) - local.prob(0)).abs() < 1e-6);
@@ -35,7 +34,7 @@ proptest! {
     #[test]
     fn reconstruction_fixpoint(global in arb_pmf(vec![0, 1, 2])) {
         let locals = vec![global.marginal(&[0, 1]), global.marginal(&[1, 2])];
-        let out = reconstruct(&global, &locals, ReconstructionConfig::default());
+        let out = reconstruct(&global, &locals);
         prop_assert!(out.tvd(&global) < 1e-6);
     }
 
@@ -46,7 +45,7 @@ proptest! {
         l0 in arb_pmf(vec![0, 1]),
         l1 in arb_pmf(vec![1, 2]),
     ) {
-        let out = reconstruct(&global, &[l0, l1], ReconstructionConfig::default());
+        let out = reconstruct(&global, &[l0, l1]);
         prop_assert_eq!(out.qubits(), global.qubits());
         prop_assert!((out.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
         prop_assert!(out.probs().iter().all(|&p| p >= -1e-12));

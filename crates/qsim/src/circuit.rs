@@ -62,21 +62,32 @@ impl Circuit {
     /// Panics if the gate addresses a qubit `>= num_qubits`, or if a
     /// two-qubit gate addresses the same qubit twice.
     pub fn push(&mut self, gate: Gate) -> &mut Self {
-        let qs = gate.qubits();
-        for &q in &qs {
+        // A `match`, not `Gate::qubits()`: no `Vec` per appended gate.
+        let (first, second) = match gate {
+            Gate::Cx(a, b) | Gate::Cz(a, b) | Gate::Swap(a, b) => (a, Some(b)),
+            Gate::H(q)
+            | Gate::X(q)
+            | Gate::Y(q)
+            | Gate::Z(q)
+            | Gate::S(q)
+            | Gate::Sdg(q)
+            | Gate::T(q)
+            | Gate::Tdg(q)
+            | Gate::Rx(q, _)
+            | Gate::Ry(q, _)
+            | Gate::Rz(q, _) => (q, None),
+        };
+        for q in std::iter::once(first).chain(second) {
             assert!(
                 q < self.num_qubits,
                 "gate {gate} addresses qubit {q} but circuit has {} qubits",
                 self.num_qubits
             );
         }
-        if qs.len() == 2 {
-            assert!(
-                qs[0] != qs[1],
-                "two-qubit gate {gate} repeats qubit {}",
-                qs[0]
-            );
-        }
+        assert!(
+            second != Some(first),
+            "two-qubit gate {gate} repeats qubit {first}"
+        );
         self.gates.push(gate);
         self
     }

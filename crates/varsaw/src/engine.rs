@@ -7,7 +7,7 @@
 
 use crate::spatial::{DistinctCoverage, SpatialPlan};
 use crate::temporal::{GlobalScheduler, TemporalPolicy};
-use mitigation::{mbm_correct, sliding_windows, Pmf, ReconstructionConfig, Reconstructor};
+use mitigation::{mbm_correct, sliding_windows, Pmf, Reconstructor};
 use pauli::{Hamiltonian, PauliString};
 use qsim::Statevector;
 use std::borrow::Borrow;
@@ -68,8 +68,7 @@ impl MitigationPipeline {
     /// `prior` becomes the Output-PMF. The locals may be owned or
     /// borrowed.
     fn reconstruct<L: Borrow<Pmf>>(&mut self, prior: &mut Pmf, locals: &[L]) {
-        self.reconstructor
-            .sweep(prior, locals, ReconstructionConfig::default());
+        self.reconstructor.sweep(prior, locals);
     }
 
     /// Reconstructs every basis's output in place from the coverage

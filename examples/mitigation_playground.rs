@@ -6,7 +6,7 @@
 //! cargo run --release --example mitigation_playground
 //! ```
 
-use mitigation::{mbm_correct, reconstruct, Pmf, ReconstructionConfig};
+use mitigation::{mbm_correct, reconstruct, Pmf};
 use qnoise::{apply_readout_errors, DeviceModel};
 use qsim::{Circuit, Statevector};
 
@@ -51,7 +51,7 @@ fn main() {
         })
         .collect();
 
-    let jigsaw = reconstruct(&global, &locals, ReconstructionConfig::default());
+    let jigsaw = reconstruct(&global, &locals);
     let mbm = mbm_correct(
         &global,
         &device
