@@ -192,6 +192,37 @@ fn digest(energies: &[f64]) -> u64 {
         })
 }
 
+/// Six SPSA iterations of `method` on `molecule` (EfficientSU2 reps 2,
+/// 1024 shots, seed 7) on `device`, as an energy-trace digest.
+fn trace_digest(molecule: &str, qubits: usize, device: DeviceModel, method: Method) -> u64 {
+    let config = VqeConfig {
+        max_iterations: 6,
+        max_circuits: None,
+    };
+    let spec = MoleculeSpec::find(molecule, qubits).expect("registry");
+    let ansatz = EfficientSu2::new(qubits, 2, Entanglement::Full);
+    let setup = RunSetup::new(molecular_hamiltonian(&spec), ansatz, device, 7);
+    let trace = run_method(&setup, method, &config).trace;
+    assert_eq!(trace.iterations(), 6);
+    digest(&trace.energies)
+}
+
+/// Full-register draws (256 outcomes on H2O-8) take the sampler's guided
+/// walk, one uniform per shot. A Baseline run on `mumbai_like` and an
+/// ideal one (Baseline on a noiseless device) draw only those, so their
+/// traces keep these bits whatever happens to the small-distribution path.
+#[test]
+fn full_register_runs_keep_their_energy_trace_bits() {
+    let cases = [
+        ("mumbai_like", DeviceModel::mumbai_like(), 0xb04b_93ed_ba0c_87e1),
+        ("noiseless", DeviceModel::noiseless(8), 0xa6b3_dac5_c701_942a),
+    ];
+    for (device_name, device, want) in cases {
+        let got = trace_digest("H2O", 8, device, Method::Baseline);
+        assert_eq!(got, want, "baseline on H2O-8, {device_name}: {got:#018x}");
+    }
+}
+
 /// Sampled paper runs stay bit-identical across refactors of the
 /// measurement path: six SPSA iterations of VarSaw on H2O-8 and of JigSaw
 /// on LiH-6 (EfficientSU2 reps 2, `mumbai_like`, 1024 shots, seed 7) must
@@ -202,10 +233,6 @@ fn digest(energies: &[f64]) -> u64 {
 /// draw of these runs sees.
 #[test]
 fn sampled_runs_keep_their_energy_trace_bits() {
-    let config = VqeConfig {
-        max_iterations: 6,
-        max_circuits: None,
-    };
     let cases = [
         (
             "H2O",
@@ -216,17 +243,7 @@ fn sampled_runs_keep_their_energy_trace_bits() {
         ("LiH", 6, Method::Jigsaw, 0xdede_9725_04f6_cb69),
     ];
     for (molecule, qubits, method, want) in cases {
-        let spec = MoleculeSpec::find(molecule, qubits).expect("registry");
-        let ansatz = EfficientSu2::new(qubits, 2, Entanglement::Full);
-        let setup = RunSetup::new(
-            molecular_hamiltonian(&spec),
-            ansatz,
-            DeviceModel::mumbai_like(),
-            7,
-        );
-        let trace = run_method(&setup, method, &config).trace;
-        assert_eq!(trace.iterations(), 6);
-        let got = digest(&trace.energies);
+        let got = trace_digest(molecule, qubits, DeviceModel::mumbai_like(), method);
         assert_eq!(got, want, "{method} on {molecule}-{qubits}: {got:#018x}");
     }
 }
