@@ -33,16 +33,7 @@ impl Pmf {
     /// probability is not finite and non-negative (negative, infinite or
     /// NaN), or the total mass is zero.
     pub fn new(qubits: Vec<usize>, probs: Vec<f64>) -> Self {
-        assert_eq!(
-            probs.len(),
-            1usize << qubits.len(),
-            "{} probabilities for {} qubits",
-            probs.len(),
-            qubits.len()
-        );
-        for (i, &q) in qubits.iter().enumerate() {
-            assert!(!qubits[..i].contains(&q), "qubit {q} repeated");
-        }
+        check_qubits(&qubits, probs.len());
         // The fold does not short-circuit, so it vectorizes; the offending
         // entry is looked up only to name it in the panic.
         let valid = |p: f64| (0.0..=f64::MAX).contains(&p);
@@ -60,6 +51,41 @@ impl Pmf {
         if (total - 1.0).abs() > 1e-15 {
             probs.iter_mut().for_each(|p| *p /= total);
         }
+        Pmf { qubits, probs }
+    }
+
+    /// The empirical PMF of `shots` sampled counts over `qubits`: each
+    /// count divided by `shots`.
+    ///
+    /// Bit-identical to `Pmf::new` on the counts as `f64`, without its
+    /// floating-point validation and sum: counts are finite and
+    /// non-negative, and their sum is exactly `shots` (integer partial sums
+    /// below 2^53 are exact), so `Pmf::new` divides by the same value. A
+    /// single shot, which `Pmf::new` leaves undivided, divides by 1.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mitigation::Pmf;
+    ///
+    /// let pmf = Pmf::from_counts(vec![0], &[3, 1], 4);
+    /// assert_eq!(pmf.probs(), &[0.75, 0.25]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts.len() != 2^qubits.len()`, a qubit repeats, or the
+    /// counts do not sum to `shots`, which is zero.
+    pub fn from_counts(qubits: Vec<usize>, counts: &[u64], shots: u64) -> Self {
+        check_qubits(&qubits, counts.len());
+        assert_eq!(
+            counts.iter().sum::<u64>(),
+            shots,
+            "counts do not sum to the shots"
+        );
+        assert!(shots > 0, "PMF has zero total mass");
+        let total = shots as f64;
+        let probs = counts.iter().map(|&c| c as f64 / total).collect();
         Pmf { qubits, probs }
     }
 
@@ -184,6 +210,19 @@ impl fmt::Display for Pmf {
             }
         }
         Ok(())
+    }
+}
+
+/// Panics unless `len` outcomes suit the distinct `qubits`.
+fn check_qubits(qubits: &[usize], len: usize) {
+    assert_eq!(
+        len,
+        1usize << qubits.len(),
+        "{len} probabilities for {} qubits",
+        qubits.len()
+    );
+    for (i, &q) in qubits.iter().enumerate() {
+        assert!(!qubits[..i].contains(&q), "qubit {q} repeated");
     }
 }
 

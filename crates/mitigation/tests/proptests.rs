@@ -19,6 +19,32 @@ fn arb_string(n: usize) -> impl Strategy<Value = PauliString> {
 }
 
 proptest! {
+    /// A PMF built from sampled counts has exactly the bits of one built
+    /// by `Pmf::new` from the same counts as `f64`, one shot included.
+    #[test]
+    fn pmf_from_counts_matches_new_bit_for_bit(
+        qubits in 0usize..=10,
+        shots in prop::sample::select(vec![1u64, 2, 7, 1024, 8192, 1 << 40]),
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let n = 1usize << qubits;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut counts = vec![0u64; n];
+        let mut left = shots;
+        while left > 0 {
+            let take = rng.random_range(1..=left);
+            counts[rng.random_range(0..n)] += take;
+            left -= take;
+        }
+        let listed: Vec<usize> = (0..qubits).map(|j| 3 * j + 1).collect();
+        let new = Pmf::new(listed.clone(), counts.iter().map(|&c| c as f64).collect());
+        let from = Pmf::from_counts(listed, &counts, shots);
+        let bits = |p: &Pmf| p.probs().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&from), bits(&new));
+        prop_assert_eq!(from.qubits(), new.qubits());
+    }
+
     /// Bayesian updates keep PMFs valid and exactly impose the local
     /// marginal when the prior has full support.
     #[test]

@@ -1,39 +1,45 @@
 //! Shot sampling from outcome distributions.
 //!
-//! Every draw maps one uniform `u = rng.random::<f64>() * total` onto the
-//! first outcome whose cumulative probability exceeds `u`, so an outcome
-//! with zero mass is never drawn, even when `u` lands exactly on a
-//! cumulative value. Each shot consumes exactly one uniform, whatever the
-//! width, so the RNG stream after a call does not depend on the
-//! distribution. A distribution is prepared once per call into a
-//! [`Sampler`] and then drawn from `shots` times, for O(n + shots) work
-//! overall:
+//! A distribution is drawn in one of two ways, chosen by its width:
 //!
-//! - up to [`LINEAR_MAX`] outcomes (VarSaw's subset circuits measure 1–2
-//!   qubits), a register counter per CDF entry tallies the shots at or
-//!   above it, and the counts are their differences;
-//! - wider distributions (full-register Globals) walk a guide table
-//!   (Chen & Asau 1974), built from a bucket histogram in one pass.
+//! - up to [`CHAIN_MAX`] outcomes (VarSaw's and JigSaw's subset circuits
+//!   measure 1–5 qubits, 2 in the paper's evaluation), the multinomial is drawn as a chain of
+//!   conditional binomials: outcome `i` gets `Binomial(shots_left, p_i /
+//!   mass_left)`, where `mass_left` is the mass of outcomes `i..`. Each
+//!   binomial is drawn by inversion of one uniform, searched outward from
+//!   its mode, so a draw costs O(outcomes · σ) whatever the shot count.
+//!   Zero-mass outcomes get no draw, and the last outcome with mass takes
+//!   the shots left. One uniform is consumed per binomial drawn: none
+//!   for the last outcome with mass, and none once every shot is placed;
+//! - wider distributions (full-register Globals) map one uniform per shot,
+//!   `u = rng.random::<f64>() * total`, onto the first outcome whose
+//!   cumulative probability exceeds `u`, found by walking a guide table
+//!   (Chen & Asau 1974) built from a bucket histogram in one pass. Every
+//!   shot consumes exactly one uniform, so the RNG stream after a call
+//!   does not depend on the distribution.
+//!
+//! Neither way ever draws an outcome with zero mass.
 
 use rand::Rng;
 
-/// Distributions with at most this many outcomes are drawn by register
-/// counters rather than the guide table. Each shot then costs `K`
-/// branch-free compares and adds (`K` the width rounded up to 2, 4, 8 or
-/// 16) and no memory write: a memory `counts[i] += 1` per shot stalls on
-/// the previous shot's store whenever most shots land in one bin, as they
-/// do on 2- and 4-outcome subset draws. Up to 16 outcomes this beat the
-/// guided walk in a 1024-shot microbenchmark on a 2-core x86-64 host; the
-/// walk pays for a bucket lookup and its occasional mispredicted step.
-const LINEAR_MAX: usize = 16;
+/// Distributions with at most this many outcomes are drawn as a chain of
+/// conditional binomials rather than through the guide table. With 1024
+/// shots on a 2-core x86-64 host, the chain beat the guided walk on every
+/// 16- and 32-outcome shape timed (1.1–2.5 µs against 4.5–10 µs at 16,
+/// 1.4–4.4 µs against 4.5–9.9 µs at 32), and at 64 it lost on flat and
+/// ansatz-like distributions (6.1–6.9 µs against 5.2–6.3 µs): 63 binomial
+/// set-ups of three log-factorials, two logarithms and an exponential
+/// each then outweigh 1024 mostly zero-step walks.
+const CHAIN_MAX: usize = 32;
 
 /// Draws `shots` samples from the distribution `probs` and returns a count
 /// per outcome index.
 ///
 /// The distribution is renormalized internally, so slightly unnormalized
 /// inputs (e.g. probabilities that sum to `1 ± 1e-12` after floating-point
-/// round-off) are fine. Exactly one `rng.random::<f64>()` is drawn per
-/// shot.
+/// round-off) are fine. Above 32 outcomes exactly one
+/// `rng.random::<f64>()` is drawn per shot; up to 32, one per conditional
+/// binomial (see the module docs).
 ///
 /// # Panics
 ///
@@ -51,10 +57,159 @@ const LINEAR_MAX: usize = 16;
 /// assert!(counts[0] > 400 && counts[0] < 600);
 /// ```
 pub fn sample_counts<R: Rng + ?Sized>(probs: &[f64], shots: u64, rng: &mut R) -> Vec<u64> {
-    Sampler::new(probs).counts(shots, rng)
+    assert!(
+        !probs.is_empty(),
+        "cannot sample from an empty distribution"
+    );
+    // Validating in a separate branch-free pass keeps the running sums
+    // plain loops of adds and stores.
+    if !probs.iter().fold(true, |ok, &p| ok & (p >= 0.0)) {
+        let bad = probs.iter().find(|&&p| p < 0.0 || p.is_nan());
+        panic!(
+            "probability {} is not finite and non-negative",
+            bad.unwrap()
+        );
+    }
+    if probs.len() <= CHAIN_MAX {
+        counts_chained(probs, shots, rng)
+    } else {
+        Sampler::new(probs).counts(shots, rng)
+    }
 }
 
-/// A distribution prepared for repeated draws.
+/// Panics unless the running sum `total` of valid probabilities is a
+/// usable normalizer.
+fn check_total(total: f64) {
+    assert!(total > 0.0, "distribution sums to zero");
+    assert!(total.is_finite(), "distribution sum {total} is not finite");
+}
+
+/// Draws over at most [`CHAIN_MAX`] outcomes as conditional binomials,
+/// left to right. `mass_left` comes from suffix sums, not from repeated
+/// subtraction, so it never drifts below the mass it stands for and each
+/// ratio `p_i / mass_left` stays in `[0, 1]`.
+fn counts_chained<R: Rng + ?Sized>(probs: &[f64], shots: u64, rng: &mut R) -> Vec<u64> {
+    let mut mass_left = [0.0; CHAIN_MAX + 1];
+    for (i, &p) in probs.iter().enumerate().rev() {
+        mass_left[i] = mass_left[i + 1] + p;
+    }
+    check_total(mass_left[0]);
+    let last = probs
+        .iter()
+        .rposition(|&p| p > 0.0)
+        .expect("a positive total has an outcome with mass");
+    let mut counts = vec![0u64; probs.len()];
+    let mut left = shots;
+    for (i, &p) in probs[..last].iter().enumerate() {
+        if left == 0 {
+            break;
+        }
+        if p > 0.0 {
+            let k = binomial(left, p / mass_left[i], rng.random::<f64>());
+            counts[i] = k;
+            left -= k;
+        }
+    }
+    counts[last] = left;
+    counts
+}
+
+/// `Binomial(n, p)` for `p` in `[0, 1]`, drawn by inverting the one
+/// uniform `u` in `[0, 1)`. The outcomes are visited outward from the
+/// mode `m`, alternately below and above it (`m, m − 1, m + 1, m − 2,
+/// …`), subtracting each pmf from `u`; the first that takes `u` below zero
+/// is drawn. Any fixed visiting order inverts the distribution exactly;
+/// this one needs about 1.6 σ steps on average. Neighbouring pmfs follow
+/// from the mode's by the ratio `f(k + 1) / f(k) = (n − k) p / ((k + 1)
+/// q)`.
+///
+/// When rounding leaves the visited pmfs summing to less than `u` (a mass
+/// of order 1e-15 at most), the walk stops once both sides are exhausted
+/// or have underflowed to zero, and the mode is drawn.
+fn binomial(n: u64, p: f64, u: f64) -> u64 {
+    if p >= 1.0 {
+        return n;
+    }
+    if p <= 0.0 {
+        return 0;
+    }
+    let nf = n as f64;
+    let m = (((nf + 1.0) * p) as u64).min(n);
+    let mf = m as f64;
+    let ln_at_mode = ln_factorial(n) - ln_factorial(m) - ln_factorial(n - m)
+        + mf * p.ln()
+        + (nf - mf) * (-p).ln_1p();
+    let at_mode = ln_at_mode.exp();
+    let mut u = u - at_mode;
+    if u < 0.0 {
+        return m;
+    }
+    // m ≥ 1 implies p ≥ 1 / (n + 1), and m < n implies q > 1 / (n + 1),
+    // so neither ratio below is ever formed from an underflowed odds.
+    let odds = p / (1.0 - p);
+    let (mut lo, mut lo_pmf) = (m, at_mode);
+    let (mut hi, mut hi_pmf) = (m, at_mode);
+    loop {
+        let lo_open = lo > 0 && lo_pmf > 0.0;
+        let hi_open = hi < n && hi_pmf > 0.0;
+        if !(lo_open || hi_open) {
+            return m;
+        }
+        if lo_open {
+            lo_pmf *= lo as f64 / ((n - lo + 1) as f64 * odds);
+            lo -= 1;
+            u -= lo_pmf;
+            if u < 0.0 {
+                return lo;
+            }
+        }
+        if hi_open {
+            hi_pmf *= (n - hi) as f64 * odds / (hi + 1) as f64;
+            hi += 1;
+            u -= hi_pmf;
+            if u < 0.0 {
+                return hi;
+            }
+        }
+    }
+}
+
+/// `ln(k!)` for `k` below 16, correctly rounded.
+const LN_FACTORIAL: [f64; 16] = [
+    0.0,
+    0.0,
+    std::f64::consts::LN_2,
+    1.791_759_469_228_055,
+    3.178_053_830_347_945_8,
+    4.787_491_742_782_046,
+    6.579_251_212_010_101,
+    8.525_161_361_065_415,
+    10.604_602_902_745_25,
+    12.801_827_480_081_469,
+    15.104_412_573_075_516,
+    17.502_307_845_873_887,
+    19.987_214_495_661_885,
+    22.552_163_853_123_425,
+    25.191_221_182_738_68,
+    27.899_271_383_840_89,
+];
+
+/// `ln(k!)`: the table below 16, else Stirling's series through the
+/// `k⁻⁷` term, whose truncation error at `k = 16` is below 2e-14 and
+/// falls as `k⁻⁹`. Builds nothing.
+fn ln_factorial(k: u64) -> f64 {
+    if let Some(&v) = LN_FACTORIAL.get(k as usize) {
+        return v;
+    }
+    const HALF_LN_TWO_PI: f64 = 0.918_938_533_204_672_8;
+    let x = k as f64;
+    let r = 1.0 / x;
+    let r2 = r * r;
+    let series = r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0)));
+    (x + 0.5) * x.ln() - x + HALF_LN_TWO_PI + series
+}
+
+/// A wide distribution prepared for repeated draws.
 ///
 /// The guide table splits `[0, total)` into `n` equal buckets:
 /// `guide[k]` is the number of CDF entries whose bucket is below `k`.
@@ -65,12 +220,10 @@ pub fn sample_counts<R: Rng + ?Sized>(probs: &[f64], shots: u64, rng: &mut R) ->
 struct Sampler {
     /// Running sums of the probabilities, with every entry equal to the
     /// total (the last outcome with mass and any zero-mass tail) replaced
-    /// by `+inf`. For `u` below the total this changes no comparison. The
-    /// sentinel stops every walk and count at the last outcome with mass,
-    /// also for a subnormal total, where rounding can make `u` equal it.
+    /// by `+inf`. For `u` below the total this changes no comparison; the
+    /// sentinel stops every walk at the last outcome with mass.
     cdf: Vec<f64>,
-    /// `n + 1` walk starts, one per bucket. Empty for at most
-    /// [`LINEAR_MAX`] outcomes.
+    /// `n + 1` walk starts, one per bucket.
     guide: Vec<usize>,
     /// The sum of the probabilities; uniforms are scaled by it.
     total: f64,
@@ -79,20 +232,8 @@ struct Sampler {
 }
 
 impl Sampler {
+    /// Prepares validated probabilities.
     fn new(probs: &[f64]) -> Self {
-        assert!(
-            !probs.is_empty(),
-            "cannot sample from an empty distribution"
-        );
-        // Validating in a separate branch-free pass keeps the running sum
-        // a plain loop of adds and stores.
-        if !probs.iter().fold(true, |ok, &p| ok & (p >= 0.0)) {
-            let bad = probs.iter().find(|&&p| p < 0.0 || p.is_nan());
-            panic!(
-                "probability {} is not finite and non-negative",
-                bad.unwrap()
-            );
-        }
         let n = probs.len();
         let mut cdf = vec![0.0; n];
         let mut acc = 0.0;
@@ -100,15 +241,18 @@ impl Sampler {
             acc += p;
             *c = acc;
         }
-        assert!(acc > 0.0, "distribution sums to zero");
-        assert!(acc.is_finite(), "distribution sum {acc} is not finite");
+        check_total(acc);
+        if acc < f64::MIN_POSITIVE {
+            // `u = r · total` keeps the 53 bits of `r` only for a normal
+            // total; a subnormal one rounds `u` onto a few multiples of the
+            // smallest subnormal and skews the draw. Every entry is then
+            // subnormal, so scaling by a power of two is exact.
+            let scaled: Vec<f64> = probs.iter().map(|p| p * 2f64.powi(600)).collect();
+            return Sampler::new(&scaled);
+        }
 
         let scale = n as f64 / acc;
-        let guide = if n > LINEAR_MAX {
-            guide_table(&cdf, scale)
-        } else {
-            Vec::new()
-        };
+        let guide = guide_table(&cdf, scale);
         for c in cdf.iter_mut().rev().take_while(|c| **c == acc) {
             *c = f64::INFINITY;
         }
@@ -120,48 +264,13 @@ impl Sampler {
         }
     }
 
-    fn counts<R: Rng + ?Sized>(&self, shots: u64, rng: &mut R) -> Vec<u64> {
-        match self.cdf.len() {
-            1..=2 => self.counts_linear::<2, R>(shots, rng),
-            3..=4 => self.counts_linear::<4, R>(shots, rng),
-            5..=8 => self.counts_linear::<8, R>(shots, rng),
-            9..=LINEAR_MAX => self.counts_linear::<16, R>(shots, rng),
-            _ => self.counts_guided(shots, rng),
-        }
-    }
-
-    /// Draws over at most `K` outcomes. `le[j]` counts the shots with
-    /// `cdf[j] <= u`, i.e. drawn above `j`; the CDF is padded with `+inf`
-    /// to `K` entries, whose counters stay zero. Outcome `i` then got
-    /// `le[i - 1] - le[i]` shots, with `le[-1] = shots`.
-    fn counts_linear<const K: usize, R: Rng + ?Sized>(&self, shots: u64, rng: &mut R) -> Vec<u64> {
-        let mut cdf = [f64::INFINITY; K];
-        cdf[..self.cdf.len()].copy_from_slice(&self.cdf);
-        let mut le = [0u64; K];
-        for _ in 0..shots {
-            let u = rng.random::<f64>() * self.total;
-            for (l, &c) in le.iter_mut().zip(&cdf) {
-                *l += u64::from(c <= u);
-            }
-        }
-        let mut above = shots;
-        le[..self.cdf.len()]
-            .iter()
-            .map(|&l| {
-                let count = above - l;
-                above = l;
-                count
-            })
-            .collect()
-    }
-
     /// Draws through the guide table: from `guide[bucket(u)]`, step
     /// forward while the CDF entry is `<= u`. The first two steps are
     /// unconditional adds of the comparison, which covers nearly every
     /// draw without a data-dependent branch; the loop finishes the rare
     /// longer walk. The `+inf` sentinel stops every step, so `i` never
     /// passes the last outcome with mass.
-    fn counts_guided<R: Rng + ?Sized>(&self, shots: u64, rng: &mut R) -> Vec<u64> {
+    fn counts<R: Rng + ?Sized>(&self, shots: u64, rng: &mut R) -> Vec<u64> {
         let cdf = &self.cdf[..];
         let mut counts = vec![0u64; cdf.len()];
         for _ in 0..shots {
@@ -271,11 +380,25 @@ mod tests {
         assert_eq!(counts, vec![0, 4, 0]);
     }
 
+    /// Every shot lands on an outcome with mass, and all of them land.
+    fn assert_on_the_mass(probs: &[f64], counts: &[u64], shots: u64) {
+        assert_eq!(counts.iter().sum::<u64>(), shots, "{probs:?}");
+        for (i, (&c, &p)) in counts.iter().zip(probs).enumerate() {
+            assert!(p > 0.0 || c == 0, "zero-mass outcome {i} drawn: {probs:?}");
+        }
+    }
+
     #[test]
     fn u_on_a_cdf_tie_skips_zero_mass_outcomes() {
-        // u = 0.5 equals the CDF at outcomes 0, 1 and 2.
-        let counts = sample_counts(&[0.5, 0.0, 0.0, 0.5], 4, &mut Stuck(1 << 63));
-        assert_eq!(counts, vec![0, 0, 0, 4]);
+        // u = 0.5 equals the CDF at outcomes 0, 1 and 2 of the walk; the
+        // chain sees the same distribution at the same stuck uniform.
+        for n in [4, 40] {
+            let mut probs = vec![0.0; n];
+            probs[0] = 0.5;
+            probs[3] = 0.5;
+            let counts = sample_counts(&probs, 4, &mut Stuck(1 << 63));
+            assert_on_the_mass(&probs, &counts, 4);
+        }
     }
 
     #[test]
@@ -294,29 +417,116 @@ mod tests {
     #[test]
     fn u_rounding_up_to_a_subnormal_total_stays_on_the_mass() {
         // The largest uniform times the smallest subnormal rounds to the
-        // total itself; the draw must still land on the outcome with mass.
+        // total itself; the draw must still land on the outcomes with mass.
         for n in [3, 40] {
-            let mut probs = vec![0.0; n];
-            probs[1] = f64::from_bits(1);
-            let counts = sample_counts(&probs, 4, &mut Stuck(u64::MAX));
-            assert_eq!(counts[1], 4, "{n} outcomes");
+            for holes in [&[1][..], &[0, 2]] {
+                let mut probs = vec![0.0; n];
+                for &i in holes {
+                    probs[i] = f64::from_bits(1);
+                }
+                let counts = sample_counts(&probs, 4, &mut Stuck(u64::MAX));
+                assert_on_the_mass(&probs, &counts, 4);
+            }
+        }
+    }
+
+    /// The uniforms `sample_counts` drew from a seeded stream.
+    fn uniforms_drawn(probs: &[f64], shots: u64) -> usize {
+        use rand::RngCore;
+        let mut rng = StdRng::seed_from_u64(probs.len() as u64);
+        let mut advanced = rng.clone();
+        sample_counts(probs, shots, &mut rng);
+        let next = rng.next_u64();
+        (0..).find(|_| advanced.next_u64() == next).unwrap()
+    }
+
+    #[test]
+    fn every_shot_consumes_exactly_one_uniform_above_the_cut() {
+        for n in [CHAIN_MAX + 1, 40, 256] {
+            let probs: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64 + 0.5).collect();
+            assert_eq!(uniforms_drawn(&probs, 333), 333, "{n} outcomes");
         }
     }
 
     #[test]
-    fn every_shot_consumes_exactly_one_uniform() {
-        use rand::RngCore;
-        // One width per arm: 1, 2, 3–4, 5–8, 9–16 and more than 16.
-        for n in [1usize, 2, 3, 7, 16, 40, 256] {
-            let probs: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64 + 0.5).collect();
-            let mut rng = StdRng::seed_from_u64(n as u64);
-            let mut advanced = rng.clone();
-            sample_counts(&probs, 333, &mut rng);
-            for _ in 0..333 {
-                advanced.next_u64();
-            }
-            assert_eq!(rng.next_u64(), advanced.next_u64(), "{n} outcomes");
+    fn every_binomial_drawn_consumes_exactly_one_uniform() {
+        // Outcomes 0, 2 and 3 are drawn; 5 is the last with mass and
+        // takes the rest, and the zero-mass outcomes get no draw.
+        let probs = [0.1, 0.0, 0.2, 0.3, 0.0, 0.4, 0.0];
+        assert_eq!(uniforms_drawn(&probs, 333), 3);
+        assert_eq!(uniforms_drawn(&probs, 0), 0);
+        assert_eq!(uniforms_drawn(&[0.0, 1.0, 0.0], 333), 0);
+        // A certain first outcome leaves no shot for the rest.
+        assert_eq!(uniforms_drawn(&[1.0, 1e-300, 1e-300], 5), 1);
+        for n in 1..=CHAIN_MAX {
+            let flat = vec![1.0; n];
+            assert_eq!(uniforms_drawn(&flat, 1 << 20), n - 1, "{n} outcomes");
         }
+    }
+
+    /// `ln(n!)` by summing logarithms.
+    fn ln_factorial_summed(n: u64) -> f64 {
+        (2..=n).map(|k| (k as f64).ln()).sum()
+    }
+
+    #[test]
+    fn ln_factorial_matches_the_summed_logarithms() {
+        for k in (0..64).chain([100, 255, 256, 1023, 1024, 4096, 100_000]) {
+            let want = ln_factorial_summed(k);
+            let got = ln_factorial(k);
+            assert!(
+                (got - want).abs() <= 1e-13 * want.max(1.0),
+                "ln({k}!) = {got}, summed {want}"
+            );
+        }
+    }
+
+    /// The exact `Binomial(n, p)` pmf, from summed log-factorials.
+    fn binomial_pmf(n: u64, p: f64) -> Vec<f64> {
+        let ln_n = ln_factorial_summed(n);
+        (0..=n)
+            .map(|k| {
+                let ln_c = ln_n - ln_factorial_summed(k) - ln_factorial_summed(n - k);
+                (ln_c + k as f64 * p.ln() + (n - k) as f64 * (-p).ln_1p()).exp()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn binomial_inverts_a_uniform_grid_onto_the_pmf() {
+        // Uniforms on an even grid of `steps` points land on `k` in the
+        // proportion f(k), up to one grid point per boundary crossed.
+        let steps = 1u32 << 16;
+        for n in [1u64, 2, 7, 30, 200] {
+            for p in [1e-3, 0.05, 0.3, 0.5, 0.77, 0.999] {
+                let mut hits = vec![0u32; n as usize + 1];
+                for j in 0..steps {
+                    let k = binomial(n, p, f64::from(j) / f64::from(steps));
+                    hits[k as usize] += 1;
+                }
+                for (k, (&h, f)) in hits.iter().zip(binomial_pmf(n, p)).enumerate() {
+                    let freq = f64::from(h) / f64::from(steps);
+                    assert!(
+                        (freq - f).abs() <= 2.0 / f64::from(steps),
+                        "n {n}, p {p}, k {k}: {freq} vs {f}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn binomial_stays_in_range_at_extreme_uniforms() {
+        let top = 1.0 - f64::EPSILON / 2.0;
+        for n in [0u64, 1, 16, 1024, 1 << 20] {
+            for p in [0.0, 5e-324, 1e-300, 1e-9, 0.5, 1.0 - 1e-12, 1.0] {
+                for u in [0.0, top] {
+                    assert!(binomial(n, p, u) <= n, "n {n}, p {p}, u {u}");
+                }
+            }
+        }
+        assert_eq!(binomial(9, 0.0, top), 0);
+        assert_eq!(binomial(9, 1.0, 0.0), 9);
     }
 
     /// The guide table by definition: a forward scan per bucket for the

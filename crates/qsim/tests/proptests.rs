@@ -36,11 +36,21 @@ fn arb_circuit(n: usize, max_gates: usize) -> impl Strategy<Value = Circuit> {
     })
 }
 
-/// Strategy producing a distribution for the sampler oracle: 1 to 1024
-/// outcomes; flat, ragged, spiky or steep; zero runs at either end and
-/// zero holes inside; scaled far from normalized.
-fn arb_distribution() -> impl Strategy<Value = Vec<f64>> {
-    let size = (0u32..=10, 0usize..1024).prop_map(|(bits, r)| 1 + r % (1 << bits));
+/// Any sampler width, 1 to 1024 outcomes, log-uniformly.
+fn any_width() -> impl Strategy<Value = usize> {
+    (0u32..=10, 0usize..1024).prop_map(|(bits, r)| 1 + r % (1 << bits))
+}
+
+/// The widths drawn through the guide table, 33 to 1024 outcomes,
+/// log-uniformly.
+fn guided_width() -> impl Strategy<Value = usize> {
+    (6u32..=10, 0usize..1024).prop_map(|(bits, r)| (1 << (bits - 1)) + 1 + r % (1 << (bits - 1)))
+}
+
+/// Strategy producing a distribution for the sampler oracle, of a width
+/// drawn from `size`: flat, ragged, spiky or steep; zero runs at either
+/// end and zero holes inside; scaled far from normalized.
+fn arb_distribution(size: impl Strategy<Value = usize>) -> impl Strategy<Value = Vec<f64>> {
     let zeros = (0usize..1024, 0usize..1024, 0u32..4);
     let look = (
         0u8..4,
@@ -100,8 +110,17 @@ impl rand::RngCore for Coarse {
     }
 }
 
-/// The sampler's specification: per shot the same `u`, then the first
-/// CDF entry greater than `u`, found by binary search.
+/// An RNG stuck on one word: 0 and `u64::MAX` give the extreme uniforms.
+struct Stuck(u64);
+
+impl rand::RngCore for Stuck {
+    fn next_u64(&mut self) -> u64 {
+        self.0
+    }
+}
+
+/// The guided sampler's specification: per shot the same `u`, then the
+/// first CDF entry greater than `u`, found by binary search.
 fn reference_counts(probs: &[f64], shots: u64, rng: &mut Coarse) -> Vec<u64> {
     use rand::Rng;
     let cdf: Vec<f64> = probs
@@ -122,11 +141,12 @@ fn reference_counts(probs: &[f64], shots: u64, rng: &mut Coarse) -> Vec<u64> {
 }
 
 proptest! {
-    /// Shot sampling lands every shot exactly where the binary-search
-    /// reference does, and never on an outcome with zero mass.
+    /// Above the chained widths, shot sampling lands every shot exactly
+    /// where the binary-search reference does, and never on an outcome
+    /// with zero mass.
     #[test]
     fn sampling_matches_the_first_cdf_entry_above_u(
-        probs in arb_distribution(),
+        probs in arb_distribution(guided_width()),
         seed in 0u64..u64::MAX,
         keep_bits in prop::sample::select(vec![64u32, 8, 3]),
     ) {
@@ -140,7 +160,31 @@ proptest! {
         }
     }
 
-    /// Unitary evolution preserves the norm of the state.
+    /// At every width, the counts sum to the shots and no shot lands on
+    /// an outcome with zero mass, also under coarse uniforms that tie CDF
+    /// values and under the extreme uniforms 0 and `u64::MAX`, which must
+    /// terminate.
+    #[test]
+    fn sampling_places_every_shot_on_the_mass(
+        probs in arb_distribution(any_width()),
+        seed in 0u64..u64::MAX,
+        shots in prop::sample::select(vec![1u64, 7, 512]),
+    ) {
+        let draws = [
+            qsim::sample_counts(&probs, shots, &mut Coarse::new(seed, 64)),
+            qsim::sample_counts(&probs, shots, &mut Coarse::new(seed, 8)),
+            qsim::sample_counts(&probs, shots, &mut Coarse::new(seed, 3)),
+            qsim::sample_counts(&probs, shots, &mut Stuck(0)),
+            qsim::sample_counts(&probs, shots, &mut Stuck(u64::MAX)),
+        ];
+        for (k, counts) in draws.iter().enumerate() {
+            prop_assert_eq!(counts.iter().sum::<u64>(), shots, "draw {}, {} outcomes", k, probs.len());
+            for (i, (&c, &p)) in counts.iter().zip(&probs).enumerate() {
+                prop_assert!(p > 0.0 || c == 0, "draw {}: zero-mass outcome {} drawn {} times", k, i, c);
+            }
+        }
+    }
+
     #[test]
     fn circuits_preserve_norm(c in arb_circuit(4, 40)) {
         let mut s = Statevector::zero(4);

@@ -510,7 +510,7 @@ impl SimExecutor {
             // the stage is never double-counted.
             let _span = telemetry::span(telemetry::Stage::NoiseSampling);
             let counts = qsim::sample_counts(&probs, self.shots, &mut self.rng);
-            Pmf::new(measured, counts.iter().map(|&c| c as f64).collect())
+            Pmf::from_counts(measured, &counts, self.shots)
         }
     }
 }
