@@ -15,7 +15,8 @@
 //!   single-qubit gates fuse into one matrix sweep and diagonal runs fold
 //!   through entanglers; every circuit is compiled where it is run (see
 //!   [`plan`]),
-//! - [`sample_counts`]: seeded shot sampling, one uniform per shot,
+//! - [`sample_counts`]: seeded shot sampling, as conditional binomials up
+//!   to 32 outcomes and one uniform per shot above,
 //! - [`lowest_eigenvalue`]: matrix-free Lanczos for exact reference
 //!   energies.
 //!

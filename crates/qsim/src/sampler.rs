@@ -3,9 +3,10 @@
 //! A distribution is drawn in one of two ways, chosen by its width:
 //!
 //! - up to [`CHAIN_MAX`] outcomes (VarSaw's and JigSaw's subset circuits
-//!   measure 1–5 qubits, 2 in the paper's evaluation), the multinomial is drawn as a chain of
-//!   conditional binomials: outcome `i` gets `Binomial(shots_left, p_i /
-//!   mass_left)`, where `mass_left` is the mass of outcomes `i..`. Each
+//!   measure 1–5 qubits, 2 in the paper's evaluation), the multinomial is
+//!   drawn as a chain of conditional binomials: outcome `i` gets
+//!   `Binomial(shots_left, p_i / mass_left)`, where `mass_left` is the
+//!   mass of outcomes `i..`. Each
 //!   binomial is drawn by inversion of one uniform, searched outward from
 //!   its mode, so a draw costs O(outcomes · σ) whatever the shot count.
 //!   Zero-mass outcomes get no draw, and the last outcome with mass takes
@@ -15,8 +16,8 @@
 //!   `u = rng.random::<f64>() * total`, onto the first outcome whose
 //!   cumulative probability exceeds `u`, found by walking a guide table
 //!   (Chen & Asau 1974) built from a bucket histogram in one pass. Every
-//!   shot consumes exactly one uniform, so the RNG stream after a call
-//!   does not depend on the distribution.
+//!   shot consumes exactly one uniform, so there the RNG stream after a
+//!   call does not depend on the distribution.
 //!
 //! Neither way ever draws an outcome with zero mass.
 
@@ -25,11 +26,13 @@ use rand::Rng;
 /// Distributions with at most this many outcomes are drawn as a chain of
 /// conditional binomials rather than through the guide table. With 1024
 /// shots on a 2-core x86-64 host, the chain beat the guided walk on every
-/// 16- and 32-outcome shape timed (1.1–2.5 µs against 4.5–10 µs at 16,
-/// 1.4–4.4 µs against 4.5–9.9 µs at 32), and at 64 it lost on flat and
-/// ansatz-like distributions (6.1–6.9 µs against 5.2–6.3 µs): 63 binomial
-/// set-ups of three log-factorials, two logarithms and an exponential
-/// each then outweigh 1024 mostly zero-step walks.
+/// 16- and 32-outcome shape timed (flat, peaked and two ansatz states:
+/// 1.1–2.5 µs against 4.6–10.4 µs at 16, 1.4–4.4 µs against 4.5–9.9 µs at
+/// 32). At 64 it stopped winning: it lost on the flat shape (6.1–6.9 µs
+/// against 4.5–5.2 µs) and tied or lost on an ansatz state (6.0–6.2 µs
+/// against 5.1–6.3 µs), as 63 binomial set-ups of three log-factorials,
+/// two logarithms and an exponential each outweigh 1024 mostly zero-step
+/// walks.
 const CHAIN_MAX: usize = 32;
 
 /// Draws `shots` samples from the distribution `probs` and returns a count
@@ -119,7 +122,8 @@ fn counts_chained<R: Rng + ?Sized>(probs: &[f64], shots: u64, rng: &mut R) -> Ve
 /// mode `m`, alternately below and above it (`m, m − 1, m + 1, m − 2,
 /// …`), subtracting each pmf from `u`; the first that takes `u` below zero
 /// is drawn. Any fixed visiting order inverts the distribution exactly;
-/// this one needs about 1.6 σ steps on average. Neighbouring pmfs follow
+/// this one takes about `2 E|k − m|`, some 1.6 σ, steps on average, where
+/// a walk up from 0 would take about `n p`. Neighbouring pmfs follow
 /// from the mode's by the ratio `f(k + 1) / f(k) = (n − k) p / ((k + 1)
 /// q)`.
 ///
@@ -419,9 +423,9 @@ mod tests {
         // The largest uniform times the smallest subnormal rounds to the
         // total itself; the draw must still land on the outcomes with mass.
         for n in [3, 40] {
-            for holes in [&[1][..], &[0, 2]] {
+            for massive in [&[1][..], &[0, 2]] {
                 let mut probs = vec![0.0; n];
-                for &i in holes {
+                for &i in massive {
                     probs[i] = f64::from_bits(1);
                 }
                 let counts = sample_counts(&probs, 4, &mut Stuck(u64::MAX));
@@ -440,8 +444,9 @@ mod tests {
         (0..).find(|_| advanced.next_u64() == next).unwrap()
     }
 
+    /// Above the chained widths, whatever the distribution.
     #[test]
-    fn every_shot_consumes_exactly_one_uniform_above_the_cut() {
+    fn every_shot_consumes_exactly_one_uniform() {
         for n in [CHAIN_MAX + 1, 40, 256] {
             let probs: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64 + 0.5).collect();
             assert_eq!(uniforms_drawn(&probs, 333), 333, "{n} outcomes");
