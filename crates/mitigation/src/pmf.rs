@@ -74,8 +74,8 @@ impl Pmf {
     ///
     /// # Panics
     ///
-    /// Panics if `counts.len() != 2^qubits.len()`, a qubit repeats, or the
-    /// counts do not sum to `shots`, which is zero.
+    /// Panics if `counts.len() != 2^qubits.len()`, a qubit repeats, the
+    /// counts do not sum to `shots`, or `shots` is zero.
     pub fn from_counts(qubits: Vec<usize>, counts: &[u64], shots: u64) -> Self {
         check_qubits(&qubits, counts.len());
         assert_eq!(

@@ -18,9 +18,10 @@
 //! exactly `shots` shots.
 //!
 //! Pooled frequencies alone would pass `round(shots · p)`; the histograms
-//! catch it. A statistic fails when its z-score exceeds [`Z_MAX`]: with a
-//! few thousand statistics in all, a correct sampler crosses that with a
-//! probability below 1e-4 per seed set, and the seeds are fixed.
+//! catch it. A statistic fails when its z-score exceeds [`Z_MAX`]. With
+//! some 20,000 statistics in all, a correct sampler crosses that
+//! somewhere with a probability of about 1e-3 where the normal
+//! approximations hold; the seeds are fixed, so the outcome repeats.
 //!
 //! `trials` is 64 per proptest case: 4096 by default, more in the deep
 //! tier that raises `PROPTEST_CASES`.
