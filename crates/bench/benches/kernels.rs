@@ -1,11 +1,12 @@
 //! Criterion benchmarks for the computational kernels every experiment
-//! leans on: state-vector simulation, subset reads, Pauli algebra, noise
-//! channels, Bayesian reconstruction, energy assembly, grouping and the
-//! Lanczos eigensolver.
+//! leans on: subset reads, Pauli algebra, noise channels, Bayesian
+//! reconstruction, energy assembly, grouping, shot sampling and the
+//! Lanczos eigensolver. Only rows whose mean moved by less than 1.5× over
+//! three rounds on one build are kept.
 
 use chem::{molecular_hamiltonian, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use mitigation::{reconstruct, Pmf, Reconstructor};
+use mitigation::{Pmf, Reconstructor};
 use pauli::{group_by_cover, PauliString};
 use qnoise::DeviceModel;
 use qnoise::{apply_readout_errors, ReadoutError};
@@ -19,54 +20,30 @@ fn ansatz_circuit(n: usize) -> Circuit {
     a.circuit(&a.initial_parameters(7))
 }
 
-fn bench_statevector(c: &mut Criterion) {
-    // The serial dense plane — the one execution engine.
-    let mut g = c.benchmark_group("statevector");
-    for n in [6usize, 8, 10, 12] {
-        let circuit = ansatz_circuit(n);
-        g.bench_function(format!("efficient_su2_{n}q"), |b| {
-            b.iter(|| {
-                let mut st = Statevector::zero(n);
-                st.apply_circuit(&circuit);
-                std::hint::black_box(st.probabilities()[0])
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_subset_reads(c: &mut Criterion) {
-    // One VarSaw evaluation's subset reads: at window 2, 63 circuits over
-    // 7 supports on H2O-8 and 81 over 9 on H6-10; at window 4 on LiH-6,
-    // Fig.19's shape, the 4-qubit circuits are wider than a density read
-    // and rotate, so the row watches both sides of the width crossover.
+    // One VarSaw evaluation's subset reads at window 4 on LiH-6, Fig.19's
+    // shape: the 4-qubit circuits are wider than a density read and
+    // rotate, while the narrower ones are read from reduced density
+    // matrices, so the row watches both sides of the width crossover.
     // Each iteration loads the reduced density matrices once and reads
     // every circuit. The executor is exact, so the row times the reads and
     // the readout channel, not the shot draw.
-    let mut g = c.benchmark_group("subset_reads");
-    for (label, name, qubits, window) in [
-        ("h2o_8", "H2O", 8, 2),
-        ("h6_10", "H6", 10, 2),
-        ("lih_6_window4", "LiH", 6, 4),
-    ] {
-        let spec = MoleculeSpec::find(name, qubits).unwrap();
-        let plan = SpatialPlan::new(&molecular_hamiltonian(&spec), window);
-        let mut reads = SubsetReads::new(plan.subset_groups().iter().map(|g| &g.basis));
-        let mut st = Statevector::zero(qubits);
-        st.apply_circuit(&ansatz_circuit(qubits));
-        let mut exec = SimExecutor::exact(DeviceModel::mumbai_like(), 7);
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let loaded = reads.load(&st);
-                let mut acc = 0.0;
-                for i in 0..plan.subset_groups().len() {
-                    acc += exec.run_subset(&loaded, i).probs()[0];
-                }
-                std::hint::black_box(acc)
-            })
-        });
-    }
-    g.finish();
+    let spec = MoleculeSpec::find("LiH", 6).unwrap();
+    let plan = SpatialPlan::new(&molecular_hamiltonian(&spec), 4);
+    let mut reads = SubsetReads::new(plan.subset_groups().iter().map(|g| &g.basis));
+    let mut st = Statevector::zero(6);
+    st.apply_circuit(&ansatz_circuit(6));
+    let mut exec = SimExecutor::exact(DeviceModel::mumbai_like(), 7);
+    c.bench_function("subset_reads/lih_6_window4", |b| {
+        b.iter(|| {
+            let loaded = reads.load(&st);
+            let mut acc = 0.0;
+            for i in 0..plan.subset_groups().len() {
+                acc += exec.run_subset(&loaded, i).probs()[0];
+            }
+            std::hint::black_box(acc)
+        })
+    });
 }
 
 fn bench_pauli_expectation(c: &mut Criterion) {
@@ -97,31 +74,24 @@ fn bench_energy(c: &mut Criterion) {
 }
 
 fn bench_grouping(c: &mut Criterion) {
-    let mut g = c.benchmark_group("grouping");
-    for label in ["CH4-8", "H2O-12"] {
-        let (name, qubits) = label.split_once('-').unwrap();
-        let spec = MoleculeSpec::find(name, qubits.parse().unwrap()).unwrap();
-        let h = molecular_hamiltonian(&spec);
-        let strings: Vec<PauliString> = h
-            .measurable_terms()
-            .iter()
-            .map(|t| t.string().clone())
-            .collect();
-        g.bench_function(format!("group_by_cover_{label}"), |b| {
-            b.iter(|| std::hint::black_box(group_by_cover(&strings).len()))
-        });
-    }
-    g.finish();
+    let spec = MoleculeSpec::find("H2O", 12).unwrap();
+    let strings: Vec<PauliString> = molecular_hamiltonian(&spec)
+        .measurable_terms()
+        .iter()
+        .map(|t| t.string().clone())
+        .collect();
+    c.bench_function("grouping/group_by_cover_H2O-12", |b| {
+        b.iter(|| std::hint::black_box(group_by_cover(&strings).len()))
+    });
 }
 
 fn bench_reconstruction(c: &mut Criterion) {
     // An 8-qubit global PMF with 7 window locals — one basis circuit's
-    // JigSaw reconstruction. The canonical id measures the one-shot
-    // `reconstruct()` path (key tables built per call); the `_cached` row
-    // is what the VQE evaluators actually pay from iteration two on — a
-    // persistent `Reconstructor` whose key tables and scratch survive.
-    // The key-cached H6-10 rows, over exact and over shot-sampled
-    // Globals, and the 16-qubit row live in `benches/reconstruction.rs`.
+    // JigSaw reconstruction, as the VQE evaluators pay for it from
+    // iteration two on: a persistent `Reconstructor` whose key tables and
+    // scratch survive. The key-cached H6-10 rows, over exact and over
+    // shot-sampled Globals, and the 16-qubit row live in
+    // `benches/reconstruction.rs`.
     let n = 8usize;
     let circuit = ansatz_circuit(n);
     let mut st = Statevector::zero(n);
@@ -129,9 +99,6 @@ fn bench_reconstruction(c: &mut Criterion) {
     let qubits: Vec<usize> = (0..n).collect();
     let global = Pmf::new(qubits.clone(), st.probabilities());
     let locals: Vec<Pmf> = (0..n - 1).map(|w| global.marginal(&[w, w + 1])).collect();
-    c.bench_function("reconstruction/bayesian_8q_7windows", |b| {
-        b.iter(|| std::hint::black_box(reconstruct(&global, &locals)))
-    });
     let mut engine = Reconstructor::new();
     c.bench_function("reconstruction/bayesian_8q_7windows_cached", |b| {
         b.iter(|| {
@@ -163,9 +130,9 @@ fn bench_noise_channel(c: &mut Criterion) {
 }
 
 fn bench_sampling(c: &mut Criterion) {
-    // 1 and 2 qubits are subset-circuit widths (VarSaw's windows measure
-    // 2), 8 and 10 full-register Globals on H2O-8 and H6-10.
-    for n in [1usize, 2, 8, 10] {
+    // 1 qubit is a subset-circuit width, 10 a full-register Global on
+    // H6-10.
+    for n in [1usize, 10] {
         let circuit = ansatz_circuit(n);
         let mut st = Statevector::zero(n);
         st.apply_circuit(&circuit);
@@ -195,7 +162,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = kernels;
     config = config();
-    targets = bench_statevector, bench_subset_reads, bench_pauli_expectation, bench_energy,
+    targets = bench_subset_reads, bench_pauli_expectation, bench_energy,
         bench_grouping,
         bench_reconstruction, bench_noise_channel, bench_sampling, bench_lanczos
 }

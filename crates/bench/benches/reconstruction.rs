@@ -1,31 +1,17 @@
-//! Benchmarks for the Bayesian-reconstruction engine, CI-archived as
-//! `BENCH_reconstruction.json` (see the bench-smoke job): the one-shot
-//! path, the key-cached persistent path the VQE evaluators run (one clone
-//! and one sweep per row iteration), one H6-10 basis as VarSaw
-//! reconstructs it, every H6-10 basis as one VarSaw evaluation
-//! reconstructs them — over exact, dense Globals and over 1,024-shot
-//! sampled ones, as a paper run measures them — and a sweep over a
-//! 16-qubit global, past every paper workload's size.
+//! Benchmarks for the Bayesian-reconstruction engine on the key-cached
+//! persistent path the VQE evaluators run (one clone and one sweep per
+//! row iteration): one H6-10 basis as VarSaw reconstructs it, every H6-10
+//! basis as one VarSaw evaluation reconstructs them — over exact, dense
+//! Globals and over 1,024-shot sampled ones, as a paper run measures them
+//! — and a sweep over a 16-qubit global, past every paper workload's size.
 
 use chem::{molecular_hamiltonian, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
-use mitigation::{reconstruct, Pmf, Reconstructor};
+use mitigation::{Pmf, Reconstructor};
 use qsim::{sample_counts, Statevector};
 use rand::{rngs::StdRng, SeedableRng};
 use varsaw::SpatialPlan;
 use vqe::{basis_rotation, EfficientSu2, Entanglement};
-
-/// The 8-qubit EfficientSU2 output distribution with 7 pairwise window
-/// locals — one basis circuit's JigSaw reconstruction, as in `kernels.rs`.
-fn jigsaw_8q() -> (Pmf, Vec<Pmf>) {
-    let n = 8usize;
-    let a = EfficientSu2::new(n, 2, Entanglement::Full);
-    let mut st = Statevector::zero(n);
-    st.apply_circuit(&a.circuit(&a.initial_parameters(7)));
-    let global = Pmf::new((0..n).collect(), st.probabilities());
-    let locals: Vec<Pmf> = (0..n - 1).map(|w| global.marginal(&[w, w + 1])).collect();
-    (global, locals)
-}
 
 /// One H6-10 basis as VarSaw reconstructs it: a 10-qubit global and the
 /// 1- and 2-qubit sliding-window locals the spatial plan covers it with,
@@ -152,20 +138,9 @@ fn swept(engine: &mut Reconstructor, global: &Pmf, locals: &[Pmf]) -> Pmf {
     out
 }
 
-fn bench_oneshot(c: &mut Criterion) {
-    let (global, locals) = jigsaw_8q();
-    c.bench_function("reconstruction/oneshot_8q_7windows", |b| {
-        b.iter(|| std::hint::black_box(reconstruct(&global, &locals)))
-    });
-}
-
 fn bench_cached(c: &mut Criterion) {
-    let (global, locals) = jigsaw_8q();
-    let mut engine = Reconstructor::new();
-    c.bench_function("reconstruction/cached_8q_7windows", |b| {
-        b.iter(|| std::hint::black_box(swept(&mut engine, &global, &locals)))
-    });
     let (global, locals) = h6_basis_10q();
+    let mut engine = Reconstructor::new();
     c.bench_function("reconstruction/cached_10q_h6_basis", |b| {
         b.iter(|| std::hint::black_box(swept(&mut engine, &global, &locals)))
     });
@@ -214,7 +189,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = reconstruction;
     config = config();
-    targets = bench_oneshot, bench_cached, bench_all_bases, bench_sampled_all_bases,
-        bench_16q
+    targets = bench_cached, bench_all_bases, bench_sampled_all_bases, bench_16q
 }
 criterion_main!(reconstruction);

@@ -1,10 +1,8 @@
 //! Plain-text tables, CSV and JSON output for the experiment harnesses.
 //!
-//! The JSON emitter mirrors the `BENCH_*.json` record format the
-//! criterion shim writes and `bench_diff` consumes: a flat array of flat
-//! objects, one per table row, string values escaped the same way and
-//! numeric cells emitted as JSON numbers — so downstream tooling can diff
-//! experiment outputs with the same machinery it diffs kernel timings.
+//! The JSON report is a flat array of flat objects, one per table row,
+//! keyed by the column headers, with numeric cells emitted as JSON numbers
+//! — so a script can read an experiment's rows without parsing the CSV.
 
 use std::fs;
 use std::io::Write as _;
@@ -105,10 +103,10 @@ impl Table {
     }
 
     /// Writes the table as a JSON array of records to `path`: one flat
-    /// object per row keyed by the column headers, in the style of the
-    /// `BENCH_*.json` artifacts (same string escaping; cells that parse
-    /// as finite numbers are emitted unquoted). Missing cells are
-    /// omitted; extra cells beyond the header are dropped.
+    /// object per row keyed by the column headers (cells that parse as
+    /// finite numbers are emitted unquoted, the rest as escaped strings).
+    /// Missing cells are omitted; extra cells beyond the header are
+    /// dropped.
     ///
     /// # Panics
     ///
@@ -132,9 +130,9 @@ impl Table {
         write_file(path, &body);
     }
 
-    /// Writes both report artifacts for one experiment table: `path` as
-    /// CSV and its `.json` sibling as the record array of
-    /// [`Table::write_json`].
+    /// Writes both report artifacts for one experiment table, the outputs
+    /// `experiments <id> --out DIR` leaves behind: `path` as CSV and its
+    /// `.json` sibling as the record array of [`Table::write_json`].
     ///
     /// # Panics
     ///
@@ -145,8 +143,8 @@ impl Table {
     }
 }
 
-/// Escapes a string the way the criterion shim does: backslash-escapes
-/// quotes and backslashes, `\uXXXX` for control characters.
+/// Quotes a string as JSON: backslash-escapes quotes and backslashes,
+/// `\uXXXX` for control characters.
 fn json_string(s: &str) -> String {
     let escaped: String = s
         .chars()

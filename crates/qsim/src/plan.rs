@@ -29,9 +29,9 @@
 //! Each pending run carries its running product, so a compile is one scan
 //! with one 2×2 product per fused gate and no allocation per gate. On a
 //! 2-core x86-64 host, compiling the 10-qubit EfficientSU2 (full
-//! entanglement, reps 2; the `fusion/plan_compile_full_10q` bench) took
-//! 1.3–3.1 µs, against 75–140 µs to run the plan. So every circuit is
-//! compiled where it is run, and nothing is cached.
+//! entanglement, reps 2) took 1.3–3.1 µs, against 75–140 µs to run the
+//! plan. So every circuit is compiled where it is run, and nothing is
+//! cached.
 //!
 //! # Examples
 //!

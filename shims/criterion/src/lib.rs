@@ -6,19 +6,9 @@
 //! [`Criterion::benchmark_group`], [`Bencher::iter`] /
 //! [`Bencher::iter_batched`], and the [`criterion_group!`] /
 //! [`criterion_main!`] macros. Instead of criterion's statistical analysis
-//! it reports the mean wall-clock time per iteration — enough to spot
-//! order-of-magnitude regressions in CI logs while keeping the workspace
-//! free of network dependencies.
-//!
-//! # Machine-readable output
-//!
-//! When the [`JSON_ENV`] environment variable (`CRITERION_JSON`) names a
-//! file path, every benchmark result of the process is additionally
-//! collected into that file as a JSON array of
-//! `{"id", "mean_ns", "best_ns", "samples"}` records. The file is
-//! rewritten after each benchmark, so it is complete and valid JSON even
-//! if a later benchmark aborts. CI archives these as `BENCH_*.json`
-//! artifacts for cross-run regression comparisons.
+//! it prints the mean and best wall-clock time per iteration — enough to
+//! attribute time to a kernel while keeping the workspace free of network
+//! dependencies.
 //!
 //! # Example
 //!
@@ -31,52 +21,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Environment variable naming the JSON results file (see the crate docs).
-pub const JSON_ENV: &str = "CRITERION_JSON";
-
-/// All benchmark records of this process, for the JSON results file.
-static JSON_RECORDS: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-/// Appends one benchmark record and rewrites the JSON results file, if
-/// [`JSON_ENV`] is set. Reading (never mutating) the environment here
-/// keeps bench binaries single-writer; tests exercise [`append_record`]
-/// directly with an explicit path instead of touching process env.
-fn record_json(id: &str, mean: Duration, best: Duration, samples: u64) {
-    let Some(path) = std::env::var_os(JSON_ENV) else {
-        return;
-    };
-    append_record(&path, id, mean, best, samples);
-}
-
-/// Appends one record to the in-process list and rewrites `path` as a
-/// complete JSON array. Errors are reported to stderr, never fatal — a
-/// read-only filesystem must not fail the bench run itself.
-fn append_record(path: &std::ffi::OsStr, id: &str, mean: Duration, best: Duration, samples: u64) {
-    let escaped: String = id
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect();
-    let mut records = JSON_RECORDS.lock().expect("json records lock");
-    records.push(format!(
-        "{{\"id\":\"{escaped}\",\"mean_ns\":{},\"best_ns\":{},\"samples\":{samples}}}",
-        mean.as_nanos(),
-        best.as_nanos(),
-    ));
-    let body = format!("[\n  {}\n]\n", records.join(",\n  "));
-    if let Err(e) = std::fs::write(path, body) {
-        eprintln!(
-            "criterion shim: cannot write {}: {e}",
-            path.to_string_lossy()
-        );
-    }
-}
 
 /// Entry point configuring and running benchmarks, mirroring
 /// `criterion::Criterion`.
@@ -239,7 +184,6 @@ where
     }
     let mean = total / samples.max(1) as u32;
     println!("bench {id:<50} mean {mean:>12?}  best {best:>12?}  ({samples} samples)");
-    record_json(id, mean, best, samples);
 }
 
 /// Re-export of `std::hint::black_box`, mirroring `criterion::black_box`.
@@ -291,31 +235,6 @@ mod tests {
         let mut ran = 0u64;
         c.bench_function("smoke", |b| b.iter(|| ran += 1));
         assert!(ran > 0);
-    }
-
-    #[test]
-    fn json_records_escape_and_form_an_array() {
-        // Drive the writer directly with an explicit path — mutating
-        // JSON_ENV here would race sibling tests reading the environment
-        // on the multithreaded test harness.
-        let path = std::env::temp_dir().join(format!("BENCH_shimtest_{}.json", std::process::id()));
-        append_record(
-            path.as_os_str(),
-            "json/smoke_\"quoted\"",
-            Duration::from_nanos(1500),
-            Duration::from_nanos(1400),
-            2,
-        );
-        let body = std::fs::read_to_string(&path).expect("json file written");
-        std::fs::remove_file(&path).ok();
-        assert!(body.trim_start().starts_with('['), "not an array: {body}");
-        assert!(
-            body.contains("\"id\":\"json/smoke_\\\"quoted\\\"\""),
-            "{body}"
-        );
-        assert!(body.contains("\"mean_ns\":1500"), "{body}");
-        assert!(body.contains("\"best_ns\":1400"), "{body}");
-        assert!(body.contains("\"samples\":2"), "{body}");
     }
 
     #[test]
